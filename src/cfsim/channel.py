@@ -224,8 +224,3 @@ def draw_channels(ls: LargeScaleState, rng, n_draws=1):
     scale = np.sqrt(ls.beta / (ls.rice_k + 1.0))[None, :, :, None]
     los = np.sqrt(ls.rice_k)[None, :, :, None] * np.exp(1j * theta)[..., None] * ls.steering[None]
     return scale * (los + h)
-
-
-def draw_channel(ls: LargeScaleState, rng):
-    """Single realization, shape (K, A, N)."""
-    return draw_channels(ls, rng, 1)[0]

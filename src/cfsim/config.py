@@ -139,12 +139,13 @@ class FpcConfig:
 
 @dataclass(frozen=True)
 class MaxMinConfig:
-    outer_tol: float = 1e-4  # relative min-rate improvement stopping the outer loop
-    max_outer_iters: int = 50
-    inner_tol: float = 1e-6
-    max_inner_iters: int = 20
-    block_size: Optional[int] = None  # None -> one block per AP (DL) / single block (UL)
-    anchor_floor: float = 1e-12  # fraction of budget; keeps sqrt gradients finite
+    """Knobs of the DL max-min block solver; UL max-min is exact and has none."""
+
+    outer_tol: float = 1e-4  # DL: relative min-rate improvement stopping the outer loop
+    max_outer_iters: int = 50  # DL: cap on passes over the per-AP blocks
+    inner_tol: float = 1e-6  # DL: relative surrogate change stopping a block's inner loop
+    max_inner_iters: int = 20  # DL: cap on subproblem solves per block
+    anchor_floor: float = 1e-12  # DL: fraction of budget; keeps sqrt gradients finite
 
 
 @dataclass(frozen=True)
@@ -300,6 +301,21 @@ class SimConfig:
             raise ConfigError("must lie in (0, 1)", field="channel.rice_clamp_eps")
         if self.mc.ub_samples < 0:
             raise ConfigError("must be >= 0", field="mc.ub_samples")
+        if self.mc.batch_count < 2:
+            raise ConfigError("must be >= 2 for a standard error", field="mc.batch_count")
+        if 0 < self.mc.ub_samples < self.mc.batch_count:
+            raise ConfigError("must be 0 or >= mc.batch_count", field="mc.ub_samples")
+        if self.mc.chunk < 1:
+            raise ConfigError("must be >= 1", field="mc.chunk")
+        mm = self.power.maxmin
+        for name in ("max_outer_iters", "max_inner_iters"):
+            if getattr(mm, name) < 1:
+                raise ConfigError("must be >= 1", field=f"power.maxmin.{name}")
+        for name in ("outer_tol", "inner_tol"):
+            if not getattr(mm, name) >= 0:  # also rejects NaN
+                raise ConfigError("must be >= 0", field=f"power.maxmin.{name}")
+        if not 0 < mm.anchor_floor < 1:
+            raise ConfigError("must lie in (0, 1)", field="power.maxmin.anchor_floor")
         if self.drops < 1:
             raise ConfigError("must be >= 1", field="drops")
         return self

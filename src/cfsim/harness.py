@@ -86,7 +86,7 @@ def allocate_dl(config: SimConfig, tables, roles):
         return uniform_dl(tables.gamma, tables.serving, budgets), {}
     # maxmin
     mm = p.maxmin
-    result = maxmin_dl(
+    return maxmin_dl(
         tables,
         budgets,
         config.sigma_z2,
@@ -100,29 +100,16 @@ def allocate_dl(config: SimConfig, tables, roles):
         paper_literal_g2=p.paper_literal_g2,
         anchor_floor_frac=mm.anchor_floor,
     )
-    return result.dl, result.info
 
 
 def allocate_ul(config: SimConfig, tables, est):
     p = config.power
     p_max = np.full(config.n_users, p.ul_max_w)
-    fpc_powers = fpc_ul(est.G, tables.serving, p_max, p.fpc.p0_watts, p.fpc.alpha)
     if p.ul == "fpc":
-        return fpc_powers, {}
-    mm = p.maxmin
-    result = maxmin_ul(
-        tables,
-        config.sigma_w2,
-        prelog=config.frame.tau_u / config.frame.tau_c,
-        p_max=p_max,
-        init_eta=fpc_powers,
-        block_size=mm.block_size,
-        outer_tol=mm.outer_tol,
-        max_outer_iters=mm.max_outer_iters,
-        inner_tol=mm.inner_tol,
-        max_inner_iters=mm.max_inner_iters,
+        return fpc_ul(est.G, tables.serving, p_max, p.fpc.p0_watts, p.fpc.alpha), {}
+    return maxmin_ul(
+        tables, config.sigma_w2, prelog=config.frame.tau_u / config.frame.tau_c, p_max=p_max
     )
-    return result.ul, result.info
 
 
 def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) -> RateReport:

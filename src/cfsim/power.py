@@ -2,24 +2,28 @@
 
 Downlink: proportional (PPA), waterfilling (WFPA), uniform per served user,
 and min-rate maximization via successive lower-bound maximization over
-per-AP blocks. Uplink: fractional power control (FPC) and min-rate
+per-AP blocks. Uplink: fractional power control (FPC) and exact min-rate
 maximization. Every strategy returns the *coefficients* eta (transmitted
 power is eta * gamma in DL), with per-AP budgets sum_k eta[k,a] gamma[k,a]
-<= budget_a and per-user UL boxes 0 <= eta_k <= P_max.
+<= budget_a and per-user UL boxes 0 <= eta_k <= P_max. Both max-min solvers
+return (eta, info) with the min-rate trace, a converged flag and the
+iteration count.
 
-The optimizer works on normalized powers eta_bar (eta = eta_bar * rho with
+The DL optimizer works on normalized powers eta_bar (eta = eta_bar * rho with
 rho the per-AP(-class) inverse gamma sums), expresses each convex subproblem
 in u = sqrt(eta_bar) variables (all constraints become smooth quadratics or
 logs of quadratics) and solves it with SLSQP. A safeguarded accept step keeps
 the true closed-form min-rate non-decreasing regardless of surrogate quality.
+
+The UL bound's SINR is affine in the powers over both numerator and
+denominator, so UL max-min is solved to global optimality by bisection on the
+common SINR target, one linear solve per step.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
@@ -33,21 +37,9 @@ def _quiet_minimize(*args, **kwargs):
 
 from .errors import AssociationError, DegenerateInputError, SolverError
 from .geometry import ROLE_GUE, ROLE_UAV
-from .se import SETables, dl_sinr_lb, dl_sinr_parts, se_from_sinr
+from .se import SETables, dl_sinr_lb, dl_sinr_parts, se_from_sinr, ul_sinr_affine
 
 LN2 = math.log(2.0)
-
-
-@dataclass
-class PowerAllocation:
-    """DL coefficients, UL powers, and the budgets they must respect."""
-
-    dl: np.ndarray  # (K, A) eta coefficients, zero outside A_k
-    ul: np.ndarray  # (K,)
-    dl_budgets: np.ndarray  # (A,)
-    ul_max: np.ndarray  # (K,)
-    kappa: Optional[float] = None
-    info: dict = field(default_factory=dict)
 
 
 def transmitted_dl_power(eta_dl, gamma):
@@ -326,24 +318,6 @@ class DlPowerModel:
         _num, den = dl_sinr_parts(self.t, eta, self.sigma_z2)
         return den
 
-    def surrogate(self, k, eta_bar, anchor_bar, ap, users):
-        """Concave lower bound of user k's rate, linearized around anchor_bar.
-
-        eta_bar must equal anchor_bar outside block (ap, users).
-        """
-        co = self.block_coeffs(anchor_bar, ap, users)
-        u = np.sqrt(np.asarray(eta_bar, dtype=float)[users, ap])
-        u0 = np.sqrt(np.asarray(anchor_bar, dtype=float)[users, ap])
-        return self._surrogate_from_coeffs(co, k, u, u0)
-
-    def surrogate_grad(self, k, eta_bar, anchor_bar, ap, users):
-        """Gradient of the surrogate w.r.t. the block's eta_bar entries."""
-        co = self.block_coeffs(anchor_bar, ap, users)
-        u = np.sqrt(np.asarray(eta_bar, dtype=float)[users, ap])
-        u0 = np.sqrt(np.asarray(anchor_bar, dtype=float)[users, ap])
-        gu = self._surrogate_grad_u(co, k, u, u0)
-        return gu / (2.0 * u)  # d/d eta_bar = (d/du) / (2u)
-
     # quadratic-form helpers (u-space)
     def _g2_block(self, co, u):
         return co["alpha"] @ (u**2) + co["beta"] @ u + co["const"]
@@ -355,22 +329,6 @@ class DlPowerModel:
     def _lincoef(self, co, u0):
         """d g2 / d eta_bar at the anchor (beta terms give 1/(2 u0))."""
         return co["alpha"] + co["beta"] / (2.0 * u0)[None, :]
-
-    def _surrogate_from_coeffs(self, co, k, u, u0):
-        q = self._q_block(co, u)[k]
-        g20 = self._g2_block(co, u0)[k]
-        lin = self._lincoef(co, u0)[k]
-        corr = lin @ (u**2 - u0**2)
-        return self.prelog * (np.log2(q) - np.log2(g20) - corr / (LN2 * g20))
-
-    def _surrogate_grad_u(self, co, k, u, u0):
-        q = self._q_block(co, u)[k]
-        g20 = self._g2_block(co, u0)[k]
-        lin = self._lincoef(co, u0)[k]
-        dq = 2.0 * co["alpha"][k] * u + co["beta"][k] + 2.0 * co["w1"][k] * (
-            co["c1"][k] + co["w1"][k] @ u
-        )
-        return self.prelog * (dq / (LN2 * q) - 2.0 * lin * u / (LN2 * g20))
 
     def surrogates_all(self, co, u, u0):
         """Vector of all K surrogates and their (K, nb) u-gradients."""
@@ -444,14 +402,6 @@ def solve_block_subproblem(model: DlPowerModel, eta_bar, ap, users, budget, anch
     return u_star**2, float(vals.min())
 
 
-@dataclass
-class MaxMinResult:
-    eta: np.ndarray  # DL: (K, A) coefficients; UL: (K,) powers
-    min_rate_trace: list
-    converged: bool
-    iterations: int
-
-
 def maxmin_dl(
     tables: SETables,
     budgets,
@@ -523,167 +473,49 @@ def maxmin_dl(
         if trace[-2] > 0 and (trace[-1] - trace[-2]) <= outer_tol * trace[-2]:
             converged = True
             break
-    eta = model.eta_from_bar(eta_bar)
-    return PowerAllocation(
-        dl=eta,
-        ul=np.zeros(tables.n_users),
-        dl_budgets=budgets,
-        ul_max=np.zeros(tables.n_users),
-        kappa=kappa,
-        info={
-            "min_rate_trace": trace,
-            "converged": converged,
-            "iterations": it,
-        },
-    )
+    info = {"min_rate_trace": trace, "converged": converged, "iterations": it}
+    return model.eta_from_bar(eta_bar), info
 
 
 # ---------------------------------------------------------------------------
 # Min-rate maximization, uplink
 # ---------------------------------------------------------------------------
 
-class UlPowerModel:
-    """Affine-denominator UL rate model (SE units) and its exact surrogate."""
-
-    def __init__(self, tables: SETables, sigma_w2, prelog):
-        t = tables
-        K = t.n_users
-        mask = t.serving.astype(float)
-        gsum = (mask * t.gamma).sum(axis=1)
-        self.num_coef = gsum**2
-        own_delta = np.einsum("kka->ka", t.delta)
-        own_bu = (mask * (t.eta_train[:, None] * own_delta - t.gamma**2)).sum(axis=1)
-        mid = np.sqrt(t.eta_train)[:, None] * np.einsum("ka,kja->kj", mask, t.tr_gdg)
-        s_cross = np.einsum("ka,kja->kj", mask, t.t_dg)
-        q_cross = np.einsum("ka,kja->kj", mask, np.abs(t.t_dg) ** 2)
-        d_cross = np.einsum("ka,jka->kj", mask, t.delta)
-        cont = d_cross + np.abs(s_cross) ** 2 - q_cross
-        off = t.gram2 * (1.0 - np.eye(K))
-        self.den_mat = mid + t.eta_train[None, :] * off * cont
-        self.den_mat[np.arange(K), np.arange(K)] += own_bu
-        self.den_const = sigma_w2 * gsum
-        self.prelog = prelog
-        self.K = K
-
-    def rates(self, eta_ul):
-        eta = np.asarray(eta_ul, dtype=float)
-        den = self.den_mat @ eta + self.den_const
-        return self.prelog * np.log2(1.0 + self.num_coef * eta / den)
-
-    def surrogates(self, eta_ul, anchor):
-        eta = np.asarray(eta_ul, dtype=float)
-        den0 = self.den_mat @ anchor + self.den_const
-        total = self.num_coef * eta + self.den_mat @ eta + self.den_const
-        corr = self.den_mat @ (eta - anchor)
-        vals = self.prelog * (np.log2(total) - np.log2(den0) - corr / (LN2 * den0))
-        grads = self.prelog * (
-            (np.diag(self.num_coef) + self.den_mat) / (LN2 * total[:, None])
-            - self.den_mat / (LN2 * den0[:, None])
-        )
-        return vals, grads
+UL_BISECTION_RTOL = 1e-12  # relative width of the final SINR-target bracket
 
 
-def solve_ul_subproblem(model: UlPowerModel, eta, block, p_max, anchor_floor):
-    """max t s.t. box constraints on the block, surrogates >= t."""
-    block = np.asarray(block, dtype=int)
-    anchor = np.asarray(eta, dtype=float).copy()
-    anchor[block] = np.maximum(anchor[block], anchor_floor)
-    K = model.K
+def maxmin_ul(tables: SETables, sigma_w2, prelog, p_max):
+    """Exact uplink min-rate maximization under per-user boxes 0 <= eta <= p_max.
 
-    def full(xb):
-        e = anchor.copy()
-        e[block] = xb
-        return e
-
-    vals0, _ = model.surrogates(anchor, anchor)
-    x0 = np.concatenate([anchor[block], [vals0.min()]])
-    nb = block.size
-
-    def rate_fun(x):
-        vals, _ = model.surrogates(full(x[:nb]), anchor)
-        return vals - x[nb]
-
-    def rate_jac(x):
-        _, grads = model.surrogates(full(x[:nb]), anchor)
-        out = np.zeros((K, nb + 1))
-        out[:, :nb] = grads[:, block]
-        out[:, nb] = -1.0
-        return out
-
-    bounds = [(0.0, float(p_max[j])) for j in block] + [(None, None)]
-    res = _quiet_minimize(
-        lambda x: -x[nb],
-        x0,
-        jac=lambda x: np.concatenate([np.zeros(nb), [-1.0]]),
-        bounds=bounds,
-        constraints=[{"type": "ineq", "fun": rate_fun, "jac": rate_jac}],
-        method="SLSQP",
-        options={"maxiter": 300, "ftol": 1e-12},
-    )
-    xb = np.clip(res.x[:nb], 0.0, np.asarray(p_max, dtype=float)[block])
-    vals, _ = model.surrogates(full(xb), anchor)
-    return xb, float(vals.min())
-
-
-def maxmin_ul(
-    tables: SETables,
-    sigma_w2,
-    prelog,
-    p_max,
-    init_eta=None,
-    block_size=None,
-    outer_tol=1e-4,
-    max_outer_iters=50,
-    inner_tol=1e-6,
-    max_inner_iters=20,
-):
-    """Uplink min-rate maximization under per-user box constraints."""
+    The bound's SINR is num_k eta_k / (den_mat @ eta + den_const)_k with
+    den_mat >= 0 entrywise, so the least powers reaching a common target t
+    solve (diag(num) - t den_mat) eta = t den_const, and t is achievable iff
+    that solution lies in the box (Yates 1995). Bisection on t between the
+    full-power min SINR and the interference-free bound converges to the global
+    optimum; the trace holds the SE of the best achievable target so far.
+    """
     K = tables.n_users
     p_max = np.broadcast_to(np.asarray(p_max, dtype=float), (K,))
-    model = UlPowerModel(tables, sigma_w2, prelog)
-    eta = (
-        np.asarray(init_eta, dtype=float).copy()
-        if init_eta is not None
-        else p_max.copy()
-    )
-    if block_size is None or block_size >= K:
-        blocks = [np.arange(K)]
-    else:
-        blocks = [np.arange(i, min(i + block_size, K)) for i in range(0, K, block_size)]
-
-    cur_min = float(model.rates(eta).min())
-    trace = [cur_min]
-    converged = False
+    num, den_mat, den_const = ul_sinr_affine(tables, sigma_w2)
+    lo = float((num * p_max / (den_mat @ p_max + den_const)).min())
+    hi = float((num * p_max / (np.diag(den_mat) * p_max + den_const)).min())
+    best = p_max.copy()
+    trace = [float(se_from_sinr(lo, prelog))]
     it = 0
-    anchor_floor = 1e-12 * p_max.min()
-    for it in range(1, max_outer_iters + 1):
-        for block in blocks:
-            anchor = eta
-            t_prev = -np.inf
-            best = eta[block].copy()
-            for _ in range(max_inner_iters):
-                xb, t_star = solve_ul_subproblem(model, anchor, block, p_max, anchor_floor)
-                cand = anchor.copy()
-                cand[block] = xb
-                anchor = cand
-                best = xb
-                if t_prev > -np.inf and abs(t_star - t_prev) <= inner_tol * max(abs(t_star), 1e-12):
-                    break
-                t_prev = t_star
-            cand = eta.copy()
-            cand[block] = best
-            cand_min = float(model.rates(cand).min())
-            if cand_min >= cur_min:
-                eta = cand
-                cur_min = cand_min
-        trace.append(cur_min)
-        if trace[-2] > 0 and (trace[-1] - trace[-2]) <= outer_tol * trace[-2]:
-            converged = True
-            break
-    return PowerAllocation(
-        dl=np.zeros_like(tables.gamma),
-        ul=eta,
-        dl_budgets=np.zeros(tables.n_ap),
-        ul_max=np.array(p_max),
-        info={"min_rate_trace": trace, "converged": converged, "iterations": it},
-    )
+    # halving reaches the width in ~40 + log2(hi/lo) steps; NaN ends the loop
+    while hi - lo > UL_BISECTION_RTOL * hi:
+        it += 1
+        t = 0.5 * (lo + hi)
+        try:
+            eta = np.linalg.solve(np.diag(num) - t * den_mat, t * den_const)
+        except np.linalg.LinAlgError:
+            eta = None
+        if eta is not None and np.all(eta >= 0.0) and np.all(eta <= p_max):
+            lo, best = t, eta
+        else:
+            hi = t
+        trace.append(float(se_from_sinr(lo, prelog)))
+    # scaling all powers up raises every SINR; the binding user ends at p_max
+    best = best / (best / p_max).max()
+    converged = hi - lo <= UL_BISECTION_RTOL * hi
+    return best, {"min_rate_trace": trace, "converged": converged, "iterations": it}

@@ -127,7 +127,7 @@ def dl_sinr_parts(tables: SETables, eta_dl, sigma_z2):
     pc = tables.eta_train * np.einsum("kj,jk->k", off, contamination)
 
     den = bu + mid + sigma_z2 + pc
-    if np.any(den <= 0):
+    if not np.all(den > 0):
         raise NumericsError("downlink SINR denominator not positive; upstream state corrupt")
     return num, den
 
@@ -138,31 +138,43 @@ def dl_sinr_lb(tables: SETables, eta_dl, sigma_z2):
     return num / den
 
 
+def ul_sinr_affine(tables: SETables, sigma_w2):
+    """Uplink bound as an affine form in the user powers eta:
+
+        SINR_k = num_coef[k] eta_k / (den_mat @ eta + den_const)[k].
+
+    den_mat[k, j] collects the gain uncertainty (j = k), the average
+    interference and the pilot contamination of user j's power on user k's
+    combiner; all are second moments, so den_mat is entrywise non-negative.
+    """
+    t = tables
+    K = t.n_users
+    mask = t.serving.astype(float)  # sums below run over a in A_k
+    gsum = (mask * t.gamma).sum(axis=1)
+    own_delta = np.einsum("kka->ka", t.delta)
+    own_bu = (mask * (t.eta_train[:, None] * own_delta - t.gamma**2)).sum(axis=1)
+    mid = np.sqrt(t.eta_train)[:, None] * np.einsum("ka,kja->kj", mask, t.tr_gdg)
+
+    s_cross = np.einsum("ka,kja->kj", mask, t.t_dg)  # sum_{a in A_k} tr(D_k G_j)
+    q_cross = np.einsum("ka,kja->kj", mask, np.abs(t.t_dg) ** 2)
+    d_cross = np.einsum("ka,jka->kj", mask, t.delta)
+    contamination = d_cross + np.abs(s_cross) ** 2 - q_cross  # (k, j)
+    off = t.gram2 * (1.0 - np.eye(K))
+    den_mat = mid + t.eta_train[None, :] * off * contamination
+    den_mat[np.arange(K), np.arange(K)] += own_bu
+    return gsum**2, den_mat, sigma_w2 * gsum
+
+
 def ul_sinr_parts(tables: SETables, eta_ul, sigma_w2):
     """(numerator, denominator) of the uplink bound, per user."""
     eta = np.asarray(eta_ul, dtype=float)
     K = tables.n_users
     if eta.shape != (K,):
         raise ValueError(f"eta_ul shape {eta.shape} != ({K},)")
-    mask = tables.serving.astype(float)  # sums below run over a in A_k
-
-    gsum = (mask * tables.gamma).sum(axis=1)
-    num = eta * gsum**2
-
-    own_delta = np.einsum("kka->ka", tables.delta)
-    bu = eta * (mask * (tables.eta_train[:, None] * own_delta - tables.gamma**2)).sum(axis=1)
-    mid = np.sqrt(tables.eta_train) * np.einsum("j,ka,kja->k", eta, mask, tables.tr_gdg)
-    noise = sigma_w2 * gsum
-
-    s_cross = np.einsum("ka,kja->kj", mask, tables.t_dg)  # sum_{a in A_k} tr(D_k G_j)
-    q_cross = np.einsum("ka,kja->kj", mask, np.abs(tables.t_dg) ** 2)
-    d_cross = np.einsum("ka,jka->kj", mask, tables.delta)
-    contamination = d_cross + np.abs(s_cross) ** 2 - q_cross  # (k, j)
-    off = tables.gram2 * (1.0 - np.eye(K))
-    pc = np.einsum("j,j,kj,kj->k", eta, tables.eta_train, off, contamination)
-
-    den = bu + mid + noise + pc
-    if np.any(den <= 0):
+    num_coef, den_mat, den_const = ul_sinr_affine(tables, sigma_w2)
+    num = num_coef * eta
+    den = den_mat @ eta + den_const
+    if not np.all(den > 0):
         raise NumericsError("uplink SINR denominator not positive; upstream state corrupt")
     return num, den
 

@@ -166,19 +166,19 @@ def test_criterion_5_maxmin_dominance_and_monotonicity():
 
         eta_ppa = ppa_dl(tables.gamma, tables.serving, budgets)
         min_ppa = se_from_sinr(dl_sinr_lb(tables, eta_ppa, cfg.sigma_z2), pre_d).min()
-        res_dl = maxmin_dl(tables, budgets, cfg.sigma_z2, pre_d, max_outer_iters=15)
-        min_dl = se_from_sinr(dl_sinr_lb(tables, res_dl.dl, cfg.sigma_z2), pre_d).min()
+        eta_dl, info_dl = maxmin_dl(tables, budgets, cfg.sigma_z2, pre_d, max_outer_iters=15)
+        min_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.sigma_z2), pre_d).min()
         worst_dl = min(worst_dl, min_dl / min_ppa - 1.0)
-        tr = res_dl.info["min_rate_trace"]
+        tr = info_dl["min_rate_trace"]
         monotone &= all(tr[i + 1] >= tr[i] * (1 - tol) for i in range(len(tr) - 1))
 
         p_max = np.full(cfg.n_users, cfg.power.ul_max_w)
         eta_fpc = fpc_ul(est.G, tables.serving, p_max, cfg.power.fpc.p0_watts, 0.5)
         min_fpc = se_from_sinr(ul_sinr_lb(tables, eta_fpc, cfg.sigma_w2), pre_u).min()
-        res_ul = maxmin_ul(tables, cfg.sigma_w2, pre_u, p_max, init_eta=eta_fpc)
-        min_ul = se_from_sinr(ul_sinr_lb(tables, res_ul.ul, cfg.sigma_w2), pre_u).min()
+        eta_ul, info_ul = maxmin_ul(tables, cfg.sigma_w2, pre_u, p_max)
+        min_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), pre_u).min()
         worst_ul = min(worst_ul, min_ul / min_fpc - 1.0)
-        tru = res_ul.info["min_rate_trace"]
+        tru = info_ul["min_rate_trace"]
         monotone &= all(tru[i + 1] >= tru[i] * (1 - tol) for i in range(len(tru) - 1))
     elapsed = time.time() - t0
     ok = worst_dl >= -tol and worst_ul >= -tol and monotone and elapsed < 1800.0

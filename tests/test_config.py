@@ -60,6 +60,10 @@ def test_mmimo_preset_conserves_power_and_antennas():
     )
 
 
+def _maxmin(cfg, **changes):
+    return replace(cfg.power, maxmin=replace(cfg.power.maxmin, **changes))
+
+
 @pytest.mark.parametrize(
     "mutate, field",
     [
@@ -73,6 +77,15 @@ def test_mmimo_preset_conserves_power_and_antennas():
             "association.uc_cluster_size",
         ),
         (lambda c: replace(c, uav_height_range_m=(10.0, 5.0)), "uav_height_range_m"),
+        (lambda c: replace(c, mc=replace(c.mc, chunk=0)), "mc.chunk"),
+        (lambda c: replace(c, mc=replace(c.mc, batch_count=0)), "mc.batch_count"),
+        (lambda c: replace(c, mc=replace(c.mc, batch_count=1)), "mc.batch_count"),
+        (lambda c: replace(c, mc=replace(c.mc, ub_samples=5)), "mc.ub_samples"),
+        (lambda c: replace(c, power=_maxmin(c, max_outer_iters=0)), "power.maxmin.max_outer_iters"),
+        (lambda c: replace(c, power=_maxmin(c, max_inner_iters=0)), "power.maxmin.max_inner_iters"),
+        (lambda c: replace(c, power=_maxmin(c, outer_tol=-1e-4)), "power.maxmin.outer_tol"),
+        (lambda c: replace(c, power=_maxmin(c, inner_tol=float("nan"))), "power.maxmin.inner_tol"),
+        (lambda c: replace(c, power=_maxmin(c, anchor_floor=0.0)), "power.maxmin.anchor_floor"),
     ],
 )
 def test_validation_names_violated_field(mutate, field):

@@ -42,12 +42,12 @@ def test_uc_maxmin_respects_partial_serving():
     tables, cfg = st["tables"], st["cfg"]
     budgets = np.full(tables.n_ap, 0.2)
     prelog = cfg.frame.tau_d / cfg.frame.tau_c
-    res = maxmin_dl(tables, budgets, cfg.sigma_z2, prelog, max_outer_iters=6)
-    assert (res.dl[~tables.serving] == 0.0).all()  # nothing outside A_k
-    used = transmitted_dl_power(res.dl, tables.gamma).sum(axis=0)
+    eta, info = maxmin_dl(tables, budgets, cfg.sigma_z2, prelog, max_outer_iters=6)
+    assert (eta[~tables.serving] == 0.0).all()  # nothing outside A_k
+    used = transmitted_dl_power(eta, tables.gamma).sum(axis=0)
     assert (used <= budgets * (1 + 1e-9)).all()
-    rates = se_from_sinr(dl_sinr_lb(tables, res.dl, cfg.sigma_z2), prelog)
-    assert rates.min() >= res.info["min_rate_trace"][0] * (1 - 1e-9)
+    rates = se_from_sinr(dl_sinr_lb(tables, eta, cfg.sigma_z2), prelog)
+    assert rates.min() >= info["min_rate_trace"][0] * (1 - 1e-9)
 
 
 def test_uc_with_kappa_strategies():

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cfsim.errors import NumericsError
 from cfsim.estimation import build_estimation, covariance_G
 from cfsim.mc import fourth_moment_check, se_ub_dl_mc, se_ub_ul_mc
 from cfsim.power import ppa_dl
@@ -102,6 +103,20 @@ def test_ul_sinr_zero_power_for_one_user(gate_fixture):
     sinr = ul_sinr_lb(tables, eta, cfg.sigma_w2)
     assert sinr[2] == 0.0
     assert (sinr[[0, 1, 3]] > 0).all()
+
+
+def test_sinr_nan_power_raises(gate_fixture):
+    # NaN <= 0 is False, so the denominator guard must test den > 0
+    tables, cfg = gate_fixture["tables"], gate_fixture["cfg"]
+    eta_ul = np.full(tables.n_users, 0.1)
+    eta_ul[1] = np.nan
+    with pytest.raises(NumericsError):
+        ul_sinr_lb(tables, eta_ul, cfg.sigma_w2)
+    eta_dl = np.where(tables.serving, 0.01, 0.0)
+    k, a = np.argwhere(tables.serving)[0]
+    eta_dl[k, a] = np.nan
+    with pytest.raises(NumericsError):
+        dl_sinr_lb(tables, eta_dl, cfg.sigma_z2)
 
 
 def test_dl_sinr_scalar_assembly_oracle():
