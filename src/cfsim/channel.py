@@ -216,11 +216,15 @@ def draw_channels(ls: LargeScaleState, rng, n_draws=1):
     """
     K, A, N = ls.steering.shape
     shape = (n_draws, K, A, N)
-    h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    g = np.empty(shape, dtype=complex)
+    g.real = rng.standard_normal(shape)
+    g.imag = rng.standard_normal(shape)
+    nlos = ls.beta / (ls.rice_k + 1.0)
+    g *= np.sqrt(nlos / 2.0)[..., None]
+    los = (np.sqrt(nlos) * np.sqrt(ls.rice_k))[..., None] * ls.steering
     if ls.los_phase_policy == "per_drop":
-        theta = np.broadcast_to(ls.los_phase, (n_draws, K, A))
+        theta = ls.los_phase
     else:
         theta = rng.uniform(0.0, 2.0 * np.pi, size=(n_draws, K, A))
-    scale = np.sqrt(ls.beta / (ls.rice_k + 1.0))[None, :, :, None]
-    los = np.sqrt(ls.rice_k)[None, :, :, None] * np.exp(1j * theta)[..., None] * ls.steering[None]
-    return scale * (los + h)
+    g += np.exp(1j * theta)[..., None] * los
+    return g

@@ -5,6 +5,10 @@ estimators, and assembles (i) the use-and-then-forget term groups that mirror
 the closed-form lower bound and (ii) the sampled upper bounds. This module is
 the independent side of the dual-route check: it never touches the
 closed-form tables in cfsim.se.
+
+The per-sample kernels are batched BLAS matmuls over (S, K, A*N) reshapes; the
+copilot mix is a sum per pilot. All four estimators run one chunk loop
+(`_chunk_sums`) and differ only in the per-chunk reducer they hand it.
 """
 
 from __future__ import annotations
@@ -18,12 +22,6 @@ from .estimation import EstimationState, PilotBook
 from .se import delta_term
 
 
-def _copilot_weights(book: PilotBook, eta_train):
-    """M[k, i] = sqrt(eta_i) if users k and i share a pilot else 0."""
-    same = book.assignment[:, None] == book.assignment[None, :]
-    return same * np.sqrt(np.asarray(eta_train, dtype=float))[None, :]
-
-
 def joint_chunks(ls, est, book, rng, n_samples, chunk=2048):
     """Yield (g, g_hat) chunks of jointly sampled channels and LMMSE estimates.
 
@@ -31,43 +29,83 @@ def joint_chunks(ls, est, book, rng, n_samples, chunk=2048):
     (users sharing a pilot see the same projected noise, as the projection of
     one common W_a realization dictates).
     """
-    K, A, N = ls.steering.shape
-    M = _copilot_weights(book, est.eta_train)
-    pidx = book.assignment
-    n_pilots = book.tau_p
     done = 0
     while done < n_samples:
         s = min(chunk, n_samples - done)
-        g = draw_channels(ls, rng, s)
-        noise = np.sqrt(est.sigma_w2 / 2.0) * (
-            rng.standard_normal((s, n_pilots, A, N))
-            + 1j * rng.standard_normal((s, n_pilots, A, N))
-        )
-        y_hat = np.einsum("ki,sian->skan", M, g) + noise[:, pidx]
-        g_hat = np.einsum("kanm,skam->skan", est.D, y_hat)
-        yield g, g_hat
+        yield _joint_chunk(ls, est, book, rng, s)
         done += s
+
+
+def _joint_chunk(ls, est, book, rng, s):
+    K, A, N = ls.steering.shape
+    pidx = book.assignment
+    g = draw_channels(ls, rng, s)
+    y = np.empty((s, book.tau_p, A, N), dtype=complex)
+    y.real = rng.standard_normal(y.shape)
+    y.imag = rng.standard_normal(y.shape)
+    y *= np.sqrt(est.sigma_w2 / 2.0)
+    root_eta = np.sqrt(np.asarray(est.eta_train, dtype=float))
+    for k in range(K):
+        y[:, pidx[k]] += root_eta[k] * g[:, k]
+    # D_{k,a} applied to all samples at once: a (K, A) batch of (N, N) @ (N, S)
+    g_hat = est.D @ y[:, pidx].transpose(1, 2, 3, 0)
+    return g, np.ascontiguousarray(g_hat.transpose(3, 0, 1, 2))
+
+
+def _power(z):
+    return z.real**2 + z.imag**2
 
 
 def _dl_cross(g, g_hat, root_eta_dl):
     """cross[s, k, j] = sum_a sqrt(eta_dl[j,a]) g_{k,a}^H ghat_{j,a}."""
-    return np.einsum("skan,ja,sjan->skj", np.conj(g), root_eta_dl, g_hat)
+    S, K = g.shape[:2]
+    right = (g_hat * root_eta_dl[None, :, :, None]).reshape(S, K, -1)
+    return np.conj(g).reshape(S, K, -1) @ right.transpose(0, 2, 1)
 
 
 def _ul_cross(g, g_hat, mask):
     """cross[s, k, j] = sum_{a in A_k} ghat_{k,a}^H g_{j,a}, plus sum_{a in A_k} ||ghat||^2."""
-    cross = np.einsum("skan,ka,sjan->skj", np.conj(g_hat), mask, g)
-    norms = np.einsum("skan,ka->sk", np.abs(g_hat) ** 2, mask)
+    S, K = g.shape[:2]
+    left = (np.conj(g_hat) * mask[None, :, :, None]).reshape(S, K, -1)
+    cross = left @ g.reshape(S, K, -1).transpose(0, 2, 1)
+    norms = (_power(g_hat).sum(axis=3) * mask).sum(axis=2)
     return cross, norms
 
 
 def _batched(n_samples, batch_count):
+    if batch_count < 2 or n_samples < batch_count:
+        raise ValueError(
+            "a standard error needs batch_count >= 2 and n_samples >= batch_count, "
+            f"got n_samples={n_samples}, batch_count={batch_count}"
+        )
     base = n_samples // batch_count
-    if base == 0:
-        return [n_samples]
     sizes = [base] * batch_count
     sizes[-1] += n_samples - base * batch_count
     return sizes
+
+
+def _chunk_sums(ls, est, book, rng, n_samples, batch_count, chunk, reduce):
+    """Sum the arrays reduce(g, g_hat) returns over the chunks of each batch.
+
+    Returns (total, batches): the sums over all samples, and one
+    (batch size, sums) pair per batch.
+    """
+    batches = []
+    for size in _batched(n_samples, batch_count):
+        sums = None
+        for g, g_hat in joint_chunks(ls, est, book, rng, size, chunk):
+            part = reduce(g, g_hat)
+            # drop this chunk before the next is drawn, so only one is held at a time
+            del g, g_hat
+            sums = part if sums is None else [a + b for a, b in zip(sums, part)]
+        batches.append((size, sums))
+    total = [sum(parts) for parts in zip(*(sums for _, sums in batches))]
+    return total, batches
+
+
+def _stderr(batch_values):
+    values = np.array(batch_values)
+    return np.std(values, axis=0, ddof=1) / np.sqrt(len(values))
 
 
 @dataclass(frozen=True)
@@ -81,6 +119,28 @@ class UatfResult:
     gain_var: np.ndarray  # (K,)          E|B_k|^2
     interference: np.ndarray  # (K, K)    E|I_{k,j}|^2 (diagonal zero)
     noise_term: np.ndarray  # (K,)        sigma^2 (DL) or E|N_k|^2 (UL)
+
+
+def _uatf_result(total, batches, n_samples, prelog, terms):
+    """Assemble a UatfResult from moment sums; terms(*means) returns
+    (desired, gain_var, interference, noise_term)."""
+
+    def parts(sums, size):
+        desired, gain_var, interference, noise = terms(*(x / size for x in sums))
+        sinr = np.abs(desired) ** 2 / (gain_var + interference.sum(axis=1) + noise)
+        return desired, gain_var, interference, noise, sinr
+
+    desired, gain_var, interference, noise, sinr = parts(total, n_samples)
+    batch_se = [prelog * np.log2(1.0 + parts(sums, size)[4]) for size, sums in batches]
+    return UatfResult(
+        se=prelog * np.log2(1.0 + sinr),
+        se_stderr=_stderr(batch_se),
+        sinr=sinr,
+        desired=desired,
+        gain_var=gain_var,
+        interference=interference,
+        noise_term=noise,
+    )
 
 
 def uatf_dl_mc(
@@ -97,50 +157,21 @@ def uatf_dl_mc(
     chunk=2048,
 ):
     """Sampled use-and-then-forget terms for the downlink bound."""
-    K = ls.n_users
-    eta = np.where(serving, np.asarray(eta_dl, dtype=float), 0.0)
-    root = np.sqrt(eta)
-    batch_se = []
-    sum_c = np.zeros((K, K), dtype=complex)
-    sum_c2 = np.zeros((K, K))
-    for size in _batched(n_samples, batch_count):
-        bc = np.zeros((K, K), dtype=complex)
-        bc2 = np.zeros((K, K))
-        for g, g_hat in joint_chunks(ls, est, book, rng, size, chunk):
-            cross = _dl_cross(g, g_hat, root)
-            bc += cross.sum(axis=0)
-            bc2 += (np.abs(cross) ** 2).sum(axis=0)
-        sum_c += bc
-        sum_c2 += bc2
-        batch_se.append(_assemble_dl(bc / size, bc2 / size, sigma_z2, prelog))
-    mean_c = sum_c / n_samples
-    mean_c2 = sum_c2 / n_samples
-    se = _assemble_dl(mean_c, mean_c2, sigma_z2, prelog)
-    stderr = np.std(np.array(batch_se), axis=0, ddof=1) / np.sqrt(len(batch_se))
+    root = np.sqrt(np.where(serving, np.asarray(eta_dl, dtype=float), 0.0))
 
-    desired = np.diag(mean_c).copy()
-    gain_var = np.diag(mean_c2) - np.abs(desired) ** 2
-    interference = mean_c2.copy()
-    np.fill_diagonal(interference, 0.0)
-    sinr = np.abs(desired) ** 2 / (gain_var + interference.sum(axis=1) + sigma_z2)
-    return UatfResult(
-        se=se,
-        se_stderr=stderr,
-        sinr=sinr,
-        desired=desired,
-        gain_var=gain_var,
-        interference=interference,
-        noise_term=np.full(K, sigma_z2),
-    )
+    def reduce(g, g_hat):
+        cross = _dl_cross(g, g_hat, root)
+        return cross.sum(axis=0), _power(cross).sum(axis=0)
 
+    def terms(mean_c, mean_c2):
+        desired = np.diag(mean_c).copy()
+        interference = mean_c2.copy()
+        np.fill_diagonal(interference, 0.0)
+        gain_var = np.diag(mean_c2) - np.abs(desired) ** 2
+        return desired, gain_var, interference, np.full(len(desired), sigma_z2)
 
-def _assemble_dl(mean_c, mean_c2, sigma_z2, prelog):
-    desired = np.abs(np.diag(mean_c)) ** 2
-    gain_var = np.diag(mean_c2) - desired
-    inter = mean_c2.copy()
-    np.fill_diagonal(inter, 0.0)
-    sinr = desired / (gain_var + inter.sum(axis=1) + sigma_z2)
-    return prelog * np.log2(1.0 + sinr)
+    total, batches = _chunk_sums(ls, est, book, rng, n_samples, batch_count, chunk, reduce)
+    return _uatf_result(total, batches, n_samples, prelog, terms)
 
 
 def uatf_ul_mc(
@@ -156,64 +187,40 @@ def uatf_ul_mc(
     chunk=2048,
 ):
     """Sampled use-and-then-forget terms for the uplink bound."""
-    K = ls.n_users
     eta = np.asarray(eta_ul, dtype=float)
     mask = np.asarray(serving, dtype=float)
-    batch_se = []
-    sum_c = np.zeros((K, K), dtype=complex)
-    sum_c2 = np.zeros((K, K))
-    sum_n = np.zeros(K)
-    for size in _batched(n_samples, batch_count):
-        bc = np.zeros((K, K), dtype=complex)
-        bc2 = np.zeros((K, K))
-        bn = np.zeros(K)
-        for g, g_hat in joint_chunks(ls, est, book, rng, size, chunk):
-            cross, norms = _ul_cross(g, g_hat, mask)
-            bc += cross.sum(axis=0)
-            bc2 += (np.abs(cross) ** 2).sum(axis=0)
-            bn += norms.sum(axis=0)
-        sum_c += bc
-        sum_c2 += bc2
-        sum_n += bn
-        batch_se.append(
-            _assemble_ul(bc / size, bc2 / size, bn / size, eta, est.sigma_w2, prelog)
-        )
-    mean_c = sum_c / n_samples
-    mean_c2 = sum_c2 / n_samples
-    mean_n = sum_n / n_samples
-    se = _assemble_ul(mean_c, mean_c2, mean_n, eta, est.sigma_w2, prelog)
-    stderr = np.std(np.array(batch_se), axis=0, ddof=1) / np.sqrt(len(batch_se))
 
-    desired = np.sqrt(eta) * np.diag(mean_c)
-    gain_var = eta * (np.diag(mean_c2) - np.abs(np.diag(mean_c)) ** 2)
-    interference = eta[None, :] * mean_c2
-    np.fill_diagonal(interference, 0.0)
-    noise = est.sigma_w2 * mean_n
-    sinr = np.abs(desired) ** 2 / (gain_var + interference.sum(axis=1) + noise)
-    return UatfResult(
-        se=se,
-        se_stderr=stderr,
-        sinr=sinr,
-        desired=desired,
-        gain_var=gain_var,
-        interference=interference,
-        noise_term=noise,
-    )
+    def reduce(g, g_hat):
+        cross, norms = _ul_cross(g, g_hat, mask)
+        return cross.sum(axis=0), _power(cross).sum(axis=0), norms.sum(axis=0)
 
+    def terms(mean_c, mean_c2, mean_n):
+        desired = np.sqrt(eta) * np.diag(mean_c)
+        gain_var = eta * (np.diag(mean_c2) - np.abs(np.diag(mean_c)) ** 2)
+        interference = eta[None, :] * mean_c2
+        np.fill_diagonal(interference, 0.0)
+        return desired, gain_var, interference, est.sigma_w2 * mean_n
 
-def _assemble_ul(mean_c, mean_c2, mean_n, eta, sigma_w2, prelog):
-    desired = eta * np.abs(np.diag(mean_c)) ** 2
-    gain_var = eta * (np.diag(mean_c2) - np.abs(np.diag(mean_c)) ** 2)
-    inter = eta[None, :] * mean_c2
-    np.fill_diagonal(inter, 0.0)
-    sinr = desired / (gain_var + inter.sum(axis=1) + sigma_w2 * mean_n)
-    return prelog * np.log2(1.0 + sinr)
+    total, batches = _chunk_sums(ls, est, book, rng, n_samples, batch_count, chunk, reduce)
+    return _uatf_result(total, batches, n_samples, prelog, terms)
 
 
 @dataclass(frozen=True)
 class UbResult:
     se: np.ndarray  # (K,)
     se_stderr: np.ndarray  # (K,)
+
+
+def _se_ub(ls, est, book, rng, n_samples, batch_count, chunk, prelog, literal_no_log, sinr):
+    """prelog * E[log2(1 + sinr(g, g_hat))], or E[1 + sinr], with its batch stderr."""
+
+    def reduce(g, g_hat):
+        x = 1.0 + sinr(g, g_hat)
+        return ((x if literal_no_log else np.log2(x)).sum(axis=0),)
+
+    (total,), batches = _chunk_sums(ls, est, book, rng, n_samples, batch_count, chunk, reduce)
+    stderr = _stderr([prelog * bsum / size for size, (bsum,) in batches])
+    return UbResult(se=prelog * total / n_samples, se_stderr=stderr)
 
 
 def se_ub_dl_mc(
@@ -234,25 +241,16 @@ def se_ub_dl_mc(
 
     literal_no_log evaluates the printed E[1 + SINR] form instead.
     """
-    K = ls.n_users
-    eta = np.where(serving, np.asarray(eta_dl, dtype=float), 0.0)
-    root = np.sqrt(eta)
-    sums = np.zeros(K)
-    batch_means = []
-    for size in _batched(n_samples, batch_count):
-        bsum = np.zeros(K)
-        for g, g_hat in joint_chunks(ls, est, book, rng, size, chunk):
-            cross = _dl_cross(g, g_hat, root)
-            num = np.abs(np.einsum("skk->sk", cross)) ** 2
-            tot = (np.abs(cross) ** 2).sum(axis=2)
-            sinr = num / (tot - num + sigma_z2)
-            val = (1.0 + sinr) if literal_no_log else np.log2(1.0 + sinr)
-            bsum += val.sum(axis=0)
-        sums += bsum
-        batch_means.append(prelog * bsum / size)
-    se = prelog * sums / n_samples
-    stderr = np.std(np.array(batch_means), axis=0, ddof=1) / np.sqrt(len(batch_means))
-    return UbResult(se=se, se_stderr=stderr)
+    root = np.sqrt(np.where(serving, np.asarray(eta_dl, dtype=float), 0.0))
+
+    def sinr(g, g_hat):
+        pw = _power(_dl_cross(g, g_hat, root))
+        num = np.diagonal(pw, axis1=1, axis2=2)
+        return num / (pw.sum(axis=2) - num + sigma_z2)
+
+    return _se_ub(
+        ls, est, book, rng, n_samples, batch_count, chunk, prelog, literal_no_log, sinr
+    )
 
 
 def se_ub_ul_mc(
@@ -269,26 +267,18 @@ def se_ub_ul_mc(
     literal_no_log=False,
 ):
     """Sampled uplink upper bound."""
-    K = ls.n_users
     eta = np.asarray(eta_ul, dtype=float)
     mask = np.asarray(serving, dtype=float)
-    sums = np.zeros(K)
-    batch_means = []
-    for size in _batched(n_samples, batch_count):
-        bsum = np.zeros(K)
-        for g, g_hat in joint_chunks(ls, est, book, rng, size, chunk):
-            cross, norms = _ul_cross(g, g_hat, mask)
-            pw = eta[None, None, :] * np.abs(cross) ** 2
-            num = np.einsum("skk->sk", pw)
-            tot = pw.sum(axis=2)
-            sinr = num / (tot - num + est.sigma_w2 * norms)
-            val = (1.0 + sinr) if literal_no_log else np.log2(1.0 + sinr)
-            bsum += val.sum(axis=0)
-        sums += bsum
-        batch_means.append(prelog * bsum / size)
-    se = prelog * sums / n_samples
-    stderr = np.std(np.array(batch_means), axis=0, ddof=1) / np.sqrt(len(batch_means))
-    return UbResult(se=se, se_stderr=stderr)
+
+    def sinr(g, g_hat):
+        cross, norms = _ul_cross(g, g_hat, mask)
+        pw = eta[None, None, :] * _power(cross)
+        num = np.diagonal(pw, axis1=1, axis2=2)
+        return num / (pw.sum(axis=2) - num + est.sigma_w2 * norms)
+
+    return _se_ub(
+        ls, est, book, rng, n_samples, batch_count, chunk, prelog, literal_no_log, sinr
+    )
 
 
 def draw_single_pair(beta, rice_k, steering, rng, n):
@@ -315,9 +305,6 @@ def fourth_moment_check(beta, rice_k, steering, D, n_samples, rng, batch_count=2
     vals = []
     for size in _batched(n_samples, batch_count):
         g = draw_single_pair(beta, rice_k, np.asarray(steering), rng, size)
-        quad = np.einsum("sn,nm,sm->s", np.conj(g), D, g)
+        quad = ((np.conj(g) @ D) * g).sum(axis=1)
         vals.append(np.mean(np.abs(quad) ** 2))
-    vals = np.array(vals)
-    sampled = vals.mean()
-    stderr = vals.std(ddof=1) / np.sqrt(len(vals))
-    return sampled, stderr, analytic
+    return float(np.mean(vals)), _stderr(vals), analytic
