@@ -139,13 +139,11 @@ class FpcConfig:
 
 @dataclass(frozen=True)
 class MaxMinConfig:
-    """Knobs of the DL max-min block solver; UL max-min is exact and has none."""
+    """Knobs of the DL max-min solver; UL max-min is exact and has none."""
 
-    outer_tol: float = 1e-4  # DL: relative min-rate improvement stopping the outer loop
-    max_outer_iters: int = 50  # DL: cap on passes over the per-AP blocks
-    inner_tol: float = 1e-6  # DL: relative surrogate change stopping a block's inner loop
-    max_inner_iters: int = 20  # DL: cap on subproblem solves per block
-    anchor_floor: float = 1e-12  # DL: fraction of budget; keeps sqrt gradients finite
+    outer_tol: float = 1e-4  # DL: smoothing gap and relative min-rate gain that ends the run
+    max_outer_iters: int = 50  # DL: cap on smoothing stages
+    max_inner_iters: int = 100  # DL: cap on accelerated gradient steps per stage
 
 
 @dataclass(frozen=True)
@@ -158,7 +156,6 @@ class PowerConfig:
     kappa: Optional[float] = None  # fraction of DL power reserved for UAVs
     fpc: FpcConfig = field(default_factory=FpcConfig)
     maxmin: MaxMinConfig = field(default_factory=MaxMinConfig)
-    paper_literal_g2: bool = False  # reproduce the printed surrogate denominator
 
 
 @dataclass(frozen=True)
@@ -274,6 +271,10 @@ class SimConfig:
             raise ConfigError("range must satisfy 0 < low <= high", field="uav_height_range_m")
         if self.power.kappa is not None and not (0.0 <= self.power.kappa <= 1.0):
             raise ConfigError("must lie in [0, 1]", field="power.kappa")
+        starved = {0.0: self.n_uav, 1.0: self.n_gue}.get(self.power.kappa, 0)
+        if self.power.dl == "maxmin" and starved > 0:
+            raise ConfigError("0 or 1 leaves a user class without DL power, so max-min is 0",
+                              field="power.kappa")
         if self.power.dl not in {"ppa", "wfpa", "maxmin", "uniform"}:
             raise ConfigError(f"unknown strategy {self.power.dl!r}", field="power.dl")
         if self.power.ul not in {"fpc", "maxmin"}:
@@ -311,11 +312,8 @@ class SimConfig:
         for name in ("max_outer_iters", "max_inner_iters"):
             if getattr(mm, name) < 1:
                 raise ConfigError("must be >= 1", field=f"power.maxmin.{name}")
-        for name in ("outer_tol", "inner_tol"):
-            if not getattr(mm, name) >= 0:  # also rejects NaN
-                raise ConfigError("must be >= 0", field=f"power.maxmin.{name}")
-        if not 0 < mm.anchor_floor < 1:
-            raise ConfigError("must lie in (0, 1)", field="power.maxmin.anchor_floor")
+        if not mm.outer_tol >= 0:  # also rejects NaN
+            raise ConfigError("must be >= 0", field="power.maxmin.outer_tol")
         if self.drops < 1:
             raise ConfigError("must be >= 1", field="drops")
         return self

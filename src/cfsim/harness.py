@@ -95,10 +95,7 @@ def allocate_dl(config: SimConfig, tables, roles):
         kappa=p.kappa,
         outer_tol=mm.outer_tol,
         max_outer_iters=mm.max_outer_iters,
-        inner_tol=mm.inner_tol,
         max_inner_iters=mm.max_inner_iters,
-        paper_literal_g2=p.paper_literal_g2,
-        anchor_floor_frac=mm.anchor_floor,
     )
 
 

@@ -106,27 +106,36 @@ def _masked_dl_powers(tables: SETables, eta_dl):
     return np.where(tables.serving, eta, 0.0)
 
 
+def dl_sinr_quadratic(tables: SETables):
+    """The downlink bound's denominator as a quadratic form in theta = sqrt(eta_dl):
+
+        den_k = sum_{j,a} C[k,j,a] theta_ja^2
+              + sum_j W[k,j] |sum_a theta_ja T[k,j,a]|^2 + sigma_z^2,
+
+    with T[k,j,a] = tr(D_j G_k), W[k,j] = eta_k |phi_k^H phi_j|^2 for j != k and
+    C the gain uncertainty (j = k), the average interference and the
+    pilot-contamination variances. Each C entry is a variance, so C >= 0 and
+    W >= 0 entrywise. Returns (C, W, T).
+    """
+    t = tables
+    K = t.n_users
+    W = t.eta_train[:, None] * t.gram2 * (1.0 - np.eye(K))
+    T = np.swapaxes(t.t_dg, 0, 1)
+    C = np.sqrt(t.eta_train)[None, :, None] * np.swapaxes(t.tr_gdg, 0, 1)
+    C += W[:, :, None] * (t.delta - np.abs(T) ** 2)
+    own = np.arange(K)
+    C[own, own] += t.eta_train[:, None] * t.delta[own, own] - t.gamma**2
+    return C, W, T
+
+
 def dl_sinr_parts(tables: SETables, eta_dl, sigma_z2):
     """(numerator, denominator) of the downlink bound, per user."""
     eta = _masked_dl_powers(tables, eta_dl)
     root = np.sqrt(eta)
-    K = tables.n_users
-
+    C, W, T = dl_sinr_quadratic(tables)
     num = (root * tables.gamma).sum(axis=1) ** 2
-
-    bu = (eta * (tables.eta_train[:, None] * np.einsum("kka->ka", tables.delta)
-                 - tables.gamma**2)).sum(axis=1)
-    mid = np.einsum("j,ja,jka->k", np.sqrt(tables.eta_train), eta, tables.tr_gdg)
-
-    # pilot contamination: sums over the interferer j's serving APs
-    s_cross = np.einsum("ja,jka->jk", root, tables.t_dg)  # sum_a sqrt(eta) tr(D_j G_k)
-    q_cross = np.einsum("ja,jka->jk", eta, np.abs(tables.t_dg) ** 2)
-    d_cross = np.einsum("ja,kja->jk", eta, tables.delta)
-    contamination = d_cross + np.abs(s_cross) ** 2 - q_cross  # (j, k)
-    off = tables.gram2 * (1.0 - np.eye(K))
-    pc = tables.eta_train * np.einsum("kj,jk->k", off, contamination)
-
-    den = bu + mid + sigma_z2 + pc
+    cross = np.einsum("kja,ja->kj", T, root)
+    den = np.einsum("kja,ja->k", C, eta) + (W * np.abs(cross) ** 2).sum(axis=1) + sigma_z2
     if not np.all(den > 0):
         raise NumericsError("downlink SINR denominator not positive; upstream state corrupt")
     return num, den

@@ -84,14 +84,24 @@ def _maxmin(cfg, **changes):
         (lambda c: replace(c, power=_maxmin(c, max_outer_iters=0)), "power.maxmin.max_outer_iters"),
         (lambda c: replace(c, power=_maxmin(c, max_inner_iters=0)), "power.maxmin.max_inner_iters"),
         (lambda c: replace(c, power=_maxmin(c, outer_tol=-1e-4)), "power.maxmin.outer_tol"),
-        (lambda c: replace(c, power=_maxmin(c, inner_tol=float("nan"))), "power.maxmin.inner_tol"),
-        (lambda c: replace(c, power=_maxmin(c, anchor_floor=0.0)), "power.maxmin.anchor_floor"),
     ],
 )
 def test_validation_names_violated_field(mutate, field):
     with pytest.raises(ConfigError) as err:
         mutate(preset_paper()).validate()
     assert field in str(err.value)
+
+
+@pytest.mark.parametrize("kappa, n_uav, ok", [(0.0, 2, False), (1.0, 2, False), (0.0, 0, True),
+                                           (0.5, 2, True)])
+def test_maxmin_kappa_that_starves_a_class_rejected(kappa, n_uav, ok):
+    base = preset_paper()
+    cfg = replace(base, n_uav=n_uav, power=replace(base.power, dl="maxmin", kappa=kappa))
+    if ok:
+        cfg.validate()
+    else:
+        with pytest.raises(ConfigError, match="power.kappa"):
+            cfg.validate()
 
 
 def test_yaml_round_trip(tmp_path):
@@ -116,6 +126,22 @@ def test_yaml_unknown_key_rejected(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text("n_apz: 7\n")
     with pytest.raises(ConfigError, match="n_apz"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("power:\n  maxmin:\n    inner_tol: 1.0e-6\n", "inner_tol"),
+        ("power:\n  maxmin:\n    anchor_floor: 1.0e-12\n", "anchor_floor"),
+        ("power:\n  paper_literal_g2: false\n", "paper_literal_g2"),
+    ],
+    ids=["inner_tol", "anchor_floor", "paper_literal_g2"],
+)
+def test_yaml_removed_block_solver_keys_rejected(tmp_path, text, key):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=key):
         load_config(path)
 
 

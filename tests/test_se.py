@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cfsim.config import preset_desk
 from cfsim.errors import NumericsError
 from cfsim.estimation import build_estimation, covariance_G
 from cfsim.mc import fourth_moment_check, se_ub_dl_mc, se_ub_ul_mc
@@ -11,6 +12,8 @@ from cfsim.se import (
     build_se_tables,
     delta_term,
     dl_sinr_lb,
+    dl_sinr_parts,
+    dl_sinr_quadratic,
     se_from_sinr,
     se_to_rate,
     ul_sinr_lb,
@@ -117,6 +120,43 @@ def test_sinr_nan_power_raises(gate_fixture):
     eta_dl[k, a] = np.nan
     with pytest.raises(NumericsError):
         dl_sinr_lb(tables, eta_dl, cfg.sigma_z2)
+
+
+_DESK = preset_desk()
+DL_FORM_STATES = {
+    "gate": dict(seed=11, assignment=[0, 1, 0, 1]),
+    "user-centric": dict(seed=3, n_ap=6, n_gue=4, n_uav=1, tau_p=4,
+                         association_mode="uc", uc_cluster_size=2),
+    "desk": dict(seed=5000, n_ap=_DESK.n_ap, n_ap_antennas=4, n_gue=_DESK.n_gue,
+                 n_uav=_DESK.n_uav, tau_p=_DESK.frame.tau_p),
+    "40-users-8-pilots": dict(seed=7, n_ap=10, n_gue=32, n_uav=8, tau_p=8),
+}
+
+
+def _dl_den_term_by_term(t, eta, sigma_z2):
+    """The denominator of the module docstring, one named term at a time."""
+    eta = np.where(t.serving, eta, 0.0)
+    K = t.n_users
+    own = (eta * (t.eta_train[:, None] * np.einsum("kka->ka", t.delta) - t.gamma**2)).sum(1)
+    mid = np.einsum("j,ja,jka->k", np.sqrt(t.eta_train), eta, t.tr_gdg)
+    s = np.einsum("ja,jka->jk", np.sqrt(eta), t.t_dg)
+    q = np.einsum("ja,jka->jk", eta, np.abs(t.t_dg) ** 2)
+    d = np.einsum("ja,kja->jk", eta, t.delta)
+    off = t.gram2 * (1.0 - np.eye(K))
+    pc = t.eta_train * np.einsum("kj,jk->k", off, d + np.abs(s) ** 2 - q)
+    return own + mid + sigma_z2 + pc
+
+
+@pytest.mark.parametrize("name", list(DL_FORM_STATES))
+def test_dl_quadratic_form_matches_term_by_term_assembly(name):
+    st = make_state(**DL_FORM_STATES[name])
+    tables, cfg = st["tables"], st["cfg"]
+    eta = ppa_dl(tables.gamma, tables.serving, np.full(tables.n_ap, 0.2))
+    _, den = dl_sinr_parts(tables, eta, cfg.sigma_z2)
+    np.testing.assert_allclose(den, _dl_den_term_by_term(tables, eta, cfg.sigma_z2), rtol=1e-13)
+    C, W, _ = dl_sinr_quadratic(tables)
+    assert C.min() >= -1e-12 * np.abs(C).max()  # every entry is a variance
+    assert W.min() >= 0.0
 
 
 def test_dl_sinr_scalar_assembly_oracle():
