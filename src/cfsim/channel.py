@@ -8,12 +8,11 @@ vector and correlated shadowing, then draws channel vectors
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericsError
+from .errors import DomainError, NumericsError
 from .geometry import (
     ROLE_UAV,
     NetworkGeometry,
@@ -50,48 +49,50 @@ class LargeScaleState:
 
 
 def los_probability(role, horizontal_distance, user_height, model):
-    """LOS probability of one link: GUEs are always NLOS; UAVs follow the piecewise model."""
-    if horizontal_distance < 0:
+    """LOS probability per link: GUEs are always NLOS; UAVs follow the piecewise model.
+
+    All arguments but `model` broadcast against each other.
+    """
+    d = np.asarray(horizontal_distance, dtype=float)
+    if np.any(d < 0):
         raise DomainError("horizontal distance must be >= 0")
-    if role != ROLE_UAV:
-        return 0.0
-    if model is None:
-        raise ConfigError("UAV LOS model constants missing", field="channel.uav.los_prob")
-    if user_height > model.always_los_above_m:
-        return 1.0
-    d1 = max(model.d1_log_coef * math.log10(user_height) + model.d1_offset, model.d1_floor_m)
-    p1 = model.p1_log_coef * math.log10(user_height) + model.p1_offset
-    d = horizontal_distance
-    if d <= d1:
-        return 1.0
-    p = d1 / d + math.exp(-d / p1) * (1.0 - d1 / d)
-    return min(max(p, 0.0), 1.0)
+    # d = 0 gives inf/nan in the formula, overridden below by d <= d1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_h = np.log10(user_height)
+        d1 = np.maximum(model.d1_log_coef * log_h + model.d1_offset, model.d1_floor_m)
+        p1 = model.p1_log_coef * log_h + model.p1_offset
+        p = np.clip(d1 / d + np.exp(-d / p1) * (1.0 - d1 / d), 0.0, 1.0)
+    p = np.where((user_height > model.always_los_above_m) | (d <= d1), 1.0, p)
+    return np.where(np.asarray(role) == ROLE_UAV, p, 0.0)
 
 
 def rice_factor(p_los, clamp_eps=1e-6):
-    """K = p/(1-p), with p clamped to 1 - clamp_eps so K stays finite."""
-    if not 0.0 <= p_los <= 1.0:
-        raise DomainError(f"p_los={p_los} outside [0, 1]")
-    p = min(p_los, 1.0 - clamp_eps)
+    """K = p/(1-p) per link, with p clamped to 1 - clamp_eps so K stays finite."""
+    p = np.asarray(p_los, dtype=float)
+    outside = ~((p >= 0.0) & (p <= 1.0))
+    if outside.any():
+        raise DomainError(f"p_los={p[outside].flat[0]} outside [0, 1]")
+    p = np.minimum(p, 1.0 - clamp_eps)
     return p / (1.0 - p)
 
 
 def path_gain_gue(dist_m, f_ghz, shadow_db, model):
-    """Linear gain from the GUE log-distance gain formula plus shadowing."""
-    if dist_m <= 0:
+    """Linear gain per link from the GUE log-distance gain formula plus shadowing."""
+    if np.any(np.asarray(dist_m) <= 0):
         raise DomainError("distance must be > 0")
     gain_db = model.evaluate(dist_m, f_ghz) + shadow_db
     return 10.0 ** (gain_db / 10.0)
 
 
 def path_gain_uav(dist_m, los, model, f_ghz, user_height_m, shadow_db):
-    """Linear gain for a UAV link: configured LOS/NLOS path loss plus shadowing."""
-    if dist_m <= 0:
+    """Linear gain per UAV link: LOS or NLOS path loss (by `los`) plus shadowing."""
+    if np.any(np.asarray(dist_m) <= 0):
         raise DomainError("distance must be > 0")
-    if model is None:
-        raise ConfigError("UAV path-loss constants missing", field="channel.uav")
-    pl_model = model.pathloss_los if los else model.pathloss_nlos
-    loss_db = pl_model.evaluate(dist_m, f_ghz, height_m=user_height_m)
+    loss_db = np.where(
+        los,
+        model.pathloss_los.evaluate(dist_m, f_ghz, height_m=user_height_m),
+        model.pathloss_nlos.evaluate(dist_m, f_ghz, height_m=user_height_m),
+    )
     return 10.0 ** ((-loss_db + shadow_db) / 10.0)
 
 
@@ -132,14 +133,18 @@ def shadow_field(geometry: NetworkGeometry, sigma_db, d0, rng):
 
 
 def steering_vector(ap_antennas, user_pos, wavelength):
-    """Array response: entry l is exp(-j 2pi/lambda (||z_1 - u|| - ||z_l - u||))."""
+    """Array response: entry l is exp(-j 2pi/lambda (||z_1 - u|| - ||z_l - u||)).
+
+    `ap_antennas` is (..., N, 3) and `user_pos` (..., 3); leading axes broadcast.
+    """
     if wavelength <= 0:
         raise DomainError("wavelength must be > 0")
     ants = np.asarray(ap_antennas, dtype=float)
-    dists = np.linalg.norm(ants - np.asarray(user_pos, dtype=float)[None, :], axis=1)
+    user = np.asarray(user_pos, dtype=float)
+    dists = np.linalg.norm(ants - user[..., None, :], axis=-1)
     if np.any(dists == 0.0):
         raise DomainError("user coincides with an antenna element")
-    return np.exp(-1j * (2.0 * np.pi / wavelength) * (dists[0] - dists))
+    return np.exp(-1j * (2.0 * np.pi / wavelength) * (dists[..., :1] - dists))
 
 
 def build_large_scale(config, geometry: NetworkGeometry, rng) -> LargeScaleState:
@@ -149,53 +154,38 @@ def build_large_scale(config, geometry: NetworkGeometry, rng) -> LargeScaleState
     drop is reproducible from its seed.
     """
     ch = config.channel
-    K, A = geometry.n_users, geometry.n_ap
     d3, d2 = user_ap_distances(geometry)
     roles = geometry.roles
-    heights = geometry.user_positions[:, 2]
+    uav = roles == ROLE_UAV
+    heights = geometry.user_positions[:, 2, None]
     f = config.carrier_freq_ghz
 
-    p_los = np.zeros((K, A))
-    for k in range(K):
-        for a in range(A):
-            p_los[k, a] = los_probability(roles[k], d2[k, a], heights[k], ch.uav.los_prob)
-    rice = np.vectorize(lambda p: rice_factor(p, ch.rice_clamp_eps))(p_los)
+    p_los = los_probability(roles[:, None], d2, heights, ch.uav.los_prob)
+    rice = rice_factor(p_los, ch.rice_clamp_eps)
 
-    # shadowing: correlated unit field scaled by the per-link sigma
-    los_state = np.zeros((K, A), dtype=bool)
-    uav_rows = roles == ROLE_UAV
-    sigma = np.full((K, A), ch.gue_shadow_sigma_db)
     # draw the field first with unit sigma so LOS-state draws don't perturb it
     unit_field = shadow_field(geometry, 1.0, ch.shadow_corr_dist_m, rng)
-    if uav_rows.any():
-        los_state[uav_rows] = rng.random((int(uav_rows.sum()), A)) < p_los[uav_rows]
-        for k in np.flatnonzero(uav_rows):
-            for a in range(A):
-                sigma[k, a] = ch.uav.shadow_sigma_db(heights[k], los_state[k, a])
+    los_state = np.zeros(d3.shape, dtype=bool)
+    los_state[uav] = rng.random((int(uav.sum()), geometry.n_ap)) < p_los[uav]
+    sigma = np.where(
+        uav[:, None], ch.uav.shadow_sigma_db(heights, los_state), ch.gue_shadow_sigma_db
+    )
     shadow_db = sigma * unit_field
 
-    beta = np.zeros((K, A))
-    for k in range(K):
-        for a in range(A):
-            if roles[k] == ROLE_UAV:
-                beta[k, a] = path_gain_uav(
-                    d3[k, a], los_state[k, a], ch.uav, f, heights[k], shadow_db[k, a]
-                )
-            else:
-                beta[k, a] = path_gain_gue(d3[k, a], f, shadow_db[k, a], ch.gue_gain)
+    beta = np.empty(d3.shape)
+    beta[~uav] = path_gain_gue(d3[~uav], f, shadow_db[~uav], ch.gue_gain)
+    beta[uav] = path_gain_uav(
+        d3[uav], los_state[uav], ch.uav, f, heights[uav], shadow_db[uav]
+    )
 
-    steering = np.zeros((K, A, geometry.n_ap_antennas), dtype=complex)
-    lam = config.wavelength_m
-    for k in range(K):
-        for a in range(A):
-            # use the periodic user image nearest to the AP so wrap-around and
-            # steering geometry agree
-            image = nearest_image(
-                geometry.user_positions[k], geometry.ap_reference[a], geometry.area_side
-            )
-            steering[k, a] = steering_vector(geometry.ap_antennas[a], image, lam)
+    # steer towards the periodic user image nearest to each AP so wrap-around
+    # and steering geometry agree
+    images = nearest_image(
+        geometry.user_positions[:, None], geometry.ap_reference[None], geometry.area_side
+    )
+    steering = steering_vector(geometry.ap_antennas[None], images, config.wavelength_m)
 
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=(K, A))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=d3.shape)
     return LargeScaleState(
         beta=beta,
         rice_k=rice,

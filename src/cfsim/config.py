@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Optional
 
+import numpy as np
 import yaml
 
 from .errors import ConfigError
@@ -40,10 +41,11 @@ class LogDistanceModel:
     freq_scale: float = 1.0
 
     def evaluate(self, dist_m, f_ghz, height_m=1.0):
-        dist_term = self.dist_coef + self.dist_height_coef * math.log10(height_m)
+        """dB value per link; `dist_m` and `height_m` broadcast, `f_ghz` is a scalar."""
+        dist_term = self.dist_coef + self.dist_height_coef * np.log10(height_m)
         return (
             self.offset_db
-            + dist_term * math.log10(dist_m)
+            + dist_term * np.log10(dist_m)
             + self.freq_coef * math.log10(self.freq_scale * f_ghz)
         )
 
@@ -92,11 +94,12 @@ class UavChannelModel:
     shadow_in_los: bool = True
 
     def shadow_sigma_db(self, height_m, los):
-        if not los:
-            return self.shadow_nlos_db
-        if not self.shadow_in_los:
-            return 0.0
-        return self.shadow_los_scale_db * math.exp(self.shadow_los_height_coef * height_m)
+        """Shadowing std in dB per link; `height_m` and the boolean `los` broadcast."""
+        if self.shadow_in_los:
+            sigma_los = self.shadow_los_scale_db * np.exp(self.shadow_los_height_coef * height_m)
+        else:
+            sigma_los = 0.0
+        return np.where(los, sigma_los, self.shadow_nlos_db)
 
 
 @dataclass(frozen=True)
@@ -411,7 +414,7 @@ def _build_dataclass(cls, data, path):
         sub = f"{path}.{key}" if path else key
         ftype = str(known[key].type)
         target = _DATACLASS_FIELDS.get((cls, key))
-        if target is not None and isinstance(value, dict):
+        if target is not None:  # a nested section: a mapping, never null
             kwargs[key] = _build_dataclass(target, value, sub)
         elif key == "uav_height_range_m":
             if not (isinstance(value, (list, tuple)) and len(value) == 2):

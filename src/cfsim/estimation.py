@@ -75,13 +75,6 @@ def covariance_G(beta, rice_k, steering):
     return scale * (rice_k * outer + eye)
 
 
-def build_covariances(ls: LargeScaleState):
-    """(K, A, N, N) stack of per-pair covariances."""
-    return covariance_G(
-        ls.beta[:, :, None, None], ls.rice_k[:, :, None, None], ls.steering
-    )
-
-
 def matrix_B(k, a, G, book: PilotBook, eta_train, sigma_w2, paper_literal_b=False, beta=None):
     """Covariance of the pilot-projected observation y_hat for pair (k, a).
 
@@ -159,14 +152,12 @@ def build_estimation(
     K, A = ls.beta.shape
     N = ls.n_ap_antennas
     eta_train = np.broadcast_to(np.asarray(eta_train, dtype=float), (K,))
-    G = build_covariances(ls)
+    G = covariance_G(ls.beta[..., None, None], ls.rice_k[..., None, None], ls.steering)
 
     same = book.assignment[:, None] == book.assignment[None, :]
     weights = same * eta_train[None, :]  # (k, i)
-    if paper_literal_b:
-        B = np.einsum("ki,ia,ianm->kanm", weights, ls.beta, G)
-    else:
-        B = np.einsum("ki,ianm->kanm", weights, G)
+    scale = ls.beta[..., None, None] if paper_literal_b else 1.0
+    B = (weights @ (scale * G).reshape(K, -1)).reshape(K, A, N, N)
     B = B + sigma_w2 * np.eye(N)
 
     cond = np.linalg.cond(B.reshape(K * A, N, N))

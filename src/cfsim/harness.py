@@ -23,7 +23,7 @@ from . import __version__
 from .association import build_association
 from .channel import build_large_scale
 from .config import SimConfig, config_to_dict
-from .errors import CfsimError
+from .errors import CfsimError, NumericsError
 from .estimation import assign_pilots, build_estimation
 from .geometry import generate_topology
 from .mc import se_ub_dl_mc, se_ub_ul_mc
@@ -167,6 +167,13 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
             )
             se_ub_dl, err_dl = ub_dl.se, ub_dl.se_stderr
             se_ub_ul, err_ul = ub_ul.se, ub_ul.se_stderr
+        outputs = {"se_lb_dl": se_lb_dl, "se_lb_ul": se_lb_ul}
+        if config.mc.ub_samples > 0:
+            outputs.update(se_ub_dl=se_ub_dl, se_ub_ul=se_ub_ul,
+                           se_ub_dl_stderr=err_dl, se_ub_ul_stderr=err_ul)
+        for name, values in outputs.items():
+            if not np.isfinite(values).all():
+                raise NumericsError(f"{name} is not finite")
     except CfsimError as exc:
         raise type(exc)(f"drop {drop_index} (seed {master_seed}): {exc}") from exc
 

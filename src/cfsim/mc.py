@@ -281,16 +281,6 @@ def se_ub_ul_mc(
     )
 
 
-def draw_single_pair(beta, rice_k, steering, rng, n):
-    """n Ricean draws for one (user, AP) pair, shape (n, N)."""
-    N = len(steering)
-    h = (rng.standard_normal((n, N)) + 1j * rng.standard_normal((n, N))) / np.sqrt(2.0)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    return np.sqrt(beta / (rice_k + 1.0)) * (
-        np.sqrt(rice_k) * np.exp(1j * theta)[:, None] * steering[None, :] + h
-    )
-
-
 def fourth_moment_check(beta, rice_k, steering, D, n_samples, rng, batch_count=20):
     """Sampled E|g^H D g|^2 against the closed-form delta + tr(D G D^H G).
 
@@ -298,13 +288,19 @@ def fourth_moment_check(beta, rice_k, steering, D, n_samples, rng, batch_count=2
     """
     from .estimation import covariance_G
 
-    G = covariance_G(beta, rice_k, np.asarray(steering))
-    analytic = delta_term(beta, rice_k, np.asarray(steering), D) + float(
+    steering = np.asarray(steering)
+    G = covariance_G(beta, rice_k, steering)
+    analytic = delta_term(beta, rice_k, steering, D) + float(
         np.trace(D @ G @ D.conj().T @ G).real
+    )
+    ls = LargeScaleState(  # one (user, AP) pair
+        beta=np.array([[beta]]), rice_k=np.array([[rice_k]]), steering=steering[None, None],
+        shadow_db=np.zeros((1, 1)), los_state=np.zeros((1, 1), dtype=bool),
+        los_phase=np.zeros((1, 1)), roles=np.zeros(1, dtype=int),
     )
     vals = []
     for size in _batched(n_samples, batch_count):
-        g = draw_single_pair(beta, rice_k, np.asarray(steering), rng, size)
+        g = draw_channels(ls, rng, size)[:, 0, 0]
         quad = ((np.conj(g) @ D) * g).sum(axis=1)
         vals.append(np.mean(np.abs(quad) ** 2))
     return float(np.mean(vals)), _stderr(vals), analytic

@@ -196,8 +196,3 @@ def ul_sinr_lb(tables: SETables, eta_ul, sigma_w2):
 
 def se_from_sinr(sinr, prelog):
     return prelog * np.log2(1.0 + np.asarray(sinr))
-
-
-def se_to_rate(se, bandwidth_hz):
-    """Spectral efficiency (bit/s/Hz) to rate (bit/s)."""
-    return np.asarray(se) * bandwidth_hz

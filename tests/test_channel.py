@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +15,24 @@ from cfsim.channel import (
     shadow_field,
     steering_vector,
 )
-from cfsim.config import LogDistanceModel, SimConfig, UavChannelModel, UavLosModel
+from cfsim.config import (
+    LogDistanceModel,
+    SimConfig,
+    UavChannelModel,
+    UavLosModel,
+    preset_desk,
+    preset_desk_mmimo,
+)
 from cfsim.errors import DomainError
 from cfsim.estimation import covariance_G
-from cfsim.geometry import ROLE_GUE, ROLE_UAV, NetworkGeometry, generate_topology
+from cfsim.geometry import (
+    ROLE_GUE,
+    ROLE_UAV,
+    NetworkGeometry,
+    generate_topology,
+    nearest_image,
+    user_ap_distances,
+)
 
 GUE_MODEL = LogDistanceModel(offset_db=-22.7, dist_coef=-36.7, freq_coef=-26.0)
 
@@ -107,6 +122,16 @@ def test_path_gain_uav_uma_av_los_hand_value():
         + 20.0 * math.log10(40.0 * math.pi * 1.9 / 3.0)
     )
     assert 10.0 * math.log10(g) == pytest.approx(-pl, abs=1e-9)
+
+
+def test_uav_shadow_sigma_per_link_hand_values():
+    heights = np.array([[50.0], [200.0]])
+    los = np.array([[True, False], [True, False]])
+    expected = [[4.64 * math.exp(-0.0066 * 50.0), 6.0], [4.64 * math.exp(-0.0066 * 200.0), 6.0]]
+    np.testing.assert_allclose(UavChannelModel().shadow_sigma_db(heights, los), expected,
+                               rtol=1e-14)
+    off = UavChannelModel(shadow_in_los=False).shadow_sigma_db(heights, los)
+    np.testing.assert_array_equal(off, [[0.0, 6.0], [0.0, 6.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -265,3 +290,78 @@ def test_build_large_scale_shapes_and_roles():
     assert (ls.rice_k[ls.roles == ROLE_GUE] == 0.0).all()  # GUEs are NLOS
     assert np.isfinite(ls.rice_k).all()
     assert np.allclose(np.abs(ls.steering), 1.0)
+
+
+def _per_link_large_scale(config, geometry, rng):
+    """Reference: build_large_scale written one (user, AP) link at a time."""
+    ch = config.channel
+    K, A = geometry.n_users, geometry.n_ap
+    d3, d2 = user_ap_distances(geometry)
+    roles = geometry.roles
+    heights = geometry.user_positions[:, 2]
+    f = config.carrier_freq_ghz
+
+    p_los = np.zeros((K, A))
+    for k in range(K):
+        for a in range(A):
+            p_los[k, a] = los_probability(roles[k], d2[k, a], heights[k], ch.uav.los_prob)
+    rice = np.vectorize(lambda p: rice_factor(p, ch.rice_clamp_eps))(p_los)
+
+    los_state = np.zeros((K, A), dtype=bool)
+    uav_rows = roles == ROLE_UAV
+    sigma = np.full((K, A), ch.gue_shadow_sigma_db)
+    unit_field = shadow_field(geometry, 1.0, ch.shadow_corr_dist_m, rng)
+    if uav_rows.any():
+        los_state[uav_rows] = rng.random((int(uav_rows.sum()), A)) < p_los[uav_rows]
+        for k in np.flatnonzero(uav_rows):
+            for a in range(A):
+                sigma[k, a] = ch.uav.shadow_sigma_db(heights[k], los_state[k, a])
+    shadow_db = sigma * unit_field
+
+    beta = np.zeros((K, A))
+    steering = np.zeros((K, A, geometry.n_ap_antennas), dtype=complex)
+    for k in range(K):
+        for a in range(A):
+            if roles[k] == ROLE_UAV:
+                beta[k, a] = path_gain_uav(
+                    d3[k, a], los_state[k, a], ch.uav, f, heights[k], shadow_db[k, a]
+                )
+            else:
+                beta[k, a] = path_gain_gue(d3[k, a], f, shadow_db[k, a], ch.gue_gain)
+            image = nearest_image(
+                geometry.user_positions[k], geometry.ap_reference[a], geometry.area_side
+            )
+            steering[k, a] = steering_vector(geometry.ap_antennas[a], image, config.wavelength_m)
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(K, A))
+    return dict(beta=beta, rice_k=rice, shadow_db=shadow_db, los_state=los_state,
+                steering=steering, los_phase=phase)
+
+
+def _no_shadow_in_los(cfg):
+    return replace(cfg, channel=replace(cfg.channel, uav=replace(cfg.channel.uav,
+                                                                 shadow_in_los=False)))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        preset_desk(),
+        preset_desk_mmimo(),
+        replace(preset_desk(), n_gue=0),
+        replace(preset_desk(), n_uav=0),
+        _no_shadow_in_los(preset_desk()),
+    ],
+    ids=["desk", "desk-mmimo", "uav-only", "gue-only", "no-shadow-in-los"],
+)
+def test_build_large_scale_matches_per_link_loop(cfg, seed):
+    geom = generate_topology(cfg, np.random.default_rng(seed))
+    rng_ref, rng = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+    ref = _per_link_large_scale(cfg, geom, rng_ref)
+    ls = build_large_scale(cfg, geom, rng)
+    for name in ("los_state", "steering", "los_phase"):
+        np.testing.assert_array_equal(getattr(ls, name), ref[name], err_msg=name)
+    assert rng.random() == rng_ref.random()
+    for name in ("beta", "rice_k", "shadow_db"):
+        np.testing.assert_allclose(getattr(ls, name), ref[name], rtol=1e-13, atol=0,
+                                   err_msg=name)

@@ -145,6 +145,30 @@ def test_yaml_removed_block_solver_keys_rejected(tmp_path, text, key):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("channel:\n  uav: null\n", "channel.uav"),
+        ("channel:\n  gue_gain: null\n", "channel.gue_gain"),
+        ("frame: null\n", "frame"),
+        ("mc: null\n", "mc"),
+        ("power:\n  maxmin: null\n", "power.maxmin"),
+        ("channel:\n  uav:\n    pathloss_nlos: null\n", "channel.uav.pathloss_nlos"),
+        ("channel:\n  uav:\n    los_prob: null\n", "channel.uav.los_prob"),
+    ],
+)
+def test_yaml_null_section_rejected_naming_field(tmp_path, capsys, text, field):
+    from cfsim.cli import main
+
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    args = ["run", "--preset", "desk", "--config", str(path), "--drops", "1", "--out", str(out)]
+    assert main(args) == 2
+    assert f"{field}: expected a mapping" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_uav_default_constants_documented_shape():
     # the externally-sourced UMa-AV constants ship as plain config values
     cfg = preset_paper()

@@ -262,18 +262,21 @@ def test_contamination_locality(gate_fixture):
 
 
 def test_batched_build_matches_per_pair_operations(gate_fixture):
-    ls, book, est = gate_fixture["ls"], gate_fixture["book"], gate_fixture["est"]
-    from cfsim.estimation import build_covariances
-
-    G = build_covariances(ls)
-    for k in range(est.n_users):
-        for a in range(est.n_ap):
-            B = matrix_B(k, a, G, book, est.eta_train, est.sigma_w2)
-            D = estimator_D(G[k, a], B, est.eta_train[k])
-            g = gamma_coefficient(G[k, a], D, est.eta_train[k])
-            np.testing.assert_allclose(est.B[k, a], B, rtol=1e-12, atol=1e-300)
-            np.testing.assert_allclose(est.D[k, a], D, rtol=1e-10, atol=1e-300)
-            assert est.gamma[k, a] == pytest.approx(g, rel=1e-10)
+    ls, book, est0 = gate_fixture["ls"], gate_fixture["book"], gate_fixture["est"]
+    eta, sigma_w2 = est0.eta_train, est0.sigma_w2
+    G = np.array([[covariance_G(ls.beta[k, a], ls.rice_k[k, a], ls.steering[k, a])
+                   for a in range(est0.n_ap)] for k in range(est0.n_users)])
+    for literal in (False, True):
+        est = build_estimation(ls, book, eta, sigma_w2, paper_literal_b=literal)
+        for k in range(est.n_users):
+            for a in range(est.n_ap):
+                B = matrix_B(k, a, G, book, eta, sigma_w2, paper_literal_b=literal, beta=ls.beta)
+                D = estimator_D(G[k, a], B, eta[k])
+                g = gamma_coefficient(G[k, a], D, eta[k])
+                np.testing.assert_allclose(est.G[k, a], G[k, a], rtol=1e-12, atol=1e-300)
+                np.testing.assert_allclose(est.B[k, a], B, rtol=1e-12, atol=1e-300)
+                np.testing.assert_allclose(est.D[k, a], D, rtol=1e-10, atol=1e-300)
+                assert est.gamma[k, a] == pytest.approx(g, rel=1e-10)
 
 
 def test_estimation_state_invariants(gate_fixture):

@@ -142,3 +142,24 @@ def test_drop_error_reports_seed():
     bad = replace(cfg, frame=replace(cfg.frame, tau_p=500))
     with pytest.raises(ConfigError):
         run_drop(bad, 0, 1)
+
+
+def test_non_finite_output_raises_numerics_error(monkeypatch, tmp_path, capsys):
+    import cfsim.harness as harness
+    from cfsim.cli import main
+    from cfsim.errors import NumericsError
+
+    def nan_sinr(tables, eta, sigma2):
+        sinr = dl_sinr_lb(tables, eta, sigma2)
+        sinr[-1] = np.nan
+        return sinr
+
+    monkeypatch.setattr(harness, "dl_sinr_lb", nan_sinr)
+    with pytest.raises(NumericsError, match=r"drop 2 \(seed 7\): se_lb_dl is not finite"):
+        run_drop(tiny_cfg(), 2, 7)
+    cfg_path, out = tmp_path / "cfg.yaml", tmp_path / "out"
+    cfg_path.write_text("n_ap: 5\nn_gue: 3\nn_uav: 1\nmc:\n  ub_samples: 0\n")
+    args = ["run", "--config", str(cfg_path), "--drops", "1", "--seed", "7", "--out", str(out)]
+    assert main(args) == 3
+    assert "se_lb_dl is not finite" in capsys.readouterr().err
+    assert not (out / "rates.csv").exists()

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cfsim.channel import LargeScaleState, draw_channels
 from cfsim.config import preset_desk
 from cfsim.errors import NumericsError
 from cfsim.estimation import build_estimation, covariance_G
@@ -15,7 +16,6 @@ from cfsim.se import (
     dl_sinr_parts,
     dl_sinr_quadratic,
     se_from_sinr,
-    se_to_rate,
     ul_sinr_lb,
 )
 
@@ -52,9 +52,12 @@ def test_delta_identity_estimator_hand_value():
     expected = c2**2 * (n**2 + 2.0 * rice * n**2)
     assert delta_term(beta, rice, a, np.eye(n)) == pytest.approx(expected, rel=1e-12)
     # cross-check against the raw moment E||g||^4 - tr(G^2)
-    from cfsim.mc import draw_single_pair
-
-    g = draw_single_pair(beta, rice, a, np.random.default_rng(2), 400_000)
+    ls = LargeScaleState(
+        beta=np.array([[beta]]), rice_k=np.array([[rice]]), steering=a[None, None],
+        shadow_db=np.zeros((1, 1)), los_state=np.zeros((1, 1), dtype=bool),
+        los_phase=np.zeros((1, 1)), roles=np.zeros(1, dtype=int),
+    )
+    g = draw_channels(ls, np.random.default_rng(2), 400_000)[:, 0, 0]
     e4 = np.mean(np.sum(np.abs(g) ** 2, axis=1) ** 2)
     G = covariance_G(beta, rice, a)
     sampled_delta = e4 - np.trace(G @ G).real
@@ -365,13 +368,3 @@ def test_ub_literal_no_log_switch(gate_fixture):
                           2000, rng, literal_no_log=True)
     # printed form is E[1 + SINR] scaled by the prelog: always >= prelog
     assert (literal.se >= 0.42).all()
-
-
-# ---------------------------------------------------------------------------
-# Rates
-# ---------------------------------------------------------------------------
-
-def test_se_to_rate():
-    assert se_to_rate(1.0, 20e6) == 20e6
-    assert se_to_rate(0.0, 20e6) == 0.0
-    assert se_to_rate(0.5, 10e6) == 5e6
