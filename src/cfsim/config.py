@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -191,6 +192,19 @@ class MonteCarloConfig:
     literal_ub_no_log: bool = False  # published upper-bound form without the log
 
 
+# (field, lower bound, bound allowed) of every field that SimConfig.validate
+# checks against a plain lower bound
+_LOWER_BOUNDS = (
+    ("area_side_m", 0, False), ("n_ap", 1, True), ("n_ap_antennas", 1, True),
+    ("frame.tau_p", 1, True), ("carrier_freq_hz", 0, False), ("bandwidth_hz", 0, False),
+    ("power.dl_budget_per_ap_w", 0, False), ("power.ul_max_w", 0, False),
+    ("channel.shadow_corr_dist_m", 0, False), ("channel.gue_shadow_sigma_db", 0, True),
+    ("estimation.condition_limit", 1, True), ("mc.ub_samples", 0, True), ("mc.chunk", 1, True),
+    ("power.maxmin.max_outer_iters", 1, True), ("power.maxmin.max_inner_iters", 1, True),
+    ("power.maxmin.outer_tol", 0, True), ("drops", 1, True),
+)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Full simulation configuration (defaults follow the reference setup)."""
@@ -252,18 +266,14 @@ class SimConfig:
 
     def validate(self):
         """Raise ConfigError naming the first violated field."""
-        if self.area_side_m <= 0:
-            raise ConfigError("must be > 0", field="area_side_m")
-        if self.n_ap < 1:
-            raise ConfigError("must be >= 1", field="n_ap")
-        if self.n_ap_antennas < 1:
-            raise ConfigError("must be >= 1", field="n_ap_antennas")
+        for name, low, closed in _LOWER_BOUNDS:
+            value = attrgetter(name)(self)
+            if not (value >= low if closed else value > low):  # also rejects NaN
+                raise ConfigError(f"must be {'>=' if closed else '>'} {low}", field=name)
         if self.n_gue < 0 or self.n_uav < 0:
             raise ConfigError("user counts must be >= 0", field="n_gue/n_uav")
         if self.n_users < 1:
             raise ConfigError("need at least one user", field="n_gue/n_uav")
-        if self.frame.tau_p < 1:
-            raise ConfigError("must be >= 1", field="frame.tau_p")
         if not self.frame.tau_p < self.frame.tau_c:
             raise ConfigError(
                 f"tau_p must be < tau_c (got tau_p={self.frame.tau_p}, tau_c={self.frame.tau_c})",
@@ -282,10 +292,6 @@ class SimConfig:
             raise ConfigError(f"unknown strategy {self.power.dl!r}", field="power.dl")
         if self.power.ul not in {"fpc", "maxmin"}:
             raise ConfigError(f"unknown strategy {self.power.ul!r}", field="power.ul")
-        if self.power.dl_budget_per_ap_w <= 0:
-            raise ConfigError("must be > 0", field="power.dl_budget_per_ap_w")
-        if self.power.ul_max_w <= 0:
-            raise ConfigError("must be > 0", field="power.ul_max_w")
         if self.association.mode not in {"cf", "uc"}:
             raise ConfigError(f"unknown mode {self.association.mode!r}", field="association.mode")
         if self.association.mode == "uc" and not (
@@ -303,22 +309,10 @@ class SimConfig:
             )
         if not (0 < self.channel.rice_clamp_eps < 1):
             raise ConfigError("must lie in (0, 1)", field="channel.rice_clamp_eps")
-        if self.mc.ub_samples < 0:
-            raise ConfigError("must be >= 0", field="mc.ub_samples")
         if self.mc.batch_count < 2:
             raise ConfigError("must be >= 2 for a standard error", field="mc.batch_count")
         if 0 < self.mc.ub_samples < self.mc.batch_count:
             raise ConfigError("must be 0 or >= mc.batch_count", field="mc.ub_samples")
-        if self.mc.chunk < 1:
-            raise ConfigError("must be >= 1", field="mc.chunk")
-        mm = self.power.maxmin
-        for name in ("max_outer_iters", "max_inner_iters"):
-            if getattr(mm, name) < 1:
-                raise ConfigError("must be >= 1", field=f"power.maxmin.{name}")
-        if not mm.outer_tol >= 0:  # also rejects NaN
-            raise ConfigError("must be >= 0", field="power.maxmin.outer_tol")
-        if self.drops < 1:
-            raise ConfigError("must be >= 1", field="drops")
         return self
 
 

@@ -160,7 +160,11 @@ def build_estimation(
     B = (weights @ (scale * G).reshape(K, -1)).reshape(K, A, N, N)
     B = B + sigma_w2 * np.eye(N)
 
-    cond = np.linalg.cond(B.reshape(K * A, N, N))
+    flat = B.reshape(K * A, N, N)
+    lam = np.linalg.eigvalsh(flat)  # B is Hermitian, so cond(B) = lam_max / lam_min
+    usable = np.isfinite(flat).all(axis=(1, 2)) & (lam[:, 0] > 0)
+    cond = np.full(K * A, np.inf)
+    cond[usable] = lam[usable, -1] / lam[usable, 0]
     if not np.all(np.isfinite(cond)) or cond.max() > condition_limit:
         raise NumericsError(
             f"training covariance ill-conditioned (cond={cond.max():.3e})"

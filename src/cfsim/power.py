@@ -9,7 +9,7 @@ UL boxes 0 <= eta_k <= P_max. Both max-min solvers return (eta, info) with the
 min-rate trace, a converged flag and the iteration count.
 
 DL max-min runs accelerated projected gradient on a smoothed min of log SINR
-over the DL quadratic form (se.dl_sinr_quadratic); see maxmin_dl (Farooq, Ngo
+over the DL quadratic form (se.SETables); see maxmin_dl (Farooq, Ngo
 & Tran, PIMRC 2020; Chakraborty et al., IEEE OJ-COMS 2021).
 
 The UL bound's SINR is affine in the powers over both numerator and
@@ -23,9 +23,9 @@ import math
 
 import numpy as np
 
-from .errors import AssociationError, DegenerateInputError, SolverError
+from .errors import AssociationError, DegenerateInputError, NumericsError, SolverError
 from .geometry import ROLE_GUE, ROLE_UAV
-from .se import SETables, dl_sinr_quadratic, se_from_sinr, ul_sinr_affine
+from .se import SETables, se_from_sinr, ul_sinr_affine
 
 
 def transmitted_dl_power(eta_dl, gamma):
@@ -154,14 +154,13 @@ class _DlObjective:
     4.5x for the gradient, faster than complex einsums)."""
 
     def __init__(self, tables: SETables, usable, sigma_z2):
-        C, W, T = dl_sinr_quadratic(tables)
         gamma = np.where(usable, tables.gamma, 1.0)
         self.K, self.A = gamma.shape
         self.amp = np.where(usable, np.sqrt(gamma), 0.0)
-        self.C = np.where(usable, C / gamma, 0.0).reshape(self.K, -1)
-        Tj = np.where(usable, T / np.sqrt(gamma), 0.0).swapaxes(0, 1)
+        self.C = np.where(usable, tables.C / gamma, 0.0).reshape(self.K, -1)
+        Tj = np.where(usable, tables.T / np.sqrt(gamma), 0.0).swapaxes(0, 1)
         self.R = np.concatenate([Tj.real, Tj.imag], axis=1)  # (K, 2K, A)
-        self.Wt = W.T
+        self.Wt = tables.W.T
         self.sigma_z2 = sigma_z2
 
     def log_sinr(self, y):
@@ -315,6 +314,8 @@ def maxmin_ul(tables: SETables, sigma_w2, prelog, p_max):
     K = tables.n_users
     p_max = np.broadcast_to(np.asarray(p_max, dtype=float), (K,))
     num, den_mat, den_const = ul_sinr_affine(tables, sigma_w2)
+    if not np.all(den_mat >= 0):  # else the bisection below never ends
+        raise NumericsError("uplink bound has a negative interference coefficient")
     lo = float((num * p_max / (den_mat @ p_max + den_const)).min())
     hi = float((num * p_max / (np.diag(den_mat) * p_max + den_const)).min())
     best = p_max.copy()

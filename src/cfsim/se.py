@@ -11,15 +11,18 @@ The per-user downlink SINR is assembled as
               + |sum_a sqrt(eta_dl[j,a]) tr(D_j G_k)|^2
               - sum_a eta_dl[j,a] |tr(D_j G_k)|^2 ]                          (pilot contamination)
 
-and the uplink counterpart swaps which user owns the estimator and which owns
-the transmit power. delta[s, e, a] is the fourth-moment constant of user s's
-channel quadratic form under user e's estimator,
+where delta[k, j, a] is the fourth-moment constant of user k's channel
+quadratic form under user j's estimator,
 
     delta = c^4 |tr D|^2 + 2 K c^4 Re{(a^H D a) conj(tr D)},  c^2 = beta/(K+1),
 
-the remainder of E|g^H D g|^2 being tr(D G D^H G). Everything here is a
-deterministic function of the estimation state; the Monte-Carlo mirror used to
-validate these expressions lives in cfsim.mc and never calls this module.
+the remainder of E|g^H D g|^2 being tr(D G D^H G). SETables holds this
+denominator as one quadratic form (C, W, T). The uplink bound reads the same
+form by UL-DL duality: user j's power reaches user k's combiner D_k through
+the DL terms with the two users swapped, summed over the serving mask A_k.
+Everything here is a deterministic function of the estimation state; the
+Monte-Carlo mirror used to validate these expressions lives in cfsim.mc and
+never calls this module.
 """
 
 from __future__ import annotations
@@ -44,18 +47,22 @@ def delta_term(beta, rice_k, steering, D):
 
 @dataclass(frozen=True)
 class SETables:
-    """Per-drop scalar tables shared by the SINR assembly and the optimizer.
+    """Per-drop tables: the downlink bound's denominator as a quadratic form in
+    theta = sqrt(eta_dl),
 
-    Index convention: delta[s, e, a] pairs user s's channel statistics with
-    user e's estimator; tr_gdg[e, s, a] = tr(G_e D_e^H G_s) (real, >= 0);
-    t_dg[e, s, a] = tr(D_e G_s) (complex).
+        den_k = sum_{j,a} C[k,j,a] theta_ja^2
+              + sum_j W[k,j] |sum_a theta_ja T[k,j,a]|^2 + sigma_z^2,
+
+    with T[k,j,a] = tr(D_j G_k), W[k,j] = eta_k |phi_k^H phi_j|^2 for j != k and
+    C the gain uncertainty (j = k), the average interference and the
+    pilot-contamination variances, so C >= 0 and W >= 0 entrywise (C is not
+    under the printed B of estimation.paper_literal_b).
     """
 
     gamma: np.ndarray  # (K, A)
-    delta: np.ndarray  # (K, K, A)
-    tr_gdg: np.ndarray  # (K, K, A)
-    t_dg: np.ndarray  # (K, K, A) complex
-    gram2: np.ndarray  # (K, K)
+    C: np.ndarray  # (K, K, A)
+    W: np.ndarray  # (K, K)
+    T: np.ndarray  # (K, K, A) complex
     eta_train: np.ndarray  # (K,)
     serving: np.ndarray  # (K, A) bool
 
@@ -68,74 +75,55 @@ class SETables:
         return self.gamma.shape[1]
 
 
+def _steered_forms(steering, M):
+    """q[k, j, a] = a_{k,a}^H M[j, a] a_{k,a} as one batched matmul per AP:
+    (A, K, N^2) steering outer products @ (A, N^2, K) matrices."""
+    K, A, N = steering.shape
+    outer = (np.conj(steering)[..., :, None] * steering[..., None, :]).reshape(K, A, N * N)
+    q = outer.transpose(1, 0, 2) @ M.reshape(K, A, N * N).transpose(1, 2, 0)
+    return q.transpose(1, 2, 0)
+
+
 def build_se_tables(
     ls: LargeScaleState, est: EstimationState, book: PilotBook, assoc: AssociationMap
 ) -> SETables:
-    G, D = est.G, est.D
-    steer = ls.steering
-
-    tr_d = np.trace(D, axis1=2, axis2=3)  # (K, A), estimator index
-    aDa = np.einsum("san,eanm,sam->sea", np.conj(steer), D, steer)
-    c2 = ls.beta / (ls.rice_k + 1.0)  # (K, A)
-    delta = c2[:, None, :] ** 2 * (
-        np.abs(tr_d[None, :, :]) ** 2
-        + 2.0 * ls.rice_k[:, None, :] * np.real(aDa * np.conj(tr_d)[None, :, :])
-    )
-
-    gdh = np.einsum("eanm,eapm->eanp", G, np.conj(D))  # G_e D_e^H
-    tr_gdg_c = np.einsum("eanp,sapn->esa", gdh, G)
-    if np.abs(tr_gdg_c.imag).max() > 1e-6 * max(np.abs(tr_gdg_c).max(), 1e-300):
+    """C, W and T of one drop. Every trace against the Ricean covariance
+    G_k = c_k^2 (K_k a_k a_k^H + I) is c_k^2 (K_k a_k^H M a_k + tr M), so the
+    raw terms come from _steered_forms at M = G D^H and M = D."""
+    D, K, eta = est.D, est.n_users, est.eta_train
+    c2 = (ls.beta / (ls.rice_k + 1.0))[:, None, :]  # channel user k
+    rice = ls.rice_k[:, None, :]
+    gdh = est.G @ np.conj(np.swapaxes(D, 2, 3))  # G_j D_j^H
+    tr_gdg = c2 * (rice * _steered_forms(ls.steering, gdh) + np.trace(gdh, axis1=2, axis2=3))
+    if np.abs(tr_gdg.imag).max() > 1e-6 * max(np.abs(tr_gdg).max(), 1e-300):
         raise NumericsError("tr(G D^H G) acquired a non-negligible imaginary part")
-    t_dg = np.einsum("eanm,samn->esa", D, G)
+    C = np.sqrt(eta)[None, :, None] * tr_gdg.real
+    del tr_gdg
 
-    return SETables(
-        gamma=est.gamma,
-        delta=delta,
-        tr_gdg=tr_gdg_c.real,
-        t_dg=t_dg,
-        gram2=book.copilot_gram2(),
-        eta_train=est.eta_train,
-        serving=assoc.serving,
-    )
-
-
-def _masked_dl_powers(tables: SETables, eta_dl):
-    eta = np.asarray(eta_dl, dtype=float)
-    if eta.shape != tables.serving.shape:
-        raise ValueError(f"eta_dl shape {eta.shape} != (K, A) {tables.serving.shape}")
-    return np.where(tables.serving, eta, 0.0)
-
-
-def dl_sinr_quadratic(tables: SETables):
-    """The downlink bound's denominator as a quadratic form in theta = sqrt(eta_dl):
-
-        den_k = sum_{j,a} C[k,j,a] theta_ja^2
-              + sum_j W[k,j] |sum_a theta_ja T[k,j,a]|^2 + sigma_z^2,
-
-    with T[k,j,a] = tr(D_j G_k), W[k,j] = eta_k |phi_k^H phi_j|^2 for j != k and
-    C the gain uncertainty (j = k), the average interference and the
-    pilot-contamination variances. Each C entry is a variance, so C >= 0 and
-    W >= 0 entrywise. Returns (C, W, T).
-    """
-    t = tables
-    K = t.n_users
-    W = t.eta_train[:, None] * t.gram2 * (1.0 - np.eye(K))
-    T = np.swapaxes(t.t_dg, 0, 1)
-    C = np.sqrt(t.eta_train)[None, :, None] * np.swapaxes(t.tr_gdg, 0, 1)
-    C += W[:, :, None] * (t.delta - np.abs(T) ** 2)
+    tr_d = np.trace(D, axis1=2, axis2=3)  # estimator user j
+    T = _steered_forms(ls.steering, D)  # a_k^H D_j a_k until scaled in place below
+    delta = c2**2 * (np.abs(tr_d) ** 2 + 2.0 * rice * np.real(T * np.conj(tr_d)))
+    T *= rice
+    T += tr_d
+    T *= c2  # tr(D_j G_k)
+    W = eta[:, None] * book.copilot_gram2() * (1.0 - np.eye(K))
     own = np.arange(K)
-    C[own, own] += t.eta_train[:, None] * t.delta[own, own] - t.gamma**2
-    return C, W, T
+    C[own, own] += eta[:, None] * delta[own, own] - est.gamma**2
+    C += W[:, :, None] * (delta - np.abs(T) ** 2)
+    return SETables(gamma=est.gamma, C=C, W=W, T=T, eta_train=eta, serving=assoc.serving)
 
 
 def dl_sinr_parts(tables: SETables, eta_dl, sigma_z2):
     """(numerator, denominator) of the downlink bound, per user."""
-    eta = _masked_dl_powers(tables, eta_dl)
+    t = tables
+    eta = np.asarray(eta_dl, dtype=float)
+    if eta.shape != t.serving.shape:
+        raise ValueError(f"eta_dl shape {eta.shape} != (K, A) {t.serving.shape}")
+    eta = np.where(t.serving, eta, 0.0)
     root = np.sqrt(eta)
-    C, W, T = dl_sinr_quadratic(tables)
-    num = (root * tables.gamma).sum(axis=1) ** 2
-    cross = np.einsum("kja,ja->kj", T, root)
-    den = np.einsum("kja,ja->k", C, eta) + (W * np.abs(cross) ** 2).sum(axis=1) + sigma_z2
+    num = (root * t.gamma).sum(axis=1) ** 2
+    cross = np.einsum("kja,ja->kj", t.T, root)
+    den = np.einsum("kja,ja->k", t.C, eta) + (t.W * np.abs(cross) ** 2).sum(axis=1) + sigma_z2
     if not np.all(den > 0):
         raise NumericsError("downlink SINR denominator not positive; upstream state corrupt")
     return num, den
@@ -152,25 +140,18 @@ def ul_sinr_affine(tables: SETables, sigma_w2):
 
         SINR_k = num_coef[k] eta_k / (den_mat @ eta + den_const)[k].
 
-    den_mat[k, j] collects the gain uncertainty (j = k), the average
-    interference and the pilot contamination of user j's power on user k's
-    combiner; all are second moments, so den_mat is entrywise non-negative.
+    By UL-DL duality user j's power meets user k's combiner through the DL
+    form with the two users swapped, summed over a in A_k:
+
+        den_mat[k, j] = sum_{a in A_k} C[j,k,a] + W[j,k] |sum_{a in A_k} T[j,k,a]|^2,
+
+    so den_mat is entrywise non-negative because C and W are.
     """
     t = tables
-    K = t.n_users
-    mask = t.serving.astype(float)  # sums below run over a in A_k
+    mask = t.serving.astype(float)
     gsum = (mask * t.gamma).sum(axis=1)
-    own_delta = np.einsum("kka->ka", t.delta)
-    own_bu = (mask * (t.eta_train[:, None] * own_delta - t.gamma**2)).sum(axis=1)
-    mid = np.sqrt(t.eta_train)[:, None] * np.einsum("ka,kja->kj", mask, t.tr_gdg)
-
-    s_cross = np.einsum("ka,kja->kj", mask, t.t_dg)  # sum_{a in A_k} tr(D_k G_j)
-    q_cross = np.einsum("ka,kja->kj", mask, np.abs(t.t_dg) ** 2)
-    d_cross = np.einsum("ka,jka->kj", mask, t.delta)
-    contamination = d_cross + np.abs(s_cross) ** 2 - q_cross  # (k, j)
-    off = t.gram2 * (1.0 - np.eye(K))
-    den_mat = mid + t.eta_train[None, :] * off * contamination
-    den_mat[np.arange(K), np.arange(K)] += own_bu
+    cross = np.einsum("jka,ka->jk", t.T, mask)
+    den_mat = (np.einsum("jka,ka->jk", t.C, mask) + t.W * np.abs(cross) ** 2).T
     return gsum**2, den_mat, sigma_w2 * gsum
 
 

@@ -1,3 +1,4 @@
+import pytest
 import yaml
 
 from cfsim.cli import main
@@ -69,3 +70,22 @@ def test_numerical_failure_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_oracle_fourth_moment", boom)
     assert main(["oracle", "fourth-moment"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("carrier_freq_hz: 0\n", "carrier_freq_hz"),
+        ("bandwidth_hz: -5\n", "bandwidth_hz"),
+        ("channel:\n  shadow_corr_dist_m: 0\n", "channel.shadow_corr_dist_m"),
+        ("channel:\n  gue_shadow_sigma_db: -1\n", "channel.gue_shadow_sigma_db"),
+        ("estimation:\n  condition_limit: -1\n", "estimation.condition_limit"),
+    ],
+)
+def test_run_bad_physical_field_exit_2(tmp_path, capsys, text, field):
+    cfg_path = tmp_path / "x.yaml"
+    cfg_path.write_text(text)
+    code = main(["run", "--preset", "desk", "--config", str(cfg_path), "--drops", "1",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert field in capsys.readouterr().err

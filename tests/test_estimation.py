@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cfsim.channel import draw_channels
+from cfsim.errors import NumericsError
 from cfsim.estimation import (
     PilotBook,
     assign_pilots,
@@ -277,6 +278,18 @@ def test_batched_build_matches_per_pair_operations(gate_fixture):
                 np.testing.assert_allclose(est.B[k, a], B, rtol=1e-12, atol=1e-300)
                 np.testing.assert_allclose(est.D[k, a], D, rtol=1e-10, atol=1e-300)
                 assert est.gamma[k, a] == pytest.approx(g, rel=1e-10)
+
+
+def test_batched_condition_limit_brackets_max_cond(gate_fixture):
+    # the batched check must raise exactly when some B exceeds the limit,
+    # judged against the SVD condition number of every B in the drop
+    ls, book, est = gate_fixture["ls"], gate_fixture["book"], gate_fixture["est"]
+    N = est.n_ap_antennas
+    worst = np.linalg.cond(est.B.reshape(-1, N, N)).max()
+    args = (ls, book, est.eta_train, est.sigma_w2)
+    build_estimation(*args, condition_limit=worst * (1 + 1e-6))
+    with pytest.raises(NumericsError, match="ill-conditioned"):
+        build_estimation(*args, condition_limit=worst * (1 - 1e-6))
 
 
 def test_estimation_state_invariants(gate_fixture):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cfsim.config import dbm_to_watts, preset_desk
-from cfsim.errors import DegenerateInputError, SolverError
+from cfsim.errors import DegenerateInputError, NumericsError, SolverError
 from cfsim.estimation import build_estimation
 from cfsim.geometry import ROLE_GUE, ROLE_UAV
 from cfsim.power import (
@@ -412,6 +412,17 @@ def test_maxmin_ul_symmetric_users_equal_rates():
     eta, _ = maxmin_ul(tables, cfg.sigma_w2, prelog, p_max=np.full(2, 0.1))
     rates = se_from_sinr(ul_sinr_lb(tables, eta, cfg.sigma_w2), prelog)
     assert abs(rates[0] - rates[1]) <= 0.01 * rates.max()
+
+
+def test_maxmin_ul_negative_interference_raises(gate_fixture):
+    # the printed B (paper_literal_b) makes some UL "variances" negative; the
+    # bisection premise den_mat >= 0 then fails, and it used to loop forever
+    st = gate_fixture
+    est = build_estimation(st["ls"], st["book"], st["est"].eta_train, st["est"].sigma_w2,
+                           paper_literal_b=True)
+    tables = build_se_tables(st["ls"], est, st["book"], st["assoc"])
+    with pytest.raises(NumericsError, match="negative interference"):
+        maxmin_ul(tables, st["cfg"].sigma_w2, 0.42, np.full(tables.n_users, 0.1))
 
 
 @pytest.mark.parametrize("seed", [31, 32, 26, 34, 40, 48])

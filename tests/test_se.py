@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from cfsim.se import (
     delta_term,
     dl_sinr_lb,
     dl_sinr_parts,
-    dl_sinr_quadratic,
     se_from_sinr,
+    ul_sinr_affine,
     ul_sinr_lb,
+    ul_sinr_parts,
 )
 
 from conftest import make_state
@@ -133,33 +135,84 @@ DL_FORM_STATES = {
     "desk": dict(seed=5000, n_ap=_DESK.n_ap, n_ap_antennas=4, n_gue=_DESK.n_gue,
                  n_uav=_DESK.n_uav, tau_p=_DESK.frame.tau_p),
     "40-users-8-pilots": dict(seed=7, n_ap=10, n_gue=32, n_uav=8, tau_p=8),
+    "16-antennas": dict(seed=21, n_ap=3, n_ap_antennas=16, n_gue=5, n_uav=1, tau_p=2),
 }
 
 
-def _dl_den_term_by_term(t, eta, sigma_z2):
+@functools.lru_cache(maxsize=None)
+def _state_and_pair_terms(name):
+    """A DL_FORM_STATES state and its raw terms, one (k, j, a) at a time from
+    G, D and the large-scale state: delta[k,j,a] (user k's channel under user
+    j's estimator), tr_gdg[k,j,a] = tr(G_j D_j^H G_k) and t_dg[k,j,a] = tr(D_j G_k)."""
+    st = make_state(**DL_FORM_STATES[name])
+    ls, est = st["ls"], st["est"]
+    K, A = est.gamma.shape
+    delta, tr_gdg = np.zeros((K, K, A)), np.zeros((K, K, A))
+    t_dg = np.zeros((K, K, A), dtype=complex)
+    for k, j, a in np.ndindex(K, K, A):
+        G_j, D_j, G_k = est.G[j, a], est.D[j, a], est.G[k, a]
+        delta[k, j, a] = delta_term(ls.beta[k, a], ls.rice_k[k, a], ls.steering[k, a], D_j)
+        tr_gdg[k, j, a] = np.trace(G_j @ D_j.conj().T @ G_k).real
+        t_dg[k, j, a] = np.trace(D_j @ G_k)
+    return st, (delta, tr_gdg, t_dg)
+
+
+def _dl_den_term_by_term(st, terms, eta, sigma_z2):
     """The denominator of the module docstring, one named term at a time."""
+    t, gram2 = st["tables"], st["book"].copilot_gram2()
+    delta, tr_gdg, t_dg = terms
     eta = np.where(t.serving, eta, 0.0)
     K = t.n_users
-    own = (eta * (t.eta_train[:, None] * np.einsum("kka->ka", t.delta) - t.gamma**2)).sum(1)
-    mid = np.einsum("j,ja,jka->k", np.sqrt(t.eta_train), eta, t.tr_gdg)
-    s = np.einsum("ja,jka->jk", np.sqrt(eta), t.t_dg)
-    q = np.einsum("ja,jka->jk", eta, np.abs(t.t_dg) ** 2)
-    d = np.einsum("ja,kja->jk", eta, t.delta)
-    off = t.gram2 * (1.0 - np.eye(K))
+    own = (eta * (t.eta_train[:, None] * np.einsum("kka->ka", delta) - t.gamma**2)).sum(1)
+    mid = np.einsum("j,ja,kja->k", np.sqrt(t.eta_train), eta, tr_gdg)
+    s = np.einsum("ja,kja->jk", np.sqrt(eta), t_dg)
+    q = np.einsum("ja,kja->jk", eta, np.abs(t_dg) ** 2)
+    d = np.einsum("ja,kja->jk", eta, delta)
+    off = gram2 * (1.0 - np.eye(K))
     pc = t.eta_train * np.einsum("kj,jk->k", off, d + np.abs(s) ** 2 - q)
     return own + mid + sigma_z2 + pc
 
 
+def _ul_den_term_by_term(st, terms, eta, sigma_w2):
+    """The uplink denominator: the DL terms with the estimator on user k's
+    side and the power on user j's, summed over a in A_k."""
+    t, gram2 = st["tables"], st["book"].copilot_gram2()
+    delta, tr_gdg, t_dg = terms
+    m = t.serving.astype(float)
+    K = t.n_users
+    own = eta * (m * (t.eta_train[:, None] * np.einsum("kka->ka", delta) - t.gamma**2)).sum(1)
+    mid = np.sqrt(t.eta_train) * np.einsum("ka,j,jka->k", m, eta, tr_gdg)
+    s = np.einsum("ka,jka->kj", m, t_dg)  # sum_{a in A_k} tr(D_k G_j)
+    q = np.einsum("ka,jka->kj", m, np.abs(t_dg) ** 2)
+    d = np.einsum("ka,jka->kj", m, delta)
+    off = gram2 * (1.0 - np.eye(K))
+    pc = (off * (d + np.abs(s) ** 2 - q)) @ (t.eta_train * eta)
+    return own + mid + pc + sigma_w2 * (m * t.gamma).sum(1)
+
+
 @pytest.mark.parametrize("name", list(DL_FORM_STATES))
 def test_dl_quadratic_form_matches_term_by_term_assembly(name):
-    st = make_state(**DL_FORM_STATES[name])
+    st, terms = _state_and_pair_terms(name)
     tables, cfg = st["tables"], st["cfg"]
     eta = ppa_dl(tables.gamma, tables.serving, np.full(tables.n_ap, 0.2))
     _, den = dl_sinr_parts(tables, eta, cfg.sigma_z2)
-    np.testing.assert_allclose(den, _dl_den_term_by_term(tables, eta, cfg.sigma_z2), rtol=1e-13)
-    C, W, _ = dl_sinr_quadratic(tables)
+    np.testing.assert_allclose(den, _dl_den_term_by_term(st, terms, eta, cfg.sigma_z2),
+                               rtol=1e-13)
+    C, W = tables.C, tables.W
     assert C.min() >= -1e-12 * np.abs(C).max()  # every entry is a variance
     assert W.min() >= 0.0
+
+
+@pytest.mark.parametrize("name", list(DL_FORM_STATES))
+def test_ul_affine_form_matches_term_by_term_assembly(name):
+    st, terms = _state_and_pair_terms(name)
+    tables, cfg = st["tables"], st["cfg"]
+    eta = np.linspace(0.02, 0.1, tables.n_users)
+    _, den = ul_sinr_parts(tables, eta, cfg.sigma_w2)
+    np.testing.assert_allclose(den, _ul_den_term_by_term(st, terms, eta, cfg.sigma_w2),
+                               rtol=1e-13)
+    _, den_mat, _ = ul_sinr_affine(tables, cfg.sigma_w2)
+    assert den_mat.min() >= 0.0  # maxmin_ul's premise
 
 
 def test_dl_sinr_scalar_assembly_oracle():
