@@ -179,8 +179,6 @@ class AssociationConfig:
 
 @dataclass(frozen=True)
 class EstimationConfig:
-    paper_literal_b: bool = False  # keep the extra beta factor of the printed B matrix
-    orthogonal_forced: bool = False  # test mode: injective pilot assignment when K <= tau_p
     condition_limit: float = 1e12
 
 
@@ -189,7 +187,6 @@ class MonteCarloConfig:
     ub_samples: int = 10_000  # per drop; 0 disables the UB evaluation
     batch_count: int = 20  # batches for stderr estimation
     chunk: int = 2048  # samples per vectorized chunk
-    literal_ub_no_log: bool = False  # published upper-bound form without the log
 
 
 # (field, lower bound, bound allowed) of every field that SimConfig.validate
@@ -201,8 +198,21 @@ _LOWER_BOUNDS = (
     ("channel.shadow_corr_dist_m", 0, False), ("channel.gue_shadow_sigma_db", 0, True),
     ("estimation.condition_limit", 1, True), ("mc.ub_samples", 0, True), ("mc.chunk", 1, True),
     ("power.maxmin.max_outer_iters", 1, True), ("power.maxmin.max_inner_iters", 1, True),
-    ("power.maxmin.outer_tol", 0, True), ("drops", 1, True),
+    ("power.maxmin.outer_tol", 0, True), ("drops", 1, True), ("seed", 0, True),
+    ("power.train_per_sample_w", 0, False),
 )
+
+
+def _floats(obj, path=""):
+    """(dotted field name, value) of every float in a dataclass tree, tuple entries included."""
+    for f in fields(obj):
+        value, name = getattr(obj, f.name), path + f.name
+        if is_dataclass(value):
+            yield from _floats(value, name + ".")
+        elif isinstance(value, tuple):
+            yield from ((name, v) for v in value if isinstance(v, float))
+        elif isinstance(value, float):
+            yield name, value
 
 
 @dataclass(frozen=True)
@@ -270,6 +280,9 @@ class SimConfig:
             value = attrgetter(name)(self)
             if not (value >= low if closed else value > low):  # also rejects NaN
                 raise ConfigError(f"must be {'>=' if closed else '>'} {low}", field=name)
+        for name, value in _floats(self):
+            if not math.isfinite(value):
+                raise ConfigError(f"must be finite, got {value}", field=name)
         if self.n_gue < 0 or self.n_uav < 0:
             raise ConfigError("user counts must be >= 0", field="n_gue/n_uav")
         if self.n_users < 1:
@@ -381,9 +394,12 @@ PRESETS = {
 
 def _coerce_scalar(value, ftype, path):
     """Light type coercion; also rescues YAML 1.1 floats like `1.9e9` that
-    pyyaml leaves as strings (its resolver wants a signed exponent)."""
+    pyyaml leaves as strings (its resolver wants a signed exponent). Only
+    Optional fields take null."""
     if value is None:
-        return None
+        if ftype.startswith("Optional["):
+            return None
+        raise ConfigError("must not be null", field=path)
     base = ftype.replace("Optional[", "").rstrip("]")
     try:
         if base == "float":
@@ -392,73 +408,36 @@ def _coerce_scalar(value, ftype, path):
             return int(value)
         if base == "bool" and not isinstance(value, bool):
             raise ValueError(f"expected a boolean, got {value!r}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
         raise ConfigError(str(exc), field=path) from exc
     return value
 
 
-def _build_dataclass(cls, data, path):
+def _overlay(obj, data, path):
+    """Copy of the dataclass `obj` with the (nested) mapping `data` laid over it."""
     if not isinstance(data, dict):
         raise ConfigError(f"expected a mapping, got {type(data).__name__}", field=path or "<root>")
-    known = {f.name: f for f in fields(cls)}
-    kwargs = {}
+    known = {f.name: f for f in fields(obj)}
+    changes = {}
     for key, value in data.items():
-        if key not in known:
-            raise ConfigError("unknown key", field=f"{path}.{key}" if path else key)
         sub = f"{path}.{key}" if path else key
-        ftype = str(known[key].type)
-        target = _DATACLASS_FIELDS.get((cls, key))
-        if target is not None:  # a nested section: a mapping, never null
-            kwargs[key] = _build_dataclass(target, value, sub)
+        if key not in known:
+            raise ConfigError("unknown key", field=sub)
+        current = getattr(obj, key)
+        if is_dataclass(current):  # a nested section: a mapping, never null
+            changes[key] = _overlay(current, value, sub)
         elif key == "uav_height_range_m":
             if not (isinstance(value, (list, tuple)) and len(value) == 2):
                 raise ConfigError("expected [low, high]", field=sub)
-            kwargs[key] = (float(value[0]), float(value[1]))
+            changes[key] = tuple(_coerce_scalar(v, "float", sub) for v in value)
         else:
-            kwargs[key] = _coerce_scalar(value, ftype, sub)
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:  # missing/invalid field combos
-        raise ConfigError(str(exc), field=path or cls.__name__) from exc
-
-
-# nested dataclass fields that can be given as YAML mappings
-_DATACLASS_FIELDS = {
-    (SimConfig, "frame"): FrameConfig,
-    (SimConfig, "power"): PowerConfig,
-    (SimConfig, "noise"): NoiseConfig,
-    (SimConfig, "association"): AssociationConfig,
-    (SimConfig, "channel"): ChannelConfig,
-    (SimConfig, "estimation"): EstimationConfig,
-    (SimConfig, "mc"): MonteCarloConfig,
-    (PowerConfig, "fpc"): FpcConfig,
-    (PowerConfig, "maxmin"): MaxMinConfig,
-    (ChannelConfig, "gue_gain"): LogDistanceModel,
-    (ChannelConfig, "uav"): UavChannelModel,
-    (UavChannelModel, "los_prob"): UavLosModel,
-    (UavChannelModel, "pathloss_los"): LogDistanceModel,
-    (UavChannelModel, "pathloss_nlos"): LogDistanceModel,
-}
+            changes[key] = _coerce_scalar(value, str(known[key].type), sub)
+    return replace(obj, **changes)
 
 
 def config_from_dict(data, base=None):
     """Build a SimConfig from a (nested) dict, layered on `base` when given."""
-    if base is None:
-        return _build_dataclass(SimConfig, data, "")
-    merged = _merge_over(config_to_dict(base), data, "")
-    return _build_dataclass(SimConfig, merged, "")
-
-
-def _merge_over(base_dict, overrides, path):
-    out = dict(base_dict)
-    for key, value in overrides.items():
-        if key not in out:
-            raise ConfigError("unknown key", field=f"{path}.{key}" if path else key)
-        if isinstance(value, dict) and isinstance(out[key], dict):
-            out[key] = _merge_over(out[key], value, f"{path}.{key}" if path else key)
-        else:
-            out[key] = value
-    return out
+    return _overlay(SimConfig() if base is None else base, data, "")
 
 
 def config_to_dict(cfg):

@@ -48,20 +48,11 @@ def pilot_set(tau_p):
     return dft / np.sqrt(tau_p)
 
 
-def assign_pilots(n_users, tau_p, rng, orthogonal_forced=False) -> PilotBook:
-    """Random pilot assignment; collisions occur whenever n_users > tau_p.
-
-    orthogonal_forced is a test mode giving each user its own pilot (requires
-    n_users <= tau_p).
-    """
+def assign_pilots(n_users, tau_p, rng) -> PilotBook:
+    """Random pilot assignment; collisions occur whenever n_users > tau_p."""
     if tau_p < 1:
         raise ValueError("tau_p must be >= 1")
-    if orthogonal_forced:
-        if n_users > tau_p:
-            raise ValueError("orthogonal_forced needs n_users <= tau_p")
-        assignment = np.arange(n_users)
-    else:
-        assignment = rng.integers(0, tau_p, size=n_users)
+    assignment = rng.integers(0, tau_p, size=n_users)
     return PilotBook(pilots=pilot_set(tau_p), assignment=np.asarray(assignment, dtype=int))
 
 
@@ -75,20 +66,12 @@ def covariance_G(beta, rice_k, steering):
     return scale * (rice_k * outer + eye)
 
 
-def matrix_B(k, a, G, book: PilotBook, eta_train, sigma_w2, paper_literal_b=False, beta=None):
-    """Covariance of the pilot-projected observation y_hat for pair (k, a).
-
-    B = sum_i eta_i G_{i,a} |phi_i^H phi_k|^2 + sigma_w^2 I. The
-    paper_literal_b switch keeps an extra beta_{i,a} factor on each term
-    (reproduces a published variant; inconsistent with the estimator oracle).
-    """
+def matrix_B(k, a, G, book: PilotBook, eta_train, sigma_w2):
+    """Covariance of the pilot-projected observation y_hat for pair (k, a):
+    B = sum_i eta_i G_{i,a} |phi_i^H phi_k|^2 + sigma_w^2 I."""
     n = G.shape[-1]
     same = book.assignment == book.assignment[k]
     weights = np.asarray(eta_train, dtype=float) * same
-    if paper_literal_b:
-        if beta is None:
-            raise ValueError("paper_literal_b requires beta")
-        weights = weights * beta[:, a]
     B = np.tensordot(weights, G[:, a], axes=(0, 0))
     return B + sigma_w2 * np.eye(n)
 
@@ -141,7 +124,6 @@ def build_estimation(
     book: PilotBook,
     eta_train,
     sigma_w2,
-    paper_literal_b=False,
     condition_limit=1e12,
 ) -> EstimationState:
     """Construct G, B, D, gamma for every (user, AP) pair.
@@ -156,8 +138,7 @@ def build_estimation(
 
     same = book.assignment[:, None] == book.assignment[None, :]
     weights = same * eta_train[None, :]  # (k, i)
-    scale = ls.beta[..., None, None] if paper_literal_b else 1.0
-    B = (weights @ (scale * G).reshape(K, -1)).reshape(K, A, N, N)
+    B = (weights @ G.reshape(K, -1)).reshape(K, A, N, N)
     B = B + sigma_w2 * np.eye(N)
 
     flat = B.reshape(K * A, N, N)

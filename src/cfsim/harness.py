@@ -124,19 +124,13 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
     try:
         geometry = generate_topology(config, rng_state)
         ls = build_large_scale(config, geometry, rng_state)
-        book = assign_pilots(
-            config.n_users,
-            config.frame.tau_p,
-            rng_state,
-            orthogonal_forced=config.estimation.orthogonal_forced,
-        )
+        book = assign_pilots(config.n_users, config.frame.tau_p, rng_state)
         assoc = build_association(config, ls.beta)
         est = build_estimation(
             ls,
             book,
             eta_train=config.train_energy_w,
             sigma_w2=config.sigma_w2,
-            paper_literal_b=config.estimation.paper_literal_b,
             condition_limit=config.estimation.condition_limit,
         )
         tables = build_se_tables(ls, est, book, assoc)
@@ -157,13 +151,11 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
                 ls, est, book, assoc.serving, eta_dl, config.sigma_z2, prelog_dl,
                 config.mc.ub_samples, rng_mc_dl,
                 batch_count=config.mc.batch_count, chunk=config.mc.chunk,
-                literal_no_log=config.mc.literal_ub_no_log,
             )
             ub_ul = se_ub_ul_mc(
                 ls, est, book, assoc.serving, eta_ul, prelog_ul,
                 config.mc.ub_samples, rng_mc_ul,
                 batch_count=config.mc.batch_count, chunk=config.mc.chunk,
-                literal_no_log=config.mc.literal_ub_no_log,
             )
             se_ub_dl, err_dl = ub_dl.se, ub_dl.se_stderr
             se_ub_ul, err_ul = ub_ul.se, ub_ul.se_stderr
@@ -283,6 +275,7 @@ def run_campaign(
     if n_drops < 1:
         raise CfsimError("n_drops must be >= 1")
     tasks = [(config, i, master_seed, debug_dir) for i in range(n_drops)]
+    jobs = min(jobs, n_drops)  # the pool starts all its workers at the first submit
     if jobs <= 1:
         reports = [_drop_task(t) for t in tasks]
     else:

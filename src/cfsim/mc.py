@@ -211,12 +211,11 @@ class UbResult:
     se_stderr: np.ndarray  # (K,)
 
 
-def _se_ub(ls, est, book, rng, n_samples, batch_count, chunk, prelog, literal_no_log, sinr):
-    """prelog * E[log2(1 + sinr(g, g_hat))], or E[1 + sinr], with its batch stderr."""
+def _se_ub(ls, est, book, rng, n_samples, batch_count, chunk, prelog, sinr):
+    """prelog * E[log2(1 + sinr(g, g_hat))] with its batch stderr."""
 
     def reduce(g, g_hat):
-        x = 1.0 + sinr(g, g_hat)
-        return ((x if literal_no_log else np.log2(x)).sum(axis=0),)
+        return (np.log2(1.0 + sinr(g, g_hat)).sum(axis=0),)
 
     (total,), batches = _chunk_sums(ls, est, book, rng, n_samples, batch_count, chunk, reduce)
     stderr = _stderr([prelog * bsum / size for size, (bsum,) in batches])
@@ -235,12 +234,8 @@ def se_ub_dl_mc(
     rng,
     batch_count=20,
     chunk=2048,
-    literal_no_log=False,
 ):
-    """Sampled downlink upper bound E[log2(1 + instantaneous SINR)].
-
-    literal_no_log evaluates the printed E[1 + SINR] form instead.
-    """
+    """Sampled downlink upper bound E[log2(1 + instantaneous SINR)]."""
     root = np.sqrt(np.where(serving, np.asarray(eta_dl, dtype=float), 0.0))
 
     def sinr(g, g_hat):
@@ -248,9 +243,7 @@ def se_ub_dl_mc(
         num = np.diagonal(pw, axis1=1, axis2=2)
         return num / (pw.sum(axis=2) - num + sigma_z2)
 
-    return _se_ub(
-        ls, est, book, rng, n_samples, batch_count, chunk, prelog, literal_no_log, sinr
-    )
+    return _se_ub(ls, est, book, rng, n_samples, batch_count, chunk, prelog, sinr)
 
 
 def se_ub_ul_mc(
@@ -264,7 +257,6 @@ def se_ub_ul_mc(
     rng,
     batch_count=20,
     chunk=2048,
-    literal_no_log=False,
 ):
     """Sampled uplink upper bound."""
     eta = np.asarray(eta_ul, dtype=float)
@@ -276,9 +268,7 @@ def se_ub_ul_mc(
         num = np.diagonal(pw, axis1=1, axis2=2)
         return num / (pw.sum(axis=2) - num + est.sigma_w2 * norms)
 
-    return _se_ub(
-        ls, est, book, rng, n_samples, batch_count, chunk, prelog, literal_no_log, sinr
-    )
+    return _se_ub(ls, est, book, rng, n_samples, batch_count, chunk, prelog, sinr)
 
 
 def fourth_moment_check(beta, rice_k, steering, D, n_samples, rng, batch_count=20):

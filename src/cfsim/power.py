@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import AssociationError, DegenerateInputError, NumericsError, SolverError
-from .geometry import ROLE_GUE, ROLE_UAV
+from .geometry import ROLE_UAV
 from .se import SETables, se_from_sinr, ul_sinr_affine
 
 
@@ -39,14 +39,15 @@ def dl_budget_violation(eta_dl, gamma, budgets):
     return float(((used - budgets) / budgets).max())
 
 
-def _class_groups(serving_col, roles, kappa):
-    """Per-AP user groups with their budget fractions."""
-    served = np.flatnonzero(serving_col)
+def _budget_groups(n_users, roles, kappa, budgets):
+    """(group, caps): user k draws on the DL budget share caps[group[k], a] of
+    AP a. Without kappa all users share the whole budget; with it GUEs share
+    1 - kappa and UAVs kappa of each AP budget."""
+    budgets = np.asarray(budgets, dtype=float)
     if kappa is None:
-        return [(served, 1.0)]
-    gues = served[roles[served] == ROLE_GUE]
-    uavs = served[roles[served] == ROLE_UAV]
-    return [(gues, 1.0 - kappa), (uavs, kappa)]
+        return np.zeros(n_users, dtype=int), budgets[None, :]
+    group = (np.asarray(roles) == ROLE_UAV).astype(int)
+    return group, np.array([1.0 - kappa, kappa])[:, None] * budgets[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -54,25 +55,18 @@ def _class_groups(serving_col, roles, kappa):
 # ---------------------------------------------------------------------------
 
 def ppa_dl(gamma, serving, budgets, roles=None, kappa=None):
-    """Proportional power allocation: P[k,a] = share_a * gamma / sum(gamma).
-
-    With kappa set, GUEs split (1-kappa) and UAVs kappa of each AP budget.
-    """
+    """Proportional power allocation: P[k,a] = share_a * gamma / sum(gamma)
+    over the users of k's budget group (see _budget_groups) served by AP a."""
     gamma = np.asarray(gamma, dtype=float)
-    K, A = gamma.shape
-    eta = np.zeros((K, A))
-    for a in range(A):
-        for users, frac in _class_groups(serving[:, a], roles, kappa):
-            if users.size == 0:
-                continue
-            total = gamma[users, a].sum()
-            if total <= 0:
-                raise DegenerateInputError(
-                    f"AP {a}: all served users have zero gamma; PPA undefined"
-                )
-            # P = frac*budget*gamma/total, so eta = P/gamma is uniform in the group
-            eta[users, a] = frac * budgets[a] / total
-    return eta
+    group, caps = _budget_groups(gamma.shape[0], roles, kappa, budgets)
+    onehot = (group[None, :] == np.arange(len(caps))[:, None]).astype(float)
+    total = onehot @ np.where(serving, gamma, 0.0)  # (group, AP)
+    bad = np.flatnonzero(((onehot @ serving > 0) & (total <= 0)).any(axis=0))
+    if bad.size:
+        raise DegenerateInputError(f"AP {bad[0]}: all served users have zero gamma; PPA undefined")
+    # P = cap*gamma/total, so eta = P/gamma is uniform in the group
+    share = np.divide(caps, total, out=np.zeros_like(total), where=total > 0)
+    return np.where(serving, share[group], 0.0)
 
 
 def uniform_dl(gamma, serving, budgets):
@@ -110,15 +104,17 @@ def wfpa_dl(gamma, serving, budgets, sigma_z2, roles=None, kappa=None):
     """Waterfilling on the noise levels L = sigma_z^2 / gamma, per AP(-class)."""
     gamma = np.asarray(gamma, dtype=float)
     K, A = gamma.shape
+    group, caps = _budget_groups(K, roles, kappa, budgets)
     eta = np.zeros((K, A))
     for a in range(A):
-        for users, frac in _class_groups(serving[:, a], roles, kappa):
+        for g in range(len(caps)):
+            users = np.flatnonzero(serving[:, a] & (group == g))
             if users.size == 0:
                 continue
             if np.any(gamma[users, a] <= 0):
                 raise DegenerateInputError(f"AP {a}: zero gamma among served users")
             levels = sigma_z2 / gamma[users, a]
-            nu = solve_water_level(levels, frac * budgets[a])
+            nu = solve_water_level(levels, caps[g, a])
             power = np.maximum(nu - levels, 0.0)
             eta[users, a] = power / gamma[users, a]
     return eta
@@ -197,7 +193,6 @@ def maxmin_dl(
     prelog,
     roles=None,
     kappa=None,
-    init_eta=None,
     outer_tol=1e-4,
     max_outer_iters=50,
     max_inner_iters=100,
@@ -210,9 +205,8 @@ def maxmin_dl(
     is at most outer_tol, each stage from the best true-min point so far. It
     has converged once a stage at mu_end raises the best min SE by at most
     outer_tol (relative); the trace holds the best min SE after each stage.
-    Starts from PPA unless init_eta is given. A serving AP without budget or a
-    user who can get no power (min rate 0 under any allocation) raises
-    DegenerateInputError."""
+    Starts from PPA. A serving AP without budget or a user who can get no
+    power (min rate 0 under any allocation) raises DegenerateInputError."""
     serving, gamma = tables.serving, tables.gamma
     budgets = np.asarray(budgets, dtype=float)
     bad = np.flatnonzero(serving.any(axis=0) & ~(budgets > 0))
@@ -220,12 +214,8 @@ def maxmin_dl(
         raise DegenerateInputError(f"AP {bad[0]}: budget {budgets[bad[0]]} W; its users get no power")
     # in y = sqrt(gamma * eta) each AP(-class) budget is a ball:
     # sum_{k in group} y[k, a]^2 <= caps[group, a]
-    if kappa is None:
-        group, fracs = np.zeros(tables.n_users, dtype=int), np.array([1.0])
-    else:
-        group, fracs = (np.asarray(roles) == ROLE_UAV).astype(int), np.array([1.0 - kappa, kappa])
-    caps = fracs[:, None] * budgets[None, :]
-    onehot = (group[None, :] == np.arange(fracs.size)[:, None]).astype(float)
+    group, caps = _budget_groups(tables.n_users, roles, kappa, budgets)
+    onehot = (group[None, :] == np.arange(len(caps))[:, None]).astype(float)
     usable = serving & (gamma > 0) & (caps[group] > 0)
     stranded = np.flatnonzero(~usable.any(axis=1))
     if stranded.size:
@@ -238,9 +228,7 @@ def maxmin_dl(
         return y * np.sqrt(ratio)[group]
 
     obj = _DlObjective(tables, usable, sigma_z2)
-    if init_eta is None:
-        init_eta = ppa_dl(gamma, serving, budgets, roles=roles, kappa=kappa)
-    best = project(np.sqrt(gamma * np.asarray(init_eta, dtype=float)))
+    best = project(np.sqrt(gamma * ppa_dl(gamma, serving, budgets, roles=roles, kappa=kappa)))
     best_low = obj.smooth_min(best, 1.0)[1]
     trace = [float(se_from_sinr(np.exp(best_low), prelog))]
     mu_end = max(math.log(tables.n_users), 1.0) / outer_tol if outer_tol > 0 else np.inf

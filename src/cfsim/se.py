@@ -55,8 +55,7 @@ class SETables:
 
     with T[k,j,a] = tr(D_j G_k), W[k,j] = eta_k |phi_k^H phi_j|^2 for j != k and
     C the gain uncertainty (j = k), the average interference and the
-    pilot-contamination variances, so C >= 0 and W >= 0 entrywise (C is not
-    under the printed B of estimation.paper_literal_b).
+    pilot-contamination variances, so C >= 0 and W >= 0 entrywise.
     """
 
     gamma: np.ndarray  # (K, A)

@@ -60,6 +60,12 @@ def test_oracle_fourth_moment(capsys):
     assert "sampled" in out and "analytic" in out
 
 
+@pytest.mark.parametrize("name", ["uatf-dl", "uatf-ul"])
+def test_oracle_uatf(capsys, name):
+    assert main(["oracle", name, "--seed", "0"]) == 0
+    assert "sampled" in capsys.readouterr().out
+
+
 def test_numerical_failure_exit_3(monkeypatch, capsys):
     import cfsim.cli as cli
     from cfsim.errors import NumericsError
@@ -80,6 +86,26 @@ def test_numerical_failure_exit_3(monkeypatch, capsys):
         ("channel:\n  shadow_corr_dist_m: 0\n", "channel.shadow_corr_dist_m"),
         ("channel:\n  gue_shadow_sigma_db: -1\n", "channel.gue_shadow_sigma_db"),
         ("estimation:\n  condition_limit: -1\n", "estimation.condition_limit"),
+        ("seed: -3\n", "seed"),
+        ("seed: null\n", "seed"),
+        ("n_ap: null\n", "n_ap"),
+        ("n_ap: .inf\n", "n_ap"),
+        ("power:\n  train_per_sample_w: .nan\n", "power.train_per_sample_w"),
+        ("power:\n  train_per_sample_w: .inf\n", "power.train_per_sample_w"),
+        ("power:\n  train_per_sample_w: 0\n", "power.train_per_sample_w"),
+        ("power:\n  train_per_sample_w: -0.1\n", "power.train_per_sample_w"),
+        ("gue_height_m: .nan\n", "gue_height_m"),
+        ("ap_height_m: .inf\n", "ap_height_m"),
+        ("noise:\n  psd_dbm_hz: .nan\n", "noise.psd_dbm_hz"),
+        ("noise:\n  figure_db: .nan\n", "noise.figure_db"),
+        ("area_side_m: .inf\n", "area_side_m"),
+        ("uav_height_range_m: [22.5, .inf]\n", "uav_height_range_m"),
+        ("uav_height_range_m: [low, 300]\n", "uav_height_range_m"),
+        ("power:\n  fpc:\n    alpha: .nan\n", "power.fpc.alpha"),
+        ("power:\n  fpc:\n    p0_dbm: .nan\n", "power.fpc.p0_dbm"),
+        ("power:\n  dl_budget_per_ap_w: .inf\n", "power.dl_budget_per_ap_w"),
+        ("power:\n  ul_max_w: .inf\n", "power.ul_max_w"),
+        ("estimation:\n  condition_limit: .inf\n", "estimation.condition_limit"),
     ],
 )
 def test_run_bad_physical_field_exit_2(tmp_path, capsys, text, field):
@@ -89,3 +115,11 @@ def test_run_bad_physical_field_exit_2(tmp_path, capsys, text, field):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+def test_run_negative_seed_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", "--preset", "desk", "--drops", "1", "--seed", "-1", "--out", str(out)])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()

@@ -135,8 +135,12 @@ def test_yaml_unknown_key_rejected(tmp_path):
         ("power:\n  maxmin:\n    inner_tol: 1.0e-6\n", "inner_tol"),
         ("power:\n  maxmin:\n    anchor_floor: 1.0e-12\n", "anchor_floor"),
         ("power:\n  paper_literal_g2: false\n", "paper_literal_g2"),
+        ("estimation:\n  paper_literal_b: false\n", "paper_literal_b"),
+        ("estimation:\n  orthogonal_forced: false\n", "orthogonal_forced"),
+        ("mc:\n  literal_ub_no_log: false\n", "literal_ub_no_log"),
     ],
-    ids=["inner_tol", "anchor_floor", "paper_literal_g2"],
+    ids=["inner_tol", "anchor_floor", "paper_literal_g2", "paper_literal_b",
+         "orthogonal_forced", "literal_ub_no_log"],
 )
 def test_yaml_removed_block_solver_keys_rejected(tmp_path, text, key):
     path = tmp_path / "cfg.yaml"

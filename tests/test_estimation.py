@@ -29,11 +29,6 @@ def test_pilot_collisions_pigeonhole():
     assert shared >= 28
 
 
-def test_pilot_orthogonal_forced_no_collisions():
-    book = assign_pilots(10, 32, np.random.default_rng(1), orthogonal_forced=True)
-    assert len(np.unique(book.assignment)) == 10
-
-
 def test_pilot_gram_identity():
     for tau_p in (2, 7, 32):
         phi = pilot_set(tau_p)
@@ -89,14 +84,6 @@ def test_matrix_B_orthogonal_pilots_only_own_term():
     book2 = PilotBook(pilots=pilot_set(2), assignment=np.array([0, 1]))
     B = matrix_B(0, 0, G, book2, eta, sw2)
     np.testing.assert_allclose(B, eta[0] * G[0, 0] + sw2 * np.eye(2), atol=1e-14)
-
-
-def test_matrix_B_paper_literal_variant():
-    G, book, eta, sw2, _ = _two_user_shared_pilot()
-    beta = np.array([[1.0], [0.5]])
-    B_lit = matrix_B(0, 0, G, book, eta, sw2, paper_literal_b=True, beta=beta)
-    expected = eta[0] * 1.0 * G[0, 0] + eta[1] * 0.5 * G[1, 0] + sw2 * np.eye(2)
-    np.testing.assert_allclose(B_lit, expected, atol=1e-14)
 
 
 def _ricean_draws(beta, rice, steer, rng, n):
@@ -267,17 +254,16 @@ def test_batched_build_matches_per_pair_operations(gate_fixture):
     eta, sigma_w2 = est0.eta_train, est0.sigma_w2
     G = np.array([[covariance_G(ls.beta[k, a], ls.rice_k[k, a], ls.steering[k, a])
                    for a in range(est0.n_ap)] for k in range(est0.n_users)])
-    for literal in (False, True):
-        est = build_estimation(ls, book, eta, sigma_w2, paper_literal_b=literal)
-        for k in range(est.n_users):
-            for a in range(est.n_ap):
-                B = matrix_B(k, a, G, book, eta, sigma_w2, paper_literal_b=literal, beta=ls.beta)
-                D = estimator_D(G[k, a], B, eta[k])
-                g = gamma_coefficient(G[k, a], D, eta[k])
-                np.testing.assert_allclose(est.G[k, a], G[k, a], rtol=1e-12, atol=1e-300)
-                np.testing.assert_allclose(est.B[k, a], B, rtol=1e-12, atol=1e-300)
-                np.testing.assert_allclose(est.D[k, a], D, rtol=1e-10, atol=1e-300)
-                assert est.gamma[k, a] == pytest.approx(g, rel=1e-10)
+    est = build_estimation(ls, book, eta, sigma_w2)
+    for k in range(est.n_users):
+        for a in range(est.n_ap):
+            B = matrix_B(k, a, G, book, eta, sigma_w2)
+            D = estimator_D(G[k, a], B, eta[k])
+            g = gamma_coefficient(G[k, a], D, eta[k])
+            np.testing.assert_allclose(est.G[k, a], G[k, a], rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(est.B[k, a], B, rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(est.D[k, a], D, rtol=1e-10, atol=1e-300)
+            assert est.gamma[k, a] == pytest.approx(g, rel=1e-10)
 
 
 def test_batched_condition_limit_brackets_max_cond(gate_fixture):

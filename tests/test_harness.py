@@ -55,6 +55,33 @@ def test_jobs_invariance(tmp_path):
     assert p1.read_bytes() == p8.read_bytes()
 
 
+def test_jobs_capped_at_drop_count(monkeypatch):
+    # the pool forks all max_workers processes at the first submit, so --jobs
+    # beyond the drop count would start idle workers; a serial fake records it
+    import cfsim.harness as harness
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    cfg = tiny_cfg(mc=replace(preset_desk().mc, ub_samples=0))
+    assert len(run_campaign(cfg, n_drops=2, master_seed=4, jobs=500).reports) == 2
+    assert len(run_campaign(cfg, n_drops=1, master_seed=4, jobs=500).reports) == 1
+    assert started == [2]  # a single drop runs serially, without a pool
+
+
 def test_no_uav_report_has_only_gue_rows(tmp_path):
     cfg = tiny_cfg(n_uav=0)
     res = run_campaign(cfg, n_drops=1, master_seed=1)

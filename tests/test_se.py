@@ -408,16 +408,3 @@ def test_ub_matches_independent_literal_path_oracle():
     literal = prelog * acc / n
     np.testing.assert_allclose(literal, fast.se, atol=4.0 * np.sqrt(2) * fast.se_stderr.max())
 
-
-def test_ub_literal_no_log_switch(gate_fixture):
-    state = gate_fixture
-    ls, est, book, assoc, cfg, tables = (
-        state["ls"], state["est"], state["book"], state["assoc"], state["cfg"],
-        state["tables"],
-    )
-    eta_dl = ppa_dl(tables.gamma, tables.serving, np.full(cfg.n_ap, 0.2))
-    rng = np.random.default_rng(10)
-    literal = se_ub_dl_mc(ls, est, book, assoc.serving, eta_dl, cfg.sigma_z2, 0.42,
-                          2000, rng, literal_no_log=True)
-    # printed form is E[1 + SINR] scaled by the prelog: always >= prelog
-    assert (literal.se >= 0.42).all()
