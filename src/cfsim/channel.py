@@ -216,5 +216,8 @@ def draw_channels(ls: LargeScaleState, rng, n_draws=1):
         theta = ls.los_phase
     else:
         theta = rng.uniform(0.0, 2.0 * np.pi, size=(n_draws, K, A))
-    g += np.exp(1j * theta)[..., None] * los
+    phase = np.exp(1j * theta)
+    # one antenna at a time, so no (n_draws, K, A, N) LOS product is held
+    for n in range(N):
+        g[..., n] += phase * los[..., n]
     return g

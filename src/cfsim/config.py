@@ -405,6 +405,8 @@ def _coerce_scalar(value, ftype, path):
         if base == "float":
             return float(value)
         if base == "int":
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                raise ValueError(f"expected an integer, got {value!r}")
             return int(value)
         if base == "bool" and not isinstance(value, bool):
             raise ValueError(f"expected a boolean, got {value!r}")

@@ -26,7 +26,7 @@ from .config import SimConfig, config_to_dict
 from .errors import CfsimError, NumericsError
 from .estimation import assign_pilots, build_estimation
 from .geometry import generate_topology
-from .mc import se_ub_dl_mc, se_ub_ul_mc
+from .mc import se_ub_mc
 from .power import (
     fpc_ul,
     maxmin_dl,
@@ -119,7 +119,7 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
     if master_seed is None:
         master_seed = config.seed
     ss = drop_seed_sequence(master_seed, drop_index)
-    rng_state, rng_mc_dl, rng_mc_ul = [np.random.default_rng(s) for s in ss.spawn(3)]
+    rng_state, rng_mc = [np.random.default_rng(s) for s in ss.spawn(2)]
 
     try:
         geometry = generate_topology(config, rng_state)
@@ -147,14 +147,9 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
         se_ub_dl, se_ub_ul = np.full(K, np.nan), np.full(K, np.nan)
         err_dl, err_ul = np.full(K, np.nan), np.full(K, np.nan)
         if config.mc.ub_samples > 0:
-            ub_dl = se_ub_dl_mc(
-                ls, est, book, assoc.serving, eta_dl, config.sigma_z2, prelog_dl,
-                config.mc.ub_samples, rng_mc_dl,
-                batch_count=config.mc.batch_count, chunk=config.mc.chunk,
-            )
-            ub_ul = se_ub_ul_mc(
-                ls, est, book, assoc.serving, eta_ul, prelog_ul,
-                config.mc.ub_samples, rng_mc_ul,
+            ub_dl, ub_ul = se_ub_mc(
+                ls, est, book, assoc.serving, eta_dl, eta_ul, config.sigma_z2,
+                prelog_dl, prelog_ul, config.mc.ub_samples, rng_mc,
                 batch_count=config.mc.batch_count, chunk=config.mc.chunk,
             )
             se_ub_dl, err_dl = ub_dl.se, ub_dl.se_stderr
@@ -351,7 +346,7 @@ def emit_cdf(result: CampaignResult, out_dir):
         "cfsim_version": __version__,
         "master_seed": int(result.master_seed),
         "n_drops": len(result.reports),
-        "seed_derivation": "SeedSequence(master_seed, spawn_key=(drop_index,)).spawn(3)",
+        "seed_derivation": "SeedSequence(master_seed, spawn_key=(drop_index,)).spawn(2)",
         "config": config_to_dict(result.config),
         "outputs": [os.path.basename(p) for p in written],
     }

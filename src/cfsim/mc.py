@@ -7,8 +7,9 @@ the independent side of the dual-route check: it never touches the
 closed-form tables in cfsim.se.
 
 The per-sample kernels are batched BLAS matmuls over (S, K, A*N) reshapes; the
-copilot mix is a sum per pilot. All four estimators run one chunk loop
-(`_chunk_sums`) and differ only in the per-chunk reducer they hand it.
+copilot mix is a sum per pilot. All three estimators run one chunk loop
+(`_chunk_sums`) and differ only in the per-chunk reducer they hand it; the
+upper bounds of both links share one reducer, so each sample is drawn once.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ def _dl_cross(g, g_hat, root_eta_dl):
 def _ul_cross(g, g_hat, mask):
     """cross[s, k, j] = sum_{a in A_k} ghat_{k,a}^H g_{j,a}, plus sum_{a in A_k} ||ghat||^2."""
     S, K = g.shape[:2]
-    left = (np.conj(g_hat) * mask[None, :, :, None]).reshape(S, K, -1)
-    cross = left @ g.reshape(S, K, -1).transpose(0, 2, 1)
+    left = np.conj(g_hat)
+    left *= mask[None, :, :, None]
+    cross = left.reshape(S, K, -1) @ g.reshape(S, K, -1).transpose(0, 2, 1)
     norms = (_power(g_hat).sum(axis=3) * mask).sum(axis=2)
     return cross, norms
 
@@ -211,64 +213,44 @@ class UbResult:
     se_stderr: np.ndarray  # (K,)
 
 
-def _se_ub(ls, est, book, rng, n_samples, batch_count, chunk, prelog, sinr):
-    """prelog * E[log2(1 + sinr(g, g_hat))] with its batch stderr."""
-
-    def reduce(g, g_hat):
-        return (np.log2(1.0 + sinr(g, g_hat)).sum(axis=0),)
-
-    (total,), batches = _chunk_sums(ls, est, book, rng, n_samples, batch_count, chunk, reduce)
-    stderr = _stderr([prelog * bsum / size for size, (bsum,) in batches])
-    return UbResult(se=prelog * total / n_samples, se_stderr=stderr)
-
-
-def se_ub_dl_mc(
+def se_ub_mc(
     ls,
     est,
     book,
     serving,
     eta_dl,
-    sigma_z2,
-    prelog,
-    n_samples,
-    rng,
-    batch_count=20,
-    chunk=2048,
-):
-    """Sampled downlink upper bound E[log2(1 + instantaneous SINR)]."""
-    root = np.sqrt(np.where(serving, np.asarray(eta_dl, dtype=float), 0.0))
-
-    def sinr(g, g_hat):
-        pw = _power(_dl_cross(g, g_hat, root))
-        num = np.diagonal(pw, axis1=1, axis2=2)
-        return num / (pw.sum(axis=2) - num + sigma_z2)
-
-    return _se_ub(ls, est, book, rng, n_samples, batch_count, chunk, prelog, sinr)
-
-
-def se_ub_ul_mc(
-    ls,
-    est,
-    book,
-    serving,
     eta_ul,
-    prelog,
+    sigma_z2,
+    prelog_dl,
+    prelog_ul,
     n_samples,
     rng,
     batch_count=20,
     chunk=2048,
 ):
-    """Sampled uplink upper bound."""
+    """Sampled upper bounds prelog * E[log2(1 + instantaneous SINR)] of both
+    links, from one (g, g_hat) stream. Returns (dl, ul) UbResults."""
+    root = np.sqrt(np.where(serving, np.asarray(eta_dl, dtype=float), 0.0))
     eta = np.asarray(eta_ul, dtype=float)
     mask = np.asarray(serving, dtype=float)
 
-    def sinr(g, g_hat):
-        cross, norms = _ul_cross(g, g_hat, mask)
-        pw = eta[None, None, :] * _power(cross)
+    def log_sum(pw, noise):
         num = np.diagonal(pw, axis1=1, axis2=2)
-        return num / (pw.sum(axis=2) - num + est.sigma_w2 * norms)
+        return np.log2(1.0 + num / (pw.sum(axis=2) - num + noise)).sum(axis=0)
 
-    return _se_ub(ls, est, book, rng, n_samples, batch_count, chunk, prelog, sinr)
+    def reduce(g, g_hat):
+        dl = log_sum(_power(_dl_cross(g, g_hat, root)), sigma_z2)
+        cross, norms = _ul_cross(g, g_hat, mask)
+        return dl, log_sum(eta[None, None, :] * _power(cross), est.sigma_w2 * norms)
+
+    total, batches = _chunk_sums(ls, est, book, rng, n_samples, batch_count, chunk, reduce)
+    return tuple(
+        UbResult(
+            se=prelog * total[i] / n_samples,
+            se_stderr=_stderr([prelog * sums[i] / size for size, sums in batches]),
+        )
+        for i, prelog in enumerate((prelog_dl, prelog_ul))
+    )
 
 
 def fourth_moment_check(beta, rice_k, steering, D, n_samples, rng, batch_count=20):

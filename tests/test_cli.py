@@ -90,6 +90,9 @@ def test_numerical_failure_exit_3(monkeypatch, capsys):
         ("seed: null\n", "seed"),
         ("n_ap: null\n", "n_ap"),
         ("n_ap: .inf\n", "n_ap"),
+        ("n_ap: 7.9\n", "n_ap"),
+        ("frame:\n  tau_p: true\n", "frame.tau_p"),
+        ("seed: 2.5\n", "seed"),
         ("power:\n  train_per_sample_w: .nan\n", "power.train_per_sample_w"),
         ("power:\n  train_per_sample_w: .inf\n", "power.train_per_sample_w"),
         ("power:\n  train_per_sample_w: 0\n", "power.train_per_sample_w"),

@@ -98,7 +98,7 @@ def test_pipeline_equals_module_composition():
     rep = run_drop(cfg, 2, master)
 
     ss = drop_seed_sequence(master, 2)
-    rng_state, _, _ = [np.random.default_rng(s) for s in ss.spawn(3)]
+    rng_state, _ = [np.random.default_rng(s) for s in ss.spawn(2)]
     geom = generate_topology(cfg, rng_state)
     ls = build_large_scale(cfg, geom, rng_state)
     book = assign_pilots(cfg.n_users, cfg.frame.tau_p, rng_state)

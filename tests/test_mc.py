@@ -12,8 +12,7 @@ from cfsim.mc import (
     _ul_cross,
     fourth_moment_check,
     joint_chunks,
-    se_ub_dl_mc,
-    se_ub_ul_mc,
+    se_ub_mc,
     uatf_dl_mc,
     uatf_ul_mc,
 )
@@ -108,6 +107,36 @@ def test_sampler_keeps_the_channel_stream(gate_fixture, policy):
     )
 
 
+def test_se_ub_mc_links_match_per_link_reduction(state):
+    # both links read one stream; each must equal its own link's reduction of
+    # the same joint_chunks draws, with its own eta, noise and prelog
+    ls, est, book = state["ls"], state["est"], state["book"]
+    serving = state["assoc"].serving
+    pick = np.random.default_rng(4)
+    eta_dl = np.where(serving, pick.uniform(0.01, 0.2, serving.shape), 0.0)
+    eta_ul = pick.uniform(0.02, 0.3, ls.n_users)
+    sigma_z2, prelog_dl, prelog_ul = 3.0 * est.sigma_w2, 0.3, 0.45
+    dl, ul = se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, prelog_dl, prelog_ul,
+                      60, np.random.default_rng(3), batch_count=3, chunk=20)
+
+    def sinr(pw, noise):
+        num = np.diagonal(pw, axis1=1, axis2=2)
+        return num / (pw.sum(axis=2) - num + noise)
+
+    batch_dl, batch_ul = [], []
+    for g, g_hat in joint_chunks(ls, est, book, np.random.default_rng(3), 60, chunk=20):
+        pw = np.abs(_dl_cross_oracle(g, g_hat, np.sqrt(eta_dl))) ** 2
+        batch_dl.append(prelog_dl * np.log2(1.0 + sinr(pw, sigma_z2)).mean(axis=0))
+        cross, norms = _ul_cross_oracle(g, g_hat, serving.astype(float))
+        pw = eta_ul[None, None, :] * np.abs(cross) ** 2
+        batch_ul.append(prelog_ul * np.log2(1.0 + sinr(pw, est.sigma_w2 * norms)).mean(axis=0))
+    for res, batch in ((dl, batch_dl), (ul, batch_ul)):
+        np.testing.assert_allclose(res.se, np.mean(batch, axis=0), rtol=1e-12)
+        np.testing.assert_allclose(
+            res.se_stderr, np.std(batch, axis=0, ddof=1) / np.sqrt(3), rtol=1e-12
+        )
+
+
 @pytest.mark.parametrize("n_samples,batch_count", [(5, 20), (100, 1), (100, 0)])
 def test_mc_rejects_too_few_samples_or_batches(gate_fixture, n_samples, batch_count):
     ls, est, book = gate_fixture["ls"], gate_fixture["est"], gate_fixture["book"]
@@ -116,10 +145,8 @@ def test_mc_rejects_too_few_samples_or_batches(gate_fixture, n_samples, batch_co
     eta_ul = np.full(ls.n_users, 0.1)
     rng = np.random.default_rng(0)
     calls = [
-        lambda: se_ub_dl_mc(ls, est, book, serving, eta_dl, 1e-3, 0.4, n_samples, rng,
-                            batch_count=batch_count),
-        lambda: se_ub_ul_mc(ls, est, book, serving, eta_ul, 0.4, n_samples, rng,
-                            batch_count=batch_count),
+        lambda: se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, 1e-3, 0.4, 0.4, n_samples,
+                         rng, batch_count=batch_count),
         lambda: uatf_dl_mc(ls, est, book, serving, eta_dl, 1e-3, 0.4, n_samples, rng,
                            batch_count=batch_count),
         lambda: uatf_ul_mc(ls, est, book, serving, eta_ul, 0.4, n_samples, rng,

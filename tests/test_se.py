@@ -8,7 +8,7 @@ from cfsim.channel import LargeScaleState, draw_channels
 from cfsim.config import preset_desk
 from cfsim.errors import NumericsError
 from cfsim.estimation import build_estimation, covariance_G
-from cfsim.mc import fourth_moment_check, se_ub_dl_mc, se_ub_ul_mc
+from cfsim.mc import fourth_moment_check, se_ub_mc
 from cfsim.power import ppa_dl
 from cfsim.se import (
     build_se_tables,
@@ -307,9 +307,9 @@ def test_ub_zero_power_is_zero(gate_fixture):
     ls, est, book, assoc, cfg = (
         state["ls"], state["est"], state["book"], state["assoc"], state["cfg"]
     )
-    res = se_ub_dl_mc(
-        ls, est, book, assoc.serving, np.zeros_like(est.gamma), cfg.sigma_z2,
-        0.42, 2000, np.random.default_rng(8),
+    res, _ = se_ub_mc(
+        ls, est, book, assoc.serving, np.zeros_like(est.gamma), np.full(cfg.n_users, 0.1),
+        cfg.sigma_z2, 0.42, 0.42, 2000, np.random.default_rng(8),
     )
     np.testing.assert_array_equal(res.se, 0.0)
 
@@ -327,9 +327,8 @@ def test_ub_dominates_lb(gate_fixture):
     rng = np.random.default_rng(9)
     lb_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.sigma_z2), prelog_dl)
     lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), prelog_ul)
-    ub_dl = se_ub_dl_mc(ls, est, book, assoc.serving, eta_dl, cfg.sigma_z2, prelog_dl,
-                        30_000, rng)
-    ub_ul = se_ub_ul_mc(ls, est, book, assoc.serving, eta_ul, prelog_ul, 30_000, rng)
+    ub_dl, ub_ul = se_ub_mc(ls, est, book, assoc.serving, eta_dl, eta_ul, cfg.sigma_z2,
+                            prelog_dl, prelog_ul, 30_000, rng)
     assert (lb_dl <= ub_dl.se + 3.0 * ub_dl.se_stderr).all()
     assert (lb_ul <= ub_ul.se + 3.0 * ub_ul.se_stderr).all()
 
@@ -377,26 +376,29 @@ def test_uatf_interference_zero_for_silent_user(gate_fixture):
     np.testing.assert_array_equal(res.interference[:, 1], 0.0)
 
 
-def test_ub_matches_independent_literal_path_oracle():
-    # recompute the DL UB through the literal training op (raw per-AP Y
-    # matrices) instead of the projected fast path; the two MC estimates must
-    # agree statistically
+@pytest.fixture(scope="module")
+def literal_ub():
+    """Both UBs through the literal training op (raw per-AP Y matrices) next to
+    the projected fast path, on independent streams."""
+    from cfsim.estimation import estimate_channels, training_observable
+
     state = make_state(seed=8, n_ap=2, n_gue=2, n_uav=0, tau_p=2, assignment=[0, 1])
     ls, est, book, cfg = state["ls"], state["est"], state["book"], state["cfg"]
     serving = state["assoc"].serving
     tables = state["tables"]
     eta_dl = ppa_dl(tables.gamma, tables.serving, np.full(cfg.n_ap, 0.2))
-    prelog = cfg.frame.tau_d / cfg.frame.tau_c
-    fast = se_ub_dl_mc(ls, est, book, serving, eta_dl, cfg.sigma_z2, prelog,
-                       40_000, np.random.default_rng(12))
-
-    from cfsim.channel import draw_channels
-    from cfsim.estimation import estimate_channels, training_observable
+    eta_ul = np.full(ls.n_users, 0.1)
+    prelog_dl = cfg.frame.tau_d / cfg.frame.tau_c
+    prelog_ul = cfg.frame.tau_u / cfg.frame.tau_c
+    fast = se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, cfg.sigma_z2, prelog_dl,
+                    prelog_ul, 40_000, np.random.default_rng(12))
 
     rng = np.random.default_rng(13)
     n = 40_000
     root = np.sqrt(np.where(serving, eta_dl, 0.0))
-    acc = np.zeros(ls.n_users)
+    mask = serving.astype(float)
+    acc_dl = np.zeros(ls.n_users)
+    acc_ul = np.zeros(ls.n_users)
     for _ in range(n):
         g = draw_channels(ls, rng, 1)[0]
         _, y_hat = training_observable(g, book, est.eta_train, est.sigma_w2, rng)
@@ -404,7 +406,23 @@ def test_ub_matches_independent_literal_path_oracle():
         cross = np.einsum("kan,ja,jan->kj", np.conj(g), root, g_hat)
         num = np.abs(np.diag(cross)) ** 2
         tot = (np.abs(cross) ** 2).sum(axis=1)
-        acc += np.log2(1.0 + num / (tot - num + cfg.sigma_z2))
-    literal = prelog * acc / n
+        acc_dl += np.log2(1.0 + num / (tot - num + cfg.sigma_z2))
+        # UL: MR combining over A_k, sum_{a in A_k} ghat_{k,a}^H g_{j,a}
+        cross = np.einsum("ka,kan,jan->kj", mask, np.conj(g_hat), g)
+        noise = est.sigma_w2 * np.einsum("ka,kan->k", mask, np.abs(g_hat) ** 2)
+        pw = eta_ul[None, :] * np.abs(cross) ** 2
+        num = np.diag(pw)
+        acc_ul += np.log2(1.0 + num / (pw.sum(axis=1) - num + noise))
+    return fast, (prelog_dl * acc_dl / n, prelog_ul * acc_ul / n)
+
+
+def test_ub_matches_independent_literal_path_oracle(literal_ub):
+    # the DL UB recomputed through the literal training op must agree
+    # statistically with the fast path
+    (fast, _), (literal, _) = literal_ub
     np.testing.assert_allclose(literal, fast.se, atol=4.0 * np.sqrt(2) * fast.se_stderr.max())
 
+
+def test_ub_ul_matches_independent_literal_path_oracle(literal_ub):
+    (_, fast), (_, literal) = literal_ub
+    np.testing.assert_allclose(literal, fast.se, atol=4.0 * np.sqrt(2) * fast.se_stderr.max())
