@@ -198,6 +198,26 @@ def build_large_scale(config, geometry: NetworkGeometry, rng) -> LargeScaleState
     )
 
 
+# Bytes per block of samples: what is derived from a draw is built one block at
+# a time, so only the raw draws are ever full-size. Smaller blocks pay for more
+# per-block calls (the LMMSE step makes one matmul call per user-AP pair)
+BLOCK_BYTES = 4 << 20
+
+
+def sample_blocks(n, row_bytes):
+    """Slices of range(n) holding about BLOCK_BYTES of rows of row_bytes each."""
+    step = max(1, BLOCK_BYTES // row_bytes)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def fill_normal(rng, out, blocks):
+    """Fill complex out with standard normals, all real parts then all imaginary
+    parts, block by block: the values of one full-size call per part."""
+    for part in (out.real, out.imag):
+        for b in blocks:
+            part[b] = rng.standard_normal(part[b].shape)
+
+
 def draw_channels(ls: LargeScaleState, rng, n_draws=1):
     """Draw n_draws joint channel realizations, shape (n_draws, K, A, N).
 
@@ -205,19 +225,14 @@ def draw_channels(ls: LargeScaleState, rng, n_draws=1):
     call (per_draw policy) or frozen at the drop's phases (per_drop).
     """
     K, A, N = ls.steering.shape
-    shape = (n_draws, K, A, N)
-    g = np.empty(shape, dtype=complex)
-    g.real = rng.standard_normal(shape)
-    g.imag = rng.standard_normal(shape)
+    g = np.empty((n_draws, K, A, N), dtype=complex)
+    blocks = sample_blocks(n_draws, g.itemsize * K * A * N)
+    fill_normal(rng, g, blocks)
     nlos = ls.beta / (ls.rice_k + 1.0)
-    g *= np.sqrt(nlos / 2.0)[..., None]
     los = (np.sqrt(nlos) * np.sqrt(ls.rice_k))[..., None] * ls.steering
-    if ls.los_phase_policy == "per_drop":
-        theta = ls.los_phase
-    else:
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=(n_draws, K, A))
-    phase = np.exp(1j * theta)
-    # one antenna at a time, so no (n_draws, K, A, N) LOS product is held
-    for n in range(N):
-        g[..., n] += phase * los[..., n]
+    per_drop = ls.los_phase_policy == "per_drop"
+    for blk in (g[b] for b in blocks):
+        theta = ls.los_phase if per_drop else rng.uniform(0.0, 2.0 * np.pi, blk.shape[:3])
+        blk *= np.sqrt(nlos / 2.0)[..., None]
+        blk += np.exp(1j * theta)[..., None] * los
     return g

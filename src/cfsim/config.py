@@ -186,7 +186,7 @@ class EstimationConfig:
 class MonteCarloConfig:
     ub_samples: int = 10_000  # per drop; 0 disables the UB evaluation
     batch_count: int = 20  # batches for stderr estimation
-    chunk: int = 2048  # samples per vectorized chunk
+    chunk: int = 2048  # samples drawn at once, part of the stream; ~chunk*(K+tau_p)*A*N*16 B
 
 
 # (field, lower bound, bound allowed) of every field that SimConfig.validate

@@ -8,7 +8,7 @@ closed-form tables in cfsim.se.
 
 The per-sample kernels are batched BLAS matmuls over (S, K, A*N) reshapes; the
 copilot mix is a sum per pilot. All three estimators run one chunk loop
-(`_chunk_sums`) and differ only in the per-chunk reducer they hand it; the
+(`_chunk_sums`) and differ only in the per-block reducer they hand it; the
 upper bounds of both links share one reducer, so each sample is drawn once.
 """
 
@@ -18,22 +18,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LargeScaleState, draw_channels
+from .channel import LargeScaleState, draw_channels, fill_normal, sample_blocks
 from .estimation import EstimationState, PilotBook
 from .se import delta_term
 
 
 def joint_chunks(ls, est, book, rng, n_samples, chunk=2048):
-    """Yield (g, g_hat) chunks of jointly sampled channels and LMMSE estimates.
+    """Yield (g, g_hat) blocks of jointly sampled channels and LMMSE estimates.
 
-    g has shape (S, K, A, N). The training noise is drawn per pilot sequence
-    (users sharing a pilot see the same projected noise, as the projection of
-    one common W_a realization dictates).
+    g has shape (S, K, A, N). Each chunk is drawn at once, which fixes the random
+    stream, and estimated in blocks of channel.BLOCK_BYTES of raw draws. The
+    training noise is drawn per pilot sequence (users sharing a pilot see the
+    same projected noise, as the projection of one common W_a realization
+    dictates).
     """
     done = 0
     while done < n_samples:
         s = min(chunk, n_samples - done)
-        yield _joint_chunk(ls, est, book, rng, s)
+        yield from _joint_chunk(ls, est, book, rng, s)
         done += s
 
 
@@ -41,16 +43,19 @@ def _joint_chunk(ls, est, book, rng, s):
     K, A, N = ls.steering.shape
     pidx = book.assignment
     g = draw_channels(ls, rng, s)
+    blocks = sample_blocks(s, g.itemsize * (K + book.tau_p) * A * N)
     y = np.empty((s, book.tau_p, A, N), dtype=complex)
-    y.real = rng.standard_normal(y.shape)
-    y.imag = rng.standard_normal(y.shape)
-    y *= np.sqrt(est.sigma_w2 / 2.0)
+    fill_normal(rng, y, blocks)
     root_eta = np.sqrt(np.asarray(est.eta_train, dtype=float))
-    for k in range(K):
-        y[:, pidx[k]] += root_eta[k] * g[:, k]
-    # D_{k,a} applied to all samples at once: a (K, A) batch of (N, N) @ (N, S)
-    g_hat = est.D @ y[:, pidx].transpose(1, 2, 3, 0)
-    return g, np.ascontiguousarray(g_hat.transpose(3, 0, 1, 2))
+    for b in blocks:
+        g_blk, y_blk = g[b], y[b]
+        y_blk *= np.sqrt(est.sigma_w2 / 2.0)
+        for k in range(K):
+            y_blk[:, pidx[k]] += root_eta[k] * g_blk[:, k]
+        # D_{k,a} applied to the block at once: a (K, A) batch of (N, N) @ (N, S)
+        g_hat = est.D @ y_blk[:, pidx].transpose(1, 2, 3, 0)
+        g_hat = np.ascontiguousarray(g_hat.transpose(3, 0, 1, 2))
+        yield g_blk, g_hat
 
 
 def _power(z):
@@ -87,7 +92,7 @@ def _batched(n_samples, batch_count):
 
 
 def _chunk_sums(ls, est, book, rng, n_samples, batch_count, chunk, reduce):
-    """Sum the arrays reduce(g, g_hat) returns over the chunks of each batch.
+    """Sum the arrays reduce(g, g_hat) returns over the blocks of each batch.
 
     Returns (total, batches): the sums over all samples, and one
     (batch size, sums) pair per batch.
@@ -97,7 +102,7 @@ def _chunk_sums(ls, est, book, rng, n_samples, batch_count, chunk, reduce):
         sums = None
         for g, g_hat in joint_chunks(ls, est, book, rng, size, chunk):
             part = reduce(g, g_hat)
-            # drop this chunk before the next is drawn, so only one is held at a time
+            # drop this block's views before the next chunk is drawn, so only one is held
             del g, g_hat
             sums = part if sums is None else [a + b for a, b in zip(sums, part)]
         batches.append((size, sums))

@@ -1,11 +1,13 @@
 """MC sampler kernels against their literal einsum forms, and argument checks."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import make_state
 
+import cfsim.channel
 from cfsim.channel import draw_channels
 from cfsim.mc import (
     _dl_cross,
@@ -55,6 +57,20 @@ def _draw_oracle(ls, rng, n):
     return scale * (los + h)
 
 
+def _drawn(ls, est, book, seed, n_samples, chunk=2048):
+    """Every (g, g_hat) block joint_chunks yields, concatenated over samples."""
+    blocks = list(joint_chunks(ls, est, book, np.random.default_rng(seed), n_samples, chunk))
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _ub_inputs(state):
+    serving = state["assoc"].serving
+    pick = np.random.default_rng(4)
+    eta_dl = np.where(serving, pick.uniform(0.01, 0.2, serving.shape), 0.0)
+    eta_ul = pick.uniform(0.02, 0.3, state["ls"].n_users)
+    return serving, eta_dl, eta_ul
+
+
 @pytest.fixture(scope="module")
 def collided_uc():
     """6 users on 3 pilots (collisions), user-centric clusters of 2 out of 4 APs."""
@@ -72,8 +88,9 @@ def state(request, gate_fixture, collided_uc):
 
 def test_joint_chunks_match_dense_copilot_oracle(state):
     ls, est, book = state["ls"], state["est"], state["book"]
-    chunks = list(joint_chunks(ls, est, book, np.random.default_rng(5), 50, chunk=23))
+    g_all, g_hat_all = _drawn(ls, est, book, 5, 50, chunk=23)
     rng = np.random.default_rng(5)
+    chunks = zip(np.split(g_all, [23, 46]), np.split(g_hat_all, [23, 46]))
     for (g, g_hat), s in zip(chunks, (23, 23, 4)):
         g_ref, g_hat_ref = _joint_oracle(ls, est, book, rng, s)
         np.testing.assert_array_equal(g, g_ref)
@@ -100,7 +117,7 @@ def test_cross_kernels_match_einsum_oracles(state):
 def test_sampler_keeps_the_channel_stream(gate_fixture, policy):
     ls = replace(gate_fixture["ls"], los_phase_policy=policy)
     est, book = gate_fixture["est"], gate_fixture["book"]
-    g, _ = next(joint_chunks(ls, est, book, np.random.default_rng(9), 30))
+    g, _ = _drawn(ls, est, book, 9, 30)
     np.testing.assert_array_equal(g, draw_channels(ls, np.random.default_rng(9), 30))
     np.testing.assert_allclose(
         g, _draw_oracle(ls, np.random.default_rng(9), 30), rtol=1e-12, atol=1e-300
@@ -111,10 +128,7 @@ def test_se_ub_mc_links_match_per_link_reduction(state):
     # both links read one stream; each must equal its own link's reduction of
     # the same joint_chunks draws, with its own eta, noise and prelog
     ls, est, book = state["ls"], state["est"], state["book"]
-    serving = state["assoc"].serving
-    pick = np.random.default_rng(4)
-    eta_dl = np.where(serving, pick.uniform(0.01, 0.2, serving.shape), 0.0)
-    eta_ul = pick.uniform(0.02, 0.3, ls.n_users)
+    serving, eta_dl, eta_ul = _ub_inputs(state)
     sigma_z2, prelog_dl, prelog_ul = 3.0 * est.sigma_w2, 0.3, 0.45
     dl, ul = se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, prelog_dl, prelog_ul,
                       60, np.random.default_rng(3), batch_count=3, chunk=20)
@@ -124,7 +138,8 @@ def test_se_ub_mc_links_match_per_link_reduction(state):
         return num / (pw.sum(axis=2) - num + noise)
 
     batch_dl, batch_ul = [], []
-    for g, g_hat in joint_chunks(ls, est, book, np.random.default_rng(3), 60, chunk=20):
+    g_all, g_hat_all = _drawn(ls, est, book, 3, 60, chunk=20)
+    for g, g_hat in zip(np.split(g_all, 3), np.split(g_hat_all, 3)):
         pw = np.abs(_dl_cross_oracle(g, g_hat, np.sqrt(eta_dl))) ** 2
         batch_dl.append(prelog_dl * np.log2(1.0 + sinr(pw, sigma_z2)).mean(axis=0))
         cross, norms = _ul_cross_oracle(g, g_hat, serving.astype(float))
@@ -135,6 +150,58 @@ def test_se_ub_mc_links_match_per_link_reduction(state):
         np.testing.assert_allclose(
             res.se_stderr, np.std(batch, axis=0, ddof=1) / np.sqrt(3), rtol=1e-12
         )
+
+
+def _all_estimators(state):
+    """g, g_hat, and the se / se_stderr of se_ub_mc, uatf_dl_mc and uatf_ul_mc, at chunk=23."""
+    ls, est, book = state["ls"], state["est"], state["book"]
+    serving, eta_dl, eta_ul = _ub_inputs(state)
+    kw = dict(batch_count=2, chunk=23)
+    rng, sigma_z2 = np.random.default_rng, 3.0 * est.sigma_w2
+    results = (
+        *se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, 0.3, 0.45, 100, rng(1), **kw),
+        uatf_dl_mc(ls, est, book, serving, eta_dl, sigma_z2, 0.3, 100, rng(2), **kw),
+        uatf_ul_mc(ls, est, book, serving, eta_ul, 0.45, 100, rng(3), **kw),
+    )
+    return _drawn(ls, est, book, 7, 100, chunk=23), [(r.se, r.se_stderr) for r in results]
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 10**6])
+def test_block_size_is_invisible(state, monkeypatch, block_rows):
+    # blocks of 1 and 3 samples straddle the ends of the 23-sample chunks; 10**6
+    # puts each chunk in one block
+    (g_ref, g_hat_ref), ref = _all_estimators(state)
+    K, A, N = state["ls"].steering.shape
+    row_bytes = 16 * (K + state["book"].tau_p) * A * N
+    monkeypatch.setattr(cfsim.channel, "BLOCK_BYTES", block_rows * row_bytes)
+    (g, g_hat), res = _all_estimators(state)
+    np.testing.assert_array_equal(g, g_ref)
+    np.testing.assert_allclose(g_hat, g_hat_ref, rtol=1e-12, atol=0)
+    for (se, err), (se_ref, err_ref) in zip(res, ref):
+        np.testing.assert_allclose(se, se_ref, rtol=1e-12)
+        # a 2-batch stderr is the gap between two batch SEs: it carries their
+        # rounding, 1e-12 of the SE, which can exceed 1e-12 of the gap itself
+        assert np.all(np.abs(err - err_ref) <= 1e-12 * (err_ref + se_ref))
+
+
+def test_sampler_memory_is_one_chunk_of_raw_draws(desk_cfg):
+    # the peak above entry is the chunk's g and training noise plus small blocks
+    st = make_state(seed=2, n_ap=desk_cfg.n_ap, n_ap_antennas=desk_cfg.n_ap_antennas,
+                    n_gue=desk_cfg.n_gue, n_uav=desk_cfg.n_uav, tau_p=desk_cfg.frame.tau_p,
+                    config=desk_cfg)
+    ls, est, book = st["ls"], st["est"], st["book"]
+    serving, eta_dl, eta_ul = _ub_inputs(st)
+    K, A, N = ls.steering.shape
+    chunk = 256
+    raw_bytes = chunk * (K + book.tau_p) * A * N * 16
+    tracemalloc.start()
+    try:
+        se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, 3.0 * est.sigma_w2, 0.3, 0.45, 2 * chunk,
+                 np.random.default_rng(0), batch_count=2, chunk=chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * raw_bytes
 
 
 @pytest.mark.parametrize("n_samples,batch_count", [(5, 20), (100, 1), (100, 0)])
