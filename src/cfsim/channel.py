@@ -31,9 +31,7 @@ class LargeScaleState:
     steering: np.ndarray  # (K, A, N) complex, unit-modulus entries
     shadow_db: np.ndarray  # (K, A)
     los_state: np.ndarray  # (K, A) bool, Bernoulli(p_LOS) draw used by UAV path loss
-    los_phase: np.ndarray  # (K, A) phases used when los_phase_policy == per_drop
     roles: np.ndarray  # (K,)
-    los_phase_policy: str = "per_draw"
 
     @property
     def n_users(self):
@@ -161,7 +159,7 @@ def build_large_scale(config, geometry: NetworkGeometry, rng) -> LargeScaleState
     f = config.carrier_freq_ghz
 
     p_los = los_probability(roles[:, None], d2, heights, ch.uav.los_prob)
-    rice = rice_factor(p_los, ch.rice_clamp_eps)
+    rice = rice_factor(p_los)
 
     # draw the field first with unit sigma so LOS-state draws don't perturb it
     unit_field = shadow_field(geometry, 1.0, ch.shadow_corr_dist_m, rng)
@@ -185,16 +183,17 @@ def build_large_scale(config, geometry: NetworkGeometry, rng) -> LargeScaleState
     )
     steering = steering_vector(geometry.ap_antennas[None], images, config.wavelength_m)
 
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=d3.shape)
+    # per-drop LOS phases that nothing reads (draw_channels draws a phase per
+    # sample). The draw stays because the pilots are drawn next from this
+    # generator: without it every pilot assignment, and so every LB, would move
+    rng.uniform(0.0, 2.0 * np.pi, size=d3.shape)
     return LargeScaleState(
         beta=beta,
         rice_k=rice,
         steering=steering,
         shadow_db=shadow_db,
         los_state=los_state,
-        los_phase=phase,
         roles=roles.copy(),
-        los_phase_policy=ch.los_phase_policy,
     )
 
 
@@ -221,8 +220,8 @@ def fill_normal(rng, out, blocks):
 def draw_channels(ls: LargeScaleState, rng, n_draws=1):
     """Draw n_draws joint channel realizations, shape (n_draws, K, A, N).
 
-    The scattered component is i.i.d. CN(0,1); the LOS phase is redrawn per
-    call (per_draw policy) or frozen at the drop's phases (per_drop).
+    The scattered component is i.i.d. CN(0,1); the LOS phase is uniform and
+    drawn anew for every realization, so each link's channel has zero mean.
     """
     K, A, N = ls.steering.shape
     g = np.empty((n_draws, K, A, N), dtype=complex)
@@ -230,9 +229,8 @@ def draw_channels(ls: LargeScaleState, rng, n_draws=1):
     fill_normal(rng, g, blocks)
     nlos = ls.beta / (ls.rice_k + 1.0)
     los = (np.sqrt(nlos) * np.sqrt(ls.rice_k))[..., None] * ls.steering
-    per_drop = ls.los_phase_policy == "per_drop"
     for blk in (g[b] for b in blocks):
-        theta = ls.los_phase if per_drop else rng.uniform(0.0, 2.0 * np.pi, blk.shape[:3])
+        theta = rng.uniform(0.0, 2.0 * np.pi, blk.shape[:3])
         blk *= np.sqrt(nlos / 2.0)[..., None]
         blk += np.exp(1j * theta)[..., None] * los
     return g

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-    cfsim run --config cfg.yaml [--drops N] [--seed S] [--preset paper|desk|mmimo]
-              [--out DIR] [--jobs J]
+    cfsim run --config cfg.yaml [--drops N] [--seed S]
+              [--preset paper|desk|mmimo|desk-mmimo] [--out DIR] [--jobs J]
     cfsim validate --config cfg.yaml
     cfsim oracle <fourth-moment|uatf-dl|uatf-ul> [--seed S]
 

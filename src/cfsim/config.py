@@ -112,8 +112,6 @@ class ChannelConfig:
     gue_shadow_sigma_db: float = 4.0
     shadow_corr_dist_m: float = 9.0  # d0 of the 2^(-rho/d0) user-correlation kernel
     uav: UavChannelModel = field(default_factory=UavChannelModel)
-    rice_clamp_eps: float = 1e-6  # p_LOS clamp keeping K = p/(1-p) finite
-    los_phase_policy: str = "per_draw"  # or "per_drop"
     ula_azimuth: Optional[float] = None  # radians; None -> random per AP per drop
 
 
@@ -178,15 +176,9 @@ class AssociationConfig:
 
 
 @dataclass(frozen=True)
-class EstimationConfig:
-    condition_limit: float = 1e12
-
-
-@dataclass(frozen=True)
 class MonteCarloConfig:
     ub_samples: int = 10_000  # per drop; 0 disables the UB evaluation
-    batch_count: int = 20  # batches for stderr estimation
-    chunk: int = 2048  # samples drawn at once, part of the stream; ~chunk*(K+tau_p)*A*N*16 B
+    batch_count: int = 20  # batches for stderr estimation; each batch's draws are made at once
 
 
 # (field, lower bound, bound allowed) of every field that SimConfig.validate
@@ -196,10 +188,9 @@ _LOWER_BOUNDS = (
     ("frame.tau_p", 1, True), ("carrier_freq_hz", 0, False), ("bandwidth_hz", 0, False),
     ("power.dl_budget_per_ap_w", 0, False), ("power.ul_max_w", 0, False),
     ("channel.shadow_corr_dist_m", 0, False), ("channel.gue_shadow_sigma_db", 0, True),
-    ("estimation.condition_limit", 1, True), ("mc.ub_samples", 0, True), ("mc.chunk", 1, True),
-    ("power.maxmin.max_outer_iters", 1, True), ("power.maxmin.max_inner_iters", 1, True),
-    ("power.maxmin.outer_tol", 0, True), ("drops", 1, True), ("seed", 0, True),
-    ("power.train_per_sample_w", 0, False),
+    ("mc.ub_samples", 0, True), ("power.maxmin.max_outer_iters", 1, True),
+    ("power.maxmin.max_inner_iters", 1, True), ("power.maxmin.outer_tol", 0, True),
+    ("drops", 1, True), ("seed", 0, True), ("power.train_per_sample_w", 0, False),
 )
 
 
@@ -236,7 +227,6 @@ class SimConfig:
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     association: AssociationConfig = field(default_factory=AssociationConfig)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
-    estimation: EstimationConfig = field(default_factory=EstimationConfig)
     mc: MonteCarloConfig = field(default_factory=MonteCarloConfig)
     seed: int = 1
     drops: int = 100
@@ -315,13 +305,6 @@ class SimConfig:
             )
         if self.ap_placement not in {"uniform", "grid"}:
             raise ConfigError(f"unknown placement {self.ap_placement!r}", field="ap_placement")
-        if self.channel.los_phase_policy not in {"per_draw", "per_drop"}:
-            raise ConfigError(
-                f"unknown policy {self.channel.los_phase_policy!r}",
-                field="channel.los_phase_policy",
-            )
-        if not (0 < self.channel.rice_clamp_eps < 1):
-            raise ConfigError("must lie in (0, 1)", field="channel.rice_clamp_eps")
         if self.mc.batch_count < 2:
             raise ConfigError("must be >= 2 for a standard error", field="mc.batch_count")
         if 0 < self.mc.ub_samples < self.mc.batch_count:
@@ -423,8 +406,9 @@ def _overlay(obj, data, path):
     changes = {}
     for key, value in data.items():
         sub = f"{path}.{key}" if path else key
-        if key not in known:
-            raise ConfigError("unknown key", field=sub)
+        if key not in known:  # an unknown section is named by the keys it sets
+            names = [f"{sub}.{k}" for k in value] if isinstance(value, dict) and value else [sub]
+            raise ConfigError("unknown key", field=", ".join(names))
         current = getattr(obj, key)
         if is_dataclass(current):  # a nested section: a mapping, never null
             changes[key] = _overlay(current, value, sub)

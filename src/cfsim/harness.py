@@ -83,7 +83,7 @@ def allocate_dl(config: SimConfig, tables, roles):
             {},
         )
     if p.dl == "uniform":
-        return uniform_dl(tables.gamma, tables.serving, budgets), {}
+        return uniform_dl(tables.gamma, tables.serving, budgets, roles=roles, kappa=p.kappa), {}
     # maxmin
     mm = p.maxmin
     return maxmin_dl(
@@ -126,13 +126,7 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
         ls = build_large_scale(config, geometry, rng_state)
         book = assign_pilots(config.n_users, config.frame.tau_p, rng_state)
         assoc = build_association(config, ls.beta)
-        est = build_estimation(
-            ls,
-            book,
-            eta_train=config.train_energy_w,
-            sigma_w2=config.sigma_w2,
-            condition_limit=config.estimation.condition_limit,
-        )
+        est = build_estimation(ls, book, eta_train=config.train_energy_w, sigma_w2=config.sigma_w2)
         tables = build_se_tables(ls, est, book, assoc)
 
         eta_dl, dl_info = allocate_dl(config, tables, ls.roles)
@@ -150,7 +144,7 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
             ub_dl, ub_ul = se_ub_mc(
                 ls, est, book, assoc.serving, eta_dl, eta_ul, config.sigma_z2,
                 prelog_dl, prelog_ul, config.mc.ub_samples, rng_mc,
-                batch_count=config.mc.batch_count, chunk=config.mc.chunk,
+                batch_count=config.mc.batch_count,
             )
             se_ub_dl, err_dl = ub_dl.se, ub_dl.se_stderr
             se_ub_ul, err_ul = ub_ul.se, ub_ul.se_stderr

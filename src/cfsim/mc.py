@@ -7,8 +7,8 @@ the independent side of the dual-route check: it never touches the
 closed-form tables in cfsim.se.
 
 The per-sample kernels are batched BLAS matmuls over (S, K, A*N) reshapes; the
-copilot mix is a sum per pilot. All three estimators run one chunk loop
-(`_chunk_sums`) and differ only in the per-block reducer they hand it; the
+copilot mix is a sum per pilot. All three estimators run one batch loop
+(`_batch_sums`) and differ only in the per-block reducer they hand it; the
 upper bounds of both links share one reducer, so each sample is drawn once.
 """
 
@@ -23,28 +23,20 @@ from .estimation import EstimationState, PilotBook
 from .se import delta_term
 
 
-def joint_chunks(ls, est, book, rng, n_samples, chunk=2048):
+def joint_blocks(ls, est, book, rng, n_samples):
     """Yield (g, g_hat) blocks of jointly sampled channels and LMMSE estimates.
 
-    g has shape (S, K, A, N). Each chunk is drawn at once, which fixes the random
-    stream, and estimated in blocks of channel.BLOCK_BYTES of raw draws. The
-    training noise is drawn per pilot sequence (users sharing a pilot see the
-    same projected noise, as the projection of one common W_a realization
-    dictates).
+    g has shape (S, K, A, N). The raw draws of all n_samples are made at once,
+    which fixes the random stream, and estimated in blocks of
+    channel.BLOCK_BYTES of raw draws. The training noise is drawn per pilot
+    sequence (users sharing a pilot see the same projected noise, as the
+    projection of one common W_a realization dictates).
     """
-    done = 0
-    while done < n_samples:
-        s = min(chunk, n_samples - done)
-        yield from _joint_chunk(ls, est, book, rng, s)
-        done += s
-
-
-def _joint_chunk(ls, est, book, rng, s):
     K, A, N = ls.steering.shape
     pidx = book.assignment
-    g = draw_channels(ls, rng, s)
-    blocks = sample_blocks(s, g.itemsize * (K + book.tau_p) * A * N)
-    y = np.empty((s, book.tau_p, A, N), dtype=complex)
+    g = draw_channels(ls, rng, n_samples)
+    blocks = sample_blocks(n_samples, g.itemsize * (K + book.tau_p) * A * N)
+    y = np.empty((n_samples, book.tau_p, A, N), dtype=complex)
     fill_normal(rng, y, blocks)
     root_eta = np.sqrt(np.asarray(est.eta_train, dtype=float))
     for b in blocks:
@@ -91,18 +83,18 @@ def _batched(n_samples, batch_count):
     return sizes
 
 
-def _chunk_sums(ls, est, book, rng, n_samples, batch_count, chunk, reduce):
+def _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
     """Sum the arrays reduce(g, g_hat) returns over the blocks of each batch.
 
-    Returns (total, batches): the sums over all samples, and one
-    (batch size, sums) pair per batch.
+    Each batch's raw draws are made at once. Returns (total, batches): the sums
+    over all samples, and one (batch size, sums) pair per batch.
     """
     batches = []
     for size in _batched(n_samples, batch_count):
         sums = None
-        for g, g_hat in joint_chunks(ls, est, book, rng, size, chunk):
+        for g, g_hat in joint_blocks(ls, est, book, rng, size):
             part = reduce(g, g_hat)
-            # drop this block's views before the next chunk is drawn, so only one is held
+            # drop this block's views before the next batch is drawn, so only one is held
             del g, g_hat
             sums = part if sums is None else [a + b for a, b in zip(sums, part)]
         batches.append((size, sums))
@@ -161,7 +153,6 @@ def uatf_dl_mc(
     n_samples,
     rng,
     batch_count=20,
-    chunk=2048,
 ):
     """Sampled use-and-then-forget terms for the downlink bound."""
     root = np.sqrt(np.where(serving, np.asarray(eta_dl, dtype=float), 0.0))
@@ -177,7 +168,7 @@ def uatf_dl_mc(
         gain_var = np.diag(mean_c2) - np.abs(desired) ** 2
         return desired, gain_var, interference, np.full(len(desired), sigma_z2)
 
-    total, batches = _chunk_sums(ls, est, book, rng, n_samples, batch_count, chunk, reduce)
+    total, batches = _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce)
     return _uatf_result(total, batches, n_samples, prelog, terms)
 
 
@@ -191,7 +182,6 @@ def uatf_ul_mc(
     n_samples,
     rng,
     batch_count=20,
-    chunk=2048,
 ):
     """Sampled use-and-then-forget terms for the uplink bound."""
     eta = np.asarray(eta_ul, dtype=float)
@@ -208,7 +198,7 @@ def uatf_ul_mc(
         np.fill_diagonal(interference, 0.0)
         return desired, gain_var, interference, est.sigma_w2 * mean_n
 
-    total, batches = _chunk_sums(ls, est, book, rng, n_samples, batch_count, chunk, reduce)
+    total, batches = _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce)
     return _uatf_result(total, batches, n_samples, prelog, terms)
 
 
@@ -231,7 +221,6 @@ def se_ub_mc(
     n_samples,
     rng,
     batch_count=20,
-    chunk=2048,
 ):
     """Sampled upper bounds prelog * E[log2(1 + instantaneous SINR)] of both
     links, from one (g, g_hat) stream. Returns (dl, ul) UbResults."""
@@ -248,7 +237,7 @@ def se_ub_mc(
         cross, norms = _ul_cross(g, g_hat, mask)
         return dl, log_sum(eta[None, None, :] * _power(cross), est.sigma_w2 * norms)
 
-    total, batches = _chunk_sums(ls, est, book, rng, n_samples, batch_count, chunk, reduce)
+    total, batches = _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce)
     return tuple(
         UbResult(
             se=prelog * total[i] / n_samples,
@@ -273,7 +262,7 @@ def fourth_moment_check(beta, rice_k, steering, D, n_samples, rng, batch_count=2
     ls = LargeScaleState(  # one (user, AP) pair
         beta=np.array([[beta]]), rice_k=np.array([[rice_k]]), steering=steering[None, None],
         shadow_db=np.zeros((1, 1)), los_state=np.zeros((1, 1), dtype=bool),
-        los_phase=np.zeros((1, 1)), roles=np.zeros(1, dtype=int),
+        roles=np.zeros(1, dtype=int),
     )
     vals = []
     for size in _batched(n_samples, batch_count):

@@ -40,14 +40,17 @@ def dl_budget_violation(eta_dl, gamma, budgets):
 
 
 def _budget_groups(n_users, roles, kappa, budgets):
-    """(group, caps): user k draws on the DL budget share caps[group[k], a] of
-    AP a. Without kappa all users share the whole budget; with it GUEs share
+    """(group, caps, onehot): user k draws on the DL budget share caps[group[k], a]
+    of AP a, and onehot @ x sums the (K, A) array x over each group's users.
+    Without kappa all users share the whole budget; with it GUEs share
     1 - kappa and UAVs kappa of each AP budget."""
     budgets = np.asarray(budgets, dtype=float)
     if kappa is None:
-        return np.zeros(n_users, dtype=int), budgets[None, :]
-    group = (np.asarray(roles) == ROLE_UAV).astype(int)
-    return group, np.array([1.0 - kappa, kappa])[:, None] * budgets[None, :]
+        group, caps = np.zeros(n_users, dtype=int), budgets[None, :]
+    else:
+        group = (np.asarray(roles) == ROLE_UAV).astype(int)
+        caps = np.array([1.0 - kappa, kappa])[:, None] * budgets[None, :]
+    return group, caps, (group[None, :] == np.arange(len(caps))[:, None]).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +61,7 @@ def ppa_dl(gamma, serving, budgets, roles=None, kappa=None):
     """Proportional power allocation: P[k,a] = share_a * gamma / sum(gamma)
     over the users of k's budget group (see _budget_groups) served by AP a."""
     gamma = np.asarray(gamma, dtype=float)
-    group, caps = _budget_groups(gamma.shape[0], roles, kappa, budgets)
-    onehot = (group[None, :] == np.arange(len(caps))[:, None]).astype(float)
+    group, caps, onehot = _budget_groups(gamma.shape[0], roles, kappa, budgets)
     total = onehot @ np.where(serving, gamma, 0.0)  # (group, AP)
     bad = np.flatnonzero(((onehot @ serving > 0) & (total <= 0)).any(axis=0))
     if bad.size:
@@ -69,19 +71,18 @@ def ppa_dl(gamma, serving, budgets, roles=None, kappa=None):
     return np.where(serving, share[group], 0.0)
 
 
-def uniform_dl(gamma, serving, budgets):
-    """Equal transmitted power per served user: P[k,a] = budget_a / |K_a|."""
+def uniform_dl(gamma, serving, budgets, roles=None, kappa=None):
+    """Equal transmitted power per served user: P[k,a] = share_a / |K_a| over
+    the users of k's budget group (see _budget_groups) served by AP a."""
     gamma = np.asarray(gamma, dtype=float)
-    K, A = gamma.shape
-    eta = np.zeros((K, A))
-    for a in range(A):
-        users = np.flatnonzero(serving[:, a])
-        if users.size == 0:
-            continue
-        if np.any(gamma[users, a] <= 0):
-            raise DegenerateInputError(f"AP {a}: zero gamma among served users")
-        eta[users, a] = budgets[a] / users.size / gamma[users, a]
-    return eta
+    serving = np.asarray(serving, dtype=bool)
+    group, caps, onehot = _budget_groups(gamma.shape[0], roles, kappa, budgets)
+    bad = np.flatnonzero((serving & (gamma <= 0)).any(axis=0))
+    if bad.size:
+        raise DegenerateInputError(f"AP {bad[0]}: zero gamma among served users")
+    count = onehot @ serving  # (group, AP)
+    power = np.divide(caps, count, out=np.zeros_like(caps), where=count > 0)[group]
+    return np.divide(power, gamma, out=np.zeros_like(gamma), where=serving)
 
 
 def solve_water_level(noise_levels, budget):
@@ -104,7 +105,7 @@ def wfpa_dl(gamma, serving, budgets, sigma_z2, roles=None, kappa=None):
     """Waterfilling on the noise levels L = sigma_z^2 / gamma, per AP(-class)."""
     gamma = np.asarray(gamma, dtype=float)
     K, A = gamma.shape
-    group, caps = _budget_groups(K, roles, kappa, budgets)
+    group, caps, _ = _budget_groups(K, roles, kappa, budgets)
     eta = np.zeros((K, A))
     for a in range(A):
         for g in range(len(caps)):
@@ -214,8 +215,7 @@ def maxmin_dl(
         raise DegenerateInputError(f"AP {bad[0]}: budget {budgets[bad[0]]} W; its users get no power")
     # in y = sqrt(gamma * eta) each AP(-class) budget is a ball:
     # sum_{k in group} y[k, a]^2 <= caps[group, a]
-    group, caps = _budget_groups(tables.n_users, roles, kappa, budgets)
-    onehot = (group[None, :] == np.arange(len(caps))[:, None]).astype(float)
+    group, caps, onehot = _budget_groups(tables.n_users, roles, kappa, budgets)
     usable = serving & (gamma > 0) & (caps[group] > 0)
     stranded = np.flatnonzero(~usable.any(axis=1))
     if stranded.size:

@@ -243,7 +243,6 @@ def _single_pair_state(beta, rice, n_ant=4, seed=0):
         steering=steer[None, None, :],
         shadow_db=np.zeros((1, 1)),
         los_state=np.zeros((1, 1), dtype=bool),
-        los_phase=np.zeros((1, 1)),
         roles=np.array([0]),
     )
 
@@ -272,15 +271,6 @@ def test_draw_channel_zero_mean_and_covariance_matches_G():
     np.testing.assert_allclose(cov, G, atol=0.03 * np.abs(G).max())
 
 
-def test_draw_channel_per_drop_phase_policy():
-    ls = _single_pair_state(1.0, 5.0)
-    object.__setattr__(ls, "los_phase_policy", "per_drop")
-    g1 = draw_channels(ls, np.random.default_rng(7), 3)
-    # per_drop keeps the same LOS phase across draws: the mean keeps the LOS part
-    mean = g1.mean(axis=0)[0, 0]
-    assert np.abs(mean).max() > 0.5
-
-
 def test_build_large_scale_shapes_and_roles():
     cfg = SimConfig(n_ap=4, n_gue=3, n_uav=2, n_ap_antennas=2)
     geom = generate_topology(cfg, np.random.default_rng(8))
@@ -305,7 +295,7 @@ def _per_link_large_scale(config, geometry, rng):
     for k in range(K):
         for a in range(A):
             p_los[k, a] = los_probability(roles[k], d2[k, a], heights[k], ch.uav.los_prob)
-    rice = np.vectorize(lambda p: rice_factor(p, ch.rice_clamp_eps))(p_los)
+    rice = np.vectorize(rice_factor)(p_los)
 
     los_state = np.zeros((K, A), dtype=bool)
     uav_rows = roles == ROLE_UAV
@@ -332,9 +322,9 @@ def _per_link_large_scale(config, geometry, rng):
                 geometry.user_positions[k], geometry.ap_reference[a], geometry.area_side
             )
             steering[k, a] = steering_vector(geometry.ap_antennas[a], image, config.wavelength_m)
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=(K, A))
+    rng.uniform(0.0, 2.0 * np.pi, size=(K, A))  # the per-drop LOS phases nothing reads
     return dict(beta=beta, rice_k=rice, shadow_db=shadow_db, los_state=los_state,
-                steering=steering, los_phase=phase)
+                steering=steering)
 
 
 def _no_shadow_in_los(cfg):
@@ -359,7 +349,7 @@ def test_build_large_scale_matches_per_link_loop(cfg, seed):
     rng_ref, rng = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
     ref = _per_link_large_scale(cfg, geom, rng_ref)
     ls = build_large_scale(cfg, geom, rng)
-    for name in ("los_state", "steering", "los_phase"):
+    for name in ("los_state", "steering"):
         np.testing.assert_array_equal(getattr(ls, name), ref[name], err_msg=name)
     assert rng.random() == rng_ref.random()
     for name in ("beta", "rice_k", "shadow_db"):

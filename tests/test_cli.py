@@ -85,7 +85,6 @@ def test_numerical_failure_exit_3(monkeypatch, capsys):
         ("bandwidth_hz: -5\n", "bandwidth_hz"),
         ("channel:\n  shadow_corr_dist_m: 0\n", "channel.shadow_corr_dist_m"),
         ("channel:\n  gue_shadow_sigma_db: -1\n", "channel.gue_shadow_sigma_db"),
-        ("estimation:\n  condition_limit: -1\n", "estimation.condition_limit"),
         ("seed: -3\n", "seed"),
         ("seed: null\n", "seed"),
         ("n_ap: null\n", "n_ap"),
@@ -108,7 +107,6 @@ def test_numerical_failure_exit_3(monkeypatch, capsys):
         ("power:\n  fpc:\n    p0_dbm: .nan\n", "power.fpc.p0_dbm"),
         ("power:\n  dl_budget_per_ap_w: .inf\n", "power.dl_budget_per_ap_w"),
         ("power:\n  ul_max_w: .inf\n", "power.ul_max_w"),
-        ("estimation:\n  condition_limit: .inf\n", "estimation.condition_limit"),
     ],
 )
 def test_run_bad_physical_field_exit_2(tmp_path, capsys, text, field):

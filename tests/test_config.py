@@ -77,7 +77,6 @@ def _maxmin(cfg, **changes):
             "association.uc_cluster_size",
         ),
         (lambda c: replace(c, uav_height_range_m=(10.0, 5.0)), "uav_height_range_m"),
-        (lambda c: replace(c, mc=replace(c.mc, chunk=0)), "mc.chunk"),
         (lambda c: replace(c, mc=replace(c.mc, batch_count=0)), "mc.batch_count"),
         (lambda c: replace(c, mc=replace(c.mc, batch_count=1)), "mc.batch_count"),
         (lambda c: replace(c, mc=replace(c.mc, ub_samples=5)), "mc.ub_samples"),
@@ -138,14 +137,19 @@ def test_yaml_unknown_key_rejected(tmp_path):
         ("estimation:\n  paper_literal_b: false\n", "paper_literal_b"),
         ("estimation:\n  orthogonal_forced: false\n", "orthogonal_forced"),
         ("mc:\n  literal_ub_no_log: false\n", "literal_ub_no_log"),
+        ("mc:\n  chunk: 2048\n", "mc.chunk"),
+        ("channel:\n  los_phase_policy: per_drop\n", "channel.los_phase_policy"),
+        ("channel:\n  rice_clamp_eps: 1.0e-6\n", "channel.rice_clamp_eps"),
+        ("estimation:\n  condition_limit: 1.0e+12\n", "estimation.condition_limit"),
     ],
     ids=["inner_tol", "anchor_floor", "paper_literal_g2", "paper_literal_b",
-         "orthogonal_forced", "literal_ub_no_log"],
+         "orthogonal_forced", "literal_ub_no_log", "chunk", "los_phase_policy",
+         "rice_clamp_eps", "condition_limit"],
 )
 def test_yaml_removed_block_solver_keys_rejected(tmp_path, text, key):
     path = tmp_path / "cfg.yaml"
     path.write_text(text)
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ConfigError, match=f"{key}: unknown key"):
         load_config(path)
 
 

@@ -217,13 +217,14 @@ def test_gamma_scalar_closed_form():
 
 def test_gamma_matches_mc_estimate_energy(gate_fixture):
     ls, book, est = gate_fixture["ls"], gate_fixture["book"], gate_fixture["est"]
-    from cfsim.mc import joint_chunks
+    from cfsim.mc import joint_blocks
 
     rng = np.random.default_rng(13)
     n = 1_000_000
     acc = np.zeros((ls.n_users, ls.n_ap))
-    for g, ghat in joint_chunks(ls, est, book, rng, n, chunk=20_000):
-        acc += np.sum(np.abs(ghat) ** 2, axis=-1).sum(axis=0)
+    for _ in range(n // 20_000):  # batches of 20 000 samples
+        for g, ghat in joint_blocks(ls, est, book, rng, 20_000):
+            acc += np.sum(np.abs(ghat) ** 2, axis=-1).sum(axis=0)
     mean_energy = acc / n
     np.testing.assert_allclose(mean_energy, est.gamma, rtol=0.01)
 

@@ -1,7 +1,6 @@
 """MC sampler kernels against their literal einsum forms, and argument checks."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,11 +12,12 @@ from cfsim.mc import (
     _dl_cross,
     _ul_cross,
     fourth_moment_check,
-    joint_chunks,
+    joint_blocks,
     se_ub_mc,
     uatf_dl_mc,
     uatf_ul_mc,
 )
+from cfsim.power import ppa_dl
 
 
 def _dl_cross_oracle(g, g_hat, root_eta_dl):
@@ -31,7 +31,7 @@ def _ul_cross_oracle(g, g_hat, mask):
 
 
 def _joint_oracle(ls, est, book, rng, s):
-    """One chunk through the dense K x K copilot weights, drawn in the sampler's order."""
+    """One batch through the dense K x K copilot weights, drawn in the sampler's order."""
     A, N = ls.steering.shape[1:]
     same = book.assignment[:, None] == book.assignment[None, :]
     M = same * np.sqrt(np.asarray(est.eta_train, dtype=float))[None, :]
@@ -48,25 +48,27 @@ def _draw_oracle(ls, rng, n):
     K, A, N = ls.steering.shape
     shape = (n, K, A, N)
     h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    if ls.los_phase_policy == "per_drop":
-        theta = np.broadcast_to(ls.los_phase, (n, K, A))
-    else:
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=(n, K, A))
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=(n, K, A))
     scale = np.sqrt(ls.beta / (ls.rice_k + 1.0))[None, :, :, None]
     los = np.sqrt(ls.rice_k)[None, :, :, None] * np.exp(1j * theta)[..., None] * ls.steering[None]
     return scale * (los + h)
 
 
-def _drawn(ls, est, book, seed, n_samples, chunk=2048):
-    """Every (g, g_hat) block joint_chunks yields, concatenated over samples."""
-    blocks = list(joint_chunks(ls, est, book, np.random.default_rng(seed), n_samples, chunk))
+def _drawn(ls, est, book, seed, sizes):
+    """Every (g, g_hat) block joint_blocks yields for batches of the given sizes,
+    drawn in turn from one generator, concatenated over samples."""
+    rng = np.random.default_rng(seed)
+    blocks = [blk for size in sizes for blk in joint_blocks(ls, est, book, rng, size)]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def _ub_inputs(state):
-    serving = state["assoc"].serving
+    # DL powers around PPA, so the DL SINRs are not small and log2(1 + x) is
+    # far from linear
+    serving, cfg = state["assoc"].serving, state["cfg"]
     pick = np.random.default_rng(4)
-    eta_dl = np.where(serving, pick.uniform(0.01, 0.2, serving.shape), 0.0)
+    ppa = ppa_dl(state["est"].gamma, serving, np.full(cfg.n_ap, cfg.power.dl_budget_per_ap_w))
+    eta_dl = ppa * pick.uniform(0.5, 1.5, serving.shape)
     eta_ul = pick.uniform(0.02, 0.3, state["ls"].n_users)
     return serving, eta_dl, eta_ul
 
@@ -88,10 +90,10 @@ def state(request, gate_fixture, collided_uc):
 
 def test_joint_chunks_match_dense_copilot_oracle(state):
     ls, est, book = state["ls"], state["est"], state["book"]
-    g_all, g_hat_all = _drawn(ls, est, book, 5, 50, chunk=23)
+    g_all, g_hat_all = _drawn(ls, est, book, 5, (23, 23, 4))
     rng = np.random.default_rng(5)
-    chunks = zip(np.split(g_all, [23, 46]), np.split(g_hat_all, [23, 46]))
-    for (g, g_hat), s in zip(chunks, (23, 23, 4)):
+    batches = zip(np.split(g_all, [23, 46]), np.split(g_hat_all, [23, 46]))
+    for (g, g_hat), s in zip(batches, (23, 23, 4)):
         g_ref, g_hat_ref = _joint_oracle(ls, est, book, rng, s)
         np.testing.assert_array_equal(g, g_ref)
         np.testing.assert_allclose(g_hat, g_hat_ref, rtol=1e-12, atol=0)
@@ -100,7 +102,7 @@ def test_joint_chunks_match_dense_copilot_oracle(state):
 def test_cross_kernels_match_einsum_oracles(state):
     ls, est, book = state["ls"], state["est"], state["book"]
     rng = np.random.default_rng(6)
-    g, g_hat = next(joint_chunks(ls, est, book, rng, 40))
+    g, g_hat = next(joint_blocks(ls, est, book, rng, 40))
     serving = state["assoc"].serving
     root = np.sqrt(np.where(serving, rng.uniform(0.01, 0.2, serving.shape), 0.0))
     np.testing.assert_allclose(
@@ -113,11 +115,9 @@ def test_cross_kernels_match_einsum_oracles(state):
     np.testing.assert_allclose(norms, norms_ref, rtol=1e-12)
 
 
-@pytest.mark.parametrize("policy", ["per_draw", "per_drop"])
-def test_sampler_keeps_the_channel_stream(gate_fixture, policy):
-    ls = replace(gate_fixture["ls"], los_phase_policy=policy)
-    est, book = gate_fixture["est"], gate_fixture["book"]
-    g, _ = _drawn(ls, est, book, 9, 30)
+def test_sampler_keeps_the_channel_stream(gate_fixture):
+    ls, est, book = gate_fixture["ls"], gate_fixture["est"], gate_fixture["book"]
+    g, _ = _drawn(ls, est, book, 9, (30,))
     np.testing.assert_array_equal(g, draw_channels(ls, np.random.default_rng(9), 30))
     np.testing.assert_allclose(
         g, _draw_oracle(ls, np.random.default_rng(9), 30), rtol=1e-12, atol=1e-300
@@ -126,19 +126,19 @@ def test_sampler_keeps_the_channel_stream(gate_fixture, policy):
 
 def test_se_ub_mc_links_match_per_link_reduction(state):
     # both links read one stream; each must equal its own link's reduction of
-    # the same joint_chunks draws, with its own eta, noise and prelog
+    # the same joint_blocks draws, with its own eta, noise and prelog
     ls, est, book = state["ls"], state["est"], state["book"]
     serving, eta_dl, eta_ul = _ub_inputs(state)
     sigma_z2, prelog_dl, prelog_ul = 3.0 * est.sigma_w2, 0.3, 0.45
     dl, ul = se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, prelog_dl, prelog_ul,
-                      60, np.random.default_rng(3), batch_count=3, chunk=20)
+                      60, np.random.default_rng(3), batch_count=3)
 
     def sinr(pw, noise):
         num = np.diagonal(pw, axis1=1, axis2=2)
         return num / (pw.sum(axis=2) - num + noise)
 
     batch_dl, batch_ul = [], []
-    g_all, g_hat_all = _drawn(ls, est, book, 3, 60, chunk=20)
+    g_all, g_hat_all = _drawn(ls, est, book, 3, (20, 20, 20))
     for g, g_hat in zip(np.split(g_all, 3), np.split(g_hat_all, 3)):
         pw = np.abs(_dl_cross_oracle(g, g_hat, np.sqrt(eta_dl))) ** 2
         batch_dl.append(prelog_dl * np.log2(1.0 + sinr(pw, sigma_z2)).mean(axis=0))
@@ -153,23 +153,23 @@ def test_se_ub_mc_links_match_per_link_reduction(state):
 
 
 def _all_estimators(state):
-    """g, g_hat, and the se / se_stderr of se_ub_mc, uatf_dl_mc and uatf_ul_mc, at chunk=23."""
+    """g, g_hat, and the se / se_stderr of se_ub_mc, uatf_dl_mc and uatf_ul_mc, in 2 batches."""
     ls, est, book = state["ls"], state["est"], state["book"]
     serving, eta_dl, eta_ul = _ub_inputs(state)
-    kw = dict(batch_count=2, chunk=23)
+    kw = dict(batch_count=2)
     rng, sigma_z2 = np.random.default_rng, 3.0 * est.sigma_w2
     results = (
         *se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, 0.3, 0.45, 100, rng(1), **kw),
         uatf_dl_mc(ls, est, book, serving, eta_dl, sigma_z2, 0.3, 100, rng(2), **kw),
         uatf_ul_mc(ls, est, book, serving, eta_ul, 0.45, 100, rng(3), **kw),
     )
-    return _drawn(ls, est, book, 7, 100, chunk=23), [(r.se, r.se_stderr) for r in results]
+    return _drawn(ls, est, book, 7, (50, 50)), [(r.se, r.se_stderr) for r in results]
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, 10**6])
 def test_block_size_is_invisible(state, monkeypatch, block_rows):
-    # blocks of 1 and 3 samples straddle the ends of the 23-sample chunks; 10**6
-    # puts each chunk in one block
+    # blocks of 3 samples straddle the ends of the 50-sample batches; 10**6
+    # puts each batch in one block
     (g_ref, g_hat_ref), ref = _all_estimators(state)
     K, A, N = state["ls"].steering.shape
     row_bytes = 16 * (K + state["book"].tau_p) * A * N
@@ -185,19 +185,19 @@ def test_block_size_is_invisible(state, monkeypatch, block_rows):
 
 
 def test_sampler_memory_is_one_chunk_of_raw_draws(desk_cfg):
-    # the peak above entry is the chunk's g and training noise plus small blocks
+    # the peak above entry is one batch's g and training noise plus small blocks
     st = make_state(seed=2, n_ap=desk_cfg.n_ap, n_ap_antennas=desk_cfg.n_ap_antennas,
                     n_gue=desk_cfg.n_gue, n_uav=desk_cfg.n_uav, tau_p=desk_cfg.frame.tau_p,
                     config=desk_cfg)
     ls, est, book = st["ls"], st["est"], st["book"]
     serving, eta_dl, eta_ul = _ub_inputs(st)
     K, A, N = ls.steering.shape
-    chunk = 256
-    raw_bytes = chunk * (K + book.tau_p) * A * N * 16
+    batch = 256
+    raw_bytes = batch * (K + book.tau_p) * A * N * 16
     tracemalloc.start()
     try:
-        se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, 3.0 * est.sigma_w2, 0.3, 0.45, 2 * chunk,
-                 np.random.default_rng(0), batch_count=2, chunk=chunk)
+        se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, 3.0 * est.sigma_w2, 0.3, 0.45, 2 * batch,
+                 np.random.default_rng(0), batch_count=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

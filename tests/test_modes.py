@@ -64,18 +64,6 @@ def test_mmimo_preset_drop_end_to_end():
     assert rep.se_lb_dl.shape == (cfg.n_users,)
 
 
-def test_los_phase_policy_reaches_state():
-    cfg = replace(preset_desk(), n_ap=3, n_gue=2, n_uav=1)
-    cfg_drop = replace(cfg, channel=replace(cfg.channel, los_phase_policy="per_drop"))
-    rng = np.random.default_rng(0)
-    geom = generate_topology(cfg_drop, rng)
-    ls = build_large_scale(cfg_drop, geom, rng)
-    assert ls.los_phase_policy == "per_drop"
-    ls2 = build_large_scale(cfg, generate_topology(cfg, np.random.default_rng(0)),
-                            np.random.default_rng(1))
-    assert ls2.los_phase_policy == "per_draw"
-
-
 def test_uav_los_shadow_flag():
     # with shadow_in_los disabled, LOS UAV links carry zero shadowing while
     # NLOS links keep their configured sigma

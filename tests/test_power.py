@@ -8,6 +8,7 @@ from cfsim.config import dbm_to_watts, preset_desk
 from cfsim.errors import DegenerateInputError, NumericsError, SolverError
 from cfsim.estimation import build_estimation
 from cfsim.geometry import ROLE_GUE, ROLE_UAV
+from cfsim.harness import allocate_dl
 from cfsim.power import (
     _DlObjective,
     dl_budget_violation,
@@ -68,6 +69,21 @@ def test_uniform_dl_equal_transmit_power():
     eta = uniform_dl(gamma, serving, np.array([0.9]))
     power = transmitted_dl_power(eta, gamma)
     np.testing.assert_allclose(power[:, 0], 0.3)
+
+
+def test_uniform_dl_kappa_splits_each_ap_budget(gate_fixture):
+    # at each AP the GUEs share 1 - kappa and the UAVs kappa of the budget,
+    # equally within each class
+    cfg, tables, roles = gate_fixture["cfg"], gate_fixture["tables"], gate_fixture["ls"].roles
+    cfg = dataclasses.replace(cfg, power=dataclasses.replace(cfg.power, dl="uniform", kappa=0.05))
+    assert tables.serving.all()
+    eta, _ = allocate_dl(cfg, tables, roles)
+    power = transmitted_dl_power(eta, tables.gamma)
+    budget, uav = cfg.power.dl_budget_per_ap_w, roles == ROLE_UAV
+    np.testing.assert_allclose(power[uav].sum(axis=0), 0.05 * budget, rtol=1e-12)
+    np.testing.assert_allclose(power[~uav].sum(axis=0), 0.95 * budget, rtol=1e-12)
+    np.testing.assert_allclose(power[uav], 0.05 * budget / uav.sum(), rtol=1e-12)
+    np.testing.assert_allclose(power[~uav], 0.95 * budget / (~uav).sum(), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def test_delta_identity_estimator_hand_value():
     ls = LargeScaleState(
         beta=np.array([[beta]]), rice_k=np.array([[rice]]), steering=a[None, None],
         shadow_db=np.zeros((1, 1)), los_state=np.zeros((1, 1), dtype=bool),
-        los_phase=np.zeros((1, 1)), roles=np.zeros(1, dtype=int),
+        roles=np.zeros(1, dtype=int),
     )
     g = draw_channels(ls, np.random.default_rng(2), 400_000)[:, 0, 0]
     e4 = np.mean(np.sum(np.abs(g) ** 2, axis=1) ** 2)
