@@ -112,7 +112,6 @@ class ChannelConfig:
     gue_shadow_sigma_db: float = 4.0
     shadow_corr_dist_m: float = 9.0  # d0 of the 2^(-rho/d0) user-correlation kernel
     uav: UavChannelModel = field(default_factory=UavChannelModel)
-    ula_azimuth: Optional[float] = None  # radians; None -> random per AP per drop
 
 
 @dataclass(frozen=True)
@@ -273,6 +272,14 @@ class SimConfig:
         for name, value in _floats(self):
             if not math.isfinite(value):
                 raise ConfigError(f"must be finite, got {value}", field=name)
+        for name, power in (("noise", lambda: self.sigma_w2),
+                            ("power.fpc.p0_dbm", lambda: self.power.fpc.p0_watts)):
+            try:
+                watts = power()
+            except OverflowError:  # float ** beyond the float range
+                watts = math.inf
+            if not 0.0 < watts < math.inf:
+                raise ConfigError(f"gives {watts} W, not a positive finite power", field=name)
         if self.n_gue < 0 or self.n_uav < 0:
             raise ConfigError("user counts must be >= 0", field="n_gue/n_uav")
         if self.n_users < 1:

@@ -142,8 +142,10 @@ def build_estimation(
     B = B + sigma_w2 * np.eye(N)
 
     flat = B.reshape(K * A, N, N)
+    if not np.isfinite(flat).all():  # eigvalsh would raise a bare LinAlgError
+        raise NumericsError("training covariance is not finite")
     lam = np.linalg.eigvalsh(flat)  # B is Hermitian, so cond(B) = lam_max / lam_min
-    usable = np.isfinite(flat).all(axis=(1, 2)) & (lam[:, 0] > 0)
+    usable = lam[:, 0] > 0
     cond = np.full(K * A, np.inf)
     cond[usable] = lam[usable, -1] / lam[usable, 0]
     if not np.all(np.isfinite(cond)) or cond.max() > condition_limit:

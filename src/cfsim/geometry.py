@@ -89,9 +89,8 @@ def generate_topology(config, rng) -> NetworkGeometry:
     """Drop one random topology.
 
     APs are placed uniformly (or on the grid layout) at the AP height with a
-    horizontal ULA whose azimuth is drawn uniformly per AP unless fixed in the
-    config; GUEs sit at the GUE height; UAV heights are uniform over the
-    configured range.
+    horizontal ULA whose azimuth is drawn uniformly per AP; GUEs sit at the
+    GUE height; UAV heights are uniform over the configured range.
     """
     config.validate()
     side = config.area_side_m
@@ -101,10 +100,7 @@ def generate_topology(config, rng) -> NetworkGeometry:
         ap_xy = grid_centers(side, n_ap)
     else:
         ap_xy = rng.uniform(0.0, side, size=(n_ap, 2))
-    if config.channel.ula_azimuth is None:
-        azimuth = rng.uniform(0.0, 2.0 * np.pi, size=n_ap)
-    else:
-        azimuth = np.full(n_ap, float(config.channel.ula_azimuth))
+    azimuth = rng.uniform(0.0, 2.0 * np.pi, size=n_ap)
 
     axis = np.stack([np.cos(azimuth), np.sin(azimuth), np.zeros(n_ap)], axis=1)
     offsets = config.spacing_m * np.arange(n_ant)[None, :, None] * axis[:, None, :]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cfsim.channel import draw_channels
+from cfsim.config import config_from_dict, preset_desk
 from cfsim.errors import NumericsError
 from cfsim.estimation import (
     PilotBook,
@@ -14,6 +15,7 @@ from cfsim.estimation import (
     pilot_set,
     training_observable,
 )
+from cfsim.harness import run_drop
 
 from conftest import make_state
 
@@ -265,6 +267,16 @@ def test_batched_build_matches_per_pair_operations(gate_fixture):
             np.testing.assert_allclose(est.B[k, a], B, rtol=1e-12, atol=1e-300)
             np.testing.assert_allclose(est.D[k, a], D, rtol=1e-10, atol=1e-300)
             assert est.gamma[k, a] == pytest.approx(g, rel=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_training_covariance_raises():
+    # a 1e300 m antenna spacing overflows the phase of every antenna but the
+    # reference one to NaN; eigvalsh then raised a bare LinAlgError
+    cfg = config_from_dict({"antenna_spacing_m": 1e300, "mc": {"ub_samples": 0}},
+                           base=preset_desk())
+    with pytest.raises(NumericsError, match="training covariance is not finite"):
+        run_drop(cfg, 0, master_seed=1)
 
 
 def test_batched_condition_limit_brackets_max_cond(gate_fixture):

@@ -90,10 +90,14 @@ def test_uav_los_shadow_flag():
     assert np.abs(ls_on.shadow_db[ls_on.roles == ROLE_UAV]).max() > 0.0
 
 
-def test_fixed_ula_azimuth_option():
-    cfg = replace(preset_desk(), n_ap=3, n_gue=1, n_uav=0,
-                  channel=replace(preset_desk().channel, ula_azimuth=0.0))
-    geom = generate_topology(cfg, np.random.default_rng(2))
-    steps = geom.ap_antennas[:, 1, :] - geom.ap_antennas[:, 0, :]
-    np.testing.assert_allclose(steps[:, 1:], 0.0, atol=1e-12)  # along +x only
-    assert (steps[:, 0] > 0).all()
+def test_fixed_ula_azimuth_key_rejected(tmp_path, capsys):
+    # the fixed-azimuth switch is gone: every AP's ULA azimuth is drawn per drop
+    from cfsim.cli import main
+
+    path = tmp_path / "cfg.yaml"
+    path.write_text("channel:\n  ula_azimuth: 0.0\n")
+    out = tmp_path / "out"
+    args = ["run", "--preset", "desk", "--config", str(path), "--drops", "1", "--out", str(out)]
+    assert main(args) == 2
+    assert "channel.ula_azimuth: unknown key" in capsys.readouterr().err
+    assert not out.exists()

@@ -156,12 +156,14 @@ def test_wfpa_kkt_and_budget(gate_fixture):
 def test_wfpa_kappa_budget_split(gate_fixture):
     tables, cfg, ls = gate_fixture["tables"], gate_fixture["cfg"], gate_fixture["ls"]
     budgets = np.full(tables.n_ap, 0.2)
-    for kappa in (0.1, 0.2):
+    for kappa in (0.0, 0.1, 0.2, 1.0):  # 0 and 1 leave one class without power
         eta = wfpa_dl(tables.gamma, tables.serving, budgets, cfg.sigma_z2,
                       roles=ls.roles, kappa=kappa)
         power = transmitted_dl_power(eta, tables.gamma)
         uav_power = power[ls.roles == ROLE_UAV].sum(axis=0)
         np.testing.assert_allclose(uav_power, kappa * budgets, rtol=1e-9)
+        gue_power = power[ls.roles == ROLE_GUE].sum(axis=0)
+        np.testing.assert_allclose(gue_power, (1.0 - kappa) * budgets, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +273,42 @@ def test_maxmin_dl_kappa_class_budgets(gate_fixture):
     assert (gue <= (1 - kappa) * budgets * (1 + 1e-9)).all()
 
 
+# the objective's copilot terms at their edges: no user shares a pilot (P = 0,
+# empty pair arrays), and 6 users on 2 pilots with user-centric serving sets
+NO_SHARED_PILOT = dict(seed=4, n_ap=3, n_gue=2, n_uav=1, tau_p=4, assignment=[0, 1, 2])
+MANY_COPILOTS = dict(seed=9, n_ap=6, n_gue=4, n_uav=2, tau_p=2, assignment=[0, 1] * 3,
+                     association_mode="uc", uc_cluster_size=3)
+
+
 def test_dl_smoothed_min_gradient_matches_finite_differences(gate_fixture):
-    tables, cfg = gate_fixture["tables"], gate_fixture["cfg"]
-    obj = _DlObjective(tables, tables.serving, cfg.sigma_z2)
-    rng = np.random.default_rng(3)
-    y = np.where(tables.serving, rng.uniform(0.05, 0.3, tables.gamma.shape), 0.0)
-    for mu in (5.0, 80.0):
-        _, _, grad = obj.smooth_min(y, mu, grad=True)
-        fd = np.zeros_like(y)
-        for k, a in np.argwhere(tables.serving):
-            h = 1e-6 * y[k, a]
-            up, dn = y.copy(), y.copy()
-            up[k, a] += h
-            dn[k, a] -= h
-            fd[k, a] = (obj.smooth_min(up, mu)[0] - obj.smooth_min(dn, mu)[0]) / (2 * h)
-        np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7 * np.abs(fd).max())
+    states = [gate_fixture, make_state(**NO_SHARED_PILOT), make_state(**MANY_COPILOTS)]
+    assert [len(st["tables"].pair_k) for st in states] == [4, 0, 12]
+    for state in states:
+        tables, cfg = state["tables"], state["cfg"]
+        obj = _DlObjective(tables, tables.serving, cfg.sigma_z2)
+        rng = np.random.default_rng(3)
+        y = np.where(tables.serving, rng.uniform(0.05, 0.3, tables.gamma.shape), 0.0)
+        for mu in (5.0, 80.0):
+            _, _, grad = obj.smooth_min(y, mu, grad=True)
+            fd = np.zeros_like(y)
+            for k, a in np.argwhere(tables.serving):
+                h = 1e-6 * y[k, a]
+                up, dn = y.copy(), y.copy()
+                up[k, a] += h
+                dn[k, a] -= h
+                fd[k, a] = (obj.smooth_min(up, mu)[0] - obj.smooth_min(dn, mu)[0]) / (2 * h)
+            np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7 * np.abs(fd).max())
+
+
+def test_maxmin_dl_converges_without_shared_pilots():
+    state = make_state(**NO_SHARED_PILOT)
+    tables, cfg = state["tables"], state["cfg"]
+    prelog = cfg.frame.tau_d / cfg.frame.tau_c
+    eta, info = maxmin_dl(tables, np.full(tables.n_ap, 0.2), cfg.sigma_z2, prelog)
+    assert info["converged"]
+    min_se = se_from_sinr(dl_sinr_lb(tables, eta, cfg.sigma_z2), prelog).min()
+    assert min_se == pytest.approx(info["min_rate_trace"][-1], rel=1e-9)
+    assert min_se >= info["min_rate_trace"][0]  # at least the PPA start
 
 
 def test_maxmin_dl_zero_budgets_raise_naming_ap(gate_fixture):
