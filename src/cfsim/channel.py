@@ -199,7 +199,7 @@ def build_large_scale(config, geometry: NetworkGeometry, rng) -> LargeScaleState
 
 # Bytes per block of samples: what is derived from a draw is built one block at
 # a time, so only the raw draws are ever full-size. Smaller blocks pay for more
-# per-block calls (the LMMSE step makes one matmul call per user-AP pair)
+# per-block calls (the LMMSE step loops over the user-AP pairs)
 BLOCK_BYTES = 4 << 20
 
 
@@ -228,9 +228,10 @@ def draw_channels(ls: LargeScaleState, rng, n_draws=1):
     blocks = sample_blocks(n_draws, g.itemsize * K * A * N)
     fill_normal(rng, g, blocks)
     nlos = ls.beta / (ls.rice_k + 1.0)
-    los = (np.sqrt(nlos) * np.sqrt(ls.rice_k))[..., None] * ls.steering
+    users = np.flatnonzero(ls.rice_k.any(axis=1))  # the LOS term is 0 for the others
+    los = (np.sqrt(nlos) * np.sqrt(ls.rice_k))[users, :, None] * ls.steering[users]
     for blk in (g[b] for b in blocks):
         theta = rng.uniform(0.0, 2.0 * np.pi, blk.shape[:3])
         blk *= np.sqrt(nlos / 2.0)[..., None]
-        blk += np.exp(1j * theta)[..., None] * los
+        blk[:, users] += np.exp(1j * theta[:, users])[..., None] * los
     return g

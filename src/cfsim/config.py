@@ -10,6 +10,7 @@ a different environment.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from operator import attrgetter
 from typing import Optional
@@ -284,6 +285,10 @@ class SimConfig:
             raise ConfigError("user counts must be >= 0", field="n_gue/n_uav")
         if self.n_users < 1:
             raise ConfigError("need at least one user", field="n_gue/n_uav")
+        sysconf = getattr(os, "sysconf", lambda name: math.inf)  # not on Windows
+        ram = sysconf("SC_PAGE_SIZE") * sysconf("SC_PHYS_PAGES")
+        if 3 * 16 * self.n_users * self.n_ap * self.n_ap_antennas**2 > ram:
+            raise ConfigError("a drop's G, B and D exceed physical memory", field="n_ap_antennas")
         if not self.frame.tau_p < self.frame.tau_c:
             raise ConfigError(
                 f"tau_p must be < tau_c (got tau_p={self.frame.tau_p}, tau_c={self.frame.tau_c})",

@@ -129,12 +129,18 @@ def build_estimation(
     """Construct G, B, D, gamma for every (user, AP) pair.
 
     Batched over pairs; numerically equivalent to applying matrix_B /
-    estimator_D / gamma_coefficient per pair.
+    estimator_D / gamma_coefficient per pair. G = c (K a a^H + I), so B = b I plus
+    the LOS copilots' rank-one terms; without them B^{-1} G = G / b, unsolved.
+    cond(B) <= tr(B) / sigma_w^2 clears most pairs before eigvalsh.
     """
     K, A = ls.beta.shape
     N = ls.n_ap_antennas
     eta_train = np.broadcast_to(np.asarray(eta_train, dtype=float), (K,))
-    G = covariance_G(ls.beta[..., None, None], ls.rice_k[..., None, None], ls.steering)
+    c = ls.beta / (ls.rice_k + 1.0)
+    los = np.flatnonzero((ls.rice_k > 0).any(axis=1))  # users with a LOS term
+    G = np.multiply(c[..., None, None], np.eye(N), dtype=complex)
+    G[los] = covariance_G(ls.beta[los, :, None, None], ls.rice_k[los, :, None, None],
+                          ls.steering[los])
 
     same = book.assignment[:, None] == book.assignment[None, :]
     weights = same * eta_train[None, :]  # (k, i)
@@ -144,18 +150,22 @@ def build_estimation(
     flat = B.reshape(K * A, N, N)
     if not np.isfinite(flat).all():  # eigvalsh would raise a bare LinAlgError
         raise NumericsError("training covariance is not finite")
-    lam = np.linalg.eigvalsh(flat)  # B is Hermitian, so cond(B) = lam_max / lam_min
+    # eigvalsh only where the bound tr(B) / sigma_w^2 tops half the limit: the half
+    # leaves room for rounding, so the raise decision is that of the full check
+    bound = np.einsum("pii->p", flat).real / sigma_w2
+    lam = np.linalg.eigvalsh(flat[bound > condition_limit / 2])  # cond = lam_max / lam_min
     usable = lam[:, 0] > 0
-    cond = np.full(K * A, np.inf)
+    cond = np.full(len(lam), np.inf)
     cond[usable] = lam[usable, -1] / lam[usable, 0]
-    if not np.all(np.isfinite(cond)) or cond.max() > condition_limit:
+    if not np.all(np.isfinite(cond)) or cond.max(initial=0.0) > condition_limit:
         raise NumericsError(
             f"training covariance ill-conditioned (cond={cond.max():.3e})"
         )
-    X = np.linalg.solve(B.reshape(K * A, N, N), G.reshape(K * A, N, N))
-    D = np.sqrt(eta_train)[:, None, None, None] * np.conj(
-        np.swapaxes(X.reshape(K, A, N, N), 2, 3)
-    )
+    # D = sqrt(eta) (B^{-1} G)^H; G is Hermitian, so G / b where B = b I
+    D = G / B[..., :1, :1].real
+    solve = weights @ (ls.rice_k > 0) > 0  # (k, a): B has a LOS copilot term
+    D[solve] = np.conj(np.swapaxes(np.linalg.solve(B[solve], G[solve]), 1, 2))
+    D *= np.sqrt(eta_train)[:, None, None, None]
 
     gamma_c = np.sqrt(eta_train)[:, None] * np.einsum("kanm,kamn->ka", G, D)
     scale = np.maximum(np.abs(gamma_c), 1e-300)

@@ -44,9 +44,9 @@ def joint_blocks(ls, est, book, rng, n_samples):
         y_blk *= np.sqrt(est.sigma_w2 / 2.0)
         for k in range(K):
             y_blk[:, pidx[k]] += root_eta[k] * g_blk[:, k]
-        # D_{k,a} applied to the block at once: a (K, A) batch of (N, N) @ (N, S)
-        g_hat = est.D @ y_blk[:, pidx].transpose(1, 2, 3, 0)
-        g_hat = np.ascontiguousarray(g_hat.transpose(3, 0, 1, 2))
+        # a (K, A) batch of (N, N) @ (N, S), written through a view of g_hat (S, K, A, N)
+        g_hat = np.empty_like(g_blk)
+        np.matmul(est.D, y_blk[:, pidx].transpose(1, 2, 3, 0), out=g_hat.transpose(1, 2, 3, 0))
         yield g_blk, g_hat
 
 

@@ -84,32 +84,46 @@ class SETables:
 def build_se_tables(
     ls: LargeScaleState, est: EstimationState, book: PilotBook, assoc: AssociationMap
 ) -> SETables:
-    """C and the copilot pair terms of one drop. Every trace against the Ricean
-    covariance G_k = c_k^2 (K_k a_k a_k^H + I) is c_k^2 (K_k a_k^H M a_k + tr M):
-    for M = G_j D_j^H on every (k, j) as one batched matmul per AP, for M = D_j
-    on the own and copilot pairs only."""
+    """C and the copilot pair terms of one drop. A trace against the Ricean
+    covariance G_k = c_k^2 (K_k a_k a_k^H + I) is c_k^2 (K_k a_k^H M a_k + tr M), so
+    on the rows with no LOS link (every GUE) tr(G_j D_j^H G_k) is c_k^2 tr(G_j D_j^H),
+    and q = a_l^H D_j a_l is needed on the LOS rows l only. There, with the Gram
+    a_l^H a_j, a_l^H G_j D_j^H a_l = c_j^2 (conj(q) + K_j (a_l^H a_j) conj(a_l^H D_j a_j))."""
     D, eta = est.D, est.eta_train
     K, A, N = ls.steering.shape
     c2 = ls.beta / (ls.rice_k + 1.0)  # (K, A), channel user k
     rice = ls.rice_k
-    outer = (np.conj(ls.steering)[..., :, None] * ls.steering[..., None, :]).reshape(K, A, N * N)
-    gdh = est.G @ np.conj(np.swapaxes(D, 2, 3))  # G_j D_j^H
-    # a_k^H (G_j D_j^H) a_k for every (k, j): (A, K, N^2) @ (A, N^2, K)
-    steered = outer.transpose(1, 0, 2) @ gdh.reshape(K, A, N * N).transpose(1, 2, 0)
-    tr_gdg = c2[:, None, :] * (rice[:, None, :] * steered.transpose(1, 2, 0)
-                               + np.trace(gdh, axis1=2, axis2=3))
-    if np.abs(tr_gdg.imag).max() > 1e-6 * max(np.abs(tr_gdg).max(), 1e-300):
+    is_los = (rice > 0).any(axis=1)
+    los = np.flatnonzero(is_los)
+    a, ca = ls.steering[los], (c2 * rice)[los]
+    outer = (np.conj(a)[..., :, None] * a[..., None, :]).reshape(len(los), A, N * N)
+    # q[l, j] = a_l^H D_j a_l: (A, L, N^2) @ (A, N^2, K); then a zero row for the NLOS users
+    q = (outer.transpose(1, 0, 2) @ D.reshape(K, A, N * N).transpose(1, 2, 0)).transpose(1, 2, 0)
+    q = np.concatenate([q, np.zeros((1, K, A), dtype=complex)])
+    # [a_l^H a_m | a_l^H D_m a_m] over the LOS users, one (L, 2L) matmul per AP
+    right = np.concatenate([a, np.einsum("lanm,lam->lan", D[los], a)])
+    gram, adm = np.split((np.conj(a).transpose(1, 0, 2) @ right.transpose(1, 2, 0))
+                         .transpose(1, 2, 0), 2, axis=1)
+    tr_d = np.einsum("kaii->ka", D)
+    tr_gd = np.conj(c2 * tr_d)  # tr(G_j D_j^H)
+    tr_gd[los] += np.conj(ca * q[np.arange(len(los)), los])
+    s = c2 * np.conj(q[:-1])  # a_l^H G_j D_j^H a_l
+    s[:, los] += ca * gram * np.conj(adm)
+    tr_los = c2[los, None] * (rice[los, None] * s + tr_gd)
+    # every (k, j, a) the guard sees: on the NLOS rows only the largest c_k can set a maximum
+    seen = np.concatenate([tr_los.ravel(), (c2[~is_los].max(axis=0, initial=0.0) * tr_gd).ravel()])
+    if np.abs(seen.imag).max() > 1e-6 * max(np.abs(seen).max(), 1e-300):
         raise NumericsError("tr(G D^H G) acquired a non-negligible imaginary part")
-    C = np.sqrt(eta)[None, :, None] * tr_gdg.real
-    del tr_gdg, steered
+    C = c2[:, None, :] * (np.sqrt(eta)[:, None] * tr_gd.real)
+    C[los] = np.sqrt(eta)[:, None] * tr_los.real
 
     copilot = book.assignment[:, None] == book.assignment[None, :]
     np.fill_diagonal(copilot, False)
     pair_k, pair_j = np.nonzero(copilot)
     own = np.arange(K)
     k, j = np.concatenate([own, pair_k]), np.concatenate([own, pair_j])
-    tr_d = np.trace(D, axis1=2, axis2=3)[j]  # estimator user j
-    q = np.einsum("pax,pax->pa", outer[k], D.reshape(K, A, N * N)[j])  # a_k^H D_j a_k
+    row = np.where(is_los, np.cumsum(is_los) - 1, -1)  # -1: the zero row
+    q, tr_d = q[row[k], j], tr_d[j]  # a_k^H D_j a_k (0 where K_k = 0), tr D_j
     delta = c2[k] ** 2 * (np.abs(tr_d) ** 2 + 2.0 * rice[k] * np.real(q * np.conj(tr_d)))
     t = c2[k] * (rice[k] * q + tr_d)  # tr(D_j G_k)
     pair_w, pair_t = eta[pair_k], t[K:]

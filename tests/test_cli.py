@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 import yaml
 
@@ -16,6 +18,21 @@ def test_validate_bad_config_exit_2(tmp_path, capsys):
     cfg_path.write_text("frame:\n  tau_p: 500\n")
     assert main(["validate", "--config", str(cfg_path)]) == 2
     assert "tau_p" in capsys.readouterr().err
+
+
+def test_validate_rejects_state_beyond_physical_memory(tmp_path, capsys):
+    # a drop's (K, A, N, N) G, B and D at a million antennas need hundreds of
+    # TiB; validate refuses the config before anything of that size exists
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("n_ap_antennas: 1000000\n")
+    tracemalloc.start()
+    try:
+        assert main(["validate", "--config", str(cfg_path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert "physical memory" in capsys.readouterr().err
 
 
 def test_validate_missing_file_exit_2(tmp_path):

@@ -252,8 +252,7 @@ def test_contamination_locality(gate_fixture):
     assert np.abs(est2.D[2] - est.D[2]).max() > 1e-9  # its own estimator did change
 
 
-def test_batched_build_matches_per_pair_operations(gate_fixture):
-    ls, book, est0 = gate_fixture["ls"], gate_fixture["book"], gate_fixture["est"]
+def _assert_build_matches_per_pair_operations(ls, book, est0):
     eta, sigma_w2 = est0.eta_train, est0.sigma_w2
     G = np.array([[covariance_G(ls.beta[k, a], ls.rice_k[k, a], ls.steering[k, a])
                    for a in range(est0.n_ap)] for k in range(est0.n_users)])
@@ -267,6 +266,23 @@ def test_batched_build_matches_per_pair_operations(gate_fixture):
             np.testing.assert_allclose(est.B[k, a], B, rtol=1e-12, atol=1e-300)
             np.testing.assert_allclose(est.D[k, a], D, rtol=1e-10, atol=1e-300)
             assert est.gamma[k, a] == pytest.approx(g, rel=1e-10)
+
+
+def test_batched_build_matches_per_pair_operations(gate_fixture):
+    _assert_build_matches_per_pair_operations(
+        gate_fixture["ls"], gate_fixture["book"], gate_fixture["est"])
+
+
+def test_batched_build_matches_per_pair_with_diagonal_and_dense_B():
+    # GUEs 0 and 1 share pilot 0 with no LOS term, so their B is a scaled
+    # identity (divided, not solved); GUE 2 shares pilot 1 with UAV 3, so
+    # B carries the UAV's rank-one LOS term for both
+    st = make_state(seed=12, n_gue=3, n_uav=1, tau_p=2, assignment=[0, 0, 1, 1])
+    est = st["est"]
+    off = est.B * (1.0 - np.eye(est.n_ap_antennas))
+    diagonal = (off == 0).all(axis=(2, 3))
+    assert diagonal[:2].all() and not diagonal[2:].any()
+    _assert_build_matches_per_pair_operations(st["ls"], st["book"], est)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -289,6 +305,23 @@ def test_batched_condition_limit_brackets_max_cond(gate_fixture):
     build_estimation(*args, condition_limit=worst * (1 + 1e-6))
     with pytest.raises(NumericsError, match="ill-conditioned"):
         build_estimation(*args, condition_limit=worst * (1 - 1e-6))
+
+
+def test_condition_limit_below_trace_bound_falls_back_to_eigvalsh(gate_fixture, monkeypatch):
+    # cond(B) <= tr(B) / sigma_w^2 clears most pairs without eigvalsh; a limit
+    # between the worst true cond and the largest bound sends some pairs
+    # through it, and none of them exceeds the limit
+    ls, book, est = gate_fixture["ls"], gate_fixture["book"], gate_fixture["est"]
+    N = est.n_ap_antennas
+    worst = np.linalg.cond(est.B.reshape(-1, N, N)).max()
+    bound = (np.trace(est.B, axis1=2, axis2=3).real / est.sigma_w2).max()
+    assert bound > worst * (1 + 1e-4)
+    checked = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda b: checked.append(len(b)) or eigvalsh(b))
+    build_estimation(ls, book, est.eta_train, est.sigma_w2,
+                     condition_limit=np.sqrt(worst * bound))
+    assert checked[0] > 0
 
 
 def test_estimation_state_invariants(gate_fixture):

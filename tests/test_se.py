@@ -136,7 +136,15 @@ DL_FORM_STATES = {
                  n_uav=_DESK.n_uav, tau_p=_DESK.frame.tau_p),
     "40-users-8-pilots": dict(seed=7, n_ap=10, n_gue=32, n_uav=8, tau_p=8),
     "16-antennas": dict(seed=21, n_ap=3, n_ap_antennas=16, n_gue=5, n_uav=1, tau_p=2),
+    # the LOS corrections run on no row, and on every row
+    "no-los": dict(seed=31, n_ap=5, n_ap_antennas=3, n_gue=6, n_uav=0, tau_p=3),
+    "all-los": dict(seed=32, n_ap=5, n_ap_antennas=3, n_gue=0, n_uav=6, tau_p=3),
 }
+
+
+def test_los_states_cover_no_and_every_los_user():
+    assert (make_state(**DL_FORM_STATES["no-los"])["ls"].rice_k == 0).all()
+    assert (make_state(**DL_FORM_STATES["all-los"])["ls"].rice_k > 0).any(axis=1).all()
 
 
 @functools.lru_cache(maxsize=None)
