@@ -264,6 +264,20 @@ class SimConfig:
         """Per-user pilot energy eta_k = tau_p * eta_bar."""
         return self.frame.tau_p * self.power.train_per_sample_w
 
+    def _far_gain_db(self):
+        """Lowest mean path gain in dB (no shadowing) over the user roles present, at the
+        longest user-AP distance of the wrapped area (UAVs at both ends of their range)."""
+        ch, f = self.channel, self.carrier_freq_ghz
+        reach = self.area_side_m / math.sqrt(2.0)  # horizontal, to the nearest image
+        gains = []
+        if self.n_gue > 0:
+            d = math.hypot(reach, self.gue_height_m - self.ap_height_m)
+            gains.append(ch.gue_gain.evaluate(d, f))
+        for h in self.uav_height_range_m if self.n_uav > 0 else ():
+            d = math.hypot(reach, h - self.ap_height_m)
+            gains += [-m.evaluate(d, f, h) for m in (ch.uav.pathloss_los, ch.uav.pathloss_nlos)]
+        return min(gains)
+
     def validate(self):
         """Raise ConfigError naming the first violated field."""
         for name, low, closed in _LOWER_BOUNDS:
@@ -297,6 +311,16 @@ class SimConfig:
         lo, hi = self.uav_height_range_m
         if not (0 < lo <= hi):
             raise ConfigError("range must satisfy 0 < low <= high", field="uav_height_range_m")
+        n, spacing = self.n_ap_antennas, self.spacing_m
+        if not (n - 1) * spacing <= self.area_side_m:
+            raise ConfigError(f"an AP array of {n} antennas spaced {spacing:g} m does not fit "
+                              f"in area_side_m={self.area_side_m:g}", field="antenna_spacing_m")
+        # gamma = eta tr(G B^-1 G) is quadratic in the path gain, so a gain whose
+        # square underflows zeroes every estimate of the links it holds on
+        far_db = self._far_gain_db()
+        if not far_db >= 5.0 * math.log10(np.finfo(float).tiny):
+            raise ConfigError(f"mean path gain {far_db:.4g} dB at the longest in-area distance: "
+                              "its square underflows", field="carrier_freq_hz/area_side_m")
         if self.power.kappa is not None and not (0.0 <= self.power.kappa <= 1.0):
             raise ConfigError("must lie in [0, 1]", field="power.kappa")
         starved = {0.0: self.n_uav, 1.0: self.n_gue}.get(self.power.kappa, 0)

@@ -6,10 +6,13 @@ the closed-form lower bound and (ii) the sampled upper bounds. This module is
 the independent side of the dual-route check: it never touches the
 closed-form tables in cfsim.se.
 
-The per-sample kernels are batched BLAS matmuls over (S, K, A*N) reshapes; the
-copilot mix is a sum per pilot. All three estimators run one batch loop
-(`_batch_sums`) and differ only in the per-block reducer they hand it; the
-upper bounds of both links share one reducer, so each sample is drawn once.
+The copilot mix is a sum per pilot. All three estimators run one batch loop
+(`_batch_sums`) and one cross kernel (`_cross`), and differ only in the
+per-block reducer they hand the loop. A reducer consumes its block's g_hat:
+the kernel conjugates and scales it in place and multiplies it into g^T (a
+batched BLAS matmul over (S, K, A*N) reshapes) once per link asked for. The
+upper bounds of both links share one reducer, so each sample is drawn and
+estimated once.
 """
 
 from __future__ import annotations
@@ -54,21 +57,31 @@ def _power(z):
     return z.real**2 + z.imag**2
 
 
-def _dl_cross(g, g_hat, root_eta_dl):
-    """cross[s, k, j] = sum_a sqrt(eta_dl[j,a]) g_{k,a}^H ghat_{j,a}."""
-    S, K = g.shape[:2]
-    right = (g_hat * root_eta_dl[None, :, :, None]).reshape(S, K, -1)
-    return np.conj(g).reshape(S, K, -1) @ right.transpose(0, 2, 1)
+def _cross(g, g_hat, mask=None, root_eta_dl=None):
+    """Cross terms of the links asked for, as (ul, norms, dl); g_hat is consumed.
 
-
-def _ul_cross(g, g_hat, mask):
-    """cross[s, k, j] = sum_{a in A_k} ghat_{k,a}^H g_{j,a}, plus sum_{a in A_k} ||ghat||^2."""
-    S, K = g.shape[:2]
-    left = np.conj(g_hat)
-    left *= mask[None, :, :, None]
-    cross = left.reshape(S, K, -1) @ g.reshape(S, K, -1).transpose(0, 2, 1)
-    norms = (_power(g_hat).sum(axis=3) * mask).sum(axis=2)
-    return cross, norms
+    With mask (K, A) of 0/1: ul[s, k, j] = sum_{a in A_k} ghat_{k,a}^H g_{j,a} and
+    norms[s, k] = sum_{a in A_k} ||ghat_{k,a}||^2. With root_eta_dl (K, A), zero
+    off the serving mask: dl[s, k, j] = sum_a sqrt(eta_dl[j,a]) g_{k,a}^H ghat_{j,a},
+    the conjugate transpose of (conj(ghat) sqrt(eta_dl)) @ g^T. g_hat is
+    conjugated and scaled in place, and both products share the right operand g^T.
+    """
+    S, K, A, N = g.shape
+    right = g.reshape(S, K, -1).transpose(0, 2, 1)
+    left = g_hat.reshape(S, K, -1)
+    flat = left.view(float)  # real and imaginary parts side by side
+    conj = np.tile([1.0, -1.0], A * N)  # folded into the first scaling
+    ul = norms = dl = None
+    if mask is not None:
+        flat *= np.repeat(mask, 2 * N, axis=1) * conj
+        conj = 1.0
+        norms = np.einsum("skx,skx->sk", flat, flat)
+        ul = left @ right
+    if root_eta_dl is not None:
+        flat *= np.repeat(root_eta_dl, 2 * N, axis=1) * conj
+        dl = left @ right
+        dl = np.conjugate(dl, out=dl).transpose(0, 2, 1)
+    return ul, norms, dl
 
 
 def _batched(n_samples, batch_count):
@@ -84,7 +97,8 @@ def _batched(n_samples, batch_count):
 
 
 def _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
-    """Sum the arrays reduce(g, g_hat) returns over the blocks of each batch.
+    """Sum the arrays reduce(g, g_hat) returns over the blocks of each batch;
+    reduce may overwrite g_hat, which no one reads after it.
 
     Each batch's raw draws are made at once. Returns (total, batches): the sums
     over all samples, and one (batch size, sums) pair per batch.
@@ -158,7 +172,7 @@ def uatf_dl_mc(
     root = np.sqrt(np.where(serving, np.asarray(eta_dl, dtype=float), 0.0))
 
     def reduce(g, g_hat):
-        cross = _dl_cross(g, g_hat, root)
+        cross = _cross(g, g_hat, root_eta_dl=root)[2]
         return cross.sum(axis=0), _power(cross).sum(axis=0)
 
     def terms(mean_c, mean_c2):
@@ -188,7 +202,7 @@ def uatf_ul_mc(
     mask = np.asarray(serving, dtype=float)
 
     def reduce(g, g_hat):
-        cross, norms = _ul_cross(g, g_hat, mask)
+        cross, norms, _ = _cross(g, g_hat, mask)
         return cross.sum(axis=0), _power(cross).sum(axis=0), norms.sum(axis=0)
 
     def terms(mean_c, mean_c2, mean_n):
@@ -223,7 +237,8 @@ def se_ub_mc(
     batch_count=20,
 ):
     """Sampled upper bounds prelog * E[log2(1 + instantaneous SINR)] of both
-    links, from one (g, g_hat) stream. Returns (dl, ul) UbResults."""
+    links, from one (g, g_hat) stream: each block's g_hat is consumed by one
+    _cross call for both links. Returns (dl, ul) UbResults."""
     root = np.sqrt(np.where(serving, np.asarray(eta_dl, dtype=float), 0.0))
     eta = np.asarray(eta_ul, dtype=float)
     mask = np.asarray(serving, dtype=float)
@@ -233,9 +248,8 @@ def se_ub_mc(
         return np.log2(1.0 + num / (pw.sum(axis=2) - num + noise)).sum(axis=0)
 
     def reduce(g, g_hat):
-        dl = log_sum(_power(_dl_cross(g, g_hat, root)), sigma_z2)
-        cross, norms = _ul_cross(g, g_hat, mask)
-        return dl, log_sum(eta[None, None, :] * _power(cross), est.sigma_w2 * norms)
+        ul, norms, dl = _cross(g, g_hat, mask, root)
+        return log_sum(_power(dl), sigma_z2), log_sum(eta * _power(ul), est.sigma_w2 * norms)
 
     total, batches = _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce)
     return tuple(

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 import yaml
 
+import cfsim
 from cfsim.cli import main
 
 
@@ -124,6 +129,9 @@ def test_numerical_failure_exit_3(monkeypatch, capsys):
         ("power:\n  fpc:\n    p0_dbm: .nan\n", "power.fpc.p0_dbm"),
         ("power:\n  dl_budget_per_ap_w: .inf\n", "power.dl_budget_per_ap_w"),
         ("power:\n  ul_max_w: .inf\n", "power.ul_max_w"),
+        # absurd but finite magnitudes that used to fail inside the drop
+        ("carrier_freq_hz: 1e300\n", "carrier_freq_hz"),
+        ("antenna_spacing_m: 1e300\n", "antenna_spacing_m"),
     ],
 )
 def test_run_bad_physical_field_exit_2(tmp_path, capsys, text, field):
@@ -133,6 +141,29 @@ def test_run_bad_physical_field_exit_2(tmp_path, capsys, text, field):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["carrier_freq_hz: 1e63\n", "carrier_freq_hz: 1e79\nn_gue: 0\n"])
+def test_run_just_inside_the_path_gain_rule(tmp_path, text):
+    # validate rejects a mean path gain whose square underflows at the longest
+    # in-area distance (1e63 Hz is just inside for GUEs, 1e79 Hz for UAVs); a
+    # drop just inside the rule still runs to finite, if zero, rates
+    cfg_path = tmp_path / "x.yaml"
+    cfg_path.write_text(text + "mc:\n  ub_samples: 20\n  batch_count: 2\n")
+    code = main(["run", "--preset", "desk", "--config", str(cfg_path), "--drops", "1",
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+
+
+def test_python_m_cfsim_runs_the_cli():
+    src = Path(cfsim.__file__).parents[1]
+    config = src.parent / "configs" / "paper.yaml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cfsim", "validate", "--config", str(config)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "config OK" in proc.stdout
 
 
 def test_run_negative_seed_exit_2(tmp_path, capsys):

@@ -1,23 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cfsim.channel import draw_channels
-from cfsim.config import config_from_dict, preset_desk
 from cfsim.errors import NumericsError
-from cfsim.estimation import (
-    PilotBook,
-    assign_pilots,
-    build_estimation,
-    covariance_G,
-    estimator_D,
-    gamma_coefficient,
-    matrix_B,
-    pilot_set,
-    training_observable,
-)
-from cfsim.harness import run_drop
+from cfsim.estimation import PilotBook, assign_pilots, build_estimation, covariance_G, pilot_set
 
 from conftest import make_state
+from per_pair import estimator_D, gamma_coefficient, matrix_B, training_observable
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +277,16 @@ def test_batched_build_matches_per_pair_with_diagonal_and_dense_B():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_training_covariance_raises():
-    # a 1e300 m antenna spacing overflows the phase of every antenna but the
-    # reference one to NaN; eigvalsh then raised a bare LinAlgError
-    cfg = config_from_dict({"antenna_spacing_m": 1e300, "mc": {"ub_samples": 0}},
-                           base=preset_desk())
+def test_non_finite_training_covariance_raises(gate_fixture):
+    # NaN steering phases reach B through the LOS terms; eigvalsh then raised a
+    # bare LinAlgError. A 1e300 m antenna spacing made them in a drop before
+    # SimConfig.validate rejected AP arrays wider than the area
+    ls, book, est = gate_fixture["ls"], gate_fixture["book"], gate_fixture["est"]
+    assert ls.rice_k.any()
+    steering = ls.steering.copy()
+    steering[..., 1:] = np.nan
     with pytest.raises(NumericsError, match="training covariance is not finite"):
-        run_drop(cfg, 0, master_seed=1)
+        build_estimation(replace(ls, steering=steering), book, est.eta_train, est.sigma_w2)
 
 
 def test_batched_condition_limit_brackets_max_cond(gate_fixture):

@@ -388,7 +388,7 @@ def test_uatf_interference_zero_for_silent_user(gate_fixture):
 def literal_ub():
     """Both UBs through the literal training op (raw per-AP Y matrices) next to
     the projected fast path, on independent streams."""
-    from cfsim.estimation import estimate_channels, training_observable
+    from per_pair import estimate_channels, training_observable
 
     state = make_state(seed=8, n_ap=2, n_gue=2, n_uav=0, tau_p=2, assignment=[0, 1])
     ls, est, book, cfg = state["ls"], state["est"], state["book"], state["cfg"]
