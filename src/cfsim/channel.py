@@ -206,15 +206,30 @@ BLOCK_BYTES = 4 << 20
 def sample_blocks(n, row_bytes):
     """Slices of range(n) holding about BLOCK_BYTES of rows of row_bytes each."""
     step = max(1, BLOCK_BYTES // row_bytes)
-    return [slice(i, i + step) for i in range(0, n, step)]
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-def fill_normal(rng, out, blocks):
-    """Fill complex out with standard normals, all real parts then all imaginary
-    parts, block by block: the values of one full-size call per part."""
-    for part in (out.real, out.imag):
-        for b in blocks:
-            part[b] = rng.standard_normal(part[b].shape)
+def fill_normal(rng, part, slices):
+    """Fill the float array part (or the real or imaginary view of a complex one)
+    with standard normals, slice by slice: the values of one full-size call."""
+    for s in slices:
+        part[s] = rng.standard_normal(part[s].shape)
+
+
+def channel_scaler(ls: LargeScaleState):
+    """(users, scale): the users with an LOS term on some link, and scale(blk, theta),
+    which turns a block (S, K, A, N) of unit complex normals into channels in place;
+    theta (S, len(users), A) holds the block's LOS phases of those users."""
+    nlos = ls.beta / (ls.rice_k + 1.0)
+    users = np.flatnonzero(ls.rice_k.any(axis=1))  # the LOS term is 0 for the others
+    root = np.sqrt(nlos / 2.0)[..., None]
+    los = (np.sqrt(nlos) * np.sqrt(ls.rice_k))[users, :, None] * ls.steering[users]
+
+    def scale(blk, theta):
+        blk *= root
+        blk[:, users] += np.exp(1j * theta)[..., None] * los
+
+    return users, scale
 
 
 def draw_channels(ls: LargeScaleState, rng, n_draws=1):
@@ -222,16 +237,16 @@ def draw_channels(ls: LargeScaleState, rng, n_draws=1):
 
     The scattered component is i.i.d. CN(0,1); the LOS phase is uniform and
     drawn anew for every realization, so each link's channel has zero mean.
+    Draw order: all real parts, all imaginary parts, then the (n_draws, K, A)
+    phases block by block.
     """
     K, A, N = ls.steering.shape
     g = np.empty((n_draws, K, A, N), dtype=complex)
     blocks = sample_blocks(n_draws, g.itemsize * K * A * N)
-    fill_normal(rng, g, blocks)
-    nlos = ls.beta / (ls.rice_k + 1.0)
-    users = np.flatnonzero(ls.rice_k.any(axis=1))  # the LOS term is 0 for the others
-    los = (np.sqrt(nlos) * np.sqrt(ls.rice_k))[users, :, None] * ls.steering[users]
-    for blk in (g[b] for b in blocks):
-        theta = rng.uniform(0.0, 2.0 * np.pi, blk.shape[:3])
-        blk *= np.sqrt(nlos / 2.0)[..., None]
-        blk[:, users] += np.exp(1j * theta[:, users])[..., None] * los
+    fill_normal(rng, g.real, blocks)
+    fill_normal(rng, g.imag, blocks)
+    users, scale = channel_scaler(ls)
+    for b in blocks:
+        theta = rng.uniform(0.0, 2.0 * np.pi, g[b].shape[:3])
+        scale(g[b], theta[:, users])
     return g

@@ -278,6 +278,23 @@ class SimConfig:
             gains += [-m.evaluate(d, f, h) for m in (ch.uav.pathloss_los, ch.uav.pathloss_nlos)]
         return min(gains)
 
+    def _near_gain_db(self):
+        """Highest mean path gain in dB (no shadowing) over the user roles present, at
+        the smallest user-AP height gap: a user right above or below an AP, UAVs at
+        both ends of their range. A gap of 0 puts no positive floor under the
+        distance, so the rule skips the role with it (UAVs, when ap_height_m lies
+        inside their range); None when it skips every role present."""
+        ch, f = self.channel, self.carrier_freq_ghz
+        gains = []
+        if self.n_gue > 0 and self.gue_height_m != self.ap_height_m:
+            gains.append(ch.gue_gain.evaluate(abs(self.gue_height_m - self.ap_height_m), f))
+        lo, hi = self.uav_height_range_m
+        if self.n_uav > 0 and not lo <= self.ap_height_m <= hi:
+            for h in (lo, hi):
+                d = abs(h - self.ap_height_m)
+                gains += [-m.evaluate(d, f, h) for m in (ch.uav.pathloss_los, ch.uav.pathloss_nlos)]
+        return max(gains, default=None)
+
     def validate(self):
         """Raise ConfigError naming the first violated field."""
         for name, low, closed in _LOWER_BOUNDS:
@@ -321,6 +338,10 @@ class SimConfig:
         if not far_db >= 5.0 * math.log10(np.finfo(float).tiny):
             raise ConfigError(f"mean path gain {far_db:.4g} dB at the longest in-area distance: "
                               "its square underflows", field="carrier_freq_hz/area_side_m")
+        near_db = self._near_gain_db()
+        if near_db is not None and not near_db <= 5.0 * math.log10(np.finfo(float).max):
+            raise ConfigError(f"mean path gain {near_db:.4g} dB at the smallest user-AP height "
+                              "gap: its square overflows", field="carrier_freq_hz")
         if self.power.kappa is not None and not (0.0 <= self.power.kappa <= 1.0):
             raise ConfigError("must lie in [0, 1]", field="power.kappa")
         starved = {0.0: self.n_uav, 1.0: self.n_gue}.get(self.power.kappa, 0)

@@ -31,15 +31,6 @@ class PilotBook:
     def n_users(self):
         return self.assignment.shape[0]
 
-    def copilot_gram2(self):
-        """|phi_i^H phi_k|^2 matrix; 1 on shared pilots, 0 otherwise."""
-        same = self.assignment[:, None] == self.assignment[None, :]
-        return same.astype(float)
-
-    def sequences(self):
-        """(K, tau_p) pilot sequence of each user."""
-        return self.pilots[self.assignment]
-
 
 def pilot_set(tau_p):
     """Deterministic orthonormal pilot set: rows of the unitary DFT matrix."""

@@ -6,51 +6,44 @@ the closed-form lower bound and (ii) the sampled upper bounds. This module is
 the independent side of the dual-route check: it never touches the
 closed-form tables in cfsim.se.
 
-The copilot mix is a sum per pilot. All three estimators run one batch loop
+The copilot mix is a sum per pilot. All three estimators run one sampler
 (`_batch_sums`) and one cross kernel (`_cross`), and differ only in the
-per-block reducer they hand the loop. A reducer consumes its block's g_hat:
+per-block reducer they hand the sampler. A reducer consumes its block's g_hat:
 the kernel conjugates and scales it in place and multiplies it into g^T (a
 batched BLAS matmul over (S, K, A*N) reshapes) once per link asked for. The
 upper bounds of both links share one reducer, so each sample is drawn and
 estimated once.
+
+The sampler is a two-stage pipeline. The calling thread makes every random
+draw, in one fixed order; WORKERS threads run each block's kernels (channel
+scale, pilot mix, LMMSE step, reducer) as soon as the block's draws are made.
+numpy releases the GIL in the draws, the matmuls and large elementwise ops, so
+the two stages run at once. The calling thread adds the block sums in block
+order, so every output is the same however the threads are timed. Memory is
+about one batch of raw draws plus the blocks in flight.
 """
 
 from __future__ import annotations
 
+import queue
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LargeScaleState, draw_channels, fill_normal, sample_blocks
+from .channel import (
+    LargeScaleState,
+    channel_scaler,
+    draw_channels,
+    fill_normal,
+    sample_blocks,
+)
 from .estimation import EstimationState, PilotBook
 from .se import delta_term
 
-
-def joint_blocks(ls, est, book, rng, n_samples):
-    """Yield (g, g_hat) blocks of jointly sampled channels and LMMSE estimates.
-
-    g has shape (S, K, A, N). The raw draws of all n_samples are made at once,
-    which fixes the random stream, and estimated in blocks of
-    channel.BLOCK_BYTES of raw draws. The training noise is drawn per pilot
-    sequence (users sharing a pilot see the same projected noise, as the
-    projection of one common W_a realization dictates).
-    """
-    K, A, N = ls.steering.shape
-    pidx = book.assignment
-    g = draw_channels(ls, rng, n_samples)
-    blocks = sample_blocks(n_samples, g.itemsize * (K + book.tau_p) * A * N)
-    y = np.empty((n_samples, book.tau_p, A, N), dtype=complex)
-    fill_normal(rng, y, blocks)
-    root_eta = np.sqrt(np.asarray(est.eta_train, dtype=float))
-    for b in blocks:
-        g_blk, y_blk = g[b], y[b]
-        y_blk *= np.sqrt(est.sigma_w2 / 2.0)
-        for k in range(K):
-            y_blk[:, pidx[k]] += root_eta[k] * g_blk[:, k]
-        # a (K, A) batch of (N, N) @ (N, S), written through a view of g_hat (S, K, A, N)
-        g_hat = np.empty_like(g_blk)
-        np.matmul(est.D, y_blk[:, pidx].transpose(1, 2, 3, 0), out=g_hat.transpose(1, 2, 3, 0))
-        yield g_blk, g_hat
+# Threads running the block kernels while the calling thread draws
+WORKERS = 2
 
 
 def _power(z):
@@ -96,22 +89,95 @@ def _batched(n_samples, batch_count):
     return sizes
 
 
+def _chunks(n, parts=8):
+    """range(n) in about `parts` slices: draws are made a chunk at a time, so the
+    drawing thread's temporaries stay small beside the blocks in flight."""
+    step = -(-n // parts)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
 def _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
     """Sum the arrays reduce(g, g_hat) returns over the blocks of each batch;
-    reduce may overwrite g_hat, which no one reads after it.
+    reduce may overwrite g_hat, a buffer that is reused once it returns.
 
-    Each batch's raw draws are made at once. Returns (total, batches): the sums
-    over all samples, and one (batch size, sums) pair per batch.
+    The calling thread makes every draw of a batch, in the stream's order: all
+    real parts of g, all its imaginary parts, the (S, K, A) LOS phases block by
+    block, then the training noise's real parts and, block by block, its
+    imaginary parts. Meanwhile WORKERS threads scale each block's channels once
+    its phases are drawn, and mix its pilots, estimate it and reduce it once its
+    noise is. The calling thread adds the block sums in block order, so the sums
+    do not depend on thread timing. A batch is finished before the next is
+    drawn. Held at once: g and the noise's real parts for one batch, and the
+    complex noise of at most WORKERS + 1 blocks. The training noise is drawn per
+    pilot sequence (users sharing a pilot see the same projected noise, as the
+    projection of one common W_a realization dictates).
+
+    Returns (total, batches): the sums over all samples, and one (batch size,
+    sums) pair per batch.
     """
+    K, A, N = ls.steering.shape
+    pidx = book.assignment
+    root_eta = np.sqrt(np.asarray(est.eta_train, dtype=float))
+    users, scale = channel_scaler(ls)
+    sizes = _batched(n_samples, batch_count)
+    row_bytes = 16 * (K + book.tau_p) * A * N
+    # one g_hat buffer per worker, made here: what a worker allocates stays in
+    # its thread's malloc arena, which no other thread reuses
+    free = queue.SimpleQueue()
+    for _ in range(WORKERS):
+        free.put(np.empty((sample_blocks(max(sizes), row_bytes)[0].stop, K, A, N), dtype=complex))
+
+    def estimate(g, y, scaled):
+        scaled.result()
+        y *= np.sqrt(est.sigma_w2 / 2.0)
+        for k in range(K):
+            y[:, pidx[k]] += root_eta[k] * g[:, k]
+        buf = free.get_nowait()  # at most WORKERS blocks are estimated at once
+        try:
+            g_hat = buf[: len(g)]
+            for k in range(K):  # an A-batch of (N, N) @ (N, S), written through a view of g_hat
+                np.matmul(est.D[k], y[:, pidx[k]].transpose(1, 2, 0),
+                          out=g_hat[:, k].transpose(1, 2, 0))
+            return reduce(g, g_hat)
+        finally:
+            free.put(buf)
+
+    def add(sums, part):
+        return part if sums is None else [s + p for s, p in zip(sums, part)]
+
     batches = []
-    for size in _batched(n_samples, batch_count):
-        sums = None
-        for g, g_hat in joint_blocks(ls, est, book, rng, size):
-            part = reduce(g, g_hat)
-            # drop this block's views before the next batch is drawn, so only one is held
-            del g, g_hat
-            sums = part if sums is None else [a + b for a, b in zip(sums, part)]
-        batches.append((size, sums))
+    pool = ThreadPoolExecutor(WORKERS)
+    try:
+        for size in sizes:
+            blocks = sample_blocks(size, row_bytes)
+            chunks = [_chunks(b.stop - b.start) for b in blocks]
+            g = np.empty((size, K, A, N), dtype=complex)
+            for part in (g.real, g.imag):
+                for b, cs in zip(blocks, chunks):
+                    fill_normal(rng, part[b], cs)
+            scaled = []
+            for b in blocks:
+                theta = rng.uniform(0.0, 2.0 * np.pi, (b.stop - b.start, K, A))
+                scaled.append(pool.submit(scale, g[b], theta[:, users]))
+            # real parts one array per block, each let go once its block's noise is complex
+            noise = [np.empty((b.stop - b.start, book.tau_p, A, N)) for b in blocks]
+            for real, cs in zip(noise, chunks):
+                fill_normal(rng, real, cs)
+            sums, pending = None, deque()
+            for i, (b, cs, done) in enumerate(zip(blocks, chunks, scaled)):
+                y = np.empty(noise[i].shape, dtype=complex)
+                y.real = noise[i]
+                noise[i] = None
+                fill_normal(rng, y.imag, cs)
+                pending.append(pool.submit(estimate, g[b], y, done))
+                if len(pending) > WORKERS:
+                    sums = add(sums, pending.popleft().result())
+            while pending:
+                sums = add(sums, pending.popleft().result())
+            batches.append((size, sums))
+            del g, y, theta, scaled  # before the next batch is drawn
+    finally:
+        pool.shutdown(cancel_futures=True)
     total = [sum(parts) for parts in zip(*(sums for _, sums in batches))]
     return total, batches
 

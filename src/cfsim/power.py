@@ -33,12 +33,6 @@ def transmitted_dl_power(eta_dl, gamma):
     return np.asarray(eta_dl) * np.asarray(gamma)
 
 
-def dl_budget_violation(eta_dl, gamma, budgets):
-    """Max relative budget excess over APs (negative when strictly inside)."""
-    used = transmitted_dl_power(eta_dl, gamma).sum(axis=0)
-    return float(((used - budgets) / budgets).max())
-
-
 def _budget_groups(n_users, roles, kappa, budgets):
     """(group, caps, onehot): user k draws on the DL budget share caps[group[k], a]
     of AP a, and onehot @ x sums the (K, A) array x over each group's users.

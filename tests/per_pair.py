@@ -1,11 +1,30 @@
 """Per-pair references for the batched estimation in cfsim.estimation: the
 literal B, D and gamma of one (user, AP) pair, and uplink training through the
-raw per-AP observation. Tests compare the batched build against these."""
+raw per-AP observation. Tests compare the batched build against these. Also
+the pilot and DL budget helpers that only the tests read."""
 
 import numpy as np
 
 from cfsim.errors import NumericsError
 from cfsim.estimation import PilotBook
+from cfsim.power import transmitted_dl_power
+
+
+def copilot_gram2(book: PilotBook):
+    """|phi_i^H phi_k|^2 matrix; 1 on shared pilots, 0 otherwise."""
+    same = book.assignment[:, None] == book.assignment[None, :]
+    return same.astype(float)
+
+
+def pilot_sequences(book: PilotBook):
+    """(K, tau_p) pilot sequence of each user."""
+    return book.pilots[book.assignment]
+
+
+def dl_budget_violation(eta_dl, gamma, budgets):
+    """Max relative budget excess over APs (negative when strictly inside)."""
+    used = transmitted_dl_power(eta_dl, gamma).sum(axis=0)
+    return float(((used - budgets) / budgets).max())
 
 
 def matrix_B(k, a, G, book: PilotBook, eta_train, sigma_w2):
@@ -47,7 +66,7 @@ def training_observable(g, book: PilotBook, eta_train, sigma_w2, rng):
     K, A, N = g.shape
     tau_p = book.tau_p
     eta_train = np.broadcast_to(np.asarray(eta_train, dtype=float), (K,))
-    phi = book.sequences()  # (K, tau_p)
+    phi = pilot_sequences(book)  # (K, tau_p)
     W = np.sqrt(sigma_w2 / 2.0) * (
         rng.standard_normal((A, N, tau_p)) + 1j * rng.standard_normal((A, N, tau_p))
     )

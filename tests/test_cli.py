@@ -132,6 +132,8 @@ def test_numerical_failure_exit_3(monkeypatch, capsys):
         # absurd but finite magnitudes that used to fail inside the drop
         ("carrier_freq_hz: 1e300\n", "carrier_freq_hz"),
         ("antenna_spacing_m: 1e300\n", "antenna_spacing_m"),
+        # one antenna passes the aperture rule; the path gain overflows
+        ("carrier_freq_hz: 1.0e-100\nn_ap_antennas: 1\nmc:\n  ub_samples: 0\n", "carrier_freq_hz"),
     ],
 )
 def test_run_bad_physical_field_exit_2(tmp_path, capsys, text, field):
@@ -143,11 +145,17 @@ def test_run_bad_physical_field_exit_2(tmp_path, capsys, text, field):
     assert field in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["carrier_freq_hz: 1e63\n", "carrier_freq_hz: 1e79\nn_gue: 0\n"])
+@pytest.mark.parametrize("text", [
+    "carrier_freq_hz: 1e63\n",
+    "carrier_freq_hz: 1e79\nn_gue: 0\n",
+    "carrier_freq_hz: 4e-53\nn_ap_antennas: 1\n",
+    "carrier_freq_hz: 3e-71\nn_ap_antennas: 1\nn_gue: 0\n",
+])
 def test_run_just_inside_the_path_gain_rule(tmp_path, text):
     # validate rejects a mean path gain whose square underflows at the longest
-    # in-area distance (1e63 Hz is just inside for GUEs, 1e79 Hz for UAVs); a
-    # drop just inside the rule still runs to finite, if zero, rates
+    # in-area distance (1e63 Hz is just inside for GUEs, 1e79 Hz for UAVs) or
+    # overflows at the smallest height gap (4e-53 Hz and 3e-71 Hz are just
+    # inside); a drop just inside the rule still runs to finite rates
     cfg_path = tmp_path / "x.yaml"
     cfg_path.write_text(text + "mc:\n  ub_samples: 20\n  batch_count: 2\n")
     code = main(["run", "--preset", "desk", "--config", str(cfg_path), "--drops", "1",

@@ -210,15 +210,15 @@ def test_gamma_scalar_closed_form():
 
 def test_gamma_matches_mc_estimate_energy(gate_fixture):
     ls, book, est = gate_fixture["ls"], gate_fixture["book"], gate_fixture["est"]
-    from cfsim.mc import joint_blocks
+    from cfsim.mc import _batch_sums
 
     rng = np.random.default_rng(13)
     n = 1_000_000
-    acc = np.zeros((ls.n_users, ls.n_ap))
-    for _ in range(n // 20_000):  # batches of 20 000 samples
-        for g, ghat in joint_blocks(ls, est, book, rng, 20_000):
-            acc += np.sum(np.abs(ghat) ** 2, axis=-1).sum(axis=0)
-    mean_energy = acc / n
+    total, _ = _batch_sums(  # batches of 20 000 samples
+        ls, est, book, rng, n, n // 20_000,
+        lambda g, ghat: [np.sum(np.abs(ghat) ** 2, axis=-1).sum(axis=0)],
+    )
+    mean_energy = total[0] / n
     np.testing.assert_allclose(mean_energy, est.gamma, rtol=0.01)
 
 

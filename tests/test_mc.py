@@ -1,17 +1,24 @@
-"""MC sampler kernels against their literal einsum forms, and argument checks."""
+"""MC sampler kernels against their literal einsum forms, the threaded sampler
+against a single-thread reference, and argument checks."""
 
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from conftest import make_state
 
 import cfsim.channel
-from cfsim.channel import draw_channels
+import cfsim.mc
+from cfsim.channel import draw_channels, sample_blocks
 from cfsim.mc import (
+    _batch_sums,
+    _batched,
     _cross,
     fourth_moment_check,
-    joint_blocks,
     se_ub_mc,
     uatf_dl_mc,
     uatf_ul_mc,
@@ -53,12 +60,50 @@ def _draw_oracle(ls, rng, n):
     return scale * (los + h)
 
 
-def _drawn(ls, est, book, seed, sizes):
-    """Every (g, g_hat) block joint_blocks yields for batches of the given sizes,
-    drawn in turn from one generator, concatenated over samples."""
-    rng = np.random.default_rng(seed)
-    blocks = [blk for size in sizes for blk in joint_blocks(ls, est, book, rng, size)]
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+class _Blocks(list):
+    """Blocks that the sampler's block-order sum concatenates in sample order."""
+
+    def __add__(self, other):
+        return _Blocks(list.__add__(self, other))
+
+    def __radd__(self, other):  # sum() starts from 0
+        return self if other == 0 else NotImplemented
+
+
+def _drawn(ls, est, book, rng, n_samples, batch_count):
+    """Every (g, g_hat) block the sampler makes, concatenated over samples."""
+    total, _ = _batch_sums(ls, est, book, rng, n_samples, batch_count,
+                           lambda g, g_hat: [_Blocks([g.copy()]), _Blocks([g_hat.copy()])])
+    return tuple(np.concatenate(parts) for parts in total)
+
+
+def _serial_batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
+    """_batch_sums on one thread: per batch, draw_channels and then the training
+    noise's real and imaginary parts; each block mixed, estimated and reduced in
+    turn, and the block sums added in block order."""
+    K, A, N = ls.steering.shape
+    pidx = book.assignment
+    root_eta = np.sqrt(est.eta_train)
+    batches = []
+    for size in _batched(n_samples, batch_count):
+        g = draw_channels(ls, rng, size)
+        y = np.empty((size, book.tau_p, A, N), dtype=complex)
+        y.real = rng.standard_normal(y.shape)
+        y.imag = rng.standard_normal(y.shape)
+        y *= np.sqrt(est.sigma_w2 / 2.0)
+        for k in range(K):
+            y[:, pidx[k]] += root_eta[k] * g[:, k]
+        sums = None
+        for b in sample_blocks(size, 16 * (K + book.tau_p) * A * N):
+            g_hat = np.empty_like(g[b])
+            for k in range(K):
+                np.matmul(est.D[k], y[b, pidx[k]].transpose(1, 2, 0),
+                          out=g_hat[:, k].transpose(1, 2, 0))
+            part = reduce(g[b], g_hat)
+            sums = part if sums is None else [s + p for s, p in zip(sums, part)]
+        batches.append((size, sums))
+    total = [sum(parts) for parts in zip(*(sums for _, sums in batches))]
+    return total, batches
 
 
 def _ub_inputs(state):
@@ -89,10 +134,11 @@ def state(request, gate_fixture, collided_uc):
 
 def test_joint_chunks_match_dense_copilot_oracle(state):
     ls, est, book = state["ls"], state["est"], state["book"]
-    g_all, g_hat_all = _drawn(ls, est, book, 5, (23, 23, 4))
+    g_all, g_hat_all = _drawn(ls, est, book, np.random.default_rng(5), 50, 3)
     rng = np.random.default_rng(5)
-    batches = zip(np.split(g_all, [23, 46]), np.split(g_hat_all, [23, 46]))
-    for (g, g_hat), s in zip(batches, (23, 23, 4)):
+    sizes = _batched(50, 3)  # 16, 16, 18
+    ends = np.cumsum(sizes)[:-1]
+    for g, g_hat, s in zip(np.split(g_all, ends), np.split(g_hat_all, ends), sizes):
         g_ref, g_hat_ref = _joint_oracle(ls, est, book, rng, s)
         np.testing.assert_array_equal(g, g_ref)
         np.testing.assert_allclose(g_hat, g_hat_ref, rtol=1e-12, atol=0)
@@ -101,7 +147,7 @@ def test_joint_chunks_match_dense_copilot_oracle(state):
 def test_cross_kernels_match_einsum_oracles(state):
     ls, est, book = state["ls"], state["est"], state["book"]
     rng = np.random.default_rng(6)
-    g, g_hat = next(joint_blocks(ls, est, book, rng, 40))
+    g, g_hat = _drawn(ls, est, book, rng, 40, 2)
     g_before = g.copy()
     serving = state["assoc"].serving
     root = np.sqrt(np.where(serving, rng.uniform(0.01, 0.2, serving.shape), 0.0))
@@ -124,17 +170,25 @@ def test_cross_kernels_match_einsum_oracles(state):
 
 
 def test_sampler_keeps_the_channel_stream(gate_fixture):
+    # each batch's channels are draw_channels's, then its training noise is drawn
     ls, est, book = gate_fixture["ls"], gate_fixture["est"], gate_fixture["book"]
-    g, _ = _drawn(ls, est, book, 9, (30,))
-    np.testing.assert_array_equal(g, draw_channels(ls, np.random.default_rng(9), 30))
-    np.testing.assert_allclose(
-        g, _draw_oracle(ls, np.random.default_rng(9), 30), rtol=1e-12, atol=1e-300
-    )
+    g, _ = _drawn(ls, est, book, np.random.default_rng(9), 30, 2)
+
+    def batches(draw):
+        rng = np.random.default_rng(9)
+        out = []
+        for _ in range(2):
+            out.append(draw(ls, rng, 15))
+            rng.standard_normal((2, 15, book.tau_p, *ls.steering.shape[1:]))  # its noise
+        return np.concatenate(out)
+
+    np.testing.assert_array_equal(g, batches(draw_channels))
+    np.testing.assert_allclose(g, batches(_draw_oracle), rtol=1e-12, atol=1e-300)
 
 
 def test_se_ub_mc_links_match_per_link_reduction(state):
     # both links read one stream; each must equal its own link's reduction of
-    # the same joint_blocks draws, with its own eta, noise and prelog
+    # the same sampler draws, with its own eta, noise and prelog
     ls, est, book = state["ls"], state["est"], state["book"]
     serving, eta_dl, eta_ul = _ub_inputs(state)
     sigma_z2, prelog_dl, prelog_ul = 3.0 * est.sigma_w2, 0.3, 0.45
@@ -146,7 +200,7 @@ def test_se_ub_mc_links_match_per_link_reduction(state):
         return num / (pw.sum(axis=2) - num + noise)
 
     batch_dl, batch_ul = [], []
-    g_all, g_hat_all = _drawn(ls, est, book, 3, (20, 20, 20))
+    g_all, g_hat_all = _drawn(ls, est, book, np.random.default_rng(3), 60, 3)
     for g, g_hat in zip(np.split(g_all, 3), np.split(g_hat_all, 3)):
         pw = np.abs(_dl_cross_oracle(g, g_hat, np.sqrt(eta_dl))) ** 2
         batch_dl.append(prelog_dl * np.log2(1.0 + sinr(pw, sigma_z2)).mean(axis=0))
@@ -171,7 +225,7 @@ def _all_estimators(state):
         uatf_dl_mc(ls, est, book, serving, eta_dl, sigma_z2, 0.3, 100, rng(2), **kw),
         uatf_ul_mc(ls, est, book, serving, eta_ul, 0.45, 100, rng(3), **kw),
     )
-    return _drawn(ls, est, book, 7, (50, 50)), [(r.se, r.se_stderr) for r in results]
+    return _drawn(ls, est, book, rng(7), 100, 2), [(r.se, r.se_stderr) for r in results]
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, 10**6])
@@ -211,6 +265,115 @@ def test_sampler_memory_is_one_chunk_of_raw_draws(desk_cfg):
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * raw_bytes
+
+
+def _estimate(state, name, rng, n_samples=80):
+    """se and se_stderr of one MC estimator on state, n_samples in 2 batches."""
+    ls, est, book = state["ls"], state["est"], state["book"]
+    serving, eta_dl, eta_ul = _ub_inputs(state)
+    sigma_z2, kw = 3.0 * est.sigma_w2, dict(batch_count=2)
+    results = {
+        "se_ub_mc": lambda: se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, 0.3, 0.45,
+                                     n_samples, rng, **kw),
+        "uatf_dl_mc": lambda: [uatf_dl_mc(ls, est, book, serving, eta_dl, sigma_z2, 0.3,
+                                          n_samples, rng, **kw)],
+        "uatf_ul_mc": lambda: [uatf_ul_mc(ls, est, book, serving, eta_ul, 0.45, n_samples, rng,
+                                          **kw)],
+    }[name]()
+    return [(r.se, r.se_stderr) for r in results]
+
+
+class _RecordingPool(ThreadPoolExecutor):
+    """A ThreadPoolExecutor that records every pool made and how it was shut down."""
+
+    made = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.shutdowns = []
+        self.made.append(self)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shutdowns.append((wait, cancel_futures))
+        super().shutdown(wait, cancel_futures=cancel_futures)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The pools the sampler makes; the test's calls must leave none running."""
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    monkeypatch.setattr(cfsim.mc, "ThreadPoolExecutor", _RecordingPool)
+    entry = threading.active_count()
+    yield _RecordingPool.made
+    assert threading.active_count() == entry
+
+
+def _one_sample_blocks(state, monkeypatch):
+    K, A, N = state["ls"].steering.shape
+    monkeypatch.setattr(cfsim.channel, "BLOCK_BYTES", 16 * (K + state["book"].tau_p) * A * N)
+
+
+@pytest.mark.parametrize("name", ["se_ub_mc", "uatf_dl_mc", "uatf_ul_mc"])
+def test_threaded_sampler_matches_serial_reference(state, monkeypatch, pools, name):
+    # 40 one-sample blocks per batch, thread switches as often as the interpreter
+    # allows, and reducer calls of scattered length, so blocks finish out of
+    # order: the block sums must still be added in block order
+    _one_sample_blocks(state, monkeypatch)
+    delays = iter(np.random.default_rng(0).uniform(0.0, 2e-3, 10**4))
+    lock = threading.Lock()
+
+    def scattered(ls, est, book, rng, n_samples, batch_count, reduce):
+        def slow_reduce(g, g_hat):
+            with lock:
+                delay = next(delays)
+            time.sleep(delay)
+            return reduce(g, g_hat)
+
+        return _batch_sums(ls, est, book, rng, n_samples, batch_count, slow_reduce)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        monkeypatch.setattr(cfsim.mc, "_batch_sums", scattered)
+        threaded = _estimate(state, name, np.random.default_rng(11))
+        monkeypatch.setattr(cfsim.mc, "_batch_sums", _serial_batch_sums)
+        serial = _estimate(state, name, np.random.default_rng(11))
+    finally:
+        sys.setswitchinterval(interval)
+    for (se, err), (se_ref, err_ref) in zip(threaded, serial):
+        assert se.tobytes() == se_ref.tobytes()
+        assert err.tobytes() == err_ref.tobytes()
+    assert len(pools) == 1 and pools[0].shutdowns  # no pool is left running
+
+
+def test_reducer_error_cancels_pending_blocks(gate_fixture, monkeypatch, pools):
+    # the third block's reducer raises: the call raises it, the blocks not yet
+    # started are cancelled, and no worker outlives the call
+    _one_sample_blocks(gate_fixture, monkeypatch)
+
+    class ThirdBlock(Exception):
+        pass
+
+    calls, lock = [], threading.Lock()
+
+    def failing(ls, est, book, rng, n_samples, batch_count, reduce):
+        def third_fails(g, g_hat):
+            with lock:
+                calls.append(len(calls))
+                n = len(calls)
+            if n == 3:
+                raise ThirdBlock
+            if n > 3:
+                time.sleep(0.01)  # the calling thread has time to cancel the rest
+            return reduce(g, g_hat)
+
+        return _batch_sums(ls, est, book, rng, n_samples, batch_count, third_fails)
+
+    monkeypatch.setattr(cfsim.mc, "_batch_sums", failing)
+    with pytest.raises(ThirdBlock):
+        _estimate(gate_fixture, "se_ub_mc", np.random.default_rng(12))
+    assert len(calls) < 40  # blocks per batch: the rest never ran
+    assert [pool.shutdowns for pool in pools] == [[(True, True)]]
 
 
 @pytest.mark.parametrize("n_samples,batch_count", [(5, 20), (100, 1), (100, 0)])

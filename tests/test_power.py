@@ -11,7 +11,6 @@ from cfsim.geometry import ROLE_GUE, ROLE_UAV
 from cfsim.harness import allocate_dl
 from cfsim.power import (
     _DlObjective,
-    dl_budget_violation,
     fpc_ul,
     maxmin_dl,
     maxmin_ul,
@@ -24,6 +23,7 @@ from cfsim.power import (
 from cfsim.se import build_se_tables, dl_sinr_lb, se_from_sinr, ul_sinr_lb
 
 from conftest import make_state
+from per_pair import dl_budget_violation
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from cfsim.se import (
 )
 
 from conftest import make_state
+from per_pair import copilot_gram2
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +168,7 @@ def _state_and_pair_terms(name):
 
 def _dl_den_term_by_term(st, terms, eta, sigma_z2):
     """The denominator of the module docstring, one named term at a time."""
-    t, gram2 = st["tables"], st["book"].copilot_gram2()
+    t, gram2 = st["tables"], copilot_gram2(st["book"])
     delta, tr_gdg, t_dg = terms
     eta = np.where(t.serving, eta, 0.0)
     K = t.n_users
@@ -184,7 +185,7 @@ def _dl_den_term_by_term(st, terms, eta, sigma_z2):
 def _ul_den_term_by_term(st, terms, eta, sigma_w2):
     """The uplink denominator: the DL terms with the estimator on user k's
     side and the power on user j's, summed over a in A_k."""
-    t, gram2 = st["tables"], st["book"].copilot_gram2()
+    t, gram2 = st["tables"], copilot_gram2(st["book"])
     delta, tr_gdg, t_dg = terms
     m = t.serving.astype(float)
     K = t.n_users
