@@ -1,7 +1,7 @@
 """Large-scale channel state and Ricean small-scale realizations.
 
 Builds, per (user, AP) pair: path gain beta, Ricean K-factor, LOS steering
-vector and correlated shadowing, then draws channel vectors
+vector and correlated shadowing, and scales unit normals into channel vectors
 
     g = sqrt(beta/(K+1)) * (sqrt(K) e^{j theta} a + h),   h ~ CN(0, I).
 """
@@ -64,13 +64,16 @@ def los_probability(role, horizontal_distance, user_height, model):
     return np.where(np.asarray(role) == ROLE_UAV, p, 0.0)
 
 
-def rice_factor(p_los, clamp_eps=1e-6):
-    """K = p/(1-p) per link, with p clamped to 1 - clamp_eps so K stays finite."""
+RICE_CLAMP_EPS = 1e-6
+
+
+def rice_factor(p_los):
+    """K = p/(1-p) per link, with p clamped to 1 - RICE_CLAMP_EPS so K stays finite."""
     p = np.asarray(p_los, dtype=float)
     outside = ~((p >= 0.0) & (p <= 1.0))
     if outside.any():
         raise DomainError(f"p_los={p[outside].flat[0]} outside [0, 1]")
-    p = np.minimum(p, 1.0 - clamp_eps)
+    p = np.minimum(p, 1.0 - RICE_CLAMP_EPS)
     return p / (1.0 - p)
 
 
@@ -183,7 +186,7 @@ def build_large_scale(config, geometry: NetworkGeometry, rng) -> LargeScaleState
     )
     steering = steering_vector(geometry.ap_antennas[None], images, config.wavelength_m)
 
-    # per-drop LOS phases that nothing reads (draw_channels draws a phase per
+    # per-drop LOS phases that nothing reads (the sampler draws a phase per
     # sample). The draw stays because the pilots are drawn next from this
     # generator: without it every pilot assignment, and so every LB, would move
     rng.uniform(0.0, 2.0 * np.pi, size=d3.shape)
@@ -230,23 +233,3 @@ def channel_scaler(ls: LargeScaleState):
         blk[:, users] += np.exp(1j * theta)[..., None] * los
 
     return users, scale
-
-
-def draw_channels(ls: LargeScaleState, rng, n_draws=1):
-    """Draw n_draws joint channel realizations, shape (n_draws, K, A, N).
-
-    The scattered component is i.i.d. CN(0,1); the LOS phase is uniform and
-    drawn anew for every realization, so each link's channel has zero mean.
-    Draw order: all real parts, all imaginary parts, then the (n_draws, K, A)
-    phases block by block.
-    """
-    K, A, N = ls.steering.shape
-    g = np.empty((n_draws, K, A, N), dtype=complex)
-    blocks = sample_blocks(n_draws, g.itemsize * K * A * N)
-    fill_normal(rng, g.real, blocks)
-    fill_normal(rng, g.imag, blocks)
-    users, scale = channel_scaler(ls)
-    for b in blocks:
-        theta = rng.uniform(0.0, 2.0 * np.pi, g[b].shape[:3])
-        scale(g[b], theta[:, users])
-    return g

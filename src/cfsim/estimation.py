@@ -57,6 +57,10 @@ def covariance_G(beta, rice_k, steering):
     return scale * (rice_k * outer + eye)
 
 
+# Largest condition number of a training covariance B that estimation accepts
+CONDITION_LIMIT = 1e12
+
+
 @dataclass(frozen=True)
 class EstimationState:
     """Immutable per-drop estimator state shared by SE and power control."""
@@ -86,14 +90,15 @@ def build_estimation(
     book: PilotBook,
     eta_train,
     sigma_w2,
-    condition_limit=1e12,
 ) -> EstimationState:
     """Construct G, B, D, gamma for every (user, AP) pair.
 
-    Batched over pairs; numerically equivalent to applying matrix_B /
-    estimator_D / gamma_coefficient per pair. G = c (K a a^H + I), so B = b I plus
-    the LOS copilots' rank-one terms; without them B^{-1} G = G / b, unsolved.
-    cond(B) <= tr(B) / sigma_w^2 clears most pairs before eigvalsh.
+    Batched over pairs; numerically equivalent to applying the per-pair
+    references matrix_B, estimator_D and gamma_coefficient in tests/per_pair.py.
+    G = c (K a a^H + I), so B = b I plus the LOS copilots' rank-one terms;
+    without them B^{-1} G = G / b, unsolved. A pair whose cond(B) exceeds
+    CONDITION_LIMIT raises; cond(B) <= tr(B) / sigma_w^2 clears most pairs
+    before eigvalsh.
     """
     K, A = ls.beta.shape
     N = ls.n_ap_antennas
@@ -115,11 +120,11 @@ def build_estimation(
     # eigvalsh only where the bound tr(B) / sigma_w^2 tops half the limit: the half
     # leaves room for rounding, so the raise decision is that of the full check
     bound = np.einsum("pii->p", flat).real / sigma_w2
-    lam = np.linalg.eigvalsh(flat[bound > condition_limit / 2])  # cond = lam_max / lam_min
+    lam = np.linalg.eigvalsh(flat[bound > CONDITION_LIMIT / 2])  # cond = lam_max / lam_min
     usable = lam[:, 0] > 0
     cond = np.full(len(lam), np.inf)
     cond[usable] = lam[usable, -1] / lam[usable, 0]
-    if not np.all(np.isfinite(cond)) or cond.max(initial=0.0) > condition_limit:
+    if not np.all(np.isfinite(cond)) or cond.max(initial=0.0) > CONDITION_LIMIT:
         raise NumericsError(
             f"training covariance ill-conditioned (cond={cond.max():.3e})"
         )

@@ -32,15 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    LargeScaleState,
-    channel_scaler,
-    draw_channels,
-    fill_normal,
-    sample_blocks,
-)
+from .channel import LargeScaleState, channel_scaler, fill_normal, sample_blocks
 from .estimation import EstimationState, PilotBook
-from .se import delta_term
 
 # Threads running the block kernels while the calling thread draws
 WORKERS = 2
@@ -325,28 +318,3 @@ def se_ub_mc(
         )
         for i, prelog in enumerate((prelog_dl, prelog_ul))
     )
-
-
-def fourth_moment_check(beta, rice_k, steering, D, n_samples, rng, batch_count=20):
-    """Sampled E|g^H D g|^2 against the closed-form delta + tr(D G D^H G).
-
-    Returns (sampled_mean, stderr, analytic).
-    """
-    from .estimation import covariance_G
-
-    steering = np.asarray(steering)
-    G = covariance_G(beta, rice_k, steering)
-    analytic = delta_term(beta, rice_k, steering, D) + float(
-        np.trace(D @ G @ D.conj().T @ G).real
-    )
-    ls = LargeScaleState(  # one (user, AP) pair
-        beta=np.array([[beta]]), rice_k=np.array([[rice_k]]), steering=steering[None, None],
-        shadow_db=np.zeros((1, 1)), los_state=np.zeros((1, 1), dtype=bool),
-        roles=np.zeros(1, dtype=int),
-    )
-    vals = []
-    for size in _batched(n_samples, batch_count):
-        g = draw_channels(ls, rng, size)[:, 0, 0]
-        quad = ((np.conj(g) @ D) * g).sum(axis=1)
-        vals.append(np.mean(np.abs(quad) ** 2))
-    return float(np.mean(vals)), _stderr(vals), analytic

@@ -28,11 +28,6 @@ from .geometry import ROLE_UAV
 from .se import SETables, se_from_sinr, ul_sinr_affine
 
 
-def transmitted_dl_power(eta_dl, gamma):
-    """P[k, a] = eta[k, a] * gamma[k, a]."""
-    return np.asarray(eta_dl) * np.asarray(gamma)
-
-
 def _budget_groups(n_users, roles, kappa, budgets):
     """(group, caps, onehot): user k draws on the DL budget share caps[group[k], a]
     of AP a, and onehot @ x sums the (K, A) array x over each group's users.

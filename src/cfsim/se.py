@@ -40,14 +40,6 @@ from .errors import NumericsError
 from .estimation import EstimationState, PilotBook
 
 
-def delta_term(beta, rice_k, steering, D):
-    """Fourth-moment constant of one (channel stats, estimator) pair."""
-    c2 = beta / (rice_k + 1.0)
-    tr = np.trace(D)
-    aDa = np.einsum("n,nm,m->", np.conj(steering), D, steering)
-    return float(c2**2 * (abs(tr) ** 2 + 2.0 * rice_k * np.real(aDa * np.conj(tr))))
-
-
 @dataclass(frozen=True)
 class SETables:
     """Per-drop tables: the downlink bound's denominator as a quadratic form in
@@ -69,7 +61,6 @@ class SETables:
     pair_j: np.ndarray  # (P,) int, the copilot whose estimator (and power) it is
     pair_w: np.ndarray  # (P,)
     pair_t: np.ndarray  # (P, A) complex
-    eta_train: np.ndarray  # (K,)
     serving: np.ndarray  # (K, A) bool
 
     @property
@@ -130,7 +121,7 @@ def build_se_tables(
     C[own, own] += eta[:, None] * delta[:K] - est.gamma**2
     C[pair_k, pair_j] += pair_w[:, None] * (delta[K:] - np.abs(pair_t) ** 2)
     return SETables(gamma=est.gamma, C=C, pair_k=pair_k, pair_j=pair_j, pair_w=pair_w,
-                    pair_t=pair_t, eta_train=eta, serving=assoc.serving)
+                    pair_t=pair_t, serving=assoc.serving)
 
 
 def _pair_sums(tables: SETables, x):

@@ -1,13 +1,23 @@
-"""Per-pair references for the batched estimation in cfsim.estimation: the
-literal B, D and gamma of one (user, AP) pair, and uplink training through the
-raw per-AP observation. Tests compare the batched build against these. Also
-the pilot and DL budget helpers that only the tests read."""
+"""References that only the tests call.
+
+- Per-pair estimation: the literal B, D and gamma of one (user, AP) pair
+  (matrix_B, estimator_D, gamma_coefficient), and uplink training through the
+  raw per-AP observation (training_observable, estimate_channels). Tests
+  compare the batched cfsim.estimation build against these.
+- Channel draws: draw_channels, full-size channel realizations in the order
+  the Monte-Carlo sampler draws them.
+- The fourth moment behind the closed forms' delta: delta_term for one
+  (channel stats, estimator) pair and fourth_moment_check, its sampled check.
+- Pilot and DL budget helpers: copilot_gram2, pilot_sequences and
+  dl_budget_violation.
+"""
 
 import numpy as np
 
+from cfsim.channel import LargeScaleState, channel_scaler, fill_normal, sample_blocks
 from cfsim.errors import NumericsError
-from cfsim.estimation import PilotBook
-from cfsim.power import transmitted_dl_power
+from cfsim.estimation import PilotBook, covariance_G
+from cfsim.mc import _batched, _stderr
 
 
 def copilot_gram2(book: PilotBook):
@@ -23,7 +33,7 @@ def pilot_sequences(book: PilotBook):
 
 def dl_budget_violation(eta_dl, gamma, budgets):
     """Max relative budget excess over APs (negative when strictly inside)."""
-    used = transmitted_dl_power(eta_dl, gamma).sum(axis=0)
+    used = (eta_dl * gamma).sum(axis=0)
     return float(((used - budgets) / budgets).max())
 
 
@@ -78,3 +88,54 @@ def training_observable(g, book: PilotBook, eta_train, sigma_w2, rng):
 def estimate_channels(D, y_hat):
     """Apply the LMMSE estimators: g_hat[k, a] = D[k, a] y_hat[k, a]."""
     return np.einsum("kanm,kam->kan", D, y_hat)
+
+
+def draw_channels(ls: LargeScaleState, rng, n_draws=1):
+    """Draw n_draws joint channel realizations, shape (n_draws, K, A, N).
+
+    The scattered component is i.i.d. CN(0,1); the LOS phase is uniform and
+    drawn anew for every realization, so each link's channel has zero mean.
+    Draw order: all real parts, all imaginary parts, then the (n_draws, K, A)
+    phases block by block.
+    """
+    K, A, N = ls.steering.shape
+    g = np.empty((n_draws, K, A, N), dtype=complex)
+    blocks = sample_blocks(n_draws, g.itemsize * K * A * N)
+    fill_normal(rng, g.real, blocks)
+    fill_normal(rng, g.imag, blocks)
+    users, scale = channel_scaler(ls)
+    for b in blocks:
+        theta = rng.uniform(0.0, 2.0 * np.pi, g[b].shape[:3])
+        scale(g[b], theta[:, users])
+    return g
+
+
+def delta_term(beta, rice_k, steering, D):
+    """Fourth-moment constant of one (channel stats, estimator) pair."""
+    c2 = beta / (rice_k + 1.0)
+    tr = np.trace(D)
+    aDa = np.einsum("n,nm,m->", np.conj(steering), D, steering)
+    return float(c2**2 * (abs(tr) ** 2 + 2.0 * rice_k * np.real(aDa * np.conj(tr))))
+
+
+def fourth_moment_check(beta, rice_k, steering, D, n_samples, rng, batch_count=20):
+    """Sampled E|g^H D g|^2 against the closed-form delta + tr(D G D^H G).
+
+    Returns (sampled_mean, stderr, analytic).
+    """
+    steering = np.asarray(steering)
+    G = covariance_G(beta, rice_k, steering)
+    analytic = delta_term(beta, rice_k, steering, D) + float(
+        np.trace(D @ G @ D.conj().T @ G).real
+    )
+    ls = LargeScaleState(  # one (user, AP) pair
+        beta=np.array([[beta]]), rice_k=np.array([[rice_k]]), steering=steering[None, None],
+        shadow_db=np.zeros((1, 1)), los_state=np.zeros((1, 1), dtype=bool),
+        roles=np.zeros(1, dtype=int),
+    )
+    vals = []
+    for size in _batched(n_samples, batch_count):
+        g = draw_channels(ls, rng, size)[:, 0, 0]
+        quad = ((np.conj(g) @ D) * g).sum(axis=1)
+        vals.append(np.mean(np.abs(quad) ** 2))
+    return float(np.mean(vals)), _stderr(vals), analytic

@@ -7,7 +7,6 @@ import pytest
 from cfsim.channel import (
     LargeScaleState,
     build_large_scale,
-    draw_channels,
     los_probability,
     path_gain_gue,
     path_gain_uav,
@@ -33,6 +32,8 @@ from cfsim.geometry import (
     nearest_image,
     user_ap_distances,
 )
+
+from per_pair import draw_channels
 
 GUE_MODEL = LogDistanceModel(offset_db=-22.7, dist_coef=-36.7, freq_coef=-26.0)
 
@@ -66,7 +67,7 @@ def test_los_probability_uav_matches_hand_evaluation():
 def test_rice_factor_values():
     assert rice_factor(0.0) == 0.0
     assert rice_factor(0.5) == pytest.approx(1.0)
-    clamped = rice_factor(1.0, clamp_eps=1e-6)
+    clamped = rice_factor(1.0)
     assert clamped == pytest.approx((1.0 - 1e-6) / 1e-6, rel=1e-9)
     with pytest.raises(DomainError):
         rice_factor(1.5)

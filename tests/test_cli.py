@@ -76,28 +76,26 @@ def test_run_with_preset_override(tmp_path):
     assert code == 0
 
 
-def test_oracle_fourth_moment(capsys):
-    assert main(["oracle", "fourth-moment", "--seed", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "sampled" in out and "analytic" in out
+def test_run_unknown_preset_exit_2():
+    # argparse's choices reject the preset before any config is built
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--preset", "nope"])
+    assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("name", ["uatf-dl", "uatf-ul"])
-def test_oracle_uatf(capsys, name):
-    assert main(["oracle", name, "--seed", "0"]) == 0
-    assert "sampled" in capsys.readouterr().out
-
-
-def test_numerical_failure_exit_3(monkeypatch, capsys):
-    import cfsim.cli as cli
+def test_numerical_failure_exit_3(tmp_path, monkeypatch, capsys):
+    import cfsim.harness
     from cfsim.errors import NumericsError
 
-    def boom(seed):
+    def boom(*args, **kwargs):
         raise NumericsError("synthetic failure")
 
-    monkeypatch.setattr(cli, "_oracle_fourth_moment", boom)
-    assert main(["oracle", "fourth-moment"]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    monkeypatch.setattr(cfsim.harness, "build_se_tables", boom)
+    code = main(["run", "--preset", "desk", "--drops", "1", "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "drop 0 (seed" in err
 
 
 @pytest.mark.parametrize(

@@ -3,12 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cfsim.channel import draw_channels
+import cfsim.estimation
 from cfsim.errors import NumericsError
 from cfsim.estimation import PilotBook, assign_pilots, build_estimation, covariance_G, pilot_set
 
 from conftest import make_state
-from per_pair import estimator_D, gamma_coefficient, matrix_B, training_observable
+from per_pair import (
+    draw_channels,
+    estimator_D,
+    gamma_coefficient,
+    matrix_B,
+    training_observable,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +295,18 @@ def test_non_finite_training_covariance_raises(gate_fixture):
         build_estimation(replace(ls, steering=steering), book, est.eta_train, est.sigma_w2)
 
 
-def test_batched_condition_limit_brackets_max_cond(gate_fixture):
+def test_batched_condition_limit_brackets_max_cond(gate_fixture, monkeypatch):
     # the batched check must raise exactly when some B exceeds the limit,
     # judged against the SVD condition number of every B in the drop
     ls, book, est = gate_fixture["ls"], gate_fixture["book"], gate_fixture["est"]
     N = est.n_ap_antennas
     worst = np.linalg.cond(est.B.reshape(-1, N, N)).max()
     args = (ls, book, est.eta_train, est.sigma_w2)
-    build_estimation(*args, condition_limit=worst * (1 + 1e-6))
+    monkeypatch.setattr(cfsim.estimation, "CONDITION_LIMIT", worst * (1 + 1e-6))
+    build_estimation(*args)
+    monkeypatch.setattr(cfsim.estimation, "CONDITION_LIMIT", worst * (1 - 1e-6))
     with pytest.raises(NumericsError, match="ill-conditioned"):
-        build_estimation(*args, condition_limit=worst * (1 - 1e-6))
+        build_estimation(*args)
 
 
 def test_condition_limit_below_trace_bound_falls_back_to_eigvalsh(gate_fixture, monkeypatch):
@@ -313,8 +321,8 @@ def test_condition_limit_below_trace_bound_falls_back_to_eigvalsh(gate_fixture, 
     checked = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda b: checked.append(len(b)) or eigvalsh(b))
-    build_estimation(ls, book, est.eta_train, est.sigma_w2,
-                     condition_limit=np.sqrt(worst * bound))
+    monkeypatch.setattr(cfsim.estimation, "CONDITION_LIMIT", np.sqrt(worst * bound))
+    build_estimation(ls, book, est.eta_train, est.sigma_w2)
     assert checked[0] > 0
 
 

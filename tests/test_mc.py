@@ -1,6 +1,7 @@
 """MC sampler kernels against their literal einsum forms, the threaded sampler
 against a single-thread reference, and argument checks."""
 
+import ast
 import sys
 import threading
 import time
@@ -10,15 +11,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from conftest import make_state
+from per_pair import draw_channels, fourth_moment_check
 
 import cfsim.channel
 import cfsim.mc
-from cfsim.channel import draw_channels, sample_blocks
+from cfsim.channel import sample_blocks
 from cfsim.mc import (
     _batch_sums,
     _batched,
     _cross,
-    fourth_moment_check,
     se_ub_mc,
     uatf_dl_mc,
     uatf_ul_mc,
@@ -396,3 +397,17 @@ def test_mc_rejects_too_few_samples_or_batches(gate_fixture, n_samples, batch_co
     for call in calls:
         with pytest.raises(ValueError, match=f"n_samples={n_samples}, batch_count={batch_count}"):
             call()
+
+
+def test_mc_imports_nothing_from_the_closed_forms():
+    # the sampler is the independent side of the closed-form check: mc.py may
+    # not import cfsim.se, nor any name from it
+    imported = []
+    for node in ast.walk(ast.parse(open(cfsim.mc.__file__).read())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):  # relative to the cfsim package
+            module = ".".join(filter(None, ["cfsim" if node.level else "", node.module]))
+            imported += [module] + [f"{module}.{alias.name}" for alias in node.names]
+    assert "cfsim.estimation" in imported
+    assert not [m for m in imported if m == "cfsim.se" or m.startswith("cfsim.se.")]

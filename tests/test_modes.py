@@ -10,7 +10,7 @@ from cfsim.channel import build_large_scale
 from cfsim.config import preset_desk, preset_desk_mmimo
 from cfsim.geometry import ROLE_UAV, generate_topology
 from cfsim.harness import run_drop
-from cfsim.power import maxmin_dl, transmitted_dl_power
+from cfsim.power import maxmin_dl
 from cfsim.se import dl_sinr_lb, se_from_sinr
 
 from conftest import make_state
@@ -44,7 +44,7 @@ def test_uc_maxmin_respects_partial_serving():
     prelog = cfg.frame.tau_d / cfg.frame.tau_c
     eta, info = maxmin_dl(tables, budgets, cfg.sigma_z2, prelog, max_outer_iters=6)
     assert (eta[~tables.serving] == 0.0).all()  # nothing outside A_k
-    used = transmitted_dl_power(eta, tables.gamma).sum(axis=0)
+    used = (eta * tables.gamma).sum(axis=0)
     assert (used <= budgets * (1 + 1e-9)).all()
     rates = se_from_sinr(dl_sinr_lb(tables, eta, cfg.sigma_z2), prelog)
     assert rates.min() >= info["min_rate_trace"][0] * (1 - 1e-9)

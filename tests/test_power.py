@@ -16,7 +16,6 @@ from cfsim.power import (
     maxmin_ul,
     ppa_dl,
     solve_water_level,
-    transmitted_dl_power,
     uniform_dl,
     wfpa_dl,
 )
@@ -34,7 +33,7 @@ def test_ppa_equal_gamma_splits_evenly():
     gamma = np.array([[2.0], [2.0]])
     serving = np.ones((2, 1), dtype=bool)
     eta = ppa_dl(gamma, serving, np.array([0.4]))
-    power = transmitted_dl_power(eta, gamma)
+    power = eta * gamma
     np.testing.assert_allclose(power[:, 0], [0.2, 0.2])
 
 
@@ -43,7 +42,7 @@ def test_ppa_kappa_single_member_classes():
     serving = np.ones((2, 1), dtype=bool)
     roles = np.array([ROLE_GUE, ROLE_UAV])
     eta = ppa_dl(gamma, serving, np.array([1.0]), roles=roles, kappa=0.2)
-    power = transmitted_dl_power(eta, gamma)
+    power = eta * gamma
     assert power[1, 0] == pytest.approx(0.2)  # the lone UAV gets exactly kappa
     assert power[0, 0] == pytest.approx(0.8)
 
@@ -52,7 +51,7 @@ def test_ppa_budget_exact_random(gate_fixture):
     tables = gate_fixture["tables"]
     budgets = np.full(tables.n_ap, 0.2)
     eta = ppa_dl(tables.gamma, tables.serving, budgets)
-    used = transmitted_dl_power(eta, tables.gamma).sum(axis=0)
+    used = (eta * tables.gamma).sum(axis=0)
     np.testing.assert_allclose(used, budgets, rtol=1e-12)
 
 
@@ -67,7 +66,7 @@ def test_uniform_dl_equal_transmit_power():
     gamma = np.array([[1.0], [4.0], [0.5]])
     serving = np.ones((3, 1), dtype=bool)
     eta = uniform_dl(gamma, serving, np.array([0.9]))
-    power = transmitted_dl_power(eta, gamma)
+    power = eta * gamma
     np.testing.assert_allclose(power[:, 0], 0.3)
 
 
@@ -78,7 +77,7 @@ def test_uniform_dl_kappa_splits_each_ap_budget(gate_fixture):
     cfg = dataclasses.replace(cfg, power=dataclasses.replace(cfg.power, dl="uniform", kappa=0.05))
     assert tables.serving.all()
     eta, _ = allocate_dl(cfg, tables, roles)
-    power = transmitted_dl_power(eta, tables.gamma)
+    power = eta * tables.gamma
     budget, uav = cfg.power.dl_budget_per_ap_w, roles == ROLE_UAV
     np.testing.assert_allclose(power[uav].sum(axis=0), 0.05 * budget, rtol=1e-12)
     np.testing.assert_allclose(power[~uav].sum(axis=0), 0.95 * budget, rtol=1e-12)
@@ -126,7 +125,7 @@ def test_wfpa_single_user_gets_budget():
     gamma = np.array([[0.3]])
     serving = np.ones((1, 1), dtype=bool)
     eta = wfpa_dl(gamma, serving, np.array([0.7]), sigma_z2=1e-9)
-    power = transmitted_dl_power(eta, gamma)
+    power = eta * gamma
     assert power[0, 0] == pytest.approx(0.7)
 
 
@@ -135,7 +134,7 @@ def test_wfpa_analytic_three_user_case():
     gamma = np.array([[1.0], [0.5], [0.1]])
     serving = np.ones((3, 1), dtype=bool)
     eta = wfpa_dl(gamma, serving, np.array([3.0]), sigma_z2=1.0)
-    power = transmitted_dl_power(eta, gamma)
+    power = eta * gamma
     np.testing.assert_allclose(power[:, 0], [2.0, 1.0, 0.0], atol=1e-12)
 
 
@@ -143,7 +142,7 @@ def test_wfpa_kkt_and_budget(gate_fixture):
     tables, cfg = gate_fixture["tables"], gate_fixture["cfg"]
     budgets = np.full(tables.n_ap, 0.2)
     eta = wfpa_dl(tables.gamma, tables.serving, budgets, cfg.sigma_z2)
-    power = transmitted_dl_power(eta, tables.gamma)
+    power = eta * tables.gamma
     np.testing.assert_allclose(power.sum(axis=0), budgets, rtol=1e-9)
     levels = cfg.sigma_z2 / tables.gamma
     for a in range(tables.n_ap):
@@ -159,7 +158,7 @@ def test_wfpa_kappa_budget_split(gate_fixture):
     for kappa in (0.0, 0.1, 0.2, 1.0):  # 0 and 1 leave one class without power
         eta = wfpa_dl(tables.gamma, tables.serving, budgets, cfg.sigma_z2,
                       roles=ls.roles, kappa=kappa)
-        power = transmitted_dl_power(eta, tables.gamma)
+        power = eta * tables.gamma
         uav_power = power[ls.roles == ROLE_UAV].sum(axis=0)
         np.testing.assert_allclose(uav_power, kappa * budgets, rtol=1e-9)
         gue_power = power[ls.roles == ROLE_GUE].sum(axis=0)
@@ -209,7 +208,7 @@ def test_maxmin_dl_single_user_takes_full_budget():
     budgets = np.full(tables.n_ap, 0.2)
     prelog = cfg.frame.tau_d / cfg.frame.tau_c
     eta, info = maxmin_dl(tables, budgets, cfg.sigma_z2, prelog)
-    used = transmitted_dl_power(eta, tables.gamma).sum(axis=0)
+    used = (eta * tables.gamma).sum(axis=0)
     np.testing.assert_allclose(used, budgets, rtol=1e-6)
     rate = se_from_sinr(dl_sinr_lb(tables, eta, cfg.sigma_z2), prelog)
     assert info["min_rate_trace"][-1] == pytest.approx(rate.min(), rel=1e-9)
@@ -266,7 +265,7 @@ def test_maxmin_dl_kappa_class_budgets(gate_fixture):
     kappa = 0.2
     eta, _ = maxmin_dl(tables, budgets, cfg.sigma_z2, prelog, roles=ls.roles,
                        kappa=kappa, max_outer_iters=6)
-    power = transmitted_dl_power(eta, tables.gamma)
+    power = eta * tables.gamma
     uav = power[ls.roles == ROLE_UAV].sum(axis=0)
     gue = power[ls.roles == ROLE_GUE].sum(axis=0)
     assert (uav <= kappa * budgets * (1 + 1e-9)).all()

@@ -4,15 +4,14 @@ import functools
 import numpy as np
 import pytest
 
-from cfsim.channel import LargeScaleState, draw_channels
+from cfsim.channel import LargeScaleState
 from cfsim.config import preset_desk
 from cfsim.errors import NumericsError
 from cfsim.estimation import build_estimation, covariance_G
-from cfsim.mc import fourth_moment_check, se_ub_mc
+from cfsim.mc import se_ub_mc
 from cfsim.power import ppa_dl
 from cfsim.se import (
     build_se_tables,
-    delta_term,
     dl_sinr_lb,
     dl_sinr_parts,
     se_from_sinr,
@@ -22,7 +21,7 @@ from cfsim.se import (
 )
 
 from conftest import make_state
-from per_pair import copilot_gram2
+from per_pair import copilot_gram2, delta_term, draw_channels, fourth_moment_check
 
 
 # ---------------------------------------------------------------------------
@@ -168,34 +167,34 @@ def _state_and_pair_terms(name):
 
 def _dl_den_term_by_term(st, terms, eta, sigma_z2):
     """The denominator of the module docstring, one named term at a time."""
-    t, gram2 = st["tables"], copilot_gram2(st["book"])
+    t, gram2, eta_train = st["tables"], copilot_gram2(st["book"]), st["est"].eta_train
     delta, tr_gdg, t_dg = terms
     eta = np.where(t.serving, eta, 0.0)
     K = t.n_users
-    own = (eta * (t.eta_train[:, None] * np.einsum("kka->ka", delta) - t.gamma**2)).sum(1)
-    mid = np.einsum("j,ja,kja->k", np.sqrt(t.eta_train), eta, tr_gdg)
+    own = (eta * (eta_train[:, None] * np.einsum("kka->ka", delta) - t.gamma**2)).sum(1)
+    mid = np.einsum("j,ja,kja->k", np.sqrt(eta_train), eta, tr_gdg)
     s = np.einsum("ja,kja->jk", np.sqrt(eta), t_dg)
     q = np.einsum("ja,kja->jk", eta, np.abs(t_dg) ** 2)
     d = np.einsum("ja,kja->jk", eta, delta)
     off = gram2 * (1.0 - np.eye(K))
-    pc = t.eta_train * np.einsum("kj,jk->k", off, d + np.abs(s) ** 2 - q)
+    pc = eta_train * np.einsum("kj,jk->k", off, d + np.abs(s) ** 2 - q)
     return own + mid + sigma_z2 + pc
 
 
 def _ul_den_term_by_term(st, terms, eta, sigma_w2):
     """The uplink denominator: the DL terms with the estimator on user k's
     side and the power on user j's, summed over a in A_k."""
-    t, gram2 = st["tables"], copilot_gram2(st["book"])
+    t, gram2, eta_train = st["tables"], copilot_gram2(st["book"]), st["est"].eta_train
     delta, tr_gdg, t_dg = terms
     m = t.serving.astype(float)
     K = t.n_users
-    own = eta * (m * (t.eta_train[:, None] * np.einsum("kka->ka", delta) - t.gamma**2)).sum(1)
-    mid = np.sqrt(t.eta_train) * np.einsum("ka,j,jka->k", m, eta, tr_gdg)
+    own = eta * (m * (eta_train[:, None] * np.einsum("kka->ka", delta) - t.gamma**2)).sum(1)
+    mid = np.sqrt(eta_train) * np.einsum("ka,j,jka->k", m, eta, tr_gdg)
     s = np.einsum("ka,jka->kj", m, t_dg)  # sum_{a in A_k} tr(D_k G_j)
     q = np.einsum("ka,jka->kj", m, np.abs(t_dg) ** 2)
     d = np.einsum("ka,jka->kj", m, delta)
     off = gram2 * (1.0 - np.eye(K))
-    pc = (off * (d + np.abs(s) ** 2 - q)) @ (t.eta_train * eta)
+    pc = (off * (d + np.abs(s) ** 2 - q)) @ (eta_train * eta)
     return own + mid + pc + sigma_w2 * (m * t.gamma).sum(1)
 
 
