@@ -142,10 +142,18 @@ def steering_vector(ap_antennas, user_pos, wavelength):
         raise DomainError("wavelength must be > 0")
     ants = np.asarray(ap_antennas, dtype=float)
     user = np.asarray(user_pos, dtype=float)
-    dists = np.linalg.norm(ants - user[..., None, :], axis=-1)
+    sq = ants - user[..., None, :]
+    sq *= sq
+    dists = sq[..., 0] + sq[..., 1]  # summed as np.linalg.norm sums, so the same bits
+    dists += sq[..., 2]
+    np.sqrt(dists, out=dists)
     if np.any(dists == 0.0):
         raise DomainError("user coincides with an antenna element")
-    return np.exp(-1j * (2.0 * np.pi / wavelength) * (dists[..., :1] - dists))
+    # phase k (d - d_1) on a zero real part: the bits of exp(-1j k (d_1 - d))
+    out = np.zeros(dists.shape, dtype=complex)
+    np.subtract(dists, dists[..., :1], out=out.imag)
+    out.imag *= 2.0 * np.pi / wavelength
+    return np.exp(out, out=out)
 
 
 def build_large_scale(config, geometry: NetworkGeometry, rng) -> LargeScaleState:

@@ -105,14 +105,15 @@ def build_estimation(
     eta_train = np.broadcast_to(np.asarray(eta_train, dtype=float), (K,))
     c = ls.beta / (ls.rice_k + 1.0)
     los = np.flatnonzero((ls.rice_k > 0).any(axis=1))  # users with a LOS term
-    G = np.multiply(c[..., None, None], np.eye(N), dtype=complex)
+    G = np.zeros((K, A, N, N), dtype=complex)
+    G.reshape(K, A, N * N)[..., :: N + 1] = c[..., None]
     G[los] = covariance_G(ls.beta[los, :, None, None], ls.rice_k[los, :, None, None],
                           ls.steering[los])
 
     same = book.assignment[:, None] == book.assignment[None, :]
     weights = same * eta_train[None, :]  # (k, i)
     B = (weights @ G.reshape(K, -1)).reshape(K, A, N, N)
-    B = B + sigma_w2 * np.eye(N)
+    B.reshape(K, A, N * N)[..., :: N + 1] += sigma_w2  # the diagonals, in place
 
     flat = B.reshape(K * A, N, N)
     if not np.isfinite(flat).all():  # eigvalsh would raise a bare LinAlgError
@@ -128,10 +129,13 @@ def build_estimation(
         raise NumericsError(
             f"training covariance ill-conditioned (cond={cond.max():.3e})"
         )
-    # D = sqrt(eta) (B^{-1} G)^H; G is Hermitian, so G / b where B = b I
-    D = G / B[..., :1, :1].real
-    solve = weights @ (ls.rice_k > 0) > 0  # (k, a): B has a LOS copilot term
-    D[solve] = np.conj(np.swapaxes(np.linalg.solve(B[solve], G[solve]), 1, 2))
+    # D = sqrt(eta) (B^{-1} G)^H; G is Hermitian, so G / b where B = b I. numpy divides
+    # a complex by a real b as (re, im) * (1 / b), so the float view gives the bits
+    D = np.multiply(G.view(float), 1.0 / B[..., :1, :1].real).view(complex)
+    solve = np.flatnonzero(weights @ (ls.rice_k > 0) > 0)  # pairs with a LOS copilot term
+    D.reshape(K * A, N, N)[solve] = np.conj(np.swapaxes(
+        np.linalg.solve(flat.take(solve, axis=0), G.reshape(K * A, N, N).take(solve, axis=0)),
+        1, 2))
     D *= np.sqrt(eta_train)[:, None, None, None]
 
     gamma_c = np.sqrt(eta_train)[:, None] * np.einsum("kanm,kamn->ka", G, D)

@@ -50,7 +50,6 @@ def wrapped_delta(p, q, area_side):
     the nearest periodic image of q (relative to p) is used.
     """
     d = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
-    d = d.copy()
     d[..., :2] = (d[..., :2] + area_side / 2.0) % area_side - area_side / 2.0
     return d
 
@@ -127,10 +126,11 @@ def user_ap_distances(geometry: NetworkGeometry):
     """(K, A) wrapped 3D and 2D distances from users to AP reference antennas."""
     users = geometry.user_positions[:, None, :]
     aps = geometry.ap_reference[None, :, :]
-    delta = wrapped_delta(users, aps, geometry.area_side)
-    d3 = np.linalg.norm(delta, axis=-1)
-    d2 = np.linalg.norm(delta[..., :2], axis=-1)
-    return d3, d2
+    sq = wrapped_delta(users, aps, geometry.area_side)
+    sq *= sq
+    d2 = sq[..., 0] + sq[..., 1]  # summed left to right as np.linalg.norm sums: its bits
+    d3 = np.sqrt(d2 + sq[..., 2])
+    return d3, np.sqrt(d2, out=d2)
 
 
 def user_user_distances(geometry: NetworkGeometry):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from . import __version__
+from . import __version__, mc
 from .association import build_association
 from .channel import build_large_scale
 from .config import SimConfig, config_to_dict
@@ -182,24 +182,12 @@ def dump_drop_debug(debug_dir, drop_id, ls, est, assoc, power_info):
     map and min-rate solver traces."""
     os.makedirs(debug_dir, exist_ok=True)
     K, A = ls.beta.shape
-    with open(os.path.join(debug_dir, f"drop_{drop_id}_beta.csv"), "w") as fh:
-        fh.write("user_id,ap_id,beta_db,rice_k\n")
-        for k in range(K):
-            for a in range(A):
-                fh.write(
-                    f"{k},{a},{_fmt(10.0 * np.log10(ls.beta[k, a]))},"
-                    f"{_fmt(ls.rice_k[k, a])}\n"
-                )
+    _write_pair_csv(os.path.join(debug_dir, f"drop_{drop_id}_beta.csv"),
+                    "beta_db,rice_k", 10.0 * np.log10(ls.beta), ls.rice_k)
     tr_g = np.trace(est.G, axis1=2, axis2=3).real
     tr_b = np.trace(est.B, axis1=2, axis2=3).real
-    with open(os.path.join(debug_dir, f"drop_{drop_id}_estimation.csv"), "w") as fh:
-        fh.write("user_id,ap_id,gamma,tr_G,tr_B\n")
-        for k in range(K):
-            for a in range(A):
-                fh.write(
-                    f"{k},{a},{_fmt(est.gamma[k, a])},{_fmt(tr_g[k, a])},"
-                    f"{_fmt(tr_b[k, a])}\n"
-                )
+    _write_pair_csv(os.path.join(debug_dir, f"drop_{drop_id}_estimation.csv"),
+                    "gamma,tr_G,tr_B", est.gamma, tr_g, tr_b)
     with open(os.path.join(debug_dir, f"drop_{drop_id}_association.csv"), "w") as fh:
         fh.write("user_id,ap_ids\n")
         for k in range(K):
@@ -211,12 +199,33 @@ def dump_drop_debug(debug_dir, drop_id, ls, est, assoc, power_info):
             with open(path, "w") as fh:
                 fh.write("outer_iter,min_rate\n")
                 for i, v in enumerate(trace):
-                    fh.write(f"{i},{_fmt(v)}\n")
+                    fh.write(f"{i},{float(v)!r}\n")
+
+
+def _write_pair_csv(path, header, *columns):
+    """One row per (user, AP) pair of the (K, A) columns, in row-major order."""
+    A = columns[0].shape[1]
+    rows = np.stack([c.ravel() for c in columns], axis=1).tolist()
+    with open(path, "w") as fh:
+        fh.write(f"user_id,ap_id,{header}\n")
+        fh.writelines(f"{i // A},{i % A}," + ",".join(map(repr, row)) + "\n"
+                      for i, row in enumerate(rows))
 
 
 def _drop_task(args):
     config, drop_index, master_seed, debug_dir = args
     return run_drop(config, drop_index, master_seed, debug_dir=debug_dir)
+
+
+def sampler_workers(jobs):
+    """UB sampler threads per campaign process: the CPUs left to each of the
+    jobs processes, at least 1 and at most the one-process default of 2."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(2, (cpus or 1) // jobs))
+
+
+def _set_sampler_workers(n):
+    mc.WORKERS = n
 
 
 @dataclass
@@ -268,7 +277,9 @@ def run_campaign(
     if jobs <= 1:
         reports = [_drop_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # each process's sampler threads share the CPUs with the other processes
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_set_sampler_workers,
+                                 initargs=(sampler_workers(jobs),)) as pool:
             reports = list(pool.map(_drop_task, tasks))
     reports.sort(key=lambda r: r.drop_id)
     return CampaignResult(reports=reports, config=config, master_seed=master_seed)
@@ -278,10 +289,6 @@ def run_campaign(
 # Output emission
 # ---------------------------------------------------------------------------
 
-def _fmt(x):
-    return repr(float(x))
-
-
 RATES_HEADER = (
     "drop_id,user_id,role,se_lb_dl,se_ub_dl,se_lb_ul,se_ub_ul,"
     "rate_lb_dl,rate_ub_dl,rate_lb_ul,rate_ub_ul,se_ub_dl_stderr,se_ub_ul_stderr"
@@ -289,20 +296,16 @@ RATES_HEADER = (
 
 
 def write_rates_csv(result: CampaignResult, path):
+    """One row per (drop, user). Every value is repr() of a Python float from
+    .tolist(), the shortest string that reads back to the same double."""
     lines = [RATES_HEADER]
     for rep in result.reports:
+        se = [rep.se_lb_dl, rep.se_ub_dl, rep.se_lb_ul, rep.se_ub_ul]
         W = rep.bandwidth_hz
-        for k in range(len(rep.roles)):
-            vals = [
-                rep.se_lb_dl[k], rep.se_ub_dl[k], rep.se_lb_ul[k], rep.se_ub_ul[k],
-                rep.se_lb_dl[k] * W, rep.se_ub_dl[k] * W,
-                rep.se_lb_ul[k] * W, rep.se_ub_ul[k] * W,
-                rep.se_ub_dl_stderr[k], rep.se_ub_ul_stderr[k],
-            ]
-            lines.append(
-                f"{rep.drop_id},{k},{ROLE_NAMES[int(rep.roles[k])]},"
-                + ",".join(_fmt(v) for v in vals)
-            )
+        rows = np.stack(se + [v * W for v in se]
+                        + [rep.se_ub_dl_stderr, rep.se_ub_ul_stderr], axis=1).tolist()
+        lines += [f"{rep.drop_id},{k},{ROLE_NAMES[role]}," + ",".join(map(repr, row))
+                  for k, (role, row) in enumerate(zip(rep.roles.tolist(), rows))]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -330,7 +333,7 @@ def emit_cdf(result: CampaignResult, out_dir):
                 x, f = result.cdf_table(role, link, bound)
                 path = os.path.join(out_dir, f"cdf_{role}_{link}_{bound}.csv")
                 lines = ["rate_bps,cdf"] + [
-                    f"{_fmt(xi)},{_fmt(fi)}" for xi, fi in zip(x, f)
+                    f"{xi!r},{fi!r}" for xi, fi in zip(x.tolist(), f.tolist())
                 ]
                 with open(path, "w") as fh:
                     fh.write("\n".join(lines) + "\n")
@@ -345,7 +348,9 @@ def emit_cdf(result: CampaignResult, out_dir):
         "outputs": [os.path.basename(p) for p in written],
     }
     manifest_path = os.path.join(out_dir, "manifest.yaml")
+    # libyaml's emitter when PyYAML has it: the same text, several times faster
+    dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
     with open(manifest_path, "w") as fh:
-        yaml.safe_dump(manifest, fh, sort_keys=False)
+        yaml.dump(manifest, fh, Dumper=dumper, sort_keys=False)
     written.append(manifest_path)
     return written

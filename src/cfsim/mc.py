@@ -35,7 +35,8 @@ import numpy as np
 from .channel import LargeScaleState, channel_scaler, fill_normal, sample_blocks
 from .estimation import EstimationState, PilotBook
 
-# Threads running the block kernels while the calling thread draws
+# Threads running the block kernels while the calling thread draws; a campaign's
+# process pool lowers it to the CPUs each process has (harness.sampler_workers)
 WORKERS = 2
 
 

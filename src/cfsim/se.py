@@ -72,25 +72,29 @@ class SETables:
         return self.gamma.shape[1]
 
 
-def build_se_tables(
-    ls: LargeScaleState, est: EstimationState, book: PilotBook, assoc: AssociationMap
-) -> SETables:
-    """C and the copilot pair terms of one drop. A trace against the Ricean
-    covariance G_k = c_k^2 (K_k a_k a_k^H + I) is c_k^2 (K_k a_k^H M a_k + tr M), so
-    on the rows with no LOS link (every GUE) tr(G_j D_j^H G_k) is c_k^2 tr(G_j D_j^H),
-    and q = a_l^H D_j a_l is needed on the LOS rows l only. There, with the Gram
-    a_l^H a_j, a_l^H G_j D_j^H a_l = c_j^2 (conj(q) + K_j (a_l^H a_j) conj(a_l^H D_j a_j))."""
-    D, eta = est.D, est.eta_train
+def _interference(ls: LargeScaleState, c2, D, eta, k, j):
+    """(C, q, tr_d) from c2 = beta / (K + 1): the average interference
+    C[k, j, a] = sqrt(eta_j) Re tr(G_j D_j^H G_k) of every (k, j, a), and
+    q = a_k^H D_j a_k (0 where K_k = 0) and tr D_j on the pairs (k[p], j[p]).
+
+    A trace against the Ricean covariance G_k = c_k^2 (K_k a_k a_k^H + I) is
+    c_k^2 (K_k a_k^H M a_k + tr M), so on the rows with no LOS link (every GUE)
+    tr(G_j D_j^H G_k) is c_k^2 tr(G_j D_j^H), and q = a_l^H D_j a_l is needed on
+    the LOS rows l only. There, with the Gram a_l^H a_j,
+    a_l^H G_j D_j^H a_l = c_j^2 (conj(q) + K_j (a_l^H a_j) conj(a_l^H D_j a_j)).
+    The (L, K, A) temporaries are freed on return, before the caller's pair terms.
+    """
     K, A, N = ls.steering.shape
-    c2 = ls.beta / (ls.rice_k + 1.0)  # (K, A), channel user k
     rice = ls.rice_k
     is_los = (rice > 0).any(axis=1)
     los = np.flatnonzero(is_los)
+    row = np.where(is_los, np.cumsum(is_los) - 1, -1)  # LOS row of user k; -1: the zero row
     a, ca = ls.steering[los], (c2 * rice)[los]
     outer = (np.conj(a)[..., :, None] * a[..., None, :]).reshape(len(los), A, N * N)
-    # q[l, j] = a_l^H D_j a_l: (A, L, N^2) @ (A, N^2, K); then a zero row for the NLOS users
-    q = (outer.transpose(1, 0, 2) @ D.reshape(K, A, N * N).transpose(1, 2, 0)).transpose(1, 2, 0)
-    q = np.concatenate([q, np.zeros((1, K, A), dtype=complex)])
+    # q[l, j] = a_l^H D_j a_l: (A, L, N^2) @ (A, N^2, K), above a zero row for the NLOS users
+    q = np.zeros((A, len(los) + 1, K), dtype=complex)
+    np.matmul(outer.transpose(1, 0, 2), D.reshape(K, A, N * N).transpose(1, 2, 0), out=q[:, :-1])
+    q = q.transpose(1, 2, 0)
     # [a_l^H a_m | a_l^H D_m a_m] over the LOS users, one (L, 2L) matmul per AP
     right = np.concatenate([a, np.einsum("lanm,lam->lan", D[los], a)])
     gram, adm = np.split((np.conj(a).transpose(1, 0, 2) @ right.transpose(1, 2, 0))
@@ -98,23 +102,52 @@ def build_se_tables(
     tr_d = np.einsum("kaii->ka", D)
     tr_gd = np.conj(c2 * tr_d)  # tr(G_j D_j^H)
     tr_gd[los] += np.conj(ca * q[np.arange(len(los)), los])
-    s = c2 * np.conj(q[:-1])  # a_l^H G_j D_j^H a_l
-    s[:, los] += ca * gram * np.conj(adm)
-    tr_los = c2[los, None] * (rice[los, None] * s + tr_gd)
-    # every (k, j, a) the guard sees: on the NLOS rows only the largest c_k can set a maximum
-    seen = np.concatenate([tr_los.ravel(), (c2[~is_los].max(axis=0, initial=0.0) * tr_gd).ravel()])
-    if np.abs(seen.imag).max() > 1e-6 * max(np.abs(seen).max(), 1e-300):
+    q_pair = q[row[k], j]
+    tr_los = q[:-1]  # the LOS rows of q become tr(G_j D_j^H G_l), in place
+    np.conjugate(tr_los, out=tr_los)
+    tr_los *= c2  # s = a_l^H G_j D_j^H a_l
+    tr_los[:, los] += ca * gram * np.conj(adm)
+    del outer, right, gram, adm  # before C, where a drop's memory peaks
+    tr_los *= rice[los, None]
+    tr_los += tr_gd
+    tr_los *= c2[los, None]  # c_l^2 (K_l s + tr(G_j D_j^H))
+    # every (k, j, a) the guard sees: on the NLOS rows only the largest c_k can set a
+    # maximum. np.max of the two parts' maxima keeps a NaN, as one max over both would
+    parts = (tr_los, c2[~is_los].max(axis=0, initial=0.0) * tr_gd)
+    imag = np.max([np.abs(p.imag).max(initial=0.0) for p in parts])
+    if imag > 1e-6 * max(np.max([np.abs(p).max(initial=0.0) for p in parts]), 1e-300):
         raise NumericsError("tr(G D^H G) acquired a non-negligible imaginary part")
-    C = c2[:, None, :] * (np.sqrt(eta)[:, None] * tr_gd.real)
-    C[los] = np.sqrt(eta)[:, None] * tr_los.real
+    root_eta = np.sqrt(eta)[:, None]
+    nlos_c = root_eta * tr_gd.real
+    tr_los.real *= root_eta
+    # C row by row, each run of like rows in one ufunc call: c_k^2 sqrt(eta_j)
+    # Re tr(G_j D_j^H) off the LOS rows, sqrt(eta_j) Re tr_los on them
+    C = np.empty((K, K, A))
+    edges = [0, *(np.flatnonzero(np.diff(is_los)) + 1).tolist(), K]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if is_los[lo]:
+            C[lo:hi] = tr_los.real[row[lo]:row[lo] + hi - lo]
+        else:
+            np.multiply(c2[lo:hi, None, :], nlos_c, out=C[lo:hi])
+    return C, q_pair, tr_d[j]
 
+
+def build_se_tables(
+    ls: LargeScaleState, est: EstimationState, book: PilotBook, assoc: AssociationMap
+) -> SETables:
+    """C and the copilot pair terms of one drop: the average interference table plus
+    the gain uncertainty (j = k) and the copilots' variances, from delta and
+    tr(D_j G_k) on the own and copilot pairs only."""
+    K = ls.n_users
+    eta = est.eta_train
     copilot = book.assignment[:, None] == book.assignment[None, :]
     np.fill_diagonal(copilot, False)
     pair_k, pair_j = np.nonzero(copilot)
     own = np.arange(K)
     k, j = np.concatenate([own, pair_k]), np.concatenate([own, pair_j])
-    row = np.where(is_los, np.cumsum(is_los) - 1, -1)  # -1: the zero row
-    q, tr_d = q[row[k], j], tr_d[j]  # a_k^H D_j a_k (0 where K_k = 0), tr D_j
+    c2 = ls.beta / (ls.rice_k + 1.0)  # (K, A), channel user k
+    C, q, tr_d = _interference(ls, c2, est.D, eta, k, j)  # a_k^H D_j a_k, tr D_j on the pairs
+    rice = ls.rice_k
     delta = c2[k] ** 2 * (np.abs(tr_d) ** 2 + 2.0 * rice[k] * np.real(q * np.conj(tr_d)))
     t = c2[k] * (rice[k] * q + tr_d)  # tr(D_j G_k)
     pair_w, pair_t = eta[pair_k], t[K:]

@@ -21,6 +21,7 @@ from cfsim.config import (
     UavLosModel,
     preset_desk,
     preset_desk_mmimo,
+    preset_paper,
 )
 from cfsim.errors import DomainError
 from cfsim.estimation import covariance_G
@@ -227,6 +228,32 @@ def test_steering_coincident_point_rejected():
     ants = np.array([[0, 0, 0], [0.1, 0, 0]])
     with pytest.raises(DomainError):
         steering_vector(ants, np.array([0.0, 0.0, 0.0]), 0.15)
+
+
+def test_distances_and_steering_equal_their_literal_forms():
+    # both are built in place; the literal forms are np.linalg.norm and one exp
+    geom = generate_topology(preset_paper(), np.random.default_rng(11))
+    ants = geom.ap_antennas.copy()
+    ants[0] += np.array([250.0, 0.0, 10.0]) - ants[0, 0]  # AP 0's reference at (250, 0, 10)
+    # users on AP 0's wrap boundary: |dx| or |dy| is side / 2, or dy is a full side
+    edge = np.array([[750.0, 1000.0, 1.65], [0.0, 500.0, 100.0], [750.0, 500.0, 60.0]])
+    users = np.vstack([geom.user_positions, edge])
+    roles = np.concatenate([geom.roles, [ROLE_GUE, ROLE_UAV, ROLE_UAV]])
+    geom = NetworkGeometry(ap_antennas=ants, user_positions=users, roles=roles,
+                           area_side=geom.area_side)
+    side = geom.area_side
+    delta = users[:, None, :] - geom.ap_reference[None, :, :]
+    delta[..., :2] = (delta[..., :2] + side / 2.0) % side - side / 2.0
+    assert np.abs(delta[-3:, 0, :2]).max() == side / 2.0
+    d3, d2 = user_ap_distances(geom)
+    np.testing.assert_array_equal(d3, np.linalg.norm(delta, axis=-1))
+    np.testing.assert_array_equal(d2, np.linalg.norm(delta[..., :2], axis=-1))
+
+    lam = 0.15
+    images = nearest_image(users[:, None], geom.ap_reference[None], side)
+    d = np.linalg.norm(ants[None] - images[..., None, :], axis=-1)
+    np.testing.assert_array_equal(steering_vector(ants[None], images, lam),
+                                  np.exp(-1j * (2.0 * np.pi / lam) * (d[..., :1] - d)))
 
 
 # ---------------------------------------------------------------------------

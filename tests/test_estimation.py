@@ -282,6 +282,27 @@ def test_batched_build_matches_per_pair_with_diagonal_and_dense_B():
     _assert_build_matches_per_pair_operations(st["ls"], st["book"], est)
 
 
+def test_in_place_forms_equal_the_literal_ones():
+    # G, B and the divided D are built in place or through a float view; each must
+    # equal its literal form exactly, so that no output moves in the last bits
+    st = make_state(seed=4, n_ap=20, n_ap_antennas=4, n_gue=12, n_uav=4, tau_p=6)
+    ls, book, est = st["ls"], st["book"], st["est"]
+    N = est.n_ap_antennas
+    c = ls.beta / (ls.rice_k + 1.0)
+    G = np.multiply(c[..., None, None], np.eye(N), dtype=complex)
+    los = ls.rice_k.any(axis=1)
+    G[los] = covariance_G(ls.beta[los, :, None, None], ls.rice_k[los, :, None, None],
+                          ls.steering[los])
+    np.testing.assert_array_equal(est.G, G)
+    weights = (book.assignment[:, None] == book.assignment[None, :]) * est.eta_train
+    B = (weights @ G.reshape(est.n_users, -1)).reshape(G.shape) + est.sigma_w2 * np.eye(N)
+    np.testing.assert_array_equal(est.B, B)
+    divided = weights @ (ls.rice_k > 0) == 0  # no LOS copilot: D = sqrt(eta) G / b
+    assert divided.any() and not divided.all()
+    D = G / B[..., :1, :1].real * np.sqrt(est.eta_train)[:, None, None, None]
+    np.testing.assert_array_equal(est.D[divided], D[divided])
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_training_covariance_raises(gate_fixture):
     # NaN steering phases reach B through the LOS terms; eigvalsh then raised a

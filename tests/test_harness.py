@@ -5,10 +5,13 @@ import pytest
 
 from cfsim.association import build_association
 from cfsim.channel import build_large_scale
-from cfsim.config import preset_desk
+from cfsim.config import PRESETS, config_to_dict, preset_desk
 from cfsim.estimation import assign_pilots, build_estimation
 from cfsim.geometry import generate_topology
 from cfsim.harness import (
+    RATES_HEADER,
+    ROLE_NAMES,
+    CampaignResult,
     drop_seed_sequence,
     emit_cdf,
     run_campaign,
@@ -63,7 +66,7 @@ def test_jobs_capped_at_drop_count(monkeypatch):
     started = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             started.append(max_workers)
 
         def __enter__(self):
@@ -80,6 +83,109 @@ def test_jobs_capped_at_drop_count(monkeypatch):
     assert len(run_campaign(cfg, n_drops=2, master_seed=4, jobs=500).reports) == 2
     assert len(run_campaign(cfg, n_drops=1, master_seed=4, jobs=500).reports) == 1
     assert started == [2]  # a single drop runs serially, without a pool
+
+
+@pytest.mark.parametrize("cpus, jobs, workers", [
+    (2, 1, 2), (2, 2, 1), (2, 3, 1), (1, 1, 1), (8, 2, 2), (8, 4, 2), (8, 5, 1), (8, 8, 1),
+])
+def test_sampler_workers_share_the_cpus(monkeypatch, cpus, jobs, workers):
+    import cfsim.harness as harness
+
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    assert harness.sampler_workers(jobs) == workers
+
+
+def test_campaign_pool_sets_sampler_workers(monkeypatch):
+    # a campaign of 2 processes on 2 CPUs runs one sampler thread in each; a
+    # serial fake pool runs its initializer here, as a worker process would
+    import cfsim.harness as harness
+    import cfsim.mc as mc
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(mc, "WORKERS", 2)
+    cfg = tiny_cfg(mc=replace(preset_desk().mc, ub_samples=0))
+    run_campaign(cfg, n_drops=2, master_seed=4, jobs=1)
+    assert mc.WORKERS == 2  # a serial campaign keeps the default
+    run_campaign(cfg, n_drops=2, master_seed=4, jobs=2)
+    assert mc.WORKERS == 1
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def _per_value_rates_csv(result):
+    """rates.csv as written one value at a time: the reference for the bulk writer."""
+    lines = [RATES_HEADER]
+    for rep in result.reports:
+        W = rep.bandwidth_hz
+        for k in range(len(rep.roles)):
+            vals = [
+                rep.se_lb_dl[k], rep.se_ub_dl[k], rep.se_lb_ul[k], rep.se_ub_ul[k],
+                rep.se_lb_dl[k] * W, rep.se_ub_dl[k] * W,
+                rep.se_lb_ul[k] * W, rep.se_ub_ul[k] * W,
+                rep.se_ub_dl_stderr[k], rep.se_ub_ul_stderr[k],
+            ]
+            lines.append(
+                f"{rep.drop_id},{k},{ROLE_NAMES[int(rep.roles[k])]},"
+                + ",".join(_fmt(v) for v in vals)
+            )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("ub_samples", [0, 100])
+def test_output_fields_are_repr_of_their_values(tmp_path, ub_samples):
+    cfg = tiny_cfg(mc=replace(tiny_cfg().mc, ub_samples=ub_samples))
+    res = run_campaign(cfg, n_drops=2, master_seed=9)
+    emit_cdf(res, tmp_path)
+    text = (tmp_path / "rates.csv").read_text()
+    assert text == _per_value_rates_csv(res)
+    assert ("nan" in text) == (ub_samples == 0)  # the UB columns are NaN without samples
+    n_cdf = 0
+    for path in tmp_path.glob("cdf_*.csv"):
+        role, link, bound = path.stem.split("_")[1:]
+        x, f = res.cdf_table(role, link, bound)
+        lines = ["rate_bps,cdf"] + [f"{_fmt(xi)},{_fmt(fi)}" for xi, fi in zip(x, f)]
+        assert path.read_text() == "\n".join(lines) + "\n"
+        n_cdf += 1
+    assert n_cdf == (8 if ub_samples else 4)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + ["kappa-maxmin"])
+def test_manifest_same_with_either_yaml_emitter(tmp_path, monkeypatch, name):
+    # (config, seed) fixes every byte only if PyYAML without libyaml writes the
+    # manifest libyaml writes
+    import yaml
+
+    if not hasattr(yaml, "CSafeDumper"):
+        pytest.skip("PyYAML is built without libyaml")
+    if name == "kappa-maxmin":
+        cfg = preset_desk()
+        cfg = replace(cfg, power=replace(cfg.power, dl="maxmin", ul="maxmin", kappa=0.3))
+    else:
+        cfg = PRESETS[name]()
+    res = CampaignResult(reports=[], config=cfg, master_seed=3)
+    emit_cdf(res, tmp_path / "c")
+    monkeypatch.delattr(yaml, "CSafeDumper")
+    emit_cdf(res, tmp_path / "py")
+    manifest = (tmp_path / "c" / "manifest.yaml").read_bytes()
+    assert manifest == (tmp_path / "py" / "manifest.yaml").read_bytes()
+    assert yaml.safe_load(manifest)["config"] == config_to_dict(cfg)
 
 
 def test_no_uav_report_has_only_gue_rows(tmp_path):

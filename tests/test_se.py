@@ -127,6 +127,22 @@ def test_sinr_nan_power_raises(gate_fixture):
         dl_sinr_lb(tables, eta_dl, cfg.sigma_z2)
 
 
+def test_trace_imaginary_guard_decisions(gate_fixture):
+    # the guard reads its maxima over the LOS and the NLOS parts separately: a
+    # rotated estimator still raises, and a NaN still silences it as one max over
+    # both parts would, leaving the NaN to the SINR denominator guard
+    ls, est, book, assoc = (gate_fixture[k] for k in ("ls", "est", "book", "assoc"))
+    D = est.D.copy()
+    D[2] *= np.exp(1e-3j)  # a UAV's estimator, so both parts see it
+    with pytest.raises(NumericsError, match="imaginary part"):
+        build_se_tables(ls, dataclasses.replace(est, D=D), book, assoc)
+    D[1, 0, 0, 0] = np.nan
+    tables = build_se_tables(ls, dataclasses.replace(est, D=D), book, assoc)
+    eta_dl = np.where(tables.serving, 0.01, 0.0)
+    with pytest.raises(NumericsError, match="denominator"):
+        dl_sinr_lb(tables, eta_dl, gate_fixture["cfg"].sigma_z2)
+
+
 _DESK = preset_desk()
 DL_FORM_STATES = {
     "gate": dict(seed=11, assignment=[0, 1, 0, 1]),
