@@ -28,7 +28,7 @@ class LargeScaleState:
 
     beta: np.ndarray  # (K, A) linear power gain
     rice_k: np.ndarray  # (K, A)
-    steering: np.ndarray  # (K, A, N) complex, unit-modulus entries
+    steering: np.ndarray  # (K, A, N) complex, unit modulus; 0 on users without a LOS link
     shadow_db: np.ndarray  # (K, A)
     los_state: np.ndarray  # (K, A) bool, Bernoulli(p_LOS) draw used by UAV path loss
     roles: np.ndarray  # (K,)
@@ -160,7 +160,9 @@ def build_large_scale(config, geometry: NetworkGeometry, rng) -> LargeScaleState
     """Assemble the full large-scale state for one drop.
 
     RNG consumption order is fixed (shadowing, LOS states, LOS phases) so a
-    drop is reproducible from its seed.
+    drop is reproducible from its seed. `steering` keeps its (K, A, N) shape, but
+    only the rows of users with a LOS link (K > 0 on some AP) are built; the
+    others are zeros, which no consumer reads.
     """
     ch = config.channel
     d3, d2 = user_ap_distances(geometry)
@@ -188,11 +190,13 @@ def build_large_scale(config, geometry: NetworkGeometry, rng) -> LargeScaleState
     )
 
     # steer towards the periodic user image nearest to each AP so wrap-around
-    # and steering geometry agree
+    # and steering geometry agree; only the users with a LOS link have a LOS term
+    los = (rice > 0).any(axis=1)
     images = nearest_image(
-        geometry.user_positions[:, None], geometry.ap_reference[None], geometry.area_side
+        geometry.user_positions[los, None], geometry.ap_reference[None], geometry.area_side
     )
-    steering = steering_vector(geometry.ap_antennas[None], images, config.wavelength_m)
+    steering = np.zeros((*d3.shape, geometry.n_ap_antennas), dtype=complex)
+    steering[los] = steering_vector(geometry.ap_antennas[None], images, config.wavelength_m)
 
     # per-drop LOS phases that nothing reads (the sampler draws a phase per
     # sample). The draw stays because the pilots are drawn next from this

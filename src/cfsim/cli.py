@@ -38,6 +38,8 @@ def cmd_run(args):
 
     from .harness import emit_cdf, run_campaign
 
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _resolve_config(args)
     debug_dir = os.path.join(args.out, "debug") if args.dump_debug else None
     result = run_campaign(

@@ -63,26 +63,27 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class EstimationState:
-    """Immutable per-drop estimator state shared by SE and power control."""
+    """Immutable per-drop estimator state shared by SE and power control. Of the
+    covariances G and B only the traces are kept: nothing reads more of them."""
 
-    G: np.ndarray  # (K, A, N, N)
-    B: np.ndarray  # (K, A, N, N)
     D: np.ndarray  # (K, A, N, N)
     gamma: np.ndarray  # (K, A)
+    tr_G: np.ndarray  # (K, A) real
+    tr_B: np.ndarray  # (K, A) real
     eta_train: np.ndarray  # (K,)
     sigma_w2: float
 
     @property
     def n_users(self):
-        return self.G.shape[0]
+        return self.D.shape[0]
 
     @property
     def n_ap(self):
-        return self.G.shape[1]
+        return self.D.shape[1]
 
     @property
     def n_ap_antennas(self):
-        return self.G.shape[2]
+        return self.D.shape[2]
 
 
 def build_estimation(
@@ -91,7 +92,7 @@ def build_estimation(
     eta_train,
     sigma_w2,
 ) -> EstimationState:
-    """Construct G, B, D, gamma for every (user, AP) pair.
+    """Construct D and gamma for every (user, AP) pair, and the traces of G and B.
 
     Batched over pairs; numerically equivalent to applying the per-pair
     references matrix_B, estimator_D and gamma_coefficient in tests/per_pair.py.
@@ -118,9 +119,10 @@ def build_estimation(
     flat = B.reshape(K * A, N, N)
     if not np.isfinite(flat).all():  # eigvalsh would raise a bare LinAlgError
         raise NumericsError("training covariance is not finite")
+    tr_G, tr_B = (np.trace(M, axis1=2, axis2=3).real for M in (G, B))
     # eigvalsh only where the bound tr(B) / sigma_w^2 tops half the limit: the half
     # leaves room for rounding, so the raise decision is that of the full check
-    bound = np.einsum("pii->p", flat).real / sigma_w2
+    bound = tr_B.ravel() / sigma_w2
     lam = np.linalg.eigvalsh(flat[bound > CONDITION_LIMIT / 2])  # cond = lam_max / lam_min
     usable = lam[:, 0] > 0
     cond = np.full(len(lam), np.inf)
@@ -133,9 +135,8 @@ def build_estimation(
     # a complex by a real b as (re, im) * (1 / b), so the float view gives the bits
     D = np.multiply(G.view(float), 1.0 / B[..., :1, :1].real).view(complex)
     solve = np.flatnonzero(weights @ (ls.rice_k > 0) > 0)  # pairs with a LOS copilot term
-    D.reshape(K * A, N, N)[solve] = np.conj(np.swapaxes(
-        np.linalg.solve(flat.take(solve, axis=0), G.reshape(K * A, N, N).take(solve, axis=0)),
-        1, 2))
+    X = np.linalg.solve(flat.take(solve, axis=0), G.reshape(K * A, N, N).take(solve, axis=0))
+    D.reshape(K * A, N, N)[solve] = np.swapaxes(np.conjugate(X, out=X), 1, 2)
     D *= np.sqrt(eta_train)[:, None, None, None]
 
     gamma_c = np.sqrt(eta_train)[:, None] * np.einsum("kanm,kamn->ka", G, D)
@@ -143,6 +144,6 @@ def build_estimation(
     if (np.abs(gamma_c.imag) / scale).max() > 1e-6:
         raise NumericsError("gamma acquired a non-negligible imaginary part")
     return EstimationState(
-        G=G, B=B, D=D, gamma=gamma_c.real,
+        D=D, gamma=gamma_c.real, tr_G=tr_G, tr_B=tr_B,
         eta_train=np.array(eta_train), sigma_w2=sigma_w2,
     )

@@ -103,7 +103,7 @@ def allocate_ul(config: SimConfig, tables, est):
     p = config.power
     p_max = np.full(config.n_users, p.ul_max_w)
     if p.ul == "fpc":
-        return fpc_ul(est.G, tables.serving, p_max, p.fpc.p0_watts, p.fpc.alpha), {}
+        return fpc_ul(est.tr_G, tables.serving, p_max, p.fpc.p0_watts, p.fpc.alpha), {}
     return maxmin_ul(
         tables, config.sigma_w2, prelog=config.frame.tau_u / config.frame.tau_c, p_max=p_max
     )
@@ -184,10 +184,8 @@ def dump_drop_debug(debug_dir, drop_id, ls, est, assoc, power_info):
     K, A = ls.beta.shape
     _write_pair_csv(os.path.join(debug_dir, f"drop_{drop_id}_beta.csv"),
                     "beta_db,rice_k", 10.0 * np.log10(ls.beta), ls.rice_k)
-    tr_g = np.trace(est.G, axis1=2, axis2=3).real
-    tr_b = np.trace(est.B, axis1=2, axis2=3).real
     _write_pair_csv(os.path.join(debug_dir, f"drop_{drop_id}_estimation.csv"),
-                    "gamma,tr_G,tr_B", est.gamma, tr_g, tr_b)
+                    "gamma,tr_G,tr_B", est.gamma, est.tr_G, est.tr_B)
     with open(os.path.join(debug_dir, f"drop_{drop_id}_association.csv"), "w") as fh:
         fh.write("user_id,ap_ids\n")
         for k in range(K):
@@ -272,6 +270,8 @@ def run_campaign(
         master_seed = config.seed
     if n_drops < 1:
         raise CfsimError("n_drops must be >= 1")
+    if jobs < 1:
+        raise CfsimError("jobs must be >= 1")
     tasks = [(config, i, master_seed, debug_dir) for i in range(n_drops)]
     jobs = min(jobs, n_drops)  # the pool starts all its workers at the first submit
     if jobs <= 1:

@@ -115,17 +115,16 @@ def wfpa_dl(gamma, serving, budgets, sigma_z2, roles=None, kappa=None):
 # Uplink FPC
 # ---------------------------------------------------------------------------
 
-def fpc_ul(G, serving, p_max, p0, alpha):
+def fpc_ul(tr_G, serving, p_max, p0, alpha):
     """Fractional power control: eta_k = min(P_max, P0 * zeta_k^(-alpha)).
 
     zeta_k = sqrt(sum_{a in A_k} tr(G_{k,a})) aggregates the serving-set
-    large-scale gain.
+    large-scale gain; tr_G is the (K, A) array of tr(G_{k,a}).
     """
     serving = np.asarray(serving, dtype=bool)
     if not serving.any(axis=1).all():
         raise AssociationError("FPC needs a nonempty serving set per user")
-    tr_g = np.trace(G, axis1=2, axis2=3).real  # (K, A)
-    zeta = np.sqrt((tr_g * serving).sum(axis=1))
+    zeta = np.sqrt((tr_G * serving).sum(axis=1))
     return np.minimum(p_max, p0 * zeta ** (-alpha))
 
 

@@ -70,6 +70,16 @@ def gate_fixture():
     return make_state(seed=11, assignment=[0, 1, 0, 1])
 
 
+@pytest.fixture(scope="module")
+def collided_uc():
+    """6 users on 3 pilots (collisions), user-centric clusters of 2 out of 4 APs."""
+    st = make_state(seed=21, n_ap=4, n_ap_antennas=3, n_gue=4, n_uav=2, tau_p=3,
+                    association_mode="uc", uc_cluster_size=2)
+    assert len(np.unique(st["book"].assignment)) < st["cfg"].n_users
+    assert not st["assoc"].serving.all()
+    return st
+
+
 @pytest.fixture(scope="session")
 def desk_cfg():
     return preset_desk()

@@ -1,7 +1,8 @@
 """References that only the tests call.
 
 - Per-pair estimation: the literal B, D and gamma of one (user, AP) pair
-  (matrix_B, estimator_D, gamma_coefficient), and uplink training through the
+  (matrix_B, estimator_D, gamma_coefficient), the covariances G and B of a
+  whole drop built from them (covariances), and uplink training through the
   raw per-AP observation (training_observable, estimate_channels). Tests
   compare the batched cfsim.estimation build against these.
 - Channel draws: draw_channels, full-size channel realizations in the order
@@ -45,6 +46,16 @@ def matrix_B(k, a, G, book: PilotBook, eta_train, sigma_w2):
     weights = np.asarray(eta_train, dtype=float) * same
     B = np.tensordot(weights, G[:, a], axes=(0, 0))
     return B + sigma_w2 * np.eye(n)
+
+
+def covariances(ls: LargeScaleState, book: PilotBook, eta_train, sigma_w2):
+    """(G, B), each (K, A, N, N): covariance_G and matrix_B of every (user, AP) pair."""
+    K, A = ls.beta.shape
+    G = np.array([[covariance_G(ls.beta[k, a], ls.rice_k[k, a], ls.steering[k, a])
+                   for a in range(A)] for k in range(K)])
+    B = np.array([[matrix_B(k, a, G, book, eta_train, sigma_w2) for a in range(A)]
+                  for k in range(K)])
+    return G, B
 
 
 def estimator_D(G_ka, B_ka, eta_k, condition_limit=1e12):

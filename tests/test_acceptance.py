@@ -51,7 +51,7 @@ def test_criterion_1_closed_form_matches_mc_uatf(gate_fixture):
     )
     budgets = np.full(cfg.n_ap, cfg.power.dl_budget_per_ap_w)
     eta_dl = ppa_dl(tables.gamma, tables.serving, budgets)
-    eta_ul = fpc_ul(est.G, tables.serving, np.full(cfg.n_users, 0.1),
+    eta_ul = fpc_ul(est.tr_G, tables.serving, np.full(cfg.n_users, 0.1),
                     cfg.power.fpc.p0_watts, cfg.power.fpc.alpha)
     pre_d = cfg.frame.tau_d / cfg.frame.tau_c
     pre_u = cfg.frame.tau_u / cfg.frame.tau_c
@@ -173,7 +173,7 @@ def test_criterion_5_maxmin_dominance_and_monotonicity():
         monotone &= all(tr[i + 1] >= tr[i] * (1 - tol) for i in range(len(tr) - 1))
 
         p_max = np.full(cfg.n_users, cfg.power.ul_max_w)
-        eta_fpc = fpc_ul(est.G, tables.serving, p_max, cfg.power.fpc.p0_watts, 0.5)
+        eta_fpc = fpc_ul(est.tr_G, tables.serving, p_max, cfg.power.fpc.p0_watts, 0.5)
         min_fpc = se_from_sinr(ul_sinr_lb(tables, eta_fpc, cfg.sigma_w2), pre_u).min()
         eta_ul, info_ul = maxmin_ul(tables, cfg.sigma_w2, pre_u, p_max)
         min_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), pre_u).min()
@@ -270,7 +270,7 @@ def _gue_ul_lb_rates_uavs_muted(cfg, n_uav):
                         config=cfg)
         tables, est, roles = st["tables"], st["est"], st["ls"].roles
         p_max = np.full(tables.n_users, cfg.power.ul_max_w)
-        eta_ul = fpc_ul(est.G, tables.serving, p_max, cfg.power.fpc.p0_watts,
+        eta_ul = fpc_ul(est.tr_G, tables.serving, p_max, cfg.power.fpc.p0_watts,
                         cfg.power.fpc.alpha)
         eta_ul[roles == ROLE_UAV] = 0.0
         se = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), pre_u)
@@ -338,18 +338,18 @@ def test_criterion_9_fpc_branches():
     alpha = 0.5
     kw = dict(dtype=float)
 
-    def G_of(b):
-        return np.stack([b * np.eye(2) for b in np.atleast_1d(b)])[:, None]
+    def tr_G_of(b):  # the traces of the 2x2 covariances b I
+        return 2.0 * np.atleast_1d(b)[:, None]
 
     serving = np.ones((1, 1), dtype=bool)
     # compensation branch
-    eta = fpc_ul(G_of(1e3), serving, 0.1, p0, alpha)
+    eta = fpc_ul(tr_G_of(1e3), serving, 0.1, p0, alpha)
     comp_ok = eta[0] == pytest.approx(p0 * (np.sqrt(2e3)) ** -alpha, rel=1e-12)
     # cap branch
-    eta = fpc_ul(G_of(1e-14), serving, 0.1, p0, alpha)
+    eta = fpc_ul(tr_G_of(1e-14), serving, 0.1, p0, alpha)
     cap_ok = eta[0] == pytest.approx(0.1, rel=1e-12)
     # alpha = 0
-    eta = fpc_ul(G_of(np.array([1e3, 1e-9])), np.ones((2, 1), dtype=bool), 0.1, p0, 0.0)
+    eta = fpc_ul(tr_G_of(np.array([1e3, 1e-9])), np.ones((2, 1), dtype=bool), 0.1, p0, 0.0)
     a0_ok = np.allclose(eta, min(0.1, p0))
     elapsed = time.time() - t0
     ok = comp_ok and cap_ok and a0_ok and elapsed < 1.0

@@ -24,7 +24,7 @@ from cfsim.config import (
     preset_paper,
 )
 from cfsim.errors import DomainError
-from cfsim.estimation import covariance_G
+from cfsim.estimation import build_estimation, covariance_G
 from cfsim.geometry import (
     ROLE_GUE,
     ROLE_UAV,
@@ -33,7 +33,11 @@ from cfsim.geometry import (
     nearest_image,
     user_ap_distances,
 )
+from cfsim.harness import allocate_dl, allocate_ul
+from cfsim.mc import se_ub_mc
+from cfsim.se import build_se_tables, dl_sinr_lb, se_from_sinr, ul_sinr_lb
 
+from conftest import make_state
 from per_pair import draw_channels
 
 GUE_MODEL = LogDistanceModel(offset_db=-22.7, dist_coef=-36.7, freq_coef=-26.0)
@@ -205,9 +209,51 @@ def test_steering_broadside_equidistant_all_ones():
 
 
 def test_steering_norm_squared_is_antenna_count(gate_fixture):
-    steer = gate_fixture["ls"].steering
+    ls = gate_fixture["ls"]
+    steer = ls.steering[ls.rice_k.any(axis=1)]  # the rows of the users with a LOS link
+    assert len(steer)
     norms = np.sum(np.abs(steer) ** 2, axis=-1)
     np.testing.assert_allclose(norms, steer.shape[-1], rtol=1e-12)
+
+
+def _drop_outputs(st, ls):
+    """What a drop computes from ls: the estimation state, the SE tables, both LB
+    columns and a 40-sample UB with its stderr."""
+    cfg, book, assoc = st["cfg"], st["book"], st["assoc"]
+    est = build_estimation(ls, book, cfg.train_energy_w, cfg.sigma_w2)
+    tables = build_se_tables(ls, est, book, assoc)
+    eta_dl, _ = allocate_dl(cfg, tables, ls.roles)
+    eta_ul, _ = allocate_ul(cfg, tables, est)
+    pre_d, pre_u = cfg.frame.tau_d / cfg.frame.tau_c, cfg.frame.tau_u / cfg.frame.tau_c
+    ub_dl, ub_ul = se_ub_mc(ls, est, book, assoc.serving, eta_dl, eta_ul, cfg.sigma_z2,
+                            pre_d, pre_u, 40, np.random.default_rng(0), batch_count=2)
+    return dict(
+        D=est.D, gamma=est.gamma, tr_G=est.tr_G, tr_B=est.tr_B, C=tables.C,
+        pair_t=tables.pair_t,
+        lb_dl=se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.sigma_z2), pre_d),
+        lb_ul=se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), pre_u),
+        ub_dl=ub_dl.se, ub_ul=ub_ul.se, err_dl=ub_dl.se_stderr, err_ul=ub_ul.se_stderr,
+    )
+
+
+@pytest.mark.parametrize("name", ["gate", "collided_uc", "paper"])
+def test_nothing_reads_the_steering_rows_of_users_without_los(name, gate_fixture, collided_uc):
+    # build_large_scale builds steering vectors only for the users with a LOS link;
+    # NaN on the other rows must leave every output of the drop as it was
+    paper = preset_paper()
+    st = {"gate": gate_fixture, "collided_uc": collided_uc}.get(name) or make_state(
+        seed=1, n_ap=paper.n_ap, n_ap_antennas=paper.n_ap_antennas, n_gue=paper.n_gue,
+        n_uav=paper.n_uav, tau_p=paper.frame.tau_p)
+    ls = st["ls"]
+    los = (ls.rice_k > 0).any(axis=1)
+    assert los.any() and not los.all()
+    np.testing.assert_allclose(np.abs(ls.steering[los]), 1.0, rtol=1e-12)
+    assert (ls.steering[~los] == 0).all()
+    steering = ls.steering.copy()
+    steering[~los] = np.nan
+    base, nan_rows = _drop_outputs(st, ls), _drop_outputs(st, replace(ls, steering=steering))
+    for key, value in base.items():
+        np.testing.assert_array_equal(nan_rows[key], value, err_msg=key)
 
 
 def test_steering_far_field_limit():
@@ -307,7 +353,10 @@ def test_build_large_scale_shapes_and_roles():
     assert (ls.beta > 0).all()
     assert (ls.rice_k[ls.roles == ROLE_GUE] == 0.0).all()  # GUEs are NLOS
     assert np.isfinite(ls.rice_k).all()
-    assert np.allclose(np.abs(ls.steering), 1.0)
+    los = ls.rice_k.any(axis=1)
+    assert ls.steering.shape == (5, 4, 2) and los.any() and not los.all()
+    assert np.allclose(np.abs(ls.steering[los]), 1.0)
+    assert (ls.steering[~los] == 0).all()  # no LOS term, so no steering vector
 
 
 def _per_link_large_scale(config, geometry, rng):
@@ -346,10 +395,12 @@ def _per_link_large_scale(config, geometry, rng):
                 )
             else:
                 beta[k, a] = path_gain_gue(d3[k, a], f, shadow_db[k, a], ch.gue_gain)
-            image = nearest_image(
-                geometry.user_positions[k], geometry.ap_reference[a], geometry.area_side
-            )
-            steering[k, a] = steering_vector(geometry.ap_antennas[a], image, config.wavelength_m)
+            if rice[k].any():  # only a LOS link has a steering vector
+                image = nearest_image(
+                    geometry.user_positions[k], geometry.ap_reference[a], geometry.area_side
+                )
+                steering[k, a] = steering_vector(geometry.ap_antennas[a], image,
+                                                 config.wavelength_m)
     rng.uniform(0.0, 2.0 * np.pi, size=(K, A))  # the per-drop LOS phases nothing reads
     return dict(beta=beta, rice_k=rice, shadow_db=shadow_db, los_state=los_state,
                 steering=steering)

@@ -178,3 +178,19 @@ def test_run_negative_seed_exit_2(tmp_path, capsys):
     assert code == 2
     assert "seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_run_jobs_below_one_exit_2(tmp_path, capsys, monkeypatch, jobs):
+    # --jobs 0 and -2 once ran the whole campaign serially; now no drop starts
+    import cfsim.harness
+
+    def no_drop(*args, **kwargs):
+        raise AssertionError("a drop ran")
+
+    monkeypatch.setattr(cfsim.harness, "run_drop", no_drop)
+    out = tmp_path / "out"
+    code = main(["run", "--preset", "desk", "--out", str(out), "--jobs", jobs])
+    assert code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()

@@ -9,6 +9,7 @@ from cfsim.estimation import PilotBook, assign_pilots, build_estimation, covaria
 
 from conftest import make_state
 from per_pair import (
+    covariances,
     draw_channels,
     estimator_D,
     gamma_coefficient,
@@ -189,8 +190,7 @@ def test_training_observable_second_moment_matches_trB(gate_fixture):
             _, y_hat = training_observable(g[s], book, est.eta_train, est.sigma_w2, rng)
             acc += np.sum(np.abs(y_hat) ** 2, axis=-1)
     mean_energy = acc / n
-    tr_B = np.trace(est.B, axis1=2, axis2=3).real
-    np.testing.assert_allclose(mean_energy, tr_B, rtol=0.03)
+    np.testing.assert_allclose(mean_energy, est.tr_B, rtol=0.03)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +230,7 @@ def test_gamma_matches_mc_estimate_energy(gate_fixture):
 
 def test_gamma_bounded_by_channel_energy(gate_fixture):
     est = gate_fixture["est"]
-    tr_G = np.trace(est.G, axis1=2, axis2=3).real
-    assert (est.gamma <= tr_G * (1.0 + 1e-9)).all()
+    assert (est.gamma <= est.tr_G * (1.0 + 1e-9)).all()
 
 
 def test_contamination_locality(gate_fixture):
@@ -251,16 +250,15 @@ def test_contamination_locality(gate_fixture):
 
 def _assert_build_matches_per_pair_operations(ls, book, est0):
     eta, sigma_w2 = est0.eta_train, est0.sigma_w2
-    G = np.array([[covariance_G(ls.beta[k, a], ls.rice_k[k, a], ls.steering[k, a])
-                   for a in range(est0.n_ap)] for k in range(est0.n_users)])
+    G, B = covariances(ls, book, eta, sigma_w2)
     est = build_estimation(ls, book, eta, sigma_w2)
+    for name, M in (("tr_G", G), ("tr_B", B)):
+        np.testing.assert_allclose(getattr(est, name), np.trace(M, axis1=2, axis2=3).real,
+                                   rtol=1e-12, atol=1e-300, err_msg=name)
     for k in range(est.n_users):
         for a in range(est.n_ap):
-            B = matrix_B(k, a, G, book, eta, sigma_w2)
-            D = estimator_D(G[k, a], B, eta[k])
+            D = estimator_D(G[k, a], B[k, a], eta[k])
             g = gamma_coefficient(G[k, a], D, eta[k])
-            np.testing.assert_allclose(est.G[k, a], G[k, a], rtol=1e-12, atol=1e-300)
-            np.testing.assert_allclose(est.B[k, a], B, rtol=1e-12, atol=1e-300)
             np.testing.assert_allclose(est.D[k, a], D, rtol=1e-10, atol=1e-300)
             assert est.gamma[k, a] == pytest.approx(g, rel=1e-10)
 
@@ -276,15 +274,17 @@ def test_batched_build_matches_per_pair_with_diagonal_and_dense_B():
     # B carries the UAV's rank-one LOS term for both
     st = make_state(seed=12, n_gue=3, n_uav=1, tau_p=2, assignment=[0, 0, 1, 1])
     est = st["est"]
-    off = est.B * (1.0 - np.eye(est.n_ap_antennas))
+    _, B = covariances(st["ls"], st["book"], est.eta_train, est.sigma_w2)
+    off = B * (1.0 - np.eye(est.n_ap_antennas))
     diagonal = (off == 0).all(axis=(2, 3))
     assert diagonal[:2].all() and not diagonal[2:].any()
     _assert_build_matches_per_pair_operations(st["ls"], st["book"], est)
 
 
 def test_in_place_forms_equal_the_literal_ones():
-    # G, B and the divided D are built in place or through a float view; each must
-    # equal its literal form exactly, so that no output moves in the last bits
+    # G, B and the divided D are built in place or through a float view; the traces
+    # of G and B and the divided D must equal their literal forms exactly, so that
+    # no output moves in the last bits
     st = make_state(seed=4, n_ap=20, n_ap_antennas=4, n_gue=12, n_uav=4, tau_p=6)
     ls, book, est = st["ls"], st["book"], st["est"]
     N = est.n_ap_antennas
@@ -293,10 +293,10 @@ def test_in_place_forms_equal_the_literal_ones():
     los = ls.rice_k.any(axis=1)
     G[los] = covariance_G(ls.beta[los, :, None, None], ls.rice_k[los, :, None, None],
                           ls.steering[los])
-    np.testing.assert_array_equal(est.G, G)
+    np.testing.assert_array_equal(est.tr_G, np.trace(G, axis1=2, axis2=3).real)
     weights = (book.assignment[:, None] == book.assignment[None, :]) * est.eta_train
     B = (weights @ G.reshape(est.n_users, -1)).reshape(G.shape) + est.sigma_w2 * np.eye(N)
-    np.testing.assert_array_equal(est.B, B)
+    np.testing.assert_array_equal(est.tr_B, np.trace(B, axis1=2, axis2=3).real)
     divided = weights @ (ls.rice_k > 0) == 0  # no LOS copilot: D = sqrt(eta) G / b
     assert divided.any() and not divided.all()
     D = G / B[..., :1, :1].real * np.sqrt(est.eta_train)[:, None, None, None]
@@ -321,7 +321,8 @@ def test_batched_condition_limit_brackets_max_cond(gate_fixture, monkeypatch):
     # judged against the SVD condition number of every B in the drop
     ls, book, est = gate_fixture["ls"], gate_fixture["book"], gate_fixture["est"]
     N = est.n_ap_antennas
-    worst = np.linalg.cond(est.B.reshape(-1, N, N)).max()
+    _, B = covariances(ls, book, est.eta_train, est.sigma_w2)
+    worst = np.linalg.cond(B.reshape(-1, N, N)).max()
     args = (ls, book, est.eta_train, est.sigma_w2)
     monkeypatch.setattr(cfsim.estimation, "CONDITION_LIMIT", worst * (1 + 1e-6))
     build_estimation(*args)
@@ -336,8 +337,9 @@ def test_condition_limit_below_trace_bound_falls_back_to_eigvalsh(gate_fixture, 
     # through it, and none of them exceeds the limit
     ls, book, est = gate_fixture["ls"], gate_fixture["book"], gate_fixture["est"]
     N = est.n_ap_antennas
-    worst = np.linalg.cond(est.B.reshape(-1, N, N)).max()
-    bound = (np.trace(est.B, axis1=2, axis2=3).real / est.sigma_w2).max()
+    _, B = covariances(ls, book, est.eta_train, est.sigma_w2)
+    worst = np.linalg.cond(B.reshape(-1, N, N)).max()
+    bound = (est.tr_B / est.sigma_w2).max()
     assert bound > worst * (1 + 1e-4)
     checked = []
     eigvalsh = np.linalg.eigvalsh
@@ -349,11 +351,12 @@ def test_condition_limit_below_trace_bound_falls_back_to_eigvalsh(gate_fixture, 
 
 def test_estimation_state_invariants(gate_fixture):
     est = gate_fixture["est"]
-    # B Hermitian PD, G Hermitian PSD, gamma real >= 0
+    G, B = covariances(gate_fixture["ls"], gate_fixture["book"], est.eta_train, est.sigma_w2)
+    # B Hermitian PD, gamma real >= 0
     for k in range(est.n_users):
         for a in range(est.n_ap):
-            np.testing.assert_allclose(est.B[k, a], est.B[k, a].conj().T, atol=1e-12)
-            assert np.linalg.eigvalsh(est.B[k, a]).min() > 0
+            np.testing.assert_allclose(B[k, a], B[k, a].conj().T, atol=1e-12)
+            assert np.linalg.eigvalsh(B[k, a]).min() > 0
             assert est.gamma[k, a] >= 0
-            tr = np.sqrt(est.eta_train[k]) * np.trace(est.G[k, a] @ est.D[k, a])
+            tr = np.sqrt(est.eta_train[k]) * np.trace(G[k, a] @ est.D[k, a])
             assert abs(tr.imag) <= 1e-9 * max(abs(tr.real), 1e-300)

@@ -5,13 +5,15 @@ import pytest
 
 from cfsim.association import build_association
 from cfsim.channel import build_large_scale
-from cfsim.config import PRESETS, config_to_dict, preset_desk
+from cfsim.config import PRESETS, config_to_dict, preset_desk, preset_paper
+from cfsim.errors import CfsimError
 from cfsim.estimation import assign_pilots, build_estimation
 from cfsim.geometry import generate_topology
 from cfsim.harness import (
     RATES_HEADER,
     ROLE_NAMES,
     CampaignResult,
+    _write_pair_csv,
     drop_seed_sequence,
     emit_cdf,
     run_campaign,
@@ -20,6 +22,8 @@ from cfsim.harness import (
 )
 from cfsim.power import ppa_dl
 from cfsim.se import build_se_tables, dl_sinr_lb, se_from_sinr
+
+from per_pair import covariances
 
 
 def tiny_cfg(**kw):
@@ -83,6 +87,39 @@ def test_jobs_capped_at_drop_count(monkeypatch):
     assert len(run_campaign(cfg, n_drops=2, master_seed=4, jobs=500).reports) == 2
     assert len(run_campaign(cfg, n_drops=1, master_seed=4, jobs=500).reports) == 1
     assert started == [2]  # a single drop runs serially, without a pool
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_run_campaign_rejects_jobs_below_one(jobs):
+    # jobs 0 and -2 once ran the whole campaign serially
+    with pytest.raises(CfsimError, match="jobs must be >= 1"):
+        run_campaign(tiny_cfg(), n_drops=2, master_seed=4, jobs=jobs)
+
+
+def test_debug_estimation_csv_matches_per_pair_references(tmp_path):
+    # the estimation state keeps only the traces of G and B; the debug CSV must
+    # hold the bytes written from the reference matrices
+    cfg = preset_paper()
+    cfg = replace(cfg, mc=replace(cfg.mc, ub_samples=0))
+    run_drop(cfg, 0, 3, debug_dir=tmp_path)
+    rng = np.random.default_rng(drop_seed_sequence(3, 0).spawn(2)[0])
+    geom = generate_topology(cfg, rng)
+    ls = build_large_scale(cfg, geom, rng)
+    book = assign_pilots(cfg.n_users, cfg.frame.tau_p, rng)
+    est = build_estimation(ls, book, cfg.train_energy_w, cfg.sigma_w2)
+    G, B = covariances(ls, book, est.eta_train, est.sigma_w2)
+    # matrix_B adds the copilots' G in another order than one matmul over all users
+    # does, so on some pairs its trace differs in the last bits; the CSV's bytes are
+    # those of the literal batched form W G + sigma_w^2 I of the same reference G
+    weights = (book.assignment[:, None] == book.assignment[None, :]) * est.eta_train
+    literal_B = ((weights @ G.reshape(len(G), -1)).reshape(G.shape)
+                 + est.sigma_w2 * np.eye(G.shape[-1]))
+    tr_G, tr_B, literal_tr_B = (np.trace(M, axis1=2, axis2=3).real for M in (G, B, literal_B))
+    np.testing.assert_allclose(literal_tr_B, tr_B, rtol=1e-12, atol=1e-300)
+    _write_pair_csv(tmp_path / "reference.csv", "gamma,tr_G,tr_B", est.gamma, tr_G,
+                    literal_tr_B)
+    assert ((tmp_path / "drop_0_estimation.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
 
 
 @pytest.mark.parametrize("cpus, jobs, workers", [

@@ -118,16 +118,6 @@ def _ub_inputs(state):
     return serving, eta_dl, eta_ul
 
 
-@pytest.fixture(scope="module")
-def collided_uc():
-    """6 users on 3 pilots (collisions), user-centric clusters of 2 out of 4 APs."""
-    st = make_state(seed=21, n_ap=4, n_ap_antennas=3, n_gue=4, n_uav=2, tau_p=3,
-                    association_mode="uc", uc_cluster_size=2)
-    assert len(np.unique(st["book"].assignment)) < st["cfg"].n_users
-    assert not st["assoc"].serving.all()
-    return st
-
-
 @pytest.fixture(params=["gate", "collided_uc"])
 def state(request, gate_fixture, collided_uc):
     return gate_fixture if request.param == "gate" else collided_uc

@@ -169,16 +169,15 @@ def test_wfpa_kappa_budget_split(gate_fixture):
 # FPC
 # ---------------------------------------------------------------------------
 
-def _diag_G(betas):
-    """(K, 1, N, N) diagonal covariances with given per-user traces/N."""
-    K = len(betas)
-    return np.stack([b * np.eye(2) for b in betas])[:, None]
+def _diag_tr_G(betas):
+    """(K, 1) traces of the 2x2 covariances b I, one per user."""
+    return 2.0 * np.asarray(betas, dtype=float)[:, None]
 
 
 def test_fpc_compensation_branch():
     p0 = dbm_to_watts(-10.0)
-    G = _diag_G([1e3])  # zeta = sqrt(2e3) huge -> compensation branch
-    eta = fpc_ul(G, np.ones((1, 1), dtype=bool), 0.1, p0, 0.5)
+    tr_G = _diag_tr_G([1e3])  # zeta = sqrt(2e3) huge -> compensation branch
+    eta = fpc_ul(tr_G, np.ones((1, 1), dtype=bool), 0.1, p0, 0.5)
     zeta = math.sqrt(2e3)
     assert eta[0] == pytest.approx(p0 * zeta**-0.5)
     assert eta[0] < 0.1
@@ -186,15 +185,15 @@ def test_fpc_compensation_branch():
 
 def test_fpc_cap_branch():
     p0 = dbm_to_watts(-10.0)
-    G = _diag_G([1e-14])  # tiny zeta: compensation would exceed P_max -> cap
-    eta = fpc_ul(G, np.ones((1, 1), dtype=bool), 0.1, p0, 0.5)
+    tr_G = _diag_tr_G([1e-14])  # tiny zeta: compensation would exceed P_max -> cap
+    eta = fpc_ul(tr_G, np.ones((1, 1), dtype=bool), 0.1, p0, 0.5)
     assert eta[0] == pytest.approx(0.1)
 
 
 def test_fpc_alpha_zero_no_compensation():
     p0 = dbm_to_watts(-10.0)
-    G = _diag_G([1e3, 1e-9])
-    eta = fpc_ul(G, np.ones((2, 1), dtype=bool), 0.1, p0, 0.0)
+    tr_G = _diag_tr_G([1e3, 1e-9])
+    eta = fpc_ul(tr_G, np.ones((2, 1), dtype=bool), 0.1, p0, 0.0)
     np.testing.assert_allclose(eta, min(0.1, p0))
 
 
@@ -469,7 +468,7 @@ def test_maxmin_ul_dominates_fpc(seed):
     state = make_state(seed=seed, n_ap=4, n_gue=3, n_uav=1, tau_p=2)
     tables, cfg, est = state["tables"], state["cfg"], state["est"]
     p_max = np.full(tables.n_users, 0.1)
-    fpc = fpc_ul(est.G, tables.serving, p_max, cfg.power.fpc.p0_watts, 0.5)
+    fpc = fpc_ul(est.tr_G, tables.serving, p_max, cfg.power.fpc.p0_watts, 0.5)
     prelog = cfg.frame.tau_u / cfg.frame.tau_c
     min_fpc = se_from_sinr(ul_sinr_lb(tables, fpc, cfg.sigma_w2), prelog).min()
     eta, info = maxmin_ul(tables, cfg.sigma_w2, prelog, p_max)

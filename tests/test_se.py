@@ -21,7 +21,7 @@ from cfsim.se import (
 )
 
 from conftest import make_state
-from per_pair import copilot_gram2, delta_term, draw_channels, fourth_moment_check
+from per_pair import copilot_gram2, covariances, delta_term, draw_channels, fourth_moment_check
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +166,16 @@ def test_los_states_cover_no_and_every_los_user():
 @functools.lru_cache(maxsize=None)
 def _state_and_pair_terms(name):
     """A DL_FORM_STATES state and its raw terms, one (k, j, a) at a time from
-    G, D and the large-scale state: delta[k,j,a] (user k's channel under user
+    the per-pair G, D and the large-scale state: delta[k,j,a] (user k's channel under user
     j's estimator), tr_gdg[k,j,a] = tr(G_j D_j^H G_k) and t_dg[k,j,a] = tr(D_j G_k)."""
     st = make_state(**DL_FORM_STATES[name])
     ls, est = st["ls"], st["est"]
+    G, _ = covariances(ls, st["book"], est.eta_train, est.sigma_w2)
     K, A = est.gamma.shape
     delta, tr_gdg = np.zeros((K, K, A)), np.zeros((K, K, A))
     t_dg = np.zeros((K, K, A), dtype=complex)
     for k, j, a in np.ndindex(K, K, A):
-        G_j, D_j, G_k = est.G[j, a], est.D[j, a], est.G[k, a]
+        G_j, D_j, G_k = G[j, a], est.D[j, a], G[k, a]
         delta[k, j, a] = delta_term(ls.beta[k, a], ls.rice_k[k, a], ls.steering[k, a], D_j)
         tr_gdg[k, j, a] = np.trace(G_j @ D_j.conj().T @ G_k).real
         t_dg[k, j, a] = np.trace(D_j @ G_k)
@@ -245,7 +246,7 @@ def test_dl_sinr_scalar_assembly_oracle():
     state = make_state(seed=5, n_ap=1, n_gue=1, n_uav=0, tau_p=2, n_ap_antennas=3)
     tables, est, ls, cfg = state["tables"], state["est"], state["ls"], state["cfg"]
     eta_dl = np.array([[0.037]])
-    G, D = est.G[0, 0], est.D[0, 0]
+    G, D = covariances(ls, state["book"], est.eta_train, est.sigma_w2)[0][0, 0], est.D[0, 0]
     gamma = est.gamma[0, 0]
     eta_tr = est.eta_train[0]
     delta = delta_term(ls.beta[0, 0], ls.rice_k[0, 0], ls.steering[0, 0], D)
@@ -260,7 +261,7 @@ def test_ul_sinr_scalar_assembly_oracle():
     state = make_state(seed=6, n_ap=1, n_gue=1, n_uav=0, tau_p=2, n_ap_antennas=3)
     tables, est, ls, cfg = state["tables"], state["est"], state["ls"], state["cfg"]
     eta_ul = np.array([0.08])
-    G, D = est.G[0, 0], est.D[0, 0]
+    G, D = covariances(ls, state["book"], est.eta_train, est.sigma_w2)[0][0, 0], est.D[0, 0]
     gamma = est.gamma[0, 0]
     eta_tr = est.eta_train[0]
     delta = delta_term(ls.beta[0, 0], ls.rice_k[0, 0], ls.steering[0, 0], D)
@@ -371,7 +372,7 @@ def test_closed_form_matches_mc_in_user_centric_mode():
     )
     budgets = np.full(cfg.n_ap, 0.2)
     eta_dl = ppa_dl(tables.gamma, tables.serving, budgets)
-    eta_ul = fpc_ul(est.G, tables.serving, np.full(4, 0.1),
+    eta_ul = fpc_ul(est.tr_G, tables.serving, np.full(4, 0.1),
                     cfg.power.fpc.p0_watts, 0.5)
     pre_d = cfg.frame.tau_d / cfg.frame.tau_c
     pre_u = cfg.frame.tau_u / cfg.frame.tau_c
