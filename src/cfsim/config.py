@@ -145,7 +145,7 @@ class MaxMinConfig:
 
     outer_tol: float = 1e-4  # DL: smoothing gap and relative min-rate gain that ends the run
     max_outer_iters: int = 50  # DL: cap on smoothing stages
-    max_inner_iters: int = 100  # DL: cap on accelerated gradient steps per stage
+    max_inner_iters: int = 100  # DL: cap on steps per stage; a stage also ends when it stalls
 
 
 @dataclass(frozen=True)

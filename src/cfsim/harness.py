@@ -179,7 +179,7 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
 
 def dump_drop_debug(debug_dir, drop_id, ls, est, assoc, power_info):
     """Diagnostic CSVs for one drop: channel state, estimator scalars, serving
-    map and min-rate solver traces."""
+    map and min-rate solver traces (DL also with each stage's FISTA steps)."""
     os.makedirs(debug_dir, exist_ok=True)
     K, A = ls.beta.shape
     _write_pair_csv(os.path.join(debug_dir, f"drop_{drop_id}_beta.csv"),
@@ -190,14 +190,15 @@ def dump_drop_debug(debug_dir, drop_id, ls, est, assoc, power_info):
         fh.write("user_id,ap_ids\n")
         for k in range(K):
             fh.write(f"{k}," + " ".join(str(a) for a in assoc.aps_of(k)) + "\n")
-    for link in ("dl", "ul"):
-        trace = power_info.get(link, {}).get("min_rate_trace")
+    for link, info in power_info.items():
+        trace = info.get("min_rate_trace")
         if trace:
+            steps = [f",{n}" for n in [0] + info["steps"]] if "steps" in info else [""] * len(trace)
             path = os.path.join(debug_dir, f"drop_{drop_id}_maxmin_{link}_trace.csv")
             with open(path, "w") as fh:
-                fh.write("outer_iter,min_rate\n")
-                for i, v in enumerate(trace):
-                    fh.write(f"{i},{float(v)!r}\n")
+                fh.write("outer_iter,min_rate" + (",steps" if "steps" in info else "") + "\n")
+                for i, (v, n) in enumerate(zip(trace, steps)):
+                    fh.write(f"{i},{float(v)!r}{n}\n")
 
 
 def _write_pair_csv(path, header, *columns):

@@ -186,6 +186,12 @@ class _DlObjective:
         return value, low, g
 
 
+# a DL max-min stage stalls once the best smoothed value at its gradient points
+# rose by at most DL_STALL_RTOL * outer_tol in the last DL_STALL_STEPS steps
+DL_STALL_STEPS = 10
+DL_STALL_RTOL = 0.03
+
+
 @np.errstate(divide="ignore")  # a starved user's log SINR is -inf
 def maxmin_dl(
     tables: SETables,
@@ -200,14 +206,16 @@ def maxmin_dl(
 ):
     """Downlink min-rate maximization over all (AP, user) powers at once.
 
-    In stages, FISTA (backtracking, gradient restart, at most max_inner_iters
-    steps) ascends the smoothed min of log SINR with smoothing mu = 5, 20, ...
-    up to mu_end = max(ln K, 1) / outer_tol, where the smoothing gap ln K / mu
-    is at most outer_tol, each stage from the best true-min point so far. It
-    has converged once a stage at mu_end raises the best min SE by at most
-    outer_tol (relative); the trace holds the best min SE after each stage.
-    Starts from PPA. A serving AP without budget or a user who can get no
-    power (min rate 0 under any allocation) raises DegenerateInputError."""
+    In stages, FISTA (backtracking, gradient restart) ascends the smoothed min
+    of log SINR with smoothing mu = 5, 20, ... up to mu_end = max(ln K, 1) /
+    outer_tol, where the smoothing gap ln K / mu is at most outer_tol, each
+    stage from the best true-min point so far, for max_inner_iters steps or
+    until it stalls (DL_STALL_STEPS; no step before the stop changes). It has
+    converged once a stage at mu_end raises the best min SE by at most
+    outer_tol (relative); the trace holds the best min SE after each stage,
+    "steps" the steps of each stage. Starts from PPA. A serving AP without
+    budget or a user who can get no power (min rate 0 under any allocation)
+    raises DegenerateInputError."""
     serving, gamma = tables.serving, tables.gamma
     budgets = np.asarray(budgets, dtype=float)
     bad = np.flatnonzero(serving.any(axis=0) & ~(budgets > 0))
@@ -240,7 +248,7 @@ def maxmin_dl(
     mu = min(5.0, mu_end)
     diameter = 2.0 * math.sqrt(caps.sum())  # no useful step is longer
     converged = False
-    stage = 0
+    stage, steps = 0, []
     for stage in range(1, max_outer_iters + 1):
         x = z = best
         fz, _, gz = obj.smooth_min(z, mu, grad=True)
@@ -249,6 +257,7 @@ def maxmin_dl(
         # each stage, and each step, first tries a longer step (a stationary
         # point inflates step_inv, as rounding fails the ascent test there)
         t, step_inv = 1.0, 0.0
+        peaks = [fz]  # best smoothed value at the gradient points, after each step
         for _ in range(max_inner_iters):
             step_inv = max(0.5 * step_inv, math.sqrt(np.vdot(gz, gz)) / diameter)
             for _ in range(60):  # bounded: a NaN candidate fails every halving
@@ -275,6 +284,11 @@ def maxmin_dl(
                 fz, low, gz = obj.smooth_min(z, mu, grad=True)
             if low > best_low:
                 best, best_low = z, low
+            peaks.append(max(peaks[-1], fz))
+            if (len(peaks) > DL_STALL_STEPS
+                    and peaks[-1] - peaks[-1 - DL_STALL_STEPS] <= DL_STALL_RTOL * outer_tol):
+                break
+        steps.append(len(peaks) - 1)
         trace.append(float(se_from_sinr(np.exp(best_low), prelog)))
         if mu == mu_end and trace[-1] <= trace[-2] * (1.0 + outer_tol):
             converged = True
@@ -284,7 +298,7 @@ def maxmin_dl(
     se = se_from_sinr(np.exp(obj.log_sinr(best)[0]), prelog)
     eta = np.where(usable, best * best / np.where(usable, gamma, 1.0), 0.0)
     info = {"min_rate_trace": trace, "converged": converged, "iterations": stage,
-            "se_spread": float(se.max() / se.min() - 1.0)}
+            "steps": steps, "se_spread": float(se.max() / se.min() - 1.0)}
     return eta, info
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from cfsim.association import build_association
 from cfsim.channel import build_large_scale
-from cfsim.config import PRESETS, config_to_dict, preset_desk, preset_paper
+from cfsim.config import PRESETS, config_from_dict, config_to_dict, preset_desk, preset_paper
 from cfsim.errors import CfsimError
 from cfsim.estimation import assign_pilots, build_estimation
 from cfsim.geometry import generate_topology
@@ -120,6 +120,21 @@ def test_debug_estimation_csv_matches_per_pair_references(tmp_path):
                     literal_tr_B)
     assert ((tmp_path / "drop_0_estimation.csv").read_bytes()
             == (tmp_path / "reference.csv").read_bytes())
+
+
+def test_debug_maxmin_traces_hold_the_solver_steps(tmp_path):
+    # the DL trace gains each stage's FISTA steps (0 on the PPA row); UL keeps two columns
+    cfg = config_from_dict({"power": {"dl": "maxmin", "ul": "maxmin"}, "mc": {"ub_samples": 0}},
+                           base=preset_desk())
+    info = run_drop(cfg, 0, 1, debug_dir=tmp_path).power_info
+    dl = (tmp_path / "drop_0_maxmin_dl_trace.csv").read_text().splitlines()
+    assert dl[0] == "outer_iter,min_rate,steps"
+    rows = [line.split(",") for line in dl[1:]]
+    assert [int(r[2]) for r in rows] == [0] + info["dl"]["steps"]
+    assert [float(r[1]) for r in rows] == info["dl"]["min_rate_trace"]
+    ul = (tmp_path / "drop_0_maxmin_ul_trace.csv").read_text().splitlines()
+    assert ul[0] == "outer_iter,min_rate"
+    assert [line.count(",") for line in ul[1:]] == [1] * len(info["ul"]["min_rate_trace"])
 
 
 @pytest.mark.parametrize("cpus, jobs, workers", [

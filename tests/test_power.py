@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cfsim import power
 from cfsim.config import dbm_to_watts, preset_desk
 from cfsim.errors import DegenerateInputError, NumericsError, SolverError
 from cfsim.estimation import build_estimation
@@ -370,6 +371,28 @@ BLOCK_SOLVER_MIN_SE = {
 }
 
 
+# Min SE of this solver on the same instances with every stage run to
+# max_inner_iters steps (commit 8422235); ending stalled stages early may give
+# up at most 5e-5 of it (it gives up 2.4e-5 at most)
+FULL_STAGE_MIN_SE = {
+    "dominates-ppa-21": 0.020946001579039853,
+    "dominates-ppa-22": 0.08556701887435075,
+    "dominates-ppa-23": 0.13921415935618803,
+    "criterion-5-5000": 1.0110529442600296,
+    "criterion-5-5001": 1.1115837785182303,
+    "criterion-5-5002": 0.9599640875800409,
+    "criterion-5-5003": 1.145468534553618,
+    "criterion-5-5004": 1.0723617633370592,
+    "criterion-5-5005": 1.025577716235413,
+    "criterion-5-5006": 1.0477860037206133,
+    "criterion-5-5007": 1.0641664717555768,
+    "criterion-5-5008": 1.131622707700293,
+    "criterion-5-5009": 1.1579827878906686,
+    "user-centric": 0.3387638516218572,
+    "gate-kappa-0.2": 0.020206187966098788,
+}
+
+
 def _instance(name):
     state_kw = BLOCK_SOLVER_MIN_SE[name][0]
     if state_kw == "desk":  # the drops of acceptance criterion 5
@@ -384,6 +407,32 @@ def test_maxmin_dl_beats_parent_block_solver(name):
     _, stages, kappa, block_min_se = BLOCK_SOLVER_MIN_SE[name]
     min_se, _ = _maxmin_min_se(_instance(name), max_outer_iters=stages, kappa=kappa)
     assert min_se >= block_min_se
+    assert min_se >= FULL_STAGE_MIN_SE[name] * (1 - 5e-5)
+
+
+def test_maxmin_dl_stalled_stages_end_early():
+    _, info = _maxmin_min_se(_instance("criterion-5-5000"))
+    steps = info["steps"]
+    assert info["converged"] and len(steps) == info["iterations"]
+    assert min(steps) < 100
+    assert sum(steps) < 0.7 * len(steps) * 100
+
+
+def test_maxmin_dl_stall_stop_only_ends_a_stage(monkeypatch):
+    # a first stage that stalls after n steps ends where a stage capped at n
+    # steps without the stall test ends, bit for bit
+    state = _instance("dominates-ppa-23")
+    tables, cfg = state["tables"], state["cfg"]
+    args = (tables, np.full(tables.n_ap, 0.2), cfg.sigma_z2, cfg.frame.tau_d / cfg.frame.tau_c)
+    eta, info = maxmin_dl(*args, max_outer_iters=1)
+    (n,) = info["steps"]
+    assert n < 100
+    monkeypatch.setattr(power, "DL_STALL_STEPS", 10**9)
+    assert maxmin_dl(*args, max_outer_iters=1)[1]["steps"] == [100]
+    capped, capped_info = maxmin_dl(*args, max_outer_iters=1, max_inner_iters=n)
+    assert capped_info["steps"] == [n]
+    np.testing.assert_array_equal(capped, eta)
+    assert capped_info["min_rate_trace"] == info["min_rate_trace"]
 
 
 def test_maxmin_dl_matches_grid_oracle():
