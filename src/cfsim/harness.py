@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from . import __version__, mc
+from . import __version__, threads
 from .association import build_association
 from .channel import build_large_scale
 from .config import SimConfig, config_to_dict
@@ -217,14 +217,16 @@ def _drop_task(args):
 
 
 def sampler_workers(jobs):
-    """UB sampler threads per campaign process: the CPUs left to each of the
-    jobs processes, at least 1 and at most the one-process default of 2."""
+    """The thread budget of each campaign process (threads.BUDGET): the CPUs left
+    to each of the jobs processes, at least 1 and at most the one-process default
+    of 2. The UB sampler's block workers and the AP slices of estimation and the
+    SE tables all read it; no output depends on it."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(2, (cpus or 1) // jobs))
 
 
-def _set_sampler_workers(n):
-    mc.WORKERS = n
+def _set_thread_budget(n):
+    threads.BUDGET = n
 
 
 @dataclass
@@ -263,7 +265,12 @@ class CampaignResult:
 def run_campaign(
     config: SimConfig, n_drops=None, master_seed=None, jobs=1, debug_dir=None
 ) -> CampaignResult:
-    """Run n_drops independent drops; results are invariant to `jobs`."""
+    """Run n_drops independent drops; results are invariant to `jobs`.
+
+    Each drop is reached through the module global run_drop, so a wrapper put in
+    its place sees every drop of a serial campaign. With jobs > 1 each process
+    runs with the thread budget sampler_workers(jobs); a serial campaign keeps the
+    process's own budget."""
     config.validate()
     if n_drops is None:
         n_drops = config.drops
@@ -278,8 +285,8 @@ def run_campaign(
     if jobs <= 1:
         reports = [_drop_task(t) for t in tasks]
     else:
-        # each process's sampler threads share the CPUs with the other processes
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_set_sampler_workers,
+        # each process's threads share the CPUs with the other processes
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_set_thread_budget,
                                  initargs=(sampler_workers(jobs),)) as pool:
             reports = list(pool.map(_drop_task, tasks))
     reports.sort(key=lambda r: r.drop_id)

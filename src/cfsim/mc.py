@@ -15,8 +15,9 @@ upper bounds of both links share one reducer, so each sample is drawn and
 estimated once.
 
 The sampler is a two-stage pipeline. The calling thread makes every random
-draw, in one fixed order; WORKERS threads run each block's kernels (channel
-scale, pilot mix, LMMSE step, reducer) as soon as the block's draws are made.
+draw, in one fixed order; threads.BUDGET worker threads run each block's
+kernels (channel scale, pilot mix, LMMSE step, reducer) as soon as the block's
+draws are made.
 numpy releases the GIL in the draws, the matmuls and large elementwise ops, so
 the two stages run at once. The calling thread adds the block sums in block
 order, so every output is the same however the threads are timed. Memory is
@@ -32,12 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import threads
 from .channel import LargeScaleState, channel_scaler, fill_normal, sample_blocks
 from .estimation import EstimationState, PilotBook
-
-# Threads running the block kernels while the calling thread draws; a campaign's
-# process pool lowers it to the CPUs each process has (harness.sampler_workers)
-WORKERS = 2
 
 
 def _power(z):
@@ -97,12 +95,12 @@ def _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
     The calling thread makes every draw of a batch, in the stream's order: all
     real parts of g, all its imaginary parts, the (S, K, A) LOS phases block by
     block, then the training noise's real parts and, block by block, its
-    imaginary parts. Meanwhile WORKERS threads scale each block's channels once
-    its phases are drawn, and mix its pilots, estimate it and reduce it once its
-    noise is. The calling thread adds the block sums in block order, so the sums
+    imaginary parts. Meanwhile threads.BUDGET workers scale each block's channels
+    once its phases are drawn, and mix its pilots, estimate it and reduce it once
+    its noise is. The calling thread adds the block sums in block order, so the sums
     do not depend on thread timing. A batch is finished before the next is
     drawn. Held at once: g and the noise's real parts for one batch, and the
-    complex noise of at most WORKERS + 1 blocks. The training noise is drawn per
+    complex noise of at most BUDGET + 1 blocks. The training noise is drawn per
     pilot sequence (users sharing a pilot see the same projected noise, as the
     projection of one common W_a realization dictates).
 
@@ -115,10 +113,15 @@ def _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
     users, scale = channel_scaler(ls)
     sizes = _batched(n_samples, batch_count)
     row_bytes = 16 * (K + book.tau_p) * A * N
+    # the users whose estimator is a real d I at every AP: ghat = d y, one multiply
+    # on the float views that gives the bits of the (N, N) matmul
+    d = est.D[..., 0, 0].real
+    is_scalar = np.array([(est.D[k] == d[k, :, None, None] * np.eye(N)).all() for k in range(K)])
+    workers = threads.BUDGET
     # one g_hat buffer per worker, made here: what a worker allocates stays in
     # its thread's malloc arena, which no other thread reuses
     free = queue.SimpleQueue()
-    for _ in range(WORKERS):
+    for _ in range(workers):
         free.put(np.empty((sample_blocks(max(sizes), row_bytes)[0].stop, K, A, N), dtype=complex))
 
     def estimate(g, y, scaled):
@@ -126,12 +129,16 @@ def _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
         y *= np.sqrt(est.sigma_w2 / 2.0)
         for k in range(K):
             y[:, pidx[k]] += root_eta[k] * g[:, k]
-        buf = free.get_nowait()  # at most WORKERS blocks are estimated at once
+        buf = free.get_nowait()  # at most `workers` blocks are estimated at once
         try:
             g_hat = buf[: len(g)]
-            for k in range(K):  # an A-batch of (N, N) @ (N, S), written through a view of g_hat
-                np.matmul(est.D[k], y[:, pidx[k]].transpose(1, 2, 0),
-                          out=g_hat[:, k].transpose(1, 2, 0))
+            for k in range(K):  # written through a view of g_hat
+                if is_scalar[k]:
+                    np.multiply(y.view(float)[:, pidx[k]], d[k, :, None],
+                                out=g_hat.view(float)[:, k])
+                else:  # an A-batch of (N, N) @ (N, S)
+                    np.matmul(est.D[k], y[:, pidx[k]].transpose(1, 2, 0),
+                              out=g_hat[:, k].transpose(1, 2, 0))
             return reduce(g, g_hat)
         finally:
             free.put(buf)
@@ -140,7 +147,7 @@ def _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
         return part if sums is None else [s + p for s, p in zip(sums, part)]
 
     batches = []
-    pool = ThreadPoolExecutor(WORKERS)
+    pool = ThreadPoolExecutor(workers)
     try:
         for size in sizes:
             blocks = sample_blocks(size, row_bytes)
@@ -164,7 +171,7 @@ def _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
                 noise[i] = None
                 fill_normal(rng, y.imag, cs)
                 pending.append(pool.submit(estimate, g[b], y, done))
-                if len(pending) > WORKERS:
+                if len(pending) > workers:
                     sums = add(sums, pending.popleft().result())
             while pending:
                 sums = add(sums, pending.popleft().result())

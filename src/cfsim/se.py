@@ -38,6 +38,7 @@ from .association import AssociationMap
 from .channel import LargeScaleState
 from .errors import NumericsError
 from .estimation import EstimationState, PilotBook
+from .threads import ap_slices, over_aps
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,12 @@ class SETables:
         return self.gamma.shape[1]
 
 
-def _interference(ls: LargeScaleState, c2, D, eta, k, j):
-    """(C, q, tr_d) from c2 = beta / (K + 1): the average interference
-    C[k, j, a] = sqrt(eta_j) Re tr(G_j D_j^H G_k) of every (k, j, a), and
-    q = a_k^H D_j a_k (0 where K_k = 0) and tr D_j on the pairs (k[p], j[p]).
+def _interference(steering, rice, is_los, c2, D, eta, k, j, C):
+    """Fill C[k, j, a] = sqrt(eta_j) Re tr(G_j D_j^H G_k), the average interference
+    of every (k, j, a), and return (q, tr_d, guard): q = a_k^H D_j a_k (0 where
+    K_k = 0) and tr D_j on the pairs (k[p], j[p]), and the largest imaginary part
+    and modulus of tr(G_j D_j^H G_k). Every array but is_los (the users with a LOS
+    link at any AP of the drop) holds one AP slice of the drop; C and D are views.
 
     A trace against the Ricean covariance G_k = c_k^2 (K_k a_k a_k^H + I) is
     c_k^2 (K_k a_k^H M a_k + tr M), so on the rows with no LOS link (every GUE)
@@ -84,16 +87,15 @@ def _interference(ls: LargeScaleState, c2, D, eta, k, j):
     a_l^H G_j D_j^H a_l = c_j^2 (conj(q) + K_j (a_l^H a_j) conj(a_l^H D_j a_j)).
     The (L, K, A) temporaries are freed on return, before the caller's pair terms.
     """
-    K, A, N = ls.steering.shape
-    rice = ls.rice_k
-    is_los = (rice > 0).any(axis=1)
+    K, A, N = steering.shape
     los = np.flatnonzero(is_los)
     row = np.where(is_los, np.cumsum(is_los) - 1, -1)  # LOS row of user k; -1: the zero row
-    a, ca = ls.steering[los], (c2 * rice)[los]
+    a, ca = steering[los], (c2 * rice)[los]
     outer = (np.conj(a)[..., :, None] * a[..., None, :]).reshape(len(los), A, N * N)
     # q[l, j] = a_l^H D_j a_l: (A, L, N^2) @ (A, N^2, K), above a zero row for the NLOS users
     q = np.zeros((A, len(los) + 1, K), dtype=complex)
     np.matmul(outer.transpose(1, 0, 2), D.reshape(K, A, N * N).transpose(1, 2, 0), out=q[:, :-1])
+    del outer
     q = q.transpose(1, 2, 0)
     # [a_l^H a_m | a_l^H D_m a_m] over the LOS users, one (L, 2L) matmul per AP
     right = np.concatenate([a, np.einsum("lanm,lam->lan", D[los], a)])
@@ -107,29 +109,29 @@ def _interference(ls: LargeScaleState, c2, D, eta, k, j):
     np.conjugate(tr_los, out=tr_los)
     tr_los *= c2  # s = a_l^H G_j D_j^H a_l
     tr_los[:, los] += ca * gram * np.conj(adm)
-    del outer, right, gram, adm  # before C, where a drop's memory peaks
+    del right, gram, adm
     tr_los *= rice[los, None]
     tr_los += tr_gd
     tr_los *= c2[los, None]  # c_l^2 (K_l s + tr(G_j D_j^H))
     # every (k, j, a) the guard sees: on the NLOS rows only the largest c_k can set a
-    # maximum. np.max of the two parts' maxima keeps a NaN, as one max over both would
+    # maximum. np.max of the two parts' maxima keeps a NaN, as one max over both
+    # would; max |x| is max(max x, -min x), without an |x| temporary
     parts = (tr_los, c2[~is_los].max(axis=0, initial=0.0) * tr_gd)
-    imag = np.max([np.abs(p.imag).max(initial=0.0) for p in parts])
-    if imag > 1e-6 * max(np.max([np.abs(p).max(initial=0.0) for p in parts]), 1e-300):
-        raise NumericsError("tr(G D^H G) acquired a non-negligible imaginary part")
+    guard = [np.max([np.maximum(p.imag.max(initial=0.0), -p.imag.min(initial=0.0))
+                     for p in parts]),
+             np.max([np.abs(p).max(initial=0.0) for p in parts])]
     root_eta = np.sqrt(eta)[:, None]
     nlos_c = root_eta * tr_gd.real
     tr_los.real *= root_eta
     # C row by row, each run of like rows in one ufunc call: c_k^2 sqrt(eta_j)
     # Re tr(G_j D_j^H) off the LOS rows, sqrt(eta_j) Re tr_los on them
-    C = np.empty((K, K, A))
     edges = [0, *(np.flatnonzero(np.diff(is_los)) + 1).tolist(), K]
     for lo, hi in zip(edges[:-1], edges[1:]):
         if is_los[lo]:
             C[lo:hi] = tr_los.real[row[lo]:row[lo] + hi - lo]
         else:
             np.multiply(c2[lo:hi, None, :], nlos_c, out=C[lo:hi])
-    return C, q_pair, tr_d[j]
+    return q_pair, tr_d[j], guard
 
 
 def build_se_tables(
@@ -137,22 +139,37 @@ def build_se_tables(
 ) -> SETables:
     """C and the copilot pair terms of one drop: the average interference table plus
     the gain uncertainty (j = k) and the copilots' variances, from delta and
-    tr(D_j G_k) on the own and copilot pairs only."""
-    K = ls.n_users
+    tr(D_j G_k) on the own and copilot pairs only. Built per AP slice
+    (threads.over_aps), each slice writing its APs of C and pair_t; the guard on
+    the imaginary part of tr(G_j D_j^H G_k) reads the whole drop."""
+    K, A = ls.beta.shape
     eta = est.eta_train
     copilot = book.assignment[:, None] == book.assignment[None, :]
     np.fill_diagonal(copilot, False)
     pair_k, pair_j = np.nonzero(copilot)
     own = np.arange(K)
     k, j = np.concatenate([own, pair_k]), np.concatenate([own, pair_j])
-    c2 = ls.beta / (ls.rice_k + 1.0)  # (K, A), channel user k
-    C, q, tr_d = _interference(ls, c2, est.D, eta, k, j)  # a_k^H D_j a_k, tr D_j on the pairs
-    rice = ls.rice_k
-    delta = c2[k] ** 2 * (np.abs(tr_d) ** 2 + 2.0 * rice[k] * np.real(q * np.conj(tr_d)))
-    t = c2[k] * (rice[k] * q + tr_d)  # tr(D_j G_k)
-    pair_w, pair_t = eta[pair_k], t[K:]
-    C[own, own] += eta[:, None] * delta[:K] - est.gamma**2
-    C[pair_k, pair_j] += pair_w[:, None] * (delta[K:] - np.abs(pair_t) ** 2)
+    pair_w = eta[pair_k]
+    is_los = (ls.rice_k > 0).any(axis=1)
+    C = np.empty((K, K, A))
+    pair_t = np.empty((len(pair_k), A), dtype=complex)
+
+    def build(aps):
+        rice = ls.rice_k[:, aps]
+        c2 = ls.beta[:, aps] / (rice + 1.0)  # (K, A), channel user k
+        Ca = C[:, :, aps]
+        q, tr_d, guard = _interference(ls.steering[:, aps], rice, is_los, c2, est.D[:, aps],
+                                       eta, k, j, Ca)  # a_k^H D_j a_k, tr D_j on the pairs
+        delta = c2[k] ** 2 * (np.abs(tr_d) ** 2 + 2.0 * rice[k] * np.real(q * np.conj(tr_d)))
+        t = c2[k] * (rice[k] * q + tr_d)  # tr(D_j G_k)
+        pair_t[:, aps] = t[K:]
+        Ca[own, own] += eta[:, None] * delta[:K] - est.gamma[:, aps] ** 2
+        Ca[pair_k, pair_j] += pair_w[:, None] * (delta[K:] - np.abs(t[K:]) ** 2)
+        return guard
+
+    imag, size = np.max(over_aps(ap_slices(A, est.D.size), build), axis=0)
+    if imag > 1e-6 * max(size, 1e-300):
+        raise NumericsError("tr(G D^H G) acquired a non-negligible imaginary part")
     return SETables(gamma=est.gamma, C=C, pair_k=pair_k, pair_j=pair_j, pair_w=pair_w,
                     pair_t=pair_t, serving=assoc.serving)
 

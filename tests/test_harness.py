@@ -149,10 +149,10 @@ def test_sampler_workers_share_the_cpus(monkeypatch, cpus, jobs, workers):
 
 
 def test_campaign_pool_sets_sampler_workers(monkeypatch):
-    # a campaign of 2 processes on 2 CPUs runs one sampler thread in each; a
+    # a campaign of 2 processes on 2 CPUs gives each a thread budget of 1; a
     # serial fake pool runs its initializer here, as a worker process would
     import cfsim.harness as harness
-    import cfsim.mc as mc
+    import cfsim.threads as threads
 
     class SerialPool:
         def __init__(self, max_workers, initializer, initargs):
@@ -169,12 +169,12 @@ def test_campaign_pool_sets_sampler_workers(monkeypatch):
 
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(mc, "WORKERS", 2)
+    monkeypatch.setattr(threads, "BUDGET", 2)
     cfg = tiny_cfg(mc=replace(preset_desk().mc, ub_samples=0))
     run_campaign(cfg, n_drops=2, master_seed=4, jobs=1)
-    assert mc.WORKERS == 2  # a serial campaign keeps the default
+    assert threads.BUDGET == 2  # a serial campaign keeps the default
     run_campaign(cfg, n_drops=2, master_seed=4, jobs=2)
-    assert mc.WORKERS == 1
+    assert threads.BUDGET == 1
 
 
 def _fmt(x):

@@ -304,6 +304,16 @@ def _one_sample_blocks(state, monkeypatch):
     monkeypatch.setattr(cfsim.channel, "BLOCK_BYTES", 16 * (K + state["book"].tau_p) * A * N)
 
 
+def test_collided_uc_has_scalar_and_dense_estimators(collided_uc):
+    # the sampler applies a user whose D is a real d I at every AP as one multiply
+    # on y; the serial reference below runs the matmul for every user, so its
+    # collided_uc case checks the multiply's bits only while such users exist
+    D = collided_uc["est"].D
+    d = D[..., 0, 0].real
+    scalar = [(D[k] == d[k, :, None, None] * np.eye(D.shape[-1])).all() for k in range(len(D))]
+    assert any(scalar) and not all(scalar)
+
+
 @pytest.mark.parametrize("name", ["se_ub_mc", "uatf_dl_mc", "uatf_ul_mc"])
 def test_threaded_sampler_matches_serial_reference(state, monkeypatch, pools, name):
     # 40 one-sample blocks per batch, thread switches as often as the interpreter
