@@ -45,6 +45,11 @@ class LargeScaleState:
     def n_ap_antennas(self):
         return self.steering.shape[2]
 
+    @property
+    def los_users(self):
+        """(K,) bool: the users with a LOS term (Ricean K > 0) on some link."""
+        return (self.rice_k > 0).any(axis=1)
+
 
 def los_probability(role, horizontal_distance, user_height, model):
     """LOS probability per link: GUEs are always NLOS; UAVs follow the piecewise model.
@@ -161,8 +166,8 @@ def build_large_scale(config, geometry: NetworkGeometry, rng) -> LargeScaleState
 
     RNG consumption order is fixed (shadowing, LOS states, LOS phases) so a
     drop is reproducible from its seed. `steering` keeps its (K, A, N) shape, but
-    only the rows of users with a LOS link (K > 0 on some AP) are built; the
-    others are zeros, which no consumer reads.
+    only the rows of the LOS users (`los_users`) are built; the others are
+    zeros, which no consumer reads.
     """
     ch = config.channel
     d3, d2 = user_ap_distances(geometry)
@@ -189,27 +194,27 @@ def build_large_scale(config, geometry: NetworkGeometry, rng) -> LargeScaleState
         d3[uav], los_state[uav], ch.uav, f, heights[uav], shadow_db[uav]
     )
 
+    ls = LargeScaleState(
+        beta=beta,
+        rice_k=rice,
+        steering=np.zeros((*d3.shape, geometry.n_ap_antennas), dtype=complex),
+        shadow_db=shadow_db,
+        los_state=los_state,
+        roles=roles.copy(),
+    )
     # steer towards the periodic user image nearest to each AP so wrap-around
-    # and steering geometry agree; only the users with a LOS link have a LOS term
-    los = (rice > 0).any(axis=1)
+    # and steering geometry agree; only the LOS users have a LOS term
+    los = ls.los_users
     images = nearest_image(
         geometry.user_positions[los, None], geometry.ap_reference[None], geometry.area_side
     )
-    steering = np.zeros((*d3.shape, geometry.n_ap_antennas), dtype=complex)
-    steering[los] = steering_vector(geometry.ap_antennas[None], images, config.wavelength_m)
+    ls.steering[los] = steering_vector(geometry.ap_antennas[None], images, config.wavelength_m)
 
     # per-drop LOS phases that nothing reads (the sampler draws a phase per
     # sample). The draw stays because the pilots are drawn next from this
     # generator: without it every pilot assignment, and so every LB, would move
     rng.uniform(0.0, 2.0 * np.pi, size=d3.shape)
-    return LargeScaleState(
-        beta=beta,
-        rice_k=rice,
-        steering=steering,
-        shadow_db=shadow_db,
-        los_state=los_state,
-        roles=roles.copy(),
-    )
+    return ls
 
 
 # Bytes per block of samples: what is derived from a draw is built one block at
@@ -232,11 +237,11 @@ def fill_normal(rng, part, slices):
 
 
 def channel_scaler(ls: LargeScaleState):
-    """(users, scale): the users with an LOS term on some link, and scale(blk, theta),
-    which turns a block (S, K, A, N) of unit complex normals into channels in place;
-    theta (S, len(users), A) holds the block's LOS phases of those users."""
+    """(users, scale): the LOS users' indices, and scale(blk, theta), which turns a
+    block (S, K, A, N) of unit complex normals into channels in place; theta
+    (S, len(users), A) holds the block's LOS phases of those users."""
     nlos = ls.beta / (ls.rice_k + 1.0)
-    users = np.flatnonzero(ls.rice_k.any(axis=1))  # the LOS term is 0 for the others
+    users = np.flatnonzero(ls.los_users)  # the LOS term is 0 for the others
     root = np.sqrt(nlos / 2.0)[..., None]
     los = (np.sqrt(nlos) * np.sqrt(ls.rice_k))[users, :, None] * ls.steering[users]
 

@@ -28,10 +28,6 @@ class PilotBook:
     def tau_p(self):
         return self.pilots.shape[0]
 
-    @property
-    def n_users(self):
-        return self.assignment.shape[0]
-
 
 def pilot_set(tau_p):
     """Deterministic orthonormal pilot set: rows of the unitary DFT matrix."""
@@ -65,7 +61,9 @@ CONDITION_LIMIT = 1e12
 @dataclass(frozen=True)
 class EstimationState:
     """Immutable per-drop estimator state shared by SE and power control. Of the
-    covariances G and B only the traces are kept: nothing reads more of them."""
+    covariances G and B only the traces are kept: nothing reads more of them.
+    scalar marks the users with no LOS copilot term at any AP: their D is a real
+    d I at every AP, so their estimate is d times the observation."""
 
     D: np.ndarray  # (K, A, N, N)
     gamma: np.ndarray  # (K, A)
@@ -73,6 +71,7 @@ class EstimationState:
     tr_B: np.ndarray  # (K, A) real
     eta_train: np.ndarray  # (K,)
     sigma_w2: float
+    scalar: np.ndarray  # (K,) bool
 
     @property
     def n_users(self):
@@ -101,15 +100,17 @@ def build_estimation(
     without them B^{-1} G = G / b, unsolved. A pair whose cond(B) exceeds
     CONDITION_LIMIT raises; cond(B) <= tr(B) / sigma_w^2 clears most pairs
     before eigvalsh. The pairs are built per AP slice (threads.over_aps), each
-    slice writing its APs of the outputs; the checks read the whole drop.
+    slice writing its APs of the outputs; the LOS copilot pairs and the checks
+    read the whole drop.
     """
     K, A = ls.beta.shape
     N = ls.n_ap_antennas
     eta_train = np.broadcast_to(np.asarray(eta_train, dtype=float), (K,))
     root_eta = np.sqrt(eta_train)
-    los = np.flatnonzero((ls.rice_k > 0).any(axis=1))  # users with a LOS term at any AP
+    los = np.flatnonzero(ls.los_users)
     same = book.assignment[:, None] == book.assignment[None, :]
     weights = same * eta_train[None, :]  # (k, i)
+    los_pair = weights @ (ls.rice_k > 0) > 0  # (K, A): pairs with a LOS copilot term
     D = np.empty((K, A, N, N), dtype=complex)
     gamma_c = np.empty((K, A), dtype=complex)
     tr_G, tr_B = np.empty((K, A)), np.empty((K, A))
@@ -148,7 +149,7 @@ def build_estimation(
         # a complex by a real b as (re, im) * (1 / b), so the float view gives the bits.
         # D is built in B's memory, then copied into its APs of the drop's D: einsum sums
         # a contiguous D in the order it sums the whole drop's, a strided slice not
-        k, a = np.nonzero(weights @ (rice > 0) > 0)  # pairs with a LOS copilot term
+        k, a = np.nonzero(los_pair[:, aps])
         X = np.linalg.solve(B[k, a], G[k, a])
         Dh = B
         np.multiply(G.view(float), 1.0 / B[..., :1, :1].real, out=Dh.view(float))
@@ -171,5 +172,5 @@ def build_estimation(
         raise NumericsError("gamma acquired a non-negligible imaginary part")
     return EstimationState(
         D=D, gamma=gamma_c.real, tr_G=tr_G, tr_B=tr_B,
-        eta_train=np.array(eta_train), sigma_w2=sigma_w2,
+        eta_train=np.array(eta_train), sigma_w2=sigma_w2, scalar=~los_pair.any(axis=1),
     )

@@ -55,10 +55,6 @@ class RateReport:
     bandwidth_hz: float
     power_info: dict = field(default_factory=dict)
 
-    @property
-    def has_ub(self):
-        return not np.isnan(self.se_ub_dl).all()
-
     def rates(self, kind):
         se = getattr(self, f"se_{kind}")
         return se * self.bandwidth_hz
@@ -137,21 +133,15 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
         se_lb_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, config.sigma_z2), prelog_dl)
         se_lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, config.sigma_w2), prelog_ul)
 
-        K = config.n_users
-        se_ub_dl, se_ub_ul = np.full(K, np.nan), np.full(K, np.nan)
-        err_dl, err_ul = np.full(K, np.nan), np.full(K, np.nan)
+        outputs = {"se_lb_dl": se_lb_dl, "se_lb_ul": se_lb_ul}
         if config.mc.ub_samples > 0:
             ub_dl, ub_ul = se_ub_mc(
                 ls, est, book, assoc.serving, eta_dl, eta_ul, config.sigma_z2,
                 prelog_dl, prelog_ul, config.mc.ub_samples, rng_mc,
                 batch_count=config.mc.batch_count,
             )
-            se_ub_dl, err_dl = ub_dl.se, ub_dl.se_stderr
-            se_ub_ul, err_ul = ub_ul.se, ub_ul.se_stderr
-        outputs = {"se_lb_dl": se_lb_dl, "se_lb_ul": se_lb_ul}
-        if config.mc.ub_samples > 0:
-            outputs.update(se_ub_dl=se_ub_dl, se_ub_ul=se_ub_ul,
-                           se_ub_dl_stderr=err_dl, se_ub_ul_stderr=err_ul)
+            outputs.update(se_ub_dl=ub_dl.se, se_ub_ul=ub_ul.se,
+                           se_ub_dl_stderr=ub_dl.se_stderr, se_ub_ul_stderr=ub_ul.se_stderr)
         for name, values in outputs.items():
             if not np.isfinite(values).all():
                 raise NumericsError(f"{name} is not finite")
@@ -163,15 +153,12 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
             debug_dir, drop_index, ls, est, assoc,
             {"dl": dl_info, "ul": ul_info},
         )
+    nan = np.full(config.n_users, np.nan)  # the UB columns of a run without UB
     return RateReport(
         drop_id=drop_index,
         roles=ls.roles,
-        se_lb_dl=se_lb_dl,
-        se_lb_ul=se_lb_ul,
-        se_ub_dl=se_ub_dl,
-        se_ub_ul=se_ub_ul,
-        se_ub_dl_stderr=err_dl,
-        se_ub_ul_stderr=err_ul,
+        **(dict.fromkeys(("se_ub_dl", "se_ub_ul", "se_ub_dl_stderr", "se_ub_ul_stderr"), nan)
+           | outputs),
         bandwidth_hz=config.bandwidth_hz,
         power_info={"dl": dl_info, "ul": ul_info},
     )
@@ -216,19 +203,6 @@ def _drop_task(args):
     return run_drop(config, drop_index, master_seed, debug_dir=debug_dir)
 
 
-def sampler_workers(jobs):
-    """The thread budget of each campaign process (threads.BUDGET): the CPUs left
-    to each of the jobs processes, at least 1 and at most the one-process default
-    of 2. The UB sampler's block workers and the AP slices of estimation and the
-    SE tables all read it; no output depends on it."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(2, (cpus or 1) // jobs))
-
-
-def _set_thread_budget(n):
-    threads.BUDGET = n
-
-
 @dataclass
 class CampaignResult:
     reports: list
@@ -269,8 +243,8 @@ def run_campaign(
 
     Each drop is reached through the module global run_drop, so a wrapper put in
     its place sees every drop of a serial campaign. With jobs > 1 each process
-    runs with the thread budget sampler_workers(jobs); a serial campaign keeps the
-    process's own budget."""
+    runs with the thread budget threads.sampler_workers(jobs); a serial campaign
+    keeps the process's own budget."""
     config.validate()
     if n_drops is None:
         n_drops = config.drops
@@ -286,8 +260,8 @@ def run_campaign(
         reports = [_drop_task(t) for t in tasks]
     else:
         # each process's threads share the CPUs with the other processes
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_set_thread_budget,
-                                 initargs=(sampler_workers(jobs),)) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=threads.set_budget,
+                                 initargs=(threads.sampler_workers(jobs),)) as pool:
             reports = list(pool.map(_drop_task, tasks))
     reports.sort(key=lambda r: r.drop_id)
     return CampaignResult(reports=reports, config=config, master_seed=master_seed)
@@ -330,7 +304,7 @@ def emit_cdf(result: CampaignResult, out_dir):
     write_rates_csv(result, rates_path)
     written.append(rates_path)
 
-    bounds = ["lb", "ub"] if result.reports and result.reports[0].has_ub else ["lb"]
+    bounds = ["lb", "ub"] if result.config.mc.ub_samples > 0 else ["lb"]
     present_roles = set()
     for rep in result.reports:
         present_roles.update(int(r) for r in np.unique(rep.roles))

@@ -81,25 +81,19 @@ def _batched(n_samples, batch_count):
     return sizes
 
 
-def _chunks(n, parts=8):
-    """range(n) in about `parts` slices: draws are made a chunk at a time, so the
-    drawing thread's temporaries stay small beside the blocks in flight."""
-    step = -(-n // parts)
-    return [slice(i, i + step) for i in range(0, n, step)]
-
-
 def _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
     """Sum the arrays reduce(g, g_hat) returns over the blocks of each batch;
     reduce may overwrite g_hat, a buffer that is reused once it returns.
 
-    The calling thread makes every draw of a batch, in the stream's order: all
-    real parts of g, all its imaginary parts, the (S, K, A) LOS phases block by
-    block, then the training noise's real parts and, block by block, its
-    imaginary parts. Meanwhile threads.BUDGET workers scale each block's channels
-    once its phases are drawn, and mix its pilots, estimate it and reduce it once
-    its noise is. The calling thread adds the block sums in block order, so the sums
-    do not depend on thread timing. A batch is finished before the next is
-    drawn. Held at once: g and the noise's real parts for one batch, and the
+    The calling thread makes every draw of a batch, one block of samples per
+    call, in the stream's order: all real parts of g, all its imaginary parts,
+    the (S, K, A) LOS phases, then the training noise's real parts and, each
+    just before its block is handed on, its imaginary parts. Meanwhile
+    threads.BUDGET workers scale each block's channels once its phases are
+    drawn, and mix its pilots, estimate it and reduce it once its noise is. The
+    calling thread adds the block sums in block order, so the sums do not
+    depend on thread timing. A batch is finished before the next is drawn.
+    Held at once: g and the noise's real parts for one batch, and the
     complex noise of at most BUDGET + 1 blocks. The training noise is drawn per
     pilot sequence (users sharing a pilot see the same projected noise, as the
     projection of one common W_a realization dictates).
@@ -113,10 +107,7 @@ def _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
     users, scale = channel_scaler(ls)
     sizes = _batched(n_samples, batch_count)
     row_bytes = 16 * (K + book.tau_p) * A * N
-    # the users whose estimator is a real d I at every AP: ghat = d y, one multiply
-    # on the float views that gives the bits of the (N, N) matmul
-    d = est.D[..., 0, 0].real
-    is_scalar = np.array([(est.D[k] == d[k, :, None, None] * np.eye(N)).all() for k in range(K)])
+    d = est.D[..., 0, 0].real  # the estimators of est.scalar's users, D = d I
     workers = threads.BUDGET
     # one g_hat buffer per worker, made here: what a worker allocates stays in
     # its thread's malloc arena, which no other thread reuses
@@ -133,7 +124,7 @@ def _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
         try:
             g_hat = buf[: len(g)]
             for k in range(K):  # written through a view of g_hat
-                if is_scalar[k]:
+                if est.scalar[k]:  # ghat = d y; the float views give the matmul's bits
                     np.multiply(y.view(float)[:, pidx[k]], d[k, :, None],
                                 out=g_hat.view(float)[:, k])
                 else:  # an A-batch of (N, N) @ (N, S)
@@ -151,25 +142,21 @@ def _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
     try:
         for size in sizes:
             blocks = sample_blocks(size, row_bytes)
-            chunks = [_chunks(b.stop - b.start) for b in blocks]
             g = np.empty((size, K, A, N), dtype=complex)
-            for part in (g.real, g.imag):
-                for b, cs in zip(blocks, chunks):
-                    fill_normal(rng, part[b], cs)
+            fill_normal(rng, g.real, blocks)
+            fill_normal(rng, g.imag, blocks)
             scaled = []
             for b in blocks:
                 theta = rng.uniform(0.0, 2.0 * np.pi, (b.stop - b.start, K, A))
                 scaled.append(pool.submit(scale, g[b], theta[:, users]))
             # real parts one array per block, each let go once its block's noise is complex
-            noise = [np.empty((b.stop - b.start, book.tau_p, A, N)) for b in blocks]
-            for real, cs in zip(noise, chunks):
-                fill_normal(rng, real, cs)
+            noise = [rng.standard_normal((b.stop - b.start, book.tau_p, A, N)) for b in blocks]
             sums, pending = None, deque()
-            for i, (b, cs, done) in enumerate(zip(blocks, chunks, scaled)):
+            for i, (b, done) in enumerate(zip(blocks, scaled)):
                 y = np.empty(noise[i].shape, dtype=complex)
                 y.real = noise[i]
                 noise[i] = None
-                fill_normal(rng, y.imag, cs)
+                y.imag = rng.standard_normal(y.shape)
                 pending.append(pool.submit(estimate, g[b], y, done))
                 if len(pending) > workers:
                     sums = add(sums, pending.popleft().result())

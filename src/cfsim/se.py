@@ -150,7 +150,7 @@ def build_se_tables(
     own = np.arange(K)
     k, j = np.concatenate([own, pair_k]), np.concatenate([own, pair_j])
     pair_w = eta[pair_k]
-    is_los = (ls.rice_k > 0).any(axis=1)
+    is_los = ls.los_users
     C = np.empty((K, K, A))
     pair_t = np.empty((len(pair_k), A), dtype=complex)
 

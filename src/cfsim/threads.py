@@ -2,16 +2,31 @@
 
 The UB sampler runs its block kernels on BUDGET worker threads (cfsim.mc), and
 LMMSE estimation and the SE tables split their per-AP work into BUDGET AP
-slices (over_aps). A campaign's process pool lowers the budget to the CPUs
-each process has (harness.sampler_workers). No output depends on it.
+slices (over_aps). The budget is the CPUs left to the process (sampler_workers):
+a serial run starts at sampler_workers(1), and a campaign's process pool sets
+sampler_workers(jobs) in each process (set_budget). No output depends on it.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
+
+def sampler_workers(jobs):
+    """The thread budget of each of jobs processes: the CPUs left to each, at
+    least 1 and at most 2."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(2, (cpus or 1) // jobs))
+
+
+def set_budget(n):
+    global BUDGET
+    BUDGET = n
+
+
 # Threads one process keeps busy: 1 or 2
-BUDGET = 2
+BUDGET = sampler_workers(1)
 
 # Per-AP work on fewer estimator entries (K A N^2) than this stays on one thread:
 # two halves of small numpy calls pass the interpreter lock back and forth for

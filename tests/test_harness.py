@@ -1,8 +1,12 @@
+import ast
+import pathlib
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import cfsim.harness
 from cfsim.association import build_association
 from cfsim.channel import build_large_scale
 from cfsim.config import PRESETS, config_from_dict, config_to_dict, preset_desk, preset_paper
@@ -141,11 +145,11 @@ def test_debug_maxmin_traces_hold_the_solver_steps(tmp_path):
     (2, 1, 2), (2, 2, 1), (2, 3, 1), (1, 1, 1), (8, 2, 2), (8, 4, 2), (8, 5, 1), (8, 8, 1),
 ])
 def test_sampler_workers_share_the_cpus(monkeypatch, cpus, jobs, workers):
-    import cfsim.harness as harness
+    import cfsim.threads as threads
 
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+    monkeypatch.setattr(threads.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
-    assert harness.sampler_workers(jobs) == workers
+    assert threads.sampler_workers(jobs) == workers
 
 
 def test_campaign_pool_sets_sampler_workers(monkeypatch):
@@ -175,6 +179,44 @@ def test_campaign_pool_sets_sampler_workers(monkeypatch):
     assert threads.BUDGET == 2  # a serial campaign keeps the default
     run_campaign(cfg, n_drops=2, master_seed=4, jobs=2)
     assert threads.BUDGET == 1
+
+
+# names perfbench/worker.py still wraps that the UB folding into se_ub_mc removed
+PERFBENCH_STALE = {"se_ub_dl_mc", "se_ub_ul_mc"}
+
+
+def _perfbench_harness_wraps():
+    """The cfsim.harness names in perfbench/worker.py's WRAPS, read without importing it."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPS"]:
+            return {attr for module, attr, _ in ast.literal_eval(node.value) if module == "harness"}
+    raise AssertionError("perfbench/worker.py defines no WRAPS")
+
+
+def test_perfbench_wraps_reach_harness_through_module_globals(monkeypatch):
+    # perfbench times each stage by patching these names: a name that is gone, or
+    # that run_drop no longer calls through the module global, zeroes its metric
+    names = _perfbench_harness_wraps()
+    assert not {n for n in names if not hasattr(cfsim.harness, n)} - PERFBENCH_STALE
+    names -= PERFBENCH_STALE
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cfsim.harness, name, counted(name, getattr(cfsim.harness, name)))
+    desk = preset_desk()
+    for dl, ul, ub_samples in [("ppa", "fpc", 40), ("wfpa", "fpc", 0), ("uniform", "fpc", 0),
+                               ("maxmin", "maxmin", 0)]:
+        cfg = replace(desk, power=replace(desk.power, dl=dl, ul=ul),
+                      mc=replace(desk.mc, ub_samples=ub_samples))
+        run_campaign(cfg, n_drops=1, jobs=1)
+    assert set(counts) == names
 
 
 def _fmt(x):

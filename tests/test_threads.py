@@ -1,6 +1,8 @@
 """The process's thread budget: estimation and the SE tables over AP halves, and
 the sampler's workers, give every output byte of the one-thread run."""
 
+import importlib.util
+import os
 import pathlib
 import sys
 import threading
@@ -15,7 +17,7 @@ from cfsim.channel import build_large_scale
 from cfsim.cli import main
 from cfsim.config import config_from_dict, load_config, preset_desk, preset_mmimo, preset_paper
 from cfsim.errors import NumericsError
-from cfsim.estimation import build_estimation
+from cfsim.estimation import assign_pilots, build_estimation
 from cfsim.geometry import generate_topology
 from cfsim.harness import drop_seed_sequence, run_drop
 
@@ -74,6 +76,45 @@ def test_only_large_drops_split(monkeypatch):
     assert threads.ap_slices(100, 100 * 60 * 4**2) == [slice(0, 50), slice(50, 100)]  # paper
     monkeypatch.setattr(threads, "BUDGET", 1)
     assert threads.ap_slices(100, 100 * 60 * 4**2) == [slice(0, 100)]
+
+
+@pytest.mark.parametrize("cpus, budget", [(1, 1), (2, 2), (8, 2)])
+def test_budget_starts_at_the_one_job_rule(monkeypatch, cpus, budget):
+    # a serial run keeps min(2, CPUs) threads busy, so one thread on one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    spec = importlib.util.find_spec("cfsim.threads")
+    fresh = importlib.util.module_from_spec(spec)  # an import of its own, beside cfsim.threads
+    spec.loader.exec_module(fresh)
+    assert fresh.BUDGET == budget
+
+
+@pytest.mark.parametrize("name", ["paper", "desk", "mmimo", "desk-low-uav", "collided_uc"])
+def test_scalar_users_are_those_whose_d_is_d_times_identity(monkeypatch, split_all,
+                                                            collided_uc, name):
+    # estimation marks its scalar users from the LOS copilot pairs; the reference
+    # reads them off D, at every AP and whichever half built it. The two differ
+    # only on users whose every LOS copilot term has a subnormal Ricean factor
+    # (one low-UAV desk user, K = 4e-318 at one AP): that term underflows out of
+    # G, so D is d I, but the user is not marked and keeps the matmul, whose bits
+    # the multiply gives anyway
+    if name == "collided_uc":
+        cfg, ls, book = collided_uc["cfg"], collided_uc["ls"], collided_uc["book"]
+    else:
+        cfg = {"paper": preset_paper, "desk": preset_desk, "mmimo": preset_mmimo,
+               "desk-low-uav": low_uav_desk}[name]()
+        rng = np.random.default_rng(drop_seed_sequence(cfg.seed, 0).spawn(2)[0])
+        ls = build_large_scale(cfg, generate_topology(cfg, rng), rng)
+        book = assign_pilots(cfg.n_users, cfg.frame.tau_p, rng)
+    same = book.assignment[:, None] == book.assignment[None, :]
+    normal = (same @ (ls.rice_k >= np.finfo(float).tiny) > 0).any(axis=1)
+    subnormal_only = (same @ (ls.rice_k > 0) > 0).any(axis=1) & ~normal
+    assert subnormal_only.sum() == (name == "desk-low-uav")
+    for budget in (1, 2):
+        monkeypatch.setattr(threads, "BUDGET", budget)
+        est = build_estimation(ls, book, cfg.train_energy_w, cfg.sigma_w2)
+        eye = np.eye(est.n_ap_antennas)
+        dense = [bool((D == D[:, 0, 0].real[:, None, None] * eye).all()) for D in est.D]
+        assert (est.scalar | subnormal_only).tolist() == dense
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
