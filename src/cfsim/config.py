@@ -318,8 +318,9 @@ class SimConfig:
             raise ConfigError("need at least one user", field="n_gue/n_uav")
         sysconf = getattr(os, "sysconf", lambda name: math.inf)  # not on Windows
         ram = sysconf("SC_PAGE_SIZE") * sysconf("SC_PHYS_PAGES")
-        if 3 * 16 * self.n_users * self.n_ap * self.n_ap_antennas**2 > ram:
-            raise ConfigError("a drop's G, B and D exceed physical memory", field="n_ap_antennas")
+        if 16 * self.n_users * self.n_ap * self.n_ap_antennas**2 > ram:
+            raise ConfigError("a drop's estimators D exceed physical memory",
+                              field="n_ap_antennas")
         if not self.frame.tau_p < self.frame.tau_c:
             raise ConfigError(
                 f"tau_p must be < tau_c (got tau_p={self.frame.tau_p}, tau_c={self.frame.tau_c})",

@@ -107,7 +107,8 @@ def _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
     users, scale = channel_scaler(ls)
     sizes = _batched(n_samples, batch_count)
     row_bytes = 16 * (K + book.tau_p) * A * N
-    d = est.D[..., 0, 0].real  # the estimators of est.scalar's users, D = d I
+    row = np.full(K, -1)
+    row[est.dense_users] = np.arange(len(est.dense_users))  # -1: D = d I at every AP
     workers = threads.BUDGET
     # one g_hat buffer per worker, made here: what a worker allocates stays in
     # its thread's malloc arena, which no other thread reuses
@@ -124,11 +125,11 @@ def _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
         try:
             g_hat = buf[: len(g)]
             for k in range(K):  # written through a view of g_hat
-                if est.scalar[k]:  # ghat = d y; the float views give the matmul's bits
-                    np.multiply(y.view(float)[:, pidx[k]], d[k, :, None],
+                if row[k] < 0:  # ghat = d y; the float views give the matmul's bits
+                    np.multiply(y.view(float)[:, pidx[k]], est.d[k, :, None],
                                 out=g_hat.view(float)[:, k])
                 else:  # an A-batch of (N, N) @ (N, S)
-                    np.matmul(est.D[k], y[:, pidx[k]].transpose(1, 2, 0),
+                    np.matmul(est.D_dense[row[k]], y[:, pidx[k]].transpose(1, 2, 0),
                               out=g_hat[:, k].transpose(1, 2, 0))
             return reduce(g, g_hat)
         finally:

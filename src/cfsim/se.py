@@ -73,35 +73,40 @@ class SETables:
         return self.gamma.shape[1]
 
 
-def _interference(steering, rice, is_los, c2, D, eta, k, j, C):
+def _interference(steering, rice, is_los, c2, est, aps, eta, k, j, C):
     """Fill C[k, j, a] = sqrt(eta_j) Re tr(G_j D_j^H G_k), the average interference
     of every (k, j, a), and return (q, tr_d, guard): q = a_k^H D_j a_k (0 where
     K_k = 0) and tr D_j on the pairs (k[p], j[p]), and the largest imaginary part
     and modulus of tr(G_j D_j^H G_k). Every array but is_los (the users with a LOS
-    link at any AP of the drop) holds one AP slice of the drop; C and D are views.
+    link at any AP of the drop) and est holds the APs aps of the drop; C is a view.
 
     A trace against the Ricean covariance G_k = c_k^2 (K_k a_k a_k^H + I) is
     c_k^2 (K_k a_k^H M a_k + tr M), so on the rows with no LOS link (every GUE)
     tr(G_j D_j^H G_k) is c_k^2 tr(G_j D_j^H), and q = a_l^H D_j a_l is needed on
     the LOS rows l only. There, with the Gram a_l^H a_j,
     a_l^H G_j D_j^H a_l = c_j^2 (conj(q) + K_j (a_l^H a_j) conj(a_l^H D_j a_j)).
+    Off est.dense_users D_j = d_j I, so tr D_j = N d_j and q = N d_j; the whole D_j
+    is read on the dense rows only, and every LOS user is one of them.
     The (L, K, A) temporaries are freed on return, before the caller's pair terms.
     """
     K, A, N = steering.shape
     los = np.flatnonzero(is_los)
     row = np.where(is_los, np.cumsum(is_los) - 1, -1)  # LOS row of user k; -1: the zero row
     a, ca = steering[los], (c2 * rice)[los]
+    d, D, dense = est.d[:, aps], est.D_dense[:, aps], est.dense_users
     outer = (np.conj(a)[..., :, None] * a[..., None, :]).reshape(len(los), A, N * N)
-    # q[l, j] = a_l^H D_j a_l: (A, L, N^2) @ (A, N^2, K), above a zero row for the NLOS users
-    q = np.zeros((A, len(los) + 1, K), dtype=complex)
-    np.matmul(outer.transpose(1, 0, 2), D.reshape(K, A, N * N).transpose(1, 2, 0), out=q[:, :-1])
+    # q[l, j] = a_l^H D_j a_l: (A, R, N^2) @ (A, N^2, L) on the dense rows, above a zero row
+    q = np.zeros((len(los) + 1, K, A), dtype=complex)
+    q[:-1] = N * d
+    q[:-1, dense] = (D.reshape(len(dense), A, N * N).transpose(1, 0, 2)
+                     @ outer.transpose(1, 2, 0)).transpose(2, 1, 0)
     del outer
-    q = q.transpose(1, 2, 0)
     # [a_l^H a_m | a_l^H D_m a_m] over the LOS users, one (L, 2L) matmul per AP
-    right = np.concatenate([a, np.einsum("lanm,lam->lan", D[los], a)])
+    right = np.concatenate([a, np.einsum("lanm,lam->lan", D[np.searchsorted(dense, los)], a)])
     gram, adm = np.split((np.conj(a).transpose(1, 0, 2) @ right.transpose(1, 2, 0))
                          .transpose(1, 2, 0), 2, axis=1)
-    tr_d = np.einsum("kaii->ka", D)
+    tr_d = (N * d).astype(complex)
+    tr_d[dense] = np.einsum("raii->ra", D)
     tr_gd = np.conj(c2 * tr_d)  # tr(G_j D_j^H)
     tr_gd[los] += np.conj(ca * q[np.arange(len(los)), los])
     q_pair = q[row[k], j]
@@ -158,7 +163,7 @@ def build_se_tables(
         rice = ls.rice_k[:, aps]
         c2 = ls.beta[:, aps] / (rice + 1.0)  # (K, A), channel user k
         Ca = C[:, :, aps]
-        q, tr_d, guard = _interference(ls.steering[:, aps], rice, is_los, c2, est.D[:, aps],
+        q, tr_d, guard = _interference(ls.steering[:, aps], rice, is_los, c2, est, aps,
                                        eta, k, j, Ca)  # a_k^H D_j a_k, tr D_j on the pairs
         delta = c2[k] ** 2 * (np.abs(tr_d) ** 2 + 2.0 * rice[k] * np.real(q * np.conj(tr_d)))
         t = c2[k] * (rice[k] * q + tr_d)  # tr(D_j G_k)
@@ -167,7 +172,7 @@ def build_se_tables(
         Ca[pair_k, pair_j] += pair_w[:, None] * (delta[K:] - np.abs(t[K:]) ** 2)
         return guard
 
-    imag, size = np.max(over_aps(ap_slices(A, est.D.size), build), axis=0)
+    imag, size = np.max(over_aps(ap_slices(A, K * A * est.n_ap_antennas**2), build), axis=0)
     if imag > 1e-6 * max(size, 1e-300):
         raise NumericsError("tr(G D^H G) acquired a non-negligible imaginary part")
     return SETables(gamma=est.gamma, C=C, pair_k=pair_k, pair_j=pair_j, pair_w=pair_w,

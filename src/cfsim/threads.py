@@ -1,10 +1,10 @@
 """The process's thread budget, read by every stage that runs on threads.
 
 The UB sampler runs its block kernels on BUDGET worker threads (cfsim.mc), and
-LMMSE estimation and the SE tables split their per-AP work into BUDGET AP
-slices (over_aps). The budget is the CPUs left to the process (sampler_workers):
-a serial run starts at sampler_workers(1), and a campaign's process pool sets
-sampler_workers(jobs) in each process (set_budget). No output depends on it.
+the SE tables split their per-AP work into BUDGET AP slices (over_aps). The
+budget is the CPUs left to the process (sampler_workers): a serial run starts at
+sampler_workers(1), and a campaign's process pool sets sampler_workers(jobs) in
+each process (set_budget). No output depends on it.
 """
 
 from __future__ import annotations
@@ -28,16 +28,16 @@ def set_budget(n):
 # Threads one process keeps busy: 1 or 2
 BUDGET = sampler_workers(1)
 
-# Per-AP work on fewer estimator entries (K A N^2) than this stays on one thread:
-# two halves of small numpy calls pass the interpreter lock back and forth for
-# longer than they save (desk, 6,000 entries: 0.9 -> 3.6 ms; desk-mmimo, 37,500:
-# 3.4 -> 4.9 ms; paper, 96,000: 19.4 -> 14.7 ms)
+# SE tables over fewer entries K A N^2 than this stay on one thread: two halves
+# of small numpy calls pass the interpreter lock back and forth for longer than
+# they save (desk, 6,000 entries: 0.66 -> 1.97 ms; desk-mmimo, 37,500: 0.59 ->
+# 1.84 ms). On paper, 96,000, they took the paper-lb benchmark 0.0735 -> 0.0651 s
 SPLIT_MIN_ENTRIES = 65_536
 
 
 def ap_slices(n_ap, entries):
-    """The AP slices of a per-AP stage over `entries` estimator entries: every AP
-    at budget 1 or below SPLIT_MIN_ENTRIES, else two halves."""
+    """The AP slices of a per-AP stage over `entries` entries K A N^2: every AP at
+    budget 1 or below SPLIT_MIN_ENTRIES, else two halves."""
     if BUDGET < 2 or n_ap < 2 or entries < SPLIT_MIN_ENTRIES:
         return [slice(0, n_ap)]
     return [slice(0, n_ap // 2), slice(n_ap // 2, n_ap)]

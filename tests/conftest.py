@@ -7,9 +7,10 @@ import pytest
 
 from cfsim.association import build_association
 from cfsim.channel import build_large_scale
-from cfsim.config import preset_desk, preset_paper
+from cfsim.config import config_from_dict, preset_desk, preset_paper
 from cfsim.estimation import PilotBook, assign_pilots, build_estimation, pilot_set
 from cfsim.geometry import generate_topology
+from cfsim.harness import drop_seed_sequence
 from cfsim.se import build_se_tables
 
 
@@ -58,6 +59,24 @@ def make_state(
         "tables": tables,
         "rng": rng,
     }
+
+
+def drop_state(cfg, drop):
+    """(ls, book) of a drop of cfg, from the generator run_drop draws them with."""
+    rng = np.random.default_rng(drop_seed_sequence(cfg.seed, drop).spawn(2)[0])
+    ls = build_large_scale(cfg, generate_topology(cfg, rng), rng)
+    return ls, assign_pilots(cfg.n_users, cfg.frame.tau_p, rng)
+
+
+def low_uav_desk():
+    """Desk with UAVs at 15-25 m whose LOS probability exp(-d / 0.2 m) underflows
+    to 0 beyond about 150 m: a UAV has a LOS term at some APs only, and one of
+    drop 0 (user 14) has a subnormal Ricean factor at AP 18."""
+    los_prob = {"d1_log_coef": 0.0, "d1_offset": 0.0, "d1_floor_m": 0.0,
+                "p1_log_coef": 0.0, "p1_offset": 0.2}
+    cfg = config_from_dict({"uav_height_range_m": [15.0, 25.0],
+                            "channel": {"uav": {"los_prob": los_prob}}}, base=preset_desk())
+    return replace(cfg, mc=replace(cfg.mc, ub_samples=200, batch_count=2))
 
 
 @pytest.fixture(scope="session")

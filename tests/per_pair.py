@@ -1,10 +1,14 @@
 """References that only the tests call.
 
-- Per-pair estimation: the literal B, D and gamma of one (user, AP) pair
-  (matrix_B, estimator_D, gamma_coefficient), the covariances G and B of a
-  whole drop built from them (covariances), and uplink training through the
-  raw per-AP observation (training_observable, estimate_channels). Tests
-  compare the batched cfsim.estimation build against these.
+- Per-pair estimation: the Ricean covariance G of one (user, AP) pair
+  (covariance_G), the literal B, D and gamma of one pair (matrix_B,
+  estimator_D, gamma_coefficient), the covariances G and B of a whole drop
+  built from them (covariances), every pair's D read out of an estimation
+  state (dense_D), and uplink training through the raw per-AP observation
+  (training_observable, estimate_channels). Tests compare the closed-form
+  cfsim.estimation build against these.
+- An exact-rational reference of one pair's estimator (exact_estimator), from
+  the pair's float inputs with stdlib fractions only.
 - Channel draws: draw_channels, full-size channel realizations in the order
   the Monte-Carlo sampler draws them.
 - The fourth moment behind the closed forms' delta: delta_term for one
@@ -13,11 +17,13 @@
   dl_budget_violation.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from cfsim.channel import LargeScaleState, channel_scaler, fill_normal, sample_blocks
 from cfsim.errors import NumericsError
-from cfsim.estimation import PilotBook, covariance_G
+from cfsim.estimation import EstimationState, PilotBook
 from cfsim.mc import _batched, _stderr
 
 
@@ -36,6 +42,20 @@ def dl_budget_violation(eta_dl, gamma, budgets):
     """Max relative budget excess over APs (negative when strictly inside)."""
     used = (eta_dl * gamma).sum(axis=0)
     return float(((used - budgets) / budgets).max())
+
+
+def covariance_G(beta, rice_k, steering):
+    """Channel covariance beta/(K+1) * (K a a^H + I)."""
+    a = np.asarray(steering)
+    outer = a[..., :, None] * a.conj()[..., None, :]
+    return beta / (rice_k + 1.0) * (rice_k * outer + np.eye(a.shape[-1]))
+
+
+def dense_D(est: EstimationState):
+    """(K, A, N, N): every pair's D, d I off the dense users' rows."""
+    D = est.d[..., None, None] * np.eye(est.n_ap_antennas, dtype=complex)
+    D[est.dense_users] = est.D_dense
+    return D
 
 
 def matrix_B(k, a, G, book: PilotBook, eta_train, sigma_w2):
@@ -75,6 +95,45 @@ def gamma_coefficient(G_ka, D_ka, eta_k, imag_tol=1e-6):
     if abs(val.imag) / scale > imag_tol:
         raise NumericsError(f"gamma has relative imaginary residue {abs(val.imag) / scale:.3e}")
     return float(val.real)
+
+
+def exact_estimator(ls: LargeScaleState, book: PilotBook, eta_train, sigma_w2, k, a):
+    """(D / sqrt(eta_k), gamma) of pair (k, a), D = sqrt(eta_k) G_k B^{-1}, computed in
+    exact rationals from the float beta, K, steering, eta and sigma_w^2 and rounded
+    once: G_k B^{-1} as an (N, N) complex array, gamma = eta_k tr(G_k B^{-1} G_k)."""
+    eta = np.broadcast_to(np.asarray(eta_train, dtype=float), (ls.n_users,))
+    N = ls.n_ap_antennas
+
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def covariance(i):  # c (K a_n conj(a_m) + [n = m])
+        c, K = Fraction(ls.beta[i, a]) / (Fraction(ls.rice_k[i, a]) + 1), Fraction(ls.rice_k[i, a])
+        v = [(Fraction(z.real), Fraction(z.imag)) for z in ls.steering[i, a].tolist()]
+        return [[tuple(c * (K * p + (n == m and part == 0))
+                       for part, p in enumerate(mul(v[n], (v[m][0], -v[m][1]))))
+                 for m in range(N)] for n in range(N)]
+
+    G = covariance(k)
+    B = [[(Fraction(sigma_w2) * (n == m), Fraction(0)) for m in range(N)] for n in range(N)]
+    for i in np.flatnonzero(book.assignment == book.assignment[k]):
+        e, Gi = Fraction(eta[i]), covariance(i)
+        B = [[(x[0] + e * y[0], x[1] + e * y[1]) for x, y in zip(rb, rg)] for rb, rg in zip(B, Gi)]
+    # Gauss-Jordan on [B | G]: X = B^{-1} G, and G B^{-1} = X^H (both Hermitian)
+    M = [rb + rg for rb, rg in zip(B, G)]
+    for col in range(N):
+        piv = M[col][col]  # B is positive definite: no pivoting needed
+        den = piv[0] ** 2 + piv[1] ** 2
+        inv = (piv[0] / den, -piv[1] / den)
+        M[col] = [mul(x, inv) for x in M[col]]
+        for r in range(N):
+            if r != col:
+                f = M[r][col]
+                M[r] = [(x[0] - p[0], x[1] - p[1]) for x, p in
+                        zip(M[r], (mul(f, y) for y in M[col]))]
+    GB = [[(M[m][N + n][0], -M[m][N + n][1]) for m in range(N)] for n in range(N)]
+    gamma = Fraction(eta[k]) * sum(mul(GB[n][m], G[m][n])[0] for n in range(N) for m in range(N))
+    return np.array([[complex(float(x[0]), float(x[1])) for x in row] for row in GB]), float(gamma)
 
 
 def training_observable(g, book: PilotBook, eta_train, sigma_w2, rng):

@@ -24,7 +24,7 @@ from cfsim.config import (
     preset_paper,
 )
 from cfsim.errors import DomainError
-from cfsim.estimation import build_estimation, covariance_G
+from cfsim.estimation import build_estimation
 from cfsim.geometry import (
     ROLE_GUE,
     ROLE_UAV,
@@ -38,7 +38,7 @@ from cfsim.mc import se_ub_mc
 from cfsim.se import build_se_tables, dl_sinr_lb, se_from_sinr, ul_sinr_lb
 
 from conftest import make_state
-from per_pair import draw_channels
+from per_pair import covariance_G, draw_channels
 
 GUE_MODEL = LogDistanceModel(offset_db=-22.7, dist_coef=-36.7, freq_coef=-26.0)
 
@@ -228,7 +228,7 @@ def _drop_outputs(st, ls):
     ub_dl, ub_ul = se_ub_mc(ls, est, book, assoc.serving, eta_dl, eta_ul, cfg.sigma_z2,
                             pre_d, pre_u, 40, np.random.default_rng(0), batch_count=2)
     return dict(
-        D=est.D, gamma=est.gamma, tr_G=est.tr_G, tr_B=est.tr_B, C=tables.C,
+        d=est.d, D=est.D_dense, gamma=est.gamma, tr_G=est.tr_G, tr_B=est.tr_B, C=tables.C,
         pair_t=tables.pair_t,
         lb_dl=se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.sigma_z2), pre_d),
         lb_ul=se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), pre_u),

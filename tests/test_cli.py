@@ -26,8 +26,9 @@ def test_validate_bad_config_exit_2(tmp_path, capsys):
 
 
 def test_validate_rejects_state_beyond_physical_memory(tmp_path, capsys):
-    # a drop's (K, A, N, N) G, B and D at a million antennas need hundreds of
-    # TiB; validate refuses the config before anything of that size exists
+    # a drop's (K, A, N, N) estimators at a million antennas, if every user's pilot
+    # carries a LOS user, need about 85 PiB; validate refuses the config before
+    # anything of that size exists
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text("n_ap_antennas: 1000000\n")
     tracemalloc.start()

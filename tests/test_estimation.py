@@ -5,13 +5,17 @@ import pytest
 
 import cfsim.estimation
 from cfsim.errors import NumericsError
-from cfsim.estimation import PilotBook, assign_pilots, build_estimation, covariance_G, pilot_set
+from cfsim.config import preset_paper
+from cfsim.estimation import PilotBook, assign_pilots, build_estimation, pilot_set
 
-from conftest import make_state
+from conftest import drop_state, low_uav_desk, make_state
 from per_pair import (
+    covariance_G,
     covariances,
+    dense_D,
     draw_channels,
     estimator_D,
+    exact_estimator,
     gamma_coefficient,
     matrix_B,
     training_observable,
@@ -243,9 +247,10 @@ def test_contamination_locality(gate_fixture):
 
     ls2 = dataclasses.replace(ls, beta=beta2)
     est2 = build_estimation(ls2, book, est.eta_train, est.sigma_w2)
-    np.testing.assert_allclose(est2.D[0], est.D[0], atol=1e-14)
-    np.testing.assert_allclose(est2.D[1], est.D[1], atol=1e-14)
-    assert np.abs(est2.D[2] - est.D[2]).max() > 1e-9  # its own estimator did change
+    D, D2 = dense_D(est), dense_D(est2)
+    np.testing.assert_allclose(D2[0], D[0], atol=1e-14)
+    np.testing.assert_allclose(D2[1], D[1], atol=1e-14)
+    assert np.abs(D2[2] - D[2]).max() > 1e-9  # its own estimator did change
 
 
 def _assert_build_matches_per_pair_operations(ls, book, est0):
@@ -255,11 +260,12 @@ def _assert_build_matches_per_pair_operations(ls, book, est0):
     for name, M in (("tr_G", G), ("tr_B", B)):
         np.testing.assert_allclose(getattr(est, name), np.trace(M, axis1=2, axis2=3).real,
                                    rtol=1e-12, atol=1e-300, err_msg=name)
+    est_D = dense_D(est)
     for k in range(est.n_users):
         for a in range(est.n_ap):
             D = estimator_D(G[k, a], B[k, a], eta[k])
             g = gamma_coefficient(G[k, a], D, eta[k])
-            np.testing.assert_allclose(est.D[k, a], D, rtol=1e-10, atol=1e-300)
+            np.testing.assert_allclose(est_D[k, a], D, rtol=1e-10, atol=1e-300)
             assert est.gamma[k, a] == pytest.approx(g, rel=1e-10)
 
 
@@ -281,26 +287,75 @@ def test_batched_build_matches_per_pair_with_diagonal_and_dense_B():
     _assert_build_matches_per_pair_operations(st["ls"], st["book"], est)
 
 
-def test_in_place_forms_equal_the_literal_ones():
-    # G, B and the divided D are built in place or through a float view; the traces
-    # of G and B and the divided D must equal their literal forms exactly, so that
-    # no output moves in the last bits
-    st = make_state(seed=4, n_ap=20, n_ap_antennas=4, n_gue=12, n_uav=4, tau_p=6)
-    ls, book, est = st["ls"], st["book"], st["est"]
-    N = est.n_ap_antennas
-    c = ls.beta / (ls.rice_k + 1.0)
-    G = np.multiply(c[..., None, None], np.eye(N), dtype=complex)
-    los = ls.rice_k.any(axis=1)
-    G[los] = covariance_G(ls.beta[los, :, None, None], ls.rice_k[los, :, None, None],
-                          ls.steering[los])
-    np.testing.assert_array_equal(est.tr_G, np.trace(G, axis1=2, axis2=3).real)
-    weights = (book.assignment[:, None] == book.assignment[None, :]) * est.eta_train
-    B = (weights @ G.reshape(est.n_users, -1)).reshape(G.shape) + est.sigma_w2 * np.eye(N)
-    np.testing.assert_array_equal(est.tr_B, np.trace(B, axis1=2, axis2=3).real)
-    divided = weights @ (ls.rice_k > 0) == 0  # no LOS copilot: D = sqrt(eta) G / b
-    assert divided.any() and not divided.all()
-    D = G / B[..., :1, :1].real * np.sqrt(est.eta_train)[:, None, None, None]
-    np.testing.assert_array_equal(est.D[divided], D[divided])
+def _worst_conditioned():
+    """The four pairs of K ~ 1e6 UAVs with the largest cond(B) of paper drop 0."""
+    cfg = preset_paper()
+    ls, book = drop_state(cfg, 0)
+
+    def cond(k, a):
+        users = np.flatnonzero(book.assignment == book.assignment[k])
+        B = sum(cfg.train_energy_w * covariance_G(ls.beta[i, a], ls.rice_k[i, a],
+                                                  ls.steering[i, a]) for i in users)
+        return np.linalg.cond(B + cfg.sigma_w2 * np.eye(cfg.n_ap_antennas))
+
+    pairs = [(k, a) for k, a in zip(*np.nonzero(ls.rice_k > 1e5))]
+    return ls, book, cfg, sorted(pairs, key=lambda p: -cond(*p))[:4]
+
+
+def _two_los_uavs():
+    """Every user of a paper drop 0 pilot that carries two LOS UAVs (r = 2), at two APs."""
+    cfg = preset_paper()
+    ls, book = drop_state(cfg, 0)
+    pilots, counts = np.unique(book.assignment[ls.los_users], return_counts=True)
+    users = np.flatnonzero(book.assignment == pilots[counts == 2][0])
+    return ls, book, cfg, [(k, a) for k in users for a in (0, 57)]
+
+
+def _collinear():
+    """UAVs 2 and 3 on one pilot with steering 1j a and a at every AP: rank 1 of 2."""
+    st = make_state(seed=4, n_ap=3, n_ap_antennas=3, n_gue=2, n_uav=2, tau_p=1)
+    steering = np.zeros_like(st["ls"].steering)
+    steering[3] = np.exp(2j * np.pi * np.random.default_rng(5).random((3, 3)))
+    steering[2] = 1j * steering[3]
+    rice = np.zeros((4, 3))
+    rice[2], rice[3] = 1e6, 40.0
+    ls = replace(st["ls"], rice_k=rice, steering=steering)
+    return ls, st["book"], st["cfg"], [(k, a) for k in range(4) for a in range(3)]
+
+
+def _square_basis():
+    """Four LOS UAVs on the one pilot of a 2-antenna AP: Q is square, I - Q Q^H = 0."""
+    st = make_state(seed=9, n_ap=3, n_ap_antennas=2, n_gue=1, n_uav=4, tau_p=1)
+    assert (st["ls"].rice_k > 0).sum(axis=0).min() > 2
+    return st["ls"], st["book"], st["cfg"], [(k, a) for k in range(5) for a in range(3)]
+
+
+def _subnormal_k():
+    """The low-UAV desk user whose only LOS term has a subnormal Ricean factor, and
+    its copilots, at that AP."""
+    cfg = low_uav_desk()
+    ls, book = drop_state(cfg, 0)
+    assert 0.0 < ls.rice_k[14, 18] < np.finfo(float).tiny
+    users = np.flatnonzero(book.assignment == book.assignment[14])
+    return ls, book, cfg, [(k, 18) for k in users]
+
+
+@pytest.mark.parametrize("case", [_worst_conditioned, _two_los_uavs, _collinear, _square_basis,
+                                  _subnormal_k],
+                         ids=["worst-conditioned", "two-los-uavs", "collinear", "square-basis",
+                              "subnormal-K"])
+def test_estimator_matches_exact_rational_oracle(case):
+    # D = sqrt(eta) G B^{-1} and gamma against the same pair computed in exact
+    # rationals from the float inputs: within 1e-13 of the pair's largest entry
+    ls, book, cfg, pairs = case()
+    est = build_estimation(ls, book, cfg.train_energy_w, cfg.sigma_w2)
+    D = dense_D(est)
+    assert pairs
+    for k, a in pairs:
+        exact, gamma = exact_estimator(ls, book, est.eta_train, est.sigma_w2, k, a)
+        exact *= np.sqrt(est.eta_train[k])
+        assert np.abs(D[k, a] - exact).max() <= 1e-13 * np.abs(exact).max(), (k, a)
+        assert est.gamma[k, a] == pytest.approx(gamma, rel=1e-13), (k, a)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -352,11 +407,12 @@ def test_condition_limit_below_trace_bound_falls_back_to_eigvalsh(gate_fixture, 
 def test_estimation_state_invariants(gate_fixture):
     est = gate_fixture["est"]
     G, B = covariances(gate_fixture["ls"], gate_fixture["book"], est.eta_train, est.sigma_w2)
+    D = dense_D(est)
     # B Hermitian PD, gamma real >= 0
     for k in range(est.n_users):
         for a in range(est.n_ap):
             np.testing.assert_allclose(B[k, a], B[k, a].conj().T, atol=1e-12)
             assert np.linalg.eigvalsh(B[k, a]).min() > 0
             assert est.gamma[k, a] >= 0
-            tr = np.sqrt(est.eta_train[k]) * np.trace(G[k, a] @ est.D[k, a])
+            tr = np.sqrt(est.eta_train[k]) * np.trace(G[k, a] @ D[k, a])
             assert abs(tr.imag) <= 1e-9 * max(abs(tr.real), 1e-300)

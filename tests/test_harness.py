@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -66,6 +69,27 @@ def test_jobs_invariance(tmp_path):
     assert p1.read_bytes() == p8.read_bytes()
 
 
+def test_mmimo_lb_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # (config, seed) fixes every output byte whatever OpenBLAS's thread count: an
+    # mmimo LB drop (4 BSs x 100 antennas) writes the same rates.csv with one BLAS
+    # thread and with two, each run in a process of its own
+    src = pathlib.Path(cfsim.harness.__file__).parents[1]
+    config = tmp_path / "lb.yaml"
+    config.write_text("mc:\n  ub_samples: 0\n")
+    rates = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfsim", "run", "--preset", "mmimo", "--config", str(config),
+             "--drops", "1", "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        rates.append((out / "rates.csv").read_bytes())
+    assert rates[0] == rates[1]
+
+
 def test_jobs_capped_at_drop_count(monkeypatch):
     # the pool forks all max_workers processes at the first submit, so --jobs
     # beyond the drop count would start idle workers; a serial fake records it
@@ -101,8 +125,9 @@ def test_run_campaign_rejects_jobs_below_one(jobs):
 
 
 def test_debug_estimation_csv_matches_per_pair_references(tmp_path):
-    # the estimation state keeps only the traces of G and B; the debug CSV must
-    # hold the bytes written from the reference matrices
+    # the estimation state keeps only the traces of G and B, in closed form; the
+    # debug CSV must hold the bytes written from the state, and those traces must
+    # be the per-pair reference matrices' to rounding
     cfg = preset_paper()
     cfg = replace(cfg, mc=replace(cfg.mc, ub_samples=0))
     run_drop(cfg, 0, 3, debug_dir=tmp_path)
@@ -112,16 +137,11 @@ def test_debug_estimation_csv_matches_per_pair_references(tmp_path):
     book = assign_pilots(cfg.n_users, cfg.frame.tau_p, rng)
     est = build_estimation(ls, book, cfg.train_energy_w, cfg.sigma_w2)
     G, B = covariances(ls, book, est.eta_train, est.sigma_w2)
-    # matrix_B adds the copilots' G in another order than one matmul over all users
-    # does, so on some pairs its trace differs in the last bits; the CSV's bytes are
-    # those of the literal batched form W G + sigma_w^2 I of the same reference G
-    weights = (book.assignment[:, None] == book.assignment[None, :]) * est.eta_train
-    literal_B = ((weights @ G.reshape(len(G), -1)).reshape(G.shape)
-                 + est.sigma_w2 * np.eye(G.shape[-1]))
-    tr_G, tr_B, literal_tr_B = (np.trace(M, axis1=2, axis2=3).real for M in (G, B, literal_B))
-    np.testing.assert_allclose(literal_tr_B, tr_B, rtol=1e-12, atol=1e-300)
-    _write_pair_csv(tmp_path / "reference.csv", "gamma,tr_G,tr_B", est.gamma, tr_G,
-                    literal_tr_B)
+    for name, M in (("tr_G", G), ("tr_B", B)):
+        np.testing.assert_allclose(getattr(est, name), np.trace(M, axis1=2, axis2=3).real,
+                                   rtol=1e-12, atol=1e-300, err_msg=name)
+    _write_pair_csv(tmp_path / "reference.csv", "gamma,tr_G,tr_B", est.gamma, est.tr_G,
+                    est.tr_B)
     assert ((tmp_path / "drop_0_estimation.csv").read_bytes()
             == (tmp_path / "reference.csv").read_bytes())
 

@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from conftest import make_state
-from per_pair import draw_channels, fourth_moment_check
+from per_pair import dense_D, draw_channels, fourth_moment_check
 
 import cfsim.channel
 import cfsim.mc
@@ -48,7 +48,7 @@ def _joint_oracle(ls, est, book, rng, s):
         + 1j * rng.standard_normal((s, book.tau_p, A, N))
     )
     y_hat = np.einsum("ki,sian->skan", M, g) + noise[:, book.assignment]
-    return g, np.einsum("kanm,skam->skan", est.D, y_hat)
+    return g, np.einsum("kanm,skam->skan", dense_D(est), y_hat)
 
 
 def _draw_oracle(ls, rng, n):
@@ -85,6 +85,7 @@ def _serial_batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
     K, A, N = ls.steering.shape
     pidx = book.assignment
     root_eta = np.sqrt(est.eta_train)
+    D = dense_D(est)
     batches = []
     for size in _batched(n_samples, batch_count):
         g = draw_channels(ls, rng, size)
@@ -98,7 +99,7 @@ def _serial_batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
         for b in sample_blocks(size, 16 * (K + book.tau_p) * A * N):
             g_hat = np.empty_like(g[b])
             for k in range(K):
-                np.matmul(est.D[k], y[b, pidx[k]].transpose(1, 2, 0),
+                np.matmul(D[k], y[b, pidx[k]].transpose(1, 2, 0),
                           out=g_hat[:, k].transpose(1, 2, 0))
             part = reduce(g[b], g_hat)
             sums = part if sums is None else [s + p for s, p in zip(sums, part)]
@@ -305,11 +306,12 @@ def _one_sample_blocks(state, monkeypatch):
 
 
 def test_collided_uc_has_scalar_and_dense_estimators(collided_uc):
-    # the sampler applies each of estimation's scalar users (D a real d I at every
-    # AP) as one multiply on y; the serial reference below runs the matmul for every
-    # user, so its collided_uc case checks the multiply's bits only while such users exist
-    scalar = collided_uc["est"].scalar
-    assert scalar.any() and not scalar.all()
+    # the sampler applies each user off estimation's dense rows (D a real d I at
+    # every AP) as one multiply on y; the serial reference below runs the matmul for
+    # every user, so its collided_uc case checks the multiply's bits only while some
+    # users are off the dense rows
+    dense = collided_uc["est"].dense_users
+    assert 0 < len(dense) < collided_uc["cfg"].n_users
 
 
 @pytest.mark.parametrize("name", ["se_ub_mc", "uatf_dl_mc", "uatf_ul_mc"])

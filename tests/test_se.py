@@ -7,7 +7,7 @@ import pytest
 from cfsim.channel import LargeScaleState
 from cfsim.config import preset_desk
 from cfsim.errors import NumericsError
-from cfsim.estimation import build_estimation, covariance_G
+from cfsim.estimation import build_estimation
 from cfsim.mc import se_ub_mc
 from cfsim.power import ppa_dl
 from cfsim.se import (
@@ -21,7 +21,15 @@ from cfsim.se import (
 )
 
 from conftest import make_state
-from per_pair import copilot_gram2, covariances, delta_term, draw_channels, fourth_moment_check
+from per_pair import (
+    copilot_gram2,
+    covariance_G,
+    covariances,
+    delta_term,
+    dense_D,
+    draw_channels,
+    fourth_moment_check,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +140,13 @@ def test_trace_imaginary_guard_decisions(gate_fixture):
     # rotated estimator still raises, and a NaN still silences it as one max over
     # both parts would, leaving the NaN to the SINR denominator guard
     ls, est, book, assoc = (gate_fixture[k] for k in ("ls", "est", "book", "assoc"))
-    D = est.D.copy()
+    assert est.dense_users.tolist() == [0, 1, 2, 3]  # each pilot carries a UAV
+    D = est.D_dense.copy()
     D[2] *= np.exp(1e-3j)  # a UAV's estimator, so both parts see it
     with pytest.raises(NumericsError, match="imaginary part"):
-        build_se_tables(ls, dataclasses.replace(est, D=D), book, assoc)
+        build_se_tables(ls, dataclasses.replace(est, D_dense=D), book, assoc)
     D[1, 0, 0, 0] = np.nan
-    tables = build_se_tables(ls, dataclasses.replace(est, D=D), book, assoc)
+    tables = build_se_tables(ls, dataclasses.replace(est, D_dense=D), book, assoc)
     eta_dl = np.where(tables.serving, 0.01, 0.0)
     with pytest.raises(NumericsError, match="denominator"):
         dl_sinr_lb(tables, eta_dl, gate_fixture["cfg"].sigma_z2)
@@ -171,11 +180,12 @@ def _state_and_pair_terms(name):
     st = make_state(**DL_FORM_STATES[name])
     ls, est = st["ls"], st["est"]
     G, _ = covariances(ls, st["book"], est.eta_train, est.sigma_w2)
+    D = dense_D(est)
     K, A = est.gamma.shape
     delta, tr_gdg = np.zeros((K, K, A)), np.zeros((K, K, A))
     t_dg = np.zeros((K, K, A), dtype=complex)
     for k, j, a in np.ndindex(K, K, A):
-        G_j, D_j, G_k = G[j, a], est.D[j, a], G[k, a]
+        G_j, D_j, G_k = G[j, a], D[j, a], G[k, a]
         delta[k, j, a] = delta_term(ls.beta[k, a], ls.rice_k[k, a], ls.steering[k, a], D_j)
         tr_gdg[k, j, a] = np.trace(G_j @ D_j.conj().T @ G_k).real
         t_dg[k, j, a] = np.trace(D_j @ G_k)
@@ -246,7 +256,7 @@ def test_dl_sinr_scalar_assembly_oracle():
     state = make_state(seed=5, n_ap=1, n_gue=1, n_uav=0, tau_p=2, n_ap_antennas=3)
     tables, est, ls, cfg = state["tables"], state["est"], state["ls"], state["cfg"]
     eta_dl = np.array([[0.037]])
-    G, D = covariances(ls, state["book"], est.eta_train, est.sigma_w2)[0][0, 0], est.D[0, 0]
+    G, D = covariances(ls, state["book"], est.eta_train, est.sigma_w2)[0][0, 0], dense_D(est)[0, 0]
     gamma = est.gamma[0, 0]
     eta_tr = est.eta_train[0]
     delta = delta_term(ls.beta[0, 0], ls.rice_k[0, 0], ls.steering[0, 0], D)
@@ -261,7 +271,7 @@ def test_ul_sinr_scalar_assembly_oracle():
     state = make_state(seed=6, n_ap=1, n_gue=1, n_uav=0, tau_p=2, n_ap_antennas=3)
     tables, est, ls, cfg = state["tables"], state["est"], state["ls"], state["cfg"]
     eta_ul = np.array([0.08])
-    G, D = covariances(ls, state["book"], est.eta_train, est.sigma_w2)[0][0, 0], est.D[0, 0]
+    G, D = covariances(ls, state["book"], est.eta_train, est.sigma_w2)[0][0, 0], dense_D(est)[0, 0]
     gamma = est.gamma[0, 0]
     eta_tr = est.eta_train[0]
     delta = delta_term(ls.beta[0, 0], ls.rice_k[0, 0], ls.steering[0, 0], D)
@@ -420,6 +430,7 @@ def literal_ub():
 
     rng = np.random.default_rng(13)
     n = 40_000
+    D = dense_D(est)
     root = np.sqrt(np.where(serving, eta_dl, 0.0))
     mask = serving.astype(float)
     acc_dl = np.zeros(ls.n_users)
@@ -427,7 +438,7 @@ def literal_ub():
     for _ in range(n):
         g = draw_channels(ls, rng, 1)[0]
         _, y_hat = training_observable(g, book, est.eta_train, est.sigma_w2, rng)
-        g_hat = estimate_channels(est.D, y_hat)
+        g_hat = estimate_channels(D, y_hat)
         cross = np.einsum("kan,ja,jan->kj", np.conj(g), root, g_hat)
         num = np.abs(np.diag(cross)) ** 2
         tot = (np.abs(cross) ** 2).sum(axis=1)

@@ -1,5 +1,6 @@
-"""The process's thread budget: estimation and the SE tables over AP halves, and
-the sampler's workers, give every output byte of the one-thread run."""
+"""The process's thread budget: the SE tables over AP halves and the sampler's
+workers give every output byte of the one-thread run, and estimation, which runs
+on the calling thread, gives the same state at either budget."""
 
 import importlib.util
 import os
@@ -15,12 +16,12 @@ import cfsim.harness
 from cfsim import threads
 from cfsim.channel import build_large_scale
 from cfsim.cli import main
-from cfsim.config import config_from_dict, load_config, preset_desk, preset_mmimo, preset_paper
+from cfsim.config import load_config, preset_desk, preset_mmimo, preset_paper
 from cfsim.errors import NumericsError
-from cfsim.estimation import assign_pilots, build_estimation
-from cfsim.geometry import generate_topology
-from cfsim.harness import drop_seed_sequence, run_drop
+from cfsim.estimation import build_estimation
+from cfsim.harness import run_drop
 
+from conftest import drop_state, low_uav_desk
 from per_pair import covariances
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -35,15 +36,6 @@ def _uc(cfg, size):
     return replace(cfg, association=replace(cfg.association, mode="uc", uc_cluster_size=size))
 
 
-def low_uav_desk():
-    """Desk with UAVs at 15-25 m whose LOS probability exp(-d / 0.2 m) underflows
-    to 0 beyond about 150 m: a UAV has a LOS term at some APs only."""
-    los_prob = {"d1_log_coef": 0.0, "d1_offset": 0.0, "d1_floor_m": 0.0,
-                "p1_log_coef": 0.0, "p1_offset": 0.2}
-    return _ub(config_from_dict({"uav_height_range_m": [15.0, 25.0],
-                                 "channel": {"uav": {"los_prob": los_prob}}}, base=preset_desk()))
-
-
 CONFIGS = {
     "paper-lb": lambda: _ub(preset_paper(), 0),
     "desk-ub": lambda: _ub(preset_desk()),
@@ -52,11 +44,6 @@ CONFIGS = {
     "desk-uc-5": lambda: _uc(_ub(preset_desk()), 5),
     "desk-low-uav": low_uav_desk,
 }
-
-
-def _large_scale(cfg, drop):
-    rng = np.random.default_rng(drop_seed_sequence(cfg.seed, drop).spawn(2)[0])
-    return build_large_scale(cfg, generate_topology(cfg, rng), rng)
 
 
 def _run(monkeypatch, budget, *args, **kwargs):
@@ -91,30 +78,31 @@ def test_budget_starts_at_the_one_job_rule(monkeypatch, cpus, budget):
 @pytest.mark.parametrize("name", ["paper", "desk", "mmimo", "desk-low-uav", "collided_uc"])
 def test_scalar_users_are_those_whose_d_is_d_times_identity(monkeypatch, split_all,
                                                             collided_uc, name):
-    # estimation marks its scalar users from the LOS copilot pairs; the reference
-    # reads them off D, at every AP and whichever half built it. The two differ
-    # only on users whose every LOS copilot term has a subnormal Ricean factor
-    # (one low-UAV desk user, K = 4e-318 at one AP): that term underflows out of
-    # G, so D is d I, but the user is not marked and keeps the matmul, whose bits
-    # the multiply gives anyway
+    # estimation keeps D whole on the users whose pilot carries a LOS user at some
+    # AP (dense_users); every other user's D is the real d I, which the sampler
+    # applies as a multiply. A dense row is exactly d I at the APs where its pilot
+    # has no LOS term, and not diagonal where one has a Ricean factor above 1e-3. A
+    # tiny LOS term rounds away: one low-UAV desk user's only one is subnormal
+    # (K = 4e-318 at one AP), and its D is d I to rounding (the exact oracle test)
     if name == "collided_uc":
         cfg, ls, book = collided_uc["cfg"], collided_uc["ls"], collided_uc["book"]
     else:
         cfg = {"paper": preset_paper, "desk": preset_desk, "mmimo": preset_mmimo,
                "desk-low-uav": low_uav_desk}[name]()
-        rng = np.random.default_rng(drop_seed_sequence(cfg.seed, 0).spawn(2)[0])
-        ls = build_large_scale(cfg, generate_topology(cfg, rng), rng)
-        book = assign_pilots(cfg.n_users, cfg.frame.tau_p, rng)
+        ls, book = drop_state(cfg, 0)
     same = book.assignment[:, None] == book.assignment[None, :]
-    normal = (same @ (ls.rice_k >= np.finfo(float).tiny) > 0).any(axis=1)
-    subnormal_only = (same @ (ls.rice_k > 0) > 0).any(axis=1) & ~normal
-    assert subnormal_only.sum() == (name == "desk-low-uav")
+    los_term = same @ (ls.rice_k > 0)  # (K, A): the pilot has a LOS term at the AP
+    normal = same @ (ls.rice_k >= np.finfo(float).tiny)
+    assert (los_term & ~normal).any() == (name == "desk-low-uav")
     for budget in (1, 2):
         monkeypatch.setattr(threads, "BUDGET", budget)
         est = build_estimation(ls, book, cfg.train_energy_w, cfg.sigma_w2)
-        eye = np.eye(est.n_ap_antennas)
-        dense = [bool((D == D[:, 0, 0].real[:, None, None] * eye).all()) for D in est.D]
-        assert (est.scalar | subnormal_only).tolist() == dense
+        rows = est.dense_users
+        assert rows.tolist() == np.flatnonzero(los_term.any(axis=1)).tolist()
+        d_eye = est.d[rows, :, None, None] * np.eye(est.n_ap_antennas)
+        diagonal = (est.D_dense == d_eye).all(axis=(2, 3))
+        assert diagonal[~los_term[rows]].all()
+        assert not diagonal[(same @ (ls.rice_k > 1e-3))[rows]].any()
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -130,7 +118,7 @@ def test_low_uav_halves_see_different_los_users(monkeypatch, split_all):
     # the halves must take the LOS users of the whole drop, not of their own APs
     monkeypatch.setattr(threads, "BUDGET", 2)
     cfg = low_uav_desk()
-    los = _large_scale(cfg, 0).rice_k > 0
+    los = drop_state(cfg, 0)[0].rice_k > 0
     first, second = (los[:, aps].any(axis=1) for aps in threads.ap_slices(cfg.n_ap, 0))
     assert (first != second).any()
     assert (los.any(axis=1) & ~los.all(axis=1)).any()
@@ -138,8 +126,9 @@ def test_low_uav_halves_see_different_los_users(monkeypatch, split_all):
 
 def test_estimation_at_budget_2_under_frequent_thread_switches(monkeypatch, split_all,
                                                               gate_fixture):
-    # the halves write disjoint AP slices of shared outputs; switches as often as
-    # the interpreter allows must leave every byte of the one-thread state
+    # estimation runs on the calling thread at any budget; at budget 2, with thread
+    # switches as often as the interpreter allows, it must leave every byte of the
+    # one-thread state
     ls, book, est = gate_fixture["ls"], gate_fixture["book"], gate_fixture["est"]
     monkeypatch.setattr(threads, "BUDGET", 1)
     serial = build_estimation(ls, book, est.eta_train, est.sigma_w2)
@@ -151,7 +140,7 @@ def test_estimation_at_budget_2_under_frequent_thread_switches(monkeypatch, spli
     finally:
         sys.setswitchinterval(interval)
     for state in states:
-        for field in ("D", "gamma", "tr_G", "tr_B"):
+        for field in ("d", "dense_users", "D_dense", "gamma", "tr_G", "tr_B"):
             assert getattr(state, field).tobytes() == getattr(serial, field).tobytes(), field
 
 
@@ -183,8 +172,8 @@ def _nan_steering_at(aps):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_worker_half_failure_gives_the_serial_message_and_exit_3(monkeypatch, split_all,
                                                                    tmp_path, capsys):
-    # NaN steering reaches B on the worker's APs only; the drop fails as it does
-    # on one thread: the same message, exit 3 from `cfsim run`
+    # NaN steering on the LOS links of the second AP half only; the drop fails at
+    # budget 2 as it does at budget 1: the same message, exit 3 from `cfsim run`
     monkeypatch.setattr(threads, "BUDGET", 2)
     worker_aps = threads.ap_slices(preset_desk().n_ap, 0)[1]
     monkeypatch.setattr(cfsim.harness, "build_large_scale", _nan_steering_at(worker_aps))
@@ -200,8 +189,8 @@ def test_worker_half_failure_gives_the_serial_message_and_exit_3(monkeypatch, sp
 
 @pytest.mark.parametrize("worst", [1, 0])
 def test_condition_raise_reads_the_whole_drop(monkeypatch, split_all, gate_fixture, worst):
-    # the limit sits just below the worst cond(B) of the half given by `worst`:
-    # the raise and its cond.max() message are those of one thread
+    # the limit sits just below the worst cond(B) of the AP half given by `worst`:
+    # at budget 2 the raise and its cond.max() message are those of budget 1
     ls, book, est = gate_fixture["ls"], gate_fixture["book"], gate_fixture["est"]
     monkeypatch.setattr(threads, "BUDGET", 2)
     aps = threads.ap_slices(est.n_ap, 0)[worst]
