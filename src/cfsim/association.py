@@ -1,50 +1,22 @@
-"""Serving maps between users and APs (cell-free, user-centric, single-BS baseline)."""
+"""Serving masks between users and APs (cell-free, user-centric, single-BS baseline).
+
+A serving mask is a (K, A) bool array: serving[k, a] is True when AP a serves
+user k, so row k is user k's serving set A_k.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AssociationError, ConfigError
 
 
-@dataclass(frozen=True)
-class AssociationMap:
-    """Bidirectional serving map: serving[k, a] is True when AP a serves user k."""
-
-    serving: np.ndarray  # (K, A) bool
-    mode: str
-
-    @property
-    def n_users(self):
-        return self.serving.shape[0]
-
-    @property
-    def n_ap(self):
-        return self.serving.shape[1]
-
-    def aps_of(self, k):
-        """Ordered serving set A_k."""
-        return np.flatnonzero(self.serving[k])
-
-    def users_of(self, a):
-        """Served-user set K_a."""
-        return np.flatnonzero(self.serving[:, a])
-
-    def check(self):
-        if not self.serving.any(axis=1).all():
-            orphans = np.flatnonzero(~self.serving.any(axis=1))
-            raise AssociationError(f"users without serving APs: {orphans.tolist()}")
-        return self
-
-
-def associate_cf(n_ap, n_users) -> AssociationMap:
+def associate_cf(n_ap, n_users):
     """Cell-free: every AP serves every user."""
-    return AssociationMap(serving=np.ones((n_users, n_ap), dtype=bool), mode="cf").check()
+    return np.ones((n_users, n_ap), dtype=bool)
 
 
-def associate_uc(beta, cluster_size) -> AssociationMap:
+def associate_uc(beta, cluster_size):
     """User-centric: each user keeps its `cluster_size` largest-beta APs.
 
     Ties break toward the lower AP index so drops are reproducible.
@@ -60,10 +32,18 @@ def associate_uc(beta, cluster_size) -> AssociationMap:
     order = np.argsort(-beta, axis=1, kind="stable")  # stable -> lower index wins ties
     for k in range(n_users):
         serving[k, order[k, :cluster_size]] = True
-    return AssociationMap(serving=serving, mode="uc").check()
+    return serving
 
 
-def build_association(config, beta) -> AssociationMap:
+def build_association(config, beta):
+    """The serving mask of a drop: every AP serves every user (cell-free), or each
+    user's uc_cluster_size strongest APs (user-centric). Raises AssociationError
+    if a user has no serving AP."""
     if config.association.mode == "cf":
-        return associate_cf(config.n_ap, beta.shape[0])
-    return associate_uc(beta, config.association.uc_cluster_size)
+        serving = associate_cf(config.n_ap, beta.shape[0])
+    else:
+        serving = associate_uc(beta, config.association.uc_cluster_size)
+    if not serving.any(axis=1).all():
+        orphans = np.flatnonzero(~serving.any(axis=1))
+        raise AssociationError(f"users without serving APs: {orphans.tolist()}")
+    return serving

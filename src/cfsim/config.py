@@ -93,14 +93,10 @@ class UavChannelModel:
     shadow_los_scale_db: float = 4.64
     shadow_los_height_coef: float = -0.0066
     shadow_nlos_db: float = 6.0
-    shadow_in_los: bool = True
 
     def shadow_sigma_db(self, height_m, los):
         """Shadowing std in dB per link; `height_m` and the boolean `los` broadcast."""
-        if self.shadow_in_los:
-            sigma_los = self.shadow_los_scale_db * np.exp(self.shadow_los_height_coef * height_m)
-        else:
-            sigma_los = 0.0
+        sigma_los = self.shadow_los_scale_db * np.exp(self.shadow_los_height_coef * height_m)
         return np.where(los, sigma_los, self.shadow_nlos_db)
 
 
@@ -121,12 +117,10 @@ class FrameConfig:
     tau_p: int = 32
 
     @property
-    def tau_d(self):
-        return (self.tau_c - self.tau_p) / 2.0
-
-    @property
-    def tau_u(self):
-        return (self.tau_c - self.tau_p) / 2.0
+    def prelog(self):
+        """Share of the coherence block that carries data on each link: DL and UL
+        split the tau_c - tau_p data samples equally."""
+        return (self.tau_c - self.tau_p) / 2.0 / self.tau_c
 
 
 @dataclass(frozen=True)
@@ -191,6 +185,7 @@ _LOWER_BOUNDS = (
     ("mc.ub_samples", 0, True), ("power.maxmin.max_outer_iters", 1, True),
     ("power.maxmin.max_inner_iters", 1, True), ("power.maxmin.outer_tol", 0, True),
     ("drops", 1, True), ("seed", 0, True), ("power.train_per_sample_w", 0, False),
+    ("channel.uav.shadow_nlos_db", 0, True), ("channel.uav.shadow_los_scale_db", 0, True),
 )
 
 
@@ -221,7 +216,6 @@ class SimConfig:
     ap_placement: str = "uniform"  # uniform | grid
     carrier_freq_hz: float = 1.9e9
     bandwidth_hz: float = 20e6
-    antenna_spacing_m: Optional[float] = None  # None -> lambda/2
     frame: FrameConfig = field(default_factory=FrameConfig)
     power: PowerConfig = field(default_factory=PowerConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
@@ -241,8 +235,7 @@ class SimConfig:
 
     @property
     def spacing_m(self):
-        if self.antenna_spacing_m is not None:
-            return self.antenna_spacing_m
+        """Element spacing of every AP array: half a wavelength."""
         return self.wavelength_m / 2.0
 
     @property
@@ -332,7 +325,7 @@ class SimConfig:
         n, spacing = self.n_ap_antennas, self.spacing_m
         if not (n - 1) * spacing <= self.area_side_m:
             raise ConfigError(f"an AP array of {n} antennas spaced {spacing:g} m does not fit "
-                              f"in area_side_m={self.area_side_m:g}", field="antenna_spacing_m")
+                              f"in area_side_m={self.area_side_m:g}", field="n_ap_antennas")
         # gamma = eta tr(G B^-1 G) is quadratic in the path gain, so a gain whose
         # square underflows zeroes every estimate of the links it holds on
         far_db = self._far_gain_db()
@@ -363,6 +356,9 @@ class SimConfig:
             )
         if self.ap_placement not in {"uniform", "grid"}:
             raise ConfigError(f"unknown placement {self.ap_placement!r}", field="ap_placement")
+        if self.ap_placement == "grid" and math.isqrt(self.n_ap) ** 2 != self.n_ap:
+            raise ConfigError(f"grid placement needs a square AP count, got {self.n_ap}",
+                              field="n_ap")
         if self.mc.batch_count < 2:
             raise ConfigError("must be >= 2 for a standard error", field="mc.batch_count")
         if 0 < self.mc.ub_samples < self.mc.batch_count:
@@ -391,34 +387,29 @@ def preset_desk(drops=50):
     )
 
 
-def preset_mmimo():
-    """Multi-cell massive MIMO baseline: 4 BSs x 100 antennas on a 2x2 grid, 5 W each.
-
-    Total antennas and total DL power match the reference cell-free deployment;
-    each user is served by its strongest BS and DL power is split uniformly.
-    """
-    cfg = preset_paper()
+def _mmimo(cf):
+    """Multi-cell massive MIMO baseline scaled from the cell-free config cf: 4 BSs
+    on a 2x2 grid with cf's total antennas and total DL power, each user served by
+    its strongest BS, DL power split uniformly."""
     return replace(
-        cfg,
+        cf,
         n_ap=4,
-        n_ap_antennas=100,
+        n_ap_antennas=cf.n_ap * cf.n_ap_antennas // 4,
         ap_placement="grid",
         association=AssociationConfig(mode="uc", uc_cluster_size=1),
-        power=replace(cfg.power, dl_budget_per_ap_w=5.0, dl="uniform"),
+        power=replace(cf.power, dl_budget_per_ap_w=cf.n_ap * cf.power.dl_budget_per_ap_w / 4,
+                      dl="uniform"),
     )
+
+
+def preset_mmimo():
+    """mMIMO baseline of the reference deployment: 4 BSs x 100 antennas, 5 W each."""
+    return _mmimo(preset_paper())
 
 
 def preset_desk_mmimo(drops=50):
-    """mMIMO baseline scaled to the desk deployment (same total antennas/power as desk CF)."""
-    cfg = preset_desk(drops=drops)
-    return replace(
-        cfg,
-        n_ap=4,
-        n_ap_antennas=25,
-        ap_placement="grid",
-        association=AssociationConfig(mode="uc", uc_cluster_size=1),
-        power=replace(cfg.power, dl_budget_per_ap_w=25 * 0.2 / 4.0, dl="uniform"),
-    )
+    """mMIMO baseline of the desk deployment: 4 BSs x 25 antennas, 1.25 W each."""
+    return _mmimo(preset_desk(drops=drops))
 
 
 PRESETS = {
@@ -449,8 +440,6 @@ def _coerce_scalar(value, ftype, path):
             if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
                 raise ValueError(f"expected an integer, got {value!r}")
             return int(value)
-        if base == "bool" and not isinstance(value, bool):
-            raise ValueError(f"expected a boolean, got {value!r}")
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
         raise ConfigError(str(exc), field=path) from exc
     return value
@@ -511,8 +500,3 @@ def load_config(path, base=None):
     cfg = config_from_dict(data, base=base)
     cfg.validate()
     return cfg
-
-
-def dump_config(cfg, path):
-    with open(path, "w") as fh:
-        yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=False)

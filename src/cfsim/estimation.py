@@ -21,21 +21,11 @@ from .errors import NumericsError
 
 @dataclass(frozen=True)
 class PilotBook:
-    """Orthonormal pilot set (rows) plus the user -> pilot-index assignment."""
+    """User -> pilot-index assignment over tau_p mutually orthogonal pilots: two
+    users share a pilot exactly when their assignments are equal."""
 
-    pilots: np.ndarray  # (tau_p, tau_p) complex, orthonormal rows
     assignment: np.ndarray  # (K,) int
-
-    @property
-    def tau_p(self):
-        return self.pilots.shape[0]
-
-
-def pilot_set(tau_p):
-    """Deterministic orthonormal pilot set: rows of the unitary DFT matrix."""
-    n = np.arange(tau_p)
-    dft = np.exp(-2j * np.pi * np.outer(n, n) / tau_p)
-    return dft / np.sqrt(tau_p)
+    tau_p: int
 
 
 def assign_pilots(n_users, tau_p, rng) -> PilotBook:
@@ -43,7 +33,7 @@ def assign_pilots(n_users, tau_p, rng) -> PilotBook:
     if tau_p < 1:
         raise ValueError("tau_p must be >= 1")
     assignment = rng.integers(0, tau_p, size=n_users)
-    return PilotBook(pilots=pilot_set(tau_p), assignment=np.asarray(assignment, dtype=int))
+    return PilotBook(assignment=np.asarray(assignment, dtype=int), tau_p=tau_p)
 
 
 # Largest condition number of a training covariance B that estimation accepts

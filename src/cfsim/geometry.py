@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-
 ROLE_GUE = 0
 ROLE_UAV = 1
 
@@ -54,17 +52,6 @@ def wrapped_delta(p, q, area_side):
     return d
 
 
-def wrapped_distance(p, q, area_side):
-    """3D distance with wrap-around on the two horizontal axes."""
-    return np.linalg.norm(wrapped_delta(p, q, area_side), axis=-1)
-
-
-def wrapped_distance_2d(p, q, area_side):
-    """Horizontal-only wrapped distance (the argument of LOS-probability models)."""
-    d = wrapped_delta(p, q, area_side)
-    return np.linalg.norm(d[..., :2], axis=-1)
-
-
 def nearest_image(point, reference, area_side):
     """Translate `point` to its periodic image nearest to `reference`."""
     ref = np.asarray(reference, dtype=float)
@@ -72,12 +59,9 @@ def nearest_image(point, reference, area_side):
 
 
 def grid_centers(area_side, n_cells):
-    """Regular sqrt(n)-by-sqrt(n) grid of cell centers (the mMIMO baseline layout)."""
+    """Regular sqrt(n)-by-sqrt(n) grid of cell centers (the mMIMO baseline layout);
+    SimConfig.validate admits grid placement with a square AP count only."""
     per_side = int(round(np.sqrt(n_cells)))
-    if per_side * per_side != n_cells:
-        raise ConfigError(
-            f"grid placement needs a square AP count, got {n_cells}", field="n_ap"
-        )
     step = area_side / per_side
     coords = step / 2.0 + step * np.arange(per_side)
     xx, yy = np.meshgrid(coords, coords, indexing="ij")
@@ -91,7 +75,6 @@ def generate_topology(config, rng) -> NetworkGeometry:
     horizontal ULA whose azimuth is drawn uniformly per AP; GUEs sit at the
     GUE height; UAV heights are uniform over the configured range.
     """
-    config.validate()
     side = config.area_side_m
     n_ap, n_ant = config.n_ap, config.n_ap_antennas
 

@@ -86,7 +86,7 @@ def allocate_dl(config: SimConfig, tables, roles):
         tables,
         budgets,
         config.sigma_z2,
-        prelog=config.frame.tau_d / config.frame.tau_c,
+        prelog=config.frame.prelog,
         roles=roles,
         kappa=p.kappa,
         outer_tol=mm.outer_tol,
@@ -101,7 +101,7 @@ def allocate_ul(config: SimConfig, tables, est):
     if p.ul == "fpc":
         return fpc_ul(est.tr_G, tables.serving, p_max, p.fpc.p0_watts, p.fpc.alpha), {}
     return maxmin_ul(
-        tables, config.sigma_w2, prelog=config.frame.tau_u / config.frame.tau_c, p_max=p_max
+        tables, config.sigma_w2, prelog=config.frame.prelog, p_max=p_max
     )
 
 
@@ -109,7 +109,7 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
     """Execute the full pipeline for one drop, deterministically from its seed.
 
     debug_dir, when set, receives per-drop diagnostic CSVs (large-scale state,
-    estimation scalars, association map, solver traces).
+    estimation scalars, serving sets, solver traces).
     """
     config.validate()
     if master_seed is None:
@@ -121,23 +121,22 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
         geometry = generate_topology(config, rng_state)
         ls = build_large_scale(config, geometry, rng_state)
         book = assign_pilots(config.n_users, config.frame.tau_p, rng_state)
-        assoc = build_association(config, ls.beta)
+        serving = build_association(config, ls.beta)
         est = build_estimation(ls, book, eta_train=config.train_energy_w, sigma_w2=config.sigma_w2)
-        tables = build_se_tables(ls, est, book, assoc)
+        tables = build_se_tables(ls, est, book, serving)
 
         eta_dl, dl_info = allocate_dl(config, tables, ls.roles)
         eta_ul, ul_info = allocate_ul(config, tables, est)
 
-        prelog_dl = config.frame.tau_d / config.frame.tau_c
-        prelog_ul = config.frame.tau_u / config.frame.tau_c
-        se_lb_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, config.sigma_z2), prelog_dl)
-        se_lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, config.sigma_w2), prelog_ul)
+        prelog = config.frame.prelog
+        se_lb_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, config.sigma_z2), prelog)
+        se_lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, config.sigma_w2), prelog)
 
         outputs = {"se_lb_dl": se_lb_dl, "se_lb_ul": se_lb_ul}
         if config.mc.ub_samples > 0:
             ub_dl, ub_ul = se_ub_mc(
-                ls, est, book, assoc.serving, eta_dl, eta_ul, config.sigma_z2,
-                prelog_dl, prelog_ul, config.mc.ub_samples, rng_mc,
+                ls, est, book, serving, eta_dl, eta_ul, config.sigma_z2,
+                prelog, prelog, config.mc.ub_samples, rng_mc,
                 batch_count=config.mc.batch_count,
             )
             outputs.update(se_ub_dl=ub_dl.se, se_ub_ul=ub_ul.se,
@@ -150,7 +149,7 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
 
     if debug_dir is not None:
         dump_drop_debug(
-            debug_dir, drop_index, ls, est, assoc,
+            debug_dir, drop_index, ls, est, serving,
             {"dl": dl_info, "ul": ul_info},
         )
     nan = np.full(config.n_users, np.nan)  # the UB columns of a run without UB
@@ -164,7 +163,7 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
     )
 
 
-def dump_drop_debug(debug_dir, drop_id, ls, est, assoc, power_info):
+def dump_drop_debug(debug_dir, drop_id, ls, est, serving, power_info):
     """Diagnostic CSVs for one drop: channel state, estimator scalars, serving
     map and min-rate solver traces (DL also with each stage's FISTA steps)."""
     os.makedirs(debug_dir, exist_ok=True)
@@ -176,7 +175,7 @@ def dump_drop_debug(debug_dir, drop_id, ls, est, assoc, power_info):
     with open(os.path.join(debug_dir, f"drop_{drop_id}_association.csv"), "w") as fh:
         fh.write("user_id,ap_ids\n")
         for k in range(K):
-            fh.write(f"{k}," + " ".join(str(a) for a in assoc.aps_of(k)) + "\n")
+            fh.write(f"{k}," + " ".join(str(a) for a in np.flatnonzero(serving[k])) + "\n")
     for link, info in power_info.items():
         trace = info.get("min_rate_trace")
         if trace:

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import AssociationMap
 from .channel import LargeScaleState
 from .errors import NumericsError
 from .estimation import EstimationState, PilotBook
@@ -140,11 +139,12 @@ def _interference(steering, rice, is_los, c2, est, aps, eta, k, j, C):
 
 
 def build_se_tables(
-    ls: LargeScaleState, est: EstimationState, book: PilotBook, assoc: AssociationMap
+    ls: LargeScaleState, est: EstimationState, book: PilotBook, serving
 ) -> SETables:
     """C and the copilot pair terms of one drop: the average interference table plus
     the gain uncertainty (j = k) and the copilots' variances, from delta and
-    tr(D_j G_k) on the own and copilot pairs only. Built per AP slice
+    tr(D_j G_k) on the own and copilot pairs only; serving is the (K, A) bool
+    serving mask the tables carry for the bounds. Built per AP slice
     (threads.over_aps), each slice writing its APs of C and pair_t; the guard on
     the imaginary part of tr(G_j D_j^H G_k) reads the whole drop."""
     K, A = ls.beta.shape
@@ -176,7 +176,7 @@ def build_se_tables(
     if imag > 1e-6 * max(size, 1e-300):
         raise NumericsError("tr(G D^H G) acquired a non-negligible imaginary part")
     return SETables(gamma=est.gamma, C=C, pair_k=pair_k, pair_j=pair_j, pair_w=pair_w,
-                    pair_t=pair_t, serving=assoc.serving)
+                    pair_t=pair_t, serving=serving)
 
 
 def _pair_sums(tables: SETables, x):

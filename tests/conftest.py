@@ -8,7 +8,7 @@ import pytest
 from cfsim.association import build_association
 from cfsim.channel import build_large_scale
 from cfsim.config import config_from_dict, preset_desk, preset_paper
-from cfsim.estimation import PilotBook, assign_pilots, build_estimation, pilot_set
+from cfsim.estimation import PilotBook, assign_pilots, build_estimation
 from cfsim.geometry import generate_topology
 from cfsim.harness import drop_seed_sequence
 from cfsim.se import build_se_tables
@@ -43,18 +43,18 @@ def make_state(
     geom = generate_topology(cfg, rng)
     ls = build_large_scale(cfg, geom, rng)
     if assignment is not None:
-        book = PilotBook(pilots=pilot_set(tau_p), assignment=np.asarray(assignment))
+        book = PilotBook(assignment=np.asarray(assignment), tau_p=tau_p)
     else:
         book = assign_pilots(cfg.n_users, tau_p, rng)
-    assoc = build_association(cfg, ls.beta)
+    serving = build_association(cfg, ls.beta)
     est = build_estimation(ls, book, cfg.train_energy_w, cfg.sigma_w2)
-    tables = build_se_tables(ls, est, book, assoc)
+    tables = build_se_tables(ls, est, book, serving)
     return {
         "cfg": cfg,
         "geom": geom,
         "ls": ls,
         "book": book,
-        "assoc": assoc,
+        "serving": serving,
         "est": est,
         "tables": tables,
         "rng": rng,
@@ -95,7 +95,7 @@ def collided_uc():
     st = make_state(seed=21, n_ap=4, n_ap_antennas=3, n_gue=4, n_uav=2, tau_p=3,
                     association_mode="uc", uc_cluster_size=2)
     assert len(np.unique(st["book"].assignment)) < st["cfg"].n_users
-    assert not st["assoc"].serving.all()
+    assert not st["serving"].all()
     return st
 
 

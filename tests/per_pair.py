@@ -13,7 +13,7 @@
   the Monte-Carlo sampler draws them.
 - The fourth moment behind the closed forms' delta: delta_term for one
   (channel stats, estimator) pair and fourth_moment_check, its sampled check.
-- Pilot and DL budget helpers: copilot_gram2, pilot_sequences and
+- Pilot and DL budget helpers: pilot_set, copilot_gram2, pilot_sequences and
   dl_budget_violation.
 """
 
@@ -33,9 +33,16 @@ def copilot_gram2(book: PilotBook):
     return same.astype(float)
 
 
+def pilot_set(tau_p):
+    """Deterministic orthonormal pilot set: rows of the unitary DFT matrix."""
+    n = np.arange(tau_p)
+    dft = np.exp(-2j * np.pi * np.outer(n, n) / tau_p)
+    return dft / np.sqrt(tau_p)
+
+
 def pilot_sequences(book: PilotBook):
-    """(K, tau_p) pilot sequence of each user."""
-    return book.pilots[book.assignment]
+    """(K, tau_p) pilot sequence of each user: row assignment[k] of pilot_set."""
+    return pilot_set(book.tau_p)[book.assignment]
 
 
 def dl_budget_violation(eta_dl, gamma, budgets):

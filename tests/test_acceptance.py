@@ -46,21 +46,20 @@ def _lb_only(cfg):
 def test_criterion_1_closed_form_matches_mc_uatf(gate_fixture):
     t0 = time.time()
     st = gate_fixture
-    tables, cfg, ls, est, book, assoc = (
-        st["tables"], st["cfg"], st["ls"], st["est"], st["book"], st["assoc"]
+    tables, cfg, ls, est, book, serving = (
+        st["tables"], st["cfg"], st["ls"], st["est"], st["book"], st["serving"]
     )
     budgets = np.full(cfg.n_ap, cfg.power.dl_budget_per_ap_w)
     eta_dl = ppa_dl(tables.gamma, tables.serving, budgets)
     eta_ul = fpc_ul(est.tr_G, tables.serving, np.full(cfg.n_users, 0.1),
                     cfg.power.fpc.p0_watts, cfg.power.fpc.alpha)
-    pre_d = cfg.frame.tau_d / cfg.frame.tau_c
-    pre_u = cfg.frame.tau_u / cfg.frame.tau_c
-    lb_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.sigma_z2), pre_d)
-    lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), pre_u)
+    prelog = cfg.frame.prelog
+    lb_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.sigma_z2), prelog)
+    lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), prelog)
     n = 100_000
-    mc_dl = uatf_dl_mc(ls, est, book, assoc.serving, eta_dl, cfg.sigma_z2, pre_d,
+    mc_dl = uatf_dl_mc(ls, est, book, serving, eta_dl, cfg.sigma_z2, prelog,
                        n, np.random.default_rng(1))
-    mc_ul = uatf_ul_mc(ls, est, book, assoc.serving, eta_ul, pre_u,
+    mc_ul = uatf_ul_mc(ls, est, book, serving, eta_ul, prelog,
                        n, np.random.default_rng(2))
     dev_dl = np.abs(lb_dl - mc_dl.se) / mc_dl.se_stderr
     dev_ul = np.abs(lb_ul - mc_ul.se) / mc_ul.se_stderr
@@ -161,22 +160,21 @@ def test_criterion_5_maxmin_dominance_and_monotonicity():
                         n_gue=cfg.n_gue, n_uav=cfg.n_uav, tau_p=cfg.frame.tau_p)
         tables, est = st["tables"], st["est"]
         budgets = np.full(cfg.n_ap, cfg.power.dl_budget_per_ap_w)
-        pre_d = cfg.frame.tau_d / cfg.frame.tau_c
-        pre_u = cfg.frame.tau_u / cfg.frame.tau_c
+        prelog = cfg.frame.prelog
 
         eta_ppa = ppa_dl(tables.gamma, tables.serving, budgets)
-        min_ppa = se_from_sinr(dl_sinr_lb(tables, eta_ppa, cfg.sigma_z2), pre_d).min()
-        eta_dl, info_dl = maxmin_dl(tables, budgets, cfg.sigma_z2, pre_d, max_outer_iters=15)
-        min_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.sigma_z2), pre_d).min()
+        min_ppa = se_from_sinr(dl_sinr_lb(tables, eta_ppa, cfg.sigma_z2), prelog).min()
+        eta_dl, info_dl = maxmin_dl(tables, budgets, cfg.sigma_z2, prelog, max_outer_iters=15)
+        min_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.sigma_z2), prelog).min()
         worst_dl = min(worst_dl, min_dl / min_ppa - 1.0)
         tr = info_dl["min_rate_trace"]
         monotone &= all(tr[i + 1] >= tr[i] * (1 - tol) for i in range(len(tr) - 1))
 
         p_max = np.full(cfg.n_users, cfg.power.ul_max_w)
         eta_fpc = fpc_ul(est.tr_G, tables.serving, p_max, cfg.power.fpc.p0_watts, 0.5)
-        min_fpc = se_from_sinr(ul_sinr_lb(tables, eta_fpc, cfg.sigma_w2), pre_u).min()
-        eta_ul, info_ul = maxmin_ul(tables, cfg.sigma_w2, pre_u, p_max)
-        min_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), pre_u).min()
+        min_fpc = se_from_sinr(ul_sinr_lb(tables, eta_fpc, cfg.sigma_w2), prelog).min()
+        eta_ul, info_ul = maxmin_ul(tables, cfg.sigma_w2, prelog, p_max)
+        min_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), prelog).min()
         worst_ul = min(worst_ul, min_ul / min_fpc - 1.0)
         tru = info_ul["min_rate_trace"]
         monotone &= all(tru[i + 1] >= tru[i] * (1 - tol) for i in range(len(tru) - 1))
@@ -262,7 +260,7 @@ def _gue_ul_lb_rates_uavs_muted(cfg, n_uav):
 
     UAVs still send pilots, so they still shape the GUEs' estimates.
     """
-    pre_u = cfg.frame.tau_u / cfg.frame.tau_c
+    prelog = cfg.frame.prelog
     rates = []
     for drop in range(50):
         st = make_state(seed=7000 + drop, n_ap=cfg.n_ap, n_ap_antennas=4,
@@ -273,7 +271,7 @@ def _gue_ul_lb_rates_uavs_muted(cfg, n_uav):
         eta_ul = fpc_ul(est.tr_G, tables.serving, p_max, cfg.power.fpc.p0_watts,
                         cfg.power.fpc.alpha)
         eta_ul[roles == ROLE_UAV] = 0.0
-        se = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), pre_u)
+        se = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), prelog)
         rates.append(se[roles == ROLE_GUE] * cfg.bandwidth_hz)
     return np.concatenate(rates)
 

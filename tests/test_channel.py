@@ -136,8 +136,6 @@ def test_uav_shadow_sigma_per_link_hand_values():
     expected = [[4.64 * math.exp(-0.0066 * 50.0), 6.0], [4.64 * math.exp(-0.0066 * 200.0), 6.0]]
     np.testing.assert_allclose(UavChannelModel().shadow_sigma_db(heights, los), expected,
                                rtol=1e-14)
-    off = UavChannelModel(shadow_in_los=False).shadow_sigma_db(heights, los)
-    np.testing.assert_array_equal(off, [[0.0, 6.0], [0.0, 6.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +217,19 @@ def test_steering_norm_squared_is_antenna_count(gate_fixture):
 def _drop_outputs(st, ls):
     """What a drop computes from ls: the estimation state, the SE tables, both LB
     columns and a 40-sample UB with its stderr."""
-    cfg, book, assoc = st["cfg"], st["book"], st["assoc"]
+    cfg, book, serving = st["cfg"], st["book"], st["serving"]
     est = build_estimation(ls, book, cfg.train_energy_w, cfg.sigma_w2)
-    tables = build_se_tables(ls, est, book, assoc)
+    tables = build_se_tables(ls, est, book, serving)
     eta_dl, _ = allocate_dl(cfg, tables, ls.roles)
     eta_ul, _ = allocate_ul(cfg, tables, est)
-    pre_d, pre_u = cfg.frame.tau_d / cfg.frame.tau_c, cfg.frame.tau_u / cfg.frame.tau_c
-    ub_dl, ub_ul = se_ub_mc(ls, est, book, assoc.serving, eta_dl, eta_ul, cfg.sigma_z2,
-                            pre_d, pre_u, 40, np.random.default_rng(0), batch_count=2)
+    prelog = cfg.frame.prelog
+    ub_dl, ub_ul = se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, cfg.sigma_z2,
+                            prelog, prelog, 40, np.random.default_rng(0), batch_count=2)
     return dict(
         d=est.d, D=est.D_dense, gamma=est.gamma, tr_G=est.tr_G, tr_B=est.tr_B, C=tables.C,
         pair_t=tables.pair_t,
-        lb_dl=se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.sigma_z2), pre_d),
-        lb_ul=se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), pre_u),
+        lb_dl=se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.sigma_z2), prelog),
+        lb_ul=se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), prelog),
         ub_dl=ub_dl.se, ub_ul=ub_ul.se, err_dl=ub_dl.se_stderr, err_ul=ub_ul.se_stderr,
     )
 
@@ -406,11 +404,6 @@ def _per_link_large_scale(config, geometry, rng):
                 steering=steering)
 
 
-def _no_shadow_in_los(cfg):
-    return replace(cfg, channel=replace(cfg.channel, uav=replace(cfg.channel.uav,
-                                                                 shadow_in_los=False)))
-
-
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize(
     "cfg",
@@ -419,9 +412,8 @@ def _no_shadow_in_los(cfg):
         preset_desk_mmimo(),
         replace(preset_desk(), n_gue=0),
         replace(preset_desk(), n_uav=0),
-        _no_shadow_in_los(preset_desk()),
     ],
-    ids=["desk", "desk-mmimo", "uav-only", "gue-only", "no-shadow-in-los"],
+    ids=["desk", "desk-mmimo", "uav-only", "gue-only"],
 )
 def test_build_large_scale_matches_per_link_loop(cfg, seed):
     geom = generate_topology(cfg, np.random.default_rng(seed))

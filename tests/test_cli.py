@@ -25,6 +25,21 @@ def test_validate_bad_config_exit_2(tmp_path, capsys):
     assert "tau_p" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    # once accepted here, the AP count then failed in drop 0's grid layout
+    ("ap_placement: grid\nn_ap: 5\n", "n_ap: grid placement needs a square AP count"),
+    # removed switches: every AP array is half-wavelength spaced, and LOS UAV
+    # links always carry their shadowing
+    ("antenna_spacing_m: 0.05\n", "antenna_spacing_m: unknown key"),
+    ("channel:\n  uav:\n    shadow_in_los: false\n", "channel.uav.shadow_in_los: unknown key"),
+])
+def test_validate_rejected_config_exit_2(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(text)
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_validate_rejects_state_beyond_physical_memory(tmp_path, capsys):
     # a drop's (K, A, N, N) estimators at a million antennas, if every user's pilot
     # carries a LOS user, need about 85 PiB; validate refuses the config before
@@ -106,6 +121,9 @@ def test_numerical_failure_exit_3(tmp_path, monkeypatch, capsys):
         ("bandwidth_hz: -5\n", "bandwidth_hz"),
         ("channel:\n  shadow_corr_dist_m: 0\n", "channel.shadow_corr_dist_m"),
         ("channel:\n  gue_shadow_sigma_db: -1\n", "channel.gue_shadow_sigma_db"),
+        ("channel:\n  uav:\n    shadow_nlos_db: -1.0\n", "channel.uav.shadow_nlos_db"),
+        ("channel:\n  uav:\n    shadow_los_scale_db: -1.0\n",
+         "channel.uav.shadow_los_scale_db"),
         ("seed: -3\n", "seed"),
         ("seed: null\n", "seed"),
         ("n_ap: null\n", "n_ap"),
@@ -130,7 +148,11 @@ def test_numerical_failure_exit_3(tmp_path, monkeypatch, capsys):
         ("power:\n  ul_max_w: .inf\n", "power.ul_max_w"),
         # absurd but finite magnitudes that used to fail inside the drop
         ("carrier_freq_hz: 1e300\n", "carrier_freq_hz"),
+        # removed keys: an unknown key, not a spacing
         ("antenna_spacing_m: 1e300\n", "antenna_spacing_m"),
+        ("channel:\n  uav:\n    shadow_in_los: true\n", "channel.uav.shadow_in_los"),
+        # a 3 km wavelength spaces 4 antennas over 4.5 km: the aperture rule
+        ("carrier_freq_hz: 1.0e+5\n", "n_ap_antennas"),
         # one antenna passes the aperture rule; the path gain overflows
         ("carrier_freq_hz: 1.0e-100\nn_ap_antennas: 1\nmc:\n  ub_samples: 0\n", "carrier_freq_hz"),
     ],

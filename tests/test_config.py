@@ -2,11 +2,11 @@ import math
 from dataclasses import replace
 
 import pytest
+import yaml
 
 from cfsim.config import (
     config_from_dict,
     config_to_dict,
-    dump_config,
     load_config,
     preset_desk,
     preset_desk_mmimo,
@@ -23,7 +23,7 @@ def test_reference_defaults():
     assert cfg.carrier_freq_hz == pytest.approx(1.9e9)
     assert cfg.bandwidth_hz == pytest.approx(20e6)
     assert cfg.frame.tau_c == 200 and cfg.frame.tau_p == 32
-    assert cfg.frame.tau_d == cfg.frame.tau_u == 84.0
+    assert cfg.frame.prelog == 84.0 / 200.0  # DL and UL each get (tau_c - tau_p) / 2
     assert cfg.power.dl_budget_per_ap_w == pytest.approx(0.2)
     assert cfg.power.ul_max_w == pytest.approx(0.1)
     assert cfg.power.train_per_sample_w == pytest.approx(0.1)
@@ -106,7 +106,7 @@ def test_maxmin_kappa_that_starves_a_class_rejected(kappa, n_uav, ok):
 def test_yaml_round_trip(tmp_path):
     cfg = replace(preset_desk(), seed=77)
     path = tmp_path / "cfg.yaml"
-    dump_config(cfg, path)
+    path.write_text(yaml.safe_dump(config_to_dict(cfg), sort_keys=False))
     loaded = load_config(path)
     assert loaded == cfg
     assert config_to_dict(loaded) == config_to_dict(cfg)

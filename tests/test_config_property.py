@@ -55,7 +55,6 @@ FIELDS = {
     "ap_placement": _choice("uniform", "grid"),
     "carrier_freq_hz": _floats(1e8, 1e11),
     "bandwidth_hz": _floats(1e3, 1e9),
-    "antenna_spacing_m": _floats(0.0, 1.0),
     "seed": _ints(0, 2**32),
     "frame.tau_c": _ints(2, 300),
     "frame.tau_p": _ints(1, 6),
@@ -76,6 +75,8 @@ FIELDS = {
     "association.uc_cluster_size": _ints(1, 6),
     "channel.gue_shadow_sigma_db": _floats(0.0, 12.0),
     "channel.shadow_corr_dist_m": _floats(0.1, 100.0),
+    "channel.uav.shadow_nlos_db": _floats(0.0, 12.0),
+    "channel.uav.shadow_los_scale_db": _floats(0.0, 12.0),
     "mc.ub_samples": _ints(0, 40),
     "mc.batch_count": _ints(2, 4),
 }

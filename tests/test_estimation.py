@@ -6,7 +6,7 @@ import pytest
 import cfsim.estimation
 from cfsim.errors import NumericsError
 from cfsim.config import preset_paper
-from cfsim.estimation import PilotBook, assign_pilots, build_estimation, pilot_set
+from cfsim.estimation import PilotBook, assign_pilots, build_estimation
 
 from conftest import drop_state, low_uav_desk, make_state
 from per_pair import (
@@ -18,6 +18,7 @@ from per_pair import (
     exact_estimator,
     gamma_coefficient,
     matrix_B,
+    pilot_set,
     training_observable,
 )
 
@@ -71,21 +72,21 @@ def _two_user_shared_pilot(beta=(1.0, 0.5), rice=(0.0, 2.0), n_ant=2, eta=(3.2, 
     steer = np.exp(1j * rng.uniform(0, 2 * np.pi, (2, n_ant)))
     steer[:, 0] = 1.0
     G = np.stack([covariance_G(beta[i], rice[i], steer[i]) for i in range(2)])[:, None]
-    book = PilotBook(pilots=pilot_set(2), assignment=np.array([0, 0]))
+    book = PilotBook(assignment=np.array([0, 0]), tau_p=2)
     return G, book, np.array(eta), sigma_w2, steer
 
 
 def test_matrix_B_single_user_rayleigh():
     steer = np.ones((1, 3))
     G = covariance_G(1.5, 0.0, steer[0])[None, None]
-    book = PilotBook(pilots=pilot_set(2), assignment=np.array([0]))
+    book = PilotBook(assignment=np.array([0]), tau_p=2)
     B = matrix_B(0, 0, G, book, np.array([2.0]), 0.3)
     np.testing.assert_allclose(B, (2.0 * 1.5 + 0.3) * np.eye(3), atol=1e-14)
 
 
 def test_matrix_B_orthogonal_pilots_only_own_term():
     G, book, eta, sw2, _ = _two_user_shared_pilot()
-    book2 = PilotBook(pilots=pilot_set(2), assignment=np.array([0, 1]))
+    book2 = PilotBook(assignment=np.array([0, 1]), tau_p=2)
     B = matrix_B(0, 0, G, book2, eta, sw2)
     np.testing.assert_allclose(B, eta[0] * G[0, 0] + sw2 * np.eye(2), atol=1e-14)
 
@@ -143,7 +144,7 @@ def test_estimator_scalar_closed_form():
     # single user, orthogonal pilots, Rayleigh: D = sqrt(eta) beta / (eta beta + s2) I
     beta, eta, s2 = 1.5, 2.0, 0.3
     G = covariance_G(beta, 0.0, np.ones(3))[None, None]
-    book = PilotBook(pilots=pilot_set(2), assignment=np.array([0]))
+    book = PilotBook(assignment=np.array([0]), tau_p=2)
     B = matrix_B(0, 0, G, book, np.array([eta]), s2)
     D = estimator_D(G[0, 0], B, eta)
     expected = np.sqrt(eta) * beta / (eta * beta + s2) * np.eye(3)
@@ -211,7 +212,7 @@ def test_gamma_vanishes_with_noise():
 def test_gamma_scalar_closed_form():
     beta, eta, s2, n_ant = 1.5, 2.0, 0.3, 4
     G = covariance_G(beta, 0.0, np.ones(n_ant))[None, None]
-    book = PilotBook(pilots=pilot_set(2), assignment=np.array([0]))
+    book = PilotBook(assignment=np.array([0]), tau_p=2)
     B = matrix_B(0, 0, G, book, np.array([eta]), s2)
     D = estimator_D(G[0, 0], B, eta)
     gamma = gamma_coefficient(G[0, 0], D, eta)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import cfsim.harness
 from cfsim.config import SimConfig, preset_mmimo
 from cfsim.errors import ConfigError
 from cfsim.geometry import (
@@ -10,9 +11,14 @@ from cfsim.geometry import (
     generate_topology,
     grid_centers,
     nearest_image,
-    wrapped_distance,
-    wrapped_distance_2d,
+    wrapped_delta,
 )
+
+
+def wrapped_distance(p, q, area_side):
+    """3D distance with wrap-around on the two horizontal axes, as the channel
+    model measures it (geometry.user_ap_distances)."""
+    return np.linalg.norm(wrapped_delta(p, q, area_side), axis=-1)
 
 
 def test_topology_counts_and_heights():
@@ -44,13 +50,18 @@ def test_topology_deterministic():
     np.testing.assert_array_equal(g1.user_positions, g2.user_positions)
 
 
-def test_topology_invalid_config_names_field():
-    with pytest.raises(ConfigError, match="tau_p"):
-        cfg = SimConfig()
-        from dataclasses import replace
+def test_topology_invalid_config_names_field(monkeypatch):
+    # a drop validates its config before it draws the topology
+    from dataclasses import replace
 
-        bad = replace(cfg, frame=replace(cfg.frame, tau_p=300))
-        generate_topology(bad, np.random.default_rng(0))
+    def no_topology(*args):
+        raise AssertionError("a topology was drawn")
+
+    monkeypatch.setattr(cfsim.harness, "generate_topology", no_topology)
+    cfg = SimConfig()
+    bad = replace(cfg, frame=replace(cfg.frame, tau_p=300))
+    with pytest.raises(ConfigError, match="tau_p"):
+        cfsim.harness.run_drop(bad, 0)
 
 
 def test_ula_geometry():
@@ -113,7 +124,8 @@ def test_wrapped_distance_properties():
 
 
 def test_wrapped_distance_2d_ignores_height():
-    assert wrapped_distance_2d((0, 0, 0), (999, 0, 300), 1000.0) == pytest.approx(1.0)
+    delta = wrapped_delta((0, 0, 0), (999, 0, 300), 1000.0)
+    assert np.linalg.norm(delta[:2]) == pytest.approx(1.0)
 
 
 def test_nearest_image_round_trip():
@@ -140,4 +152,4 @@ def test_grid_centers_mmimo_preset():
     assert geom.n_ap == 4
     assert geom.n_ap_antennas == 100
     with pytest.raises(ConfigError, match="n_ap"):
-        grid_centers(1000.0, 3)
+        SimConfig(n_ap=3, ap_placement="grid").validate()

@@ -322,11 +322,11 @@ def test_pipeline_equals_module_composition():
     geom = generate_topology(cfg, rng_state)
     ls = build_large_scale(cfg, geom, rng_state)
     book = assign_pilots(cfg.n_users, cfg.frame.tau_p, rng_state)
-    assoc = build_association(cfg, ls.beta)
+    serving = build_association(cfg, ls.beta)
     est = build_estimation(ls, book, cfg.train_energy_w, cfg.sigma_w2)
-    tables = build_se_tables(ls, est, book, assoc)
+    tables = build_se_tables(ls, est, book, serving)
     eta_dl = ppa_dl(tables.gamma, tables.serving, np.full(cfg.n_ap, 0.2))
-    prelog = cfg.frame.tau_d / cfg.frame.tau_c
+    prelog = cfg.frame.prelog
     se = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.sigma_z2), prelog)
     np.testing.assert_array_equal(rep.se_lb_dl, se)
 

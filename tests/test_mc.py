@@ -111,7 +111,7 @@ def _serial_batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
 def _ub_inputs(state):
     # DL powers around PPA, so the DL SINRs are not small and log2(1 + x) is
     # far from linear
-    serving, cfg = state["assoc"].serving, state["cfg"]
+    serving, cfg = state["serving"], state["cfg"]
     pick = np.random.default_rng(4)
     ppa = ppa_dl(state["est"].gamma, serving, np.full(cfg.n_ap, cfg.power.dl_budget_per_ap_w))
     eta_dl = ppa * pick.uniform(0.5, 1.5, serving.shape)
@@ -141,7 +141,7 @@ def test_cross_kernels_match_einsum_oracles(state):
     rng = np.random.default_rng(6)
     g, g_hat = _drawn(ls, est, book, rng, 40, 2)
     g_before = g.copy()
-    serving = state["assoc"].serving
+    serving = state["serving"]
     root = np.sqrt(np.where(serving, rng.uniform(0.01, 0.2, serving.shape), 0.0))
     mask = serving.astype(float)
     dl_ref = _dl_cross_oracle(g, g_hat, root)
@@ -380,7 +380,7 @@ def test_reducer_error_cancels_pending_blocks(gate_fixture, monkeypatch, pools):
 @pytest.mark.parametrize("n_samples,batch_count", [(5, 20), (100, 1), (100, 0)])
 def test_mc_rejects_too_few_samples_or_batches(gate_fixture, n_samples, batch_count):
     ls, est, book = gate_fixture["ls"], gate_fixture["est"], gate_fixture["book"]
-    serving = gate_fixture["assoc"].serving
+    serving = gate_fixture["serving"]
     eta_dl = np.where(serving, 0.1, 0.0)
     eta_ul = np.full(ls.n_users, 0.1)
     rng = np.random.default_rng(0)

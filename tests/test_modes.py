@@ -41,7 +41,7 @@ def test_uc_maxmin_respects_partial_serving():
                     association_mode="uc", uc_cluster_size=2)
     tables, cfg = st["tables"], st["cfg"]
     budgets = np.full(tables.n_ap, 0.2)
-    prelog = cfg.frame.tau_d / cfg.frame.tau_c
+    prelog = cfg.frame.prelog
     eta, info = maxmin_dl(tables, budgets, cfg.sigma_z2, prelog, max_outer_iters=6)
     assert (eta[~tables.serving] == 0.0).all()  # nothing outside A_k
     used = (eta * tables.gamma).sum(axis=0)
@@ -65,29 +65,22 @@ def test_mmimo_preset_drop_end_to_end():
 
 
 def test_uav_los_shadow_flag():
-    # with shadow_in_los disabled, LOS UAV links carry zero shadowing while
-    # NLOS links keep their configured sigma
+    # LOS UAV links always carry the TR 36.777 shadowing; a zero scale gives the
+    # unshadowed LOS links the removed channel.uav.shadow_in_los switch gave
     cfg = preset_desk()
-    cfg = replace(
-        cfg, n_ap=4, n_gue=1, n_uav=6,
-        uav_height_range_m=(150.0, 300.0),  # always-LOS heights
-        channel=replace(cfg.channel,
-                        uav=replace(cfg.channel.uav, shadow_in_los=False)),
-    )
-    rng = np.random.default_rng(5)
-    geom = generate_topology(cfg, rng)
-    ls = build_large_scale(cfg, geom, rng)
-    uav = ls.roles == ROLE_UAV
-    assert ls.los_state[uav].all()  # heights above the always-LOS threshold
-    assert np.all(ls.shadow_db[uav] == 0.0)
-
-    cfg_on = replace(
-        cfg, channel=replace(cfg.channel,
-                             uav=replace(cfg.channel.uav, shadow_in_los=True)),
-    )
-    ls_on = build_large_scale(cfg_on, generate_topology(cfg_on, np.random.default_rng(5)),
-                              np.random.default_rng(6))
-    assert np.abs(ls_on.shadow_db[ls_on.roles == ROLE_UAV]).max() > 0.0
+    cfg = replace(cfg, n_ap=4, n_gue=1, n_uav=6,
+                  uav_height_range_m=(150.0, 300.0))  # always-LOS heights
+    unshadowed = replace(cfg, channel=replace(cfg.channel, uav=replace(cfg.channel.uav,
+                                                                       shadow_los_scale_db=0.0)))
+    shadow = []
+    for c in (cfg, unshadowed):
+        rng = np.random.default_rng(5)
+        ls = build_large_scale(c, generate_topology(c, rng), rng)
+        uav = ls.roles == ROLE_UAV
+        assert ls.los_state[uav].all()  # heights above the always-LOS threshold
+        shadow.append(ls.shadow_db[uav])
+    assert np.abs(shadow[0]).min() > 0.0
+    assert np.all(shadow[1] == 0.0)
 
 
 def test_fixed_ula_azimuth_key_rejected(tmp_path, capsys):

@@ -206,7 +206,7 @@ def test_maxmin_dl_single_user_takes_full_budget():
     state = make_state(seed=15, n_ap=2, n_gue=1, n_uav=0, tau_p=2)
     tables, cfg = state["tables"], state["cfg"]
     budgets = np.full(tables.n_ap, 0.2)
-    prelog = cfg.frame.tau_d / cfg.frame.tau_c
+    prelog = cfg.frame.prelog
     eta, info = maxmin_dl(tables, budgets, cfg.sigma_z2, prelog)
     used = (eta * tables.gamma).sum(axis=0)
     np.testing.assert_allclose(used, budgets, rtol=1e-6)
@@ -227,14 +227,14 @@ def _symmetric_two_user_state():
     )
     est = build_estimation(ls_sym, state["book"], state["est"].eta_train,
                            state["cfg"].sigma_w2)
-    tables = build_se_tables(ls_sym, est, state["book"], state["assoc"])
+    tables = build_se_tables(ls_sym, est, state["book"], state["serving"])
     return state["cfg"], tables
 
 
 def test_maxmin_dl_symmetric_users_equal_rates():
     cfg, tables = _symmetric_two_user_state()
     budgets = np.full(tables.n_ap, 0.2)
-    prelog = cfg.frame.tau_d / cfg.frame.tau_c
+    prelog = cfg.frame.prelog
     eta, _ = maxmin_dl(tables, budgets, cfg.sigma_z2, prelog)
     rates = se_from_sinr(dl_sinr_lb(tables, eta, cfg.sigma_z2), prelog)
     assert abs(rates[0] - rates[1]) <= 0.01 * rates.max()
@@ -245,7 +245,7 @@ def test_maxmin_dl_dominates_ppa(seed):
     state = make_state(seed=seed, n_ap=4, n_gue=3, n_uav=1, tau_p=2)
     tables, cfg, ls = state["tables"], state["cfg"], state["ls"]
     budgets = np.full(tables.n_ap, 0.2)
-    prelog = cfg.frame.tau_d / cfg.frame.tau_c
+    prelog = cfg.frame.prelog
     eta_ppa = ppa_dl(tables.gamma, tables.serving, budgets)
     min_ppa = se_from_sinr(dl_sinr_lb(tables, eta_ppa, cfg.sigma_z2), prelog).min()
     eta, info = maxmin_dl(tables, budgets, cfg.sigma_z2, prelog, max_outer_iters=10)
@@ -261,7 +261,7 @@ def test_maxmin_dl_kappa_class_budgets(gate_fixture):
         gate_fixture["tables"], gate_fixture["cfg"], gate_fixture["ls"]
     )
     budgets = np.full(tables.n_ap, 0.2)
-    prelog = cfg.frame.tau_d / cfg.frame.tau_c
+    prelog = cfg.frame.prelog
     kappa = 0.2
     eta, _ = maxmin_dl(tables, budgets, cfg.sigma_z2, prelog, roles=ls.roles,
                        kappa=kappa, max_outer_iters=6)
@@ -302,7 +302,7 @@ def test_dl_smoothed_min_gradient_matches_finite_differences(gate_fixture):
 def test_maxmin_dl_converges_without_shared_pilots():
     state = make_state(**NO_SHARED_PILOT)
     tables, cfg = state["tables"], state["cfg"]
-    prelog = cfg.frame.tau_d / cfg.frame.tau_c
+    prelog = cfg.frame.prelog
     eta, info = maxmin_dl(tables, np.full(tables.n_ap, 0.2), cfg.sigma_z2, prelog)
     assert info["converged"]
     min_se = se_from_sinr(dl_sinr_lb(tables, eta, cfg.sigma_z2), prelog).min()
@@ -312,7 +312,7 @@ def test_maxmin_dl_converges_without_shared_pilots():
 
 def test_maxmin_dl_zero_budgets_raise_naming_ap(gate_fixture):
     tables, cfg = gate_fixture["tables"], gate_fixture["cfg"]
-    prelog = cfg.frame.tau_d / cfg.frame.tau_c
+    prelog = cfg.frame.prelog
     with pytest.raises(DegenerateInputError, match="AP 0"):
         maxmin_dl(tables, np.zeros(tables.n_ap), cfg.sigma_z2, prelog)
 
@@ -322,7 +322,7 @@ def test_maxmin_dl_user_without_gamma_raises_naming_user(gate_fixture):
     gamma = tables.gamma.copy()
     gamma[2] = 0.0
     tables = dataclasses.replace(tables, gamma=gamma)
-    prelog = cfg.frame.tau_d / cfg.frame.tau_c
+    prelog = cfg.frame.prelog
     with pytest.raises(DegenerateInputError, match="user 2"):
         maxmin_dl(tables, np.full(tables.n_ap, 0.2), cfg.sigma_z2, prelog)
 
@@ -332,14 +332,14 @@ def test_maxmin_dl_nan_objective_raises_single_user():
     # objective must end the run, not spin in the step search
     state = make_state(seed=15, n_ap=2, n_gue=1, n_uav=0, tau_p=2)
     tables, cfg = state["tables"], state["cfg"]
-    prelog = cfg.frame.tau_d / cfg.frame.tau_c
+    prelog = cfg.frame.prelog
     with pytest.raises(SolverError, match="nan"):
         maxmin_dl(tables, np.full(tables.n_ap, 0.2), float("nan"), prelog)
 
 
 def _maxmin_min_se(state, max_outer_iters=50, kappa=None, **kw):
     tables, cfg = state["tables"], state["cfg"]
-    prelog = cfg.frame.tau_d / cfg.frame.tau_c
+    prelog = cfg.frame.prelog
     roles = state["ls"].roles if kappa is not None else None
     eta, info = maxmin_dl(tables, np.full(tables.n_ap, 0.2), cfg.sigma_z2, prelog, roles=roles,
                           kappa=kappa, max_outer_iters=max_outer_iters, **kw)
@@ -423,7 +423,7 @@ def test_maxmin_dl_stall_stop_only_ends_a_stage(monkeypatch):
     # steps without the stall test ends, bit for bit
     state = _instance("dominates-ppa-23")
     tables, cfg = state["tables"], state["cfg"]
-    args = (tables, np.full(tables.n_ap, 0.2), cfg.sigma_z2, cfg.frame.tau_d / cfg.frame.tau_c)
+    args = (tables, np.full(tables.n_ap, 0.2), cfg.sigma_z2, cfg.frame.prelog)
     eta, info = maxmin_dl(*args, max_outer_iters=1)
     (n,) = info["steps"]
     assert n < 100
@@ -441,7 +441,7 @@ def test_maxmin_dl_matches_grid_oracle():
     # a polar grid, then on a finer grid around the best coarse point
     state = make_state(seed=12, n_ap=1, n_gue=2, n_uav=0, tau_p=2, assignment=[0, 0])
     tables, cfg = state["tables"], state["cfg"]
-    prelog = cfg.frame.tau_d / cfg.frame.tau_c
+    prelog = cfg.frame.prelog
     budget = 0.2
     gamma = tables.gamma[:, 0]
 
@@ -487,14 +487,14 @@ def test_maxmin_dl_converged_is_truthful(name):
 def test_maxmin_ul_single_user_maxes_out():
     state = make_state(seed=25, n_ap=2, n_gue=1, n_uav=0, tau_p=2)
     tables, cfg = state["tables"], state["cfg"]
-    prelog = cfg.frame.tau_u / cfg.frame.tau_c
+    prelog = cfg.frame.prelog
     eta, _ = maxmin_ul(tables, cfg.sigma_w2, prelog, p_max=np.array([0.1]))
     assert eta[0] == pytest.approx(0.1, rel=1e-6)
 
 
 def test_maxmin_ul_symmetric_users_equal_rates():
     cfg, tables = _symmetric_two_user_state()
-    prelog = cfg.frame.tau_u / cfg.frame.tau_c
+    prelog = cfg.frame.prelog
     eta, _ = maxmin_ul(tables, cfg.sigma_w2, prelog, p_max=np.full(2, 0.1))
     rates = se_from_sinr(ul_sinr_lb(tables, eta, cfg.sigma_w2), prelog)
     assert abs(rates[0] - rates[1]) <= 0.01 * rates.max()
@@ -518,7 +518,7 @@ def test_maxmin_ul_dominates_fpc(seed):
     tables, cfg, est = state["tables"], state["cfg"], state["est"]
     p_max = np.full(tables.n_users, 0.1)
     fpc = fpc_ul(est.tr_G, tables.serving, p_max, cfg.power.fpc.p0_watts, 0.5)
-    prelog = cfg.frame.tau_u / cfg.frame.tau_c
+    prelog = cfg.frame.prelog
     min_fpc = se_from_sinr(ul_sinr_lb(tables, fpc, cfg.sigma_w2), prelog).min()
     eta, info = maxmin_ul(tables, cfg.sigma_w2, prelog, p_max)
     sinr = ul_sinr_lb(tables, eta, cfg.sigma_w2)

@@ -139,14 +139,14 @@ def test_trace_imaginary_guard_decisions(gate_fixture):
     # the guard reads its maxima over the LOS and the NLOS parts separately: a
     # rotated estimator still raises, and a NaN still silences it as one max over
     # both parts would, leaving the NaN to the SINR denominator guard
-    ls, est, book, assoc = (gate_fixture[k] for k in ("ls", "est", "book", "assoc"))
+    ls, est, book, serving = (gate_fixture[k] for k in ("ls", "est", "book", "serving"))
     assert est.dense_users.tolist() == [0, 1, 2, 3]  # each pilot carries a UAV
     D = est.D_dense.copy()
     D[2] *= np.exp(1e-3j)  # a UAV's estimator, so both parts see it
     with pytest.raises(NumericsError, match="imaginary part"):
-        build_se_tables(ls, dataclasses.replace(est, D_dense=D), book, assoc)
+        build_se_tables(ls, dataclasses.replace(est, D_dense=D), book, serving)
     D[1, 0, 0, 0] = np.nan
-    tables = build_se_tables(ls, dataclasses.replace(est, D_dense=D), book, assoc)
+    tables = build_se_tables(ls, dataclasses.replace(est, D_dense=D), book, serving)
     eta_dl = np.where(tables.serving, 0.01, 0.0)
     with pytest.raises(NumericsError, match="denominator"):
         dl_sinr_lb(tables, eta_dl, gate_fixture["cfg"].sigma_z2)
@@ -286,7 +286,7 @@ def test_ul_sinr_scalar_assembly_oracle():
 
 def test_sinr_invariant_under_per_ap_unitary_rotation(gate_fixture):
     state = gate_fixture
-    ls, book, assoc, cfg = state["ls"], state["book"], state["assoc"], state["cfg"]
+    ls, book, serving, cfg = state["ls"], state["book"], state["serving"], state["cfg"]
     tables = state["tables"]
     eta_dl = ppa_dl(tables.gamma, tables.serving, np.full(cfg.n_ap, 0.2))
     base_dl = dl_sinr_lb(tables, eta_dl, cfg.sigma_z2)
@@ -299,7 +299,7 @@ def test_sinr_invariant_under_per_ap_unitary_rotation(gate_fixture):
     steer2[:, 1, :] = steer2[:, 1, :] @ U.T
     ls2 = dataclasses.replace(ls, steering=steer2)
     est2 = build_estimation(ls2, book, state["est"].eta_train, cfg.sigma_w2)
-    tables2 = build_se_tables(ls2, est2, book, assoc)
+    tables2 = build_se_tables(ls2, est2, book, serving)
     np.testing.assert_allclose(
         dl_sinr_lb(tables2, eta_dl, cfg.sigma_z2), base_dl, rtol=1e-9
     )
@@ -327,9 +327,9 @@ def test_silencing_interferers_never_hurts(gate_fixture):
 
 def test_prelog_factors(gate_fixture):
     cfg = gate_fixture["cfg"]
-    # equal split of tau_c - tau_p, DL tau_d / tau_c and UL tau_u / tau_c
-    assert cfg.frame.tau_d == cfg.frame.tau_u == (cfg.frame.tau_c - cfg.frame.tau_p) / 2
-    se = se_from_sinr(np.array([1.0]), cfg.frame.tau_d / cfg.frame.tau_c)
+    # DL and UL split tau_c - tau_p equally, so each link's prelog is half of it over tau_c
+    assert cfg.frame.prelog == (cfg.frame.tau_c - cfg.frame.tau_p) / 2 / cfg.frame.tau_c
+    se = se_from_sinr(np.array([1.0]), cfg.frame.prelog)
     assert se[0] == pytest.approx((cfg.frame.tau_c - cfg.frame.tau_p) / 2 / cfg.frame.tau_c)
 
 
@@ -339,11 +339,11 @@ def test_prelog_factors(gate_fixture):
 
 def test_ub_zero_power_is_zero(gate_fixture):
     state = gate_fixture
-    ls, est, book, assoc, cfg = (
-        state["ls"], state["est"], state["book"], state["assoc"], state["cfg"]
+    ls, est, book, serving, cfg = (
+        state["ls"], state["est"], state["book"], state["serving"], state["cfg"]
     )
     res, _ = se_ub_mc(
-        ls, est, book, assoc.serving, np.zeros_like(est.gamma), np.full(cfg.n_users, 0.1),
+        ls, est, book, serving, np.zeros_like(est.gamma), np.full(cfg.n_users, 0.1),
         cfg.sigma_z2, 0.42, 0.42, 2000, np.random.default_rng(8),
     )
     np.testing.assert_array_equal(res.se, 0.0)
@@ -351,19 +351,18 @@ def test_ub_zero_power_is_zero(gate_fixture):
 
 def test_ub_dominates_lb(gate_fixture):
     state = gate_fixture
-    ls, est, book, assoc, cfg, tables = (
-        state["ls"], state["est"], state["book"], state["assoc"], state["cfg"],
+    ls, est, book, serving, cfg, tables = (
+        state["ls"], state["est"], state["book"], state["serving"], state["cfg"],
         state["tables"],
     )
-    prelog_dl = cfg.frame.tau_d / cfg.frame.tau_c
-    prelog_ul = cfg.frame.tau_u / cfg.frame.tau_c
+    prelog = cfg.frame.prelog
     eta_dl = ppa_dl(tables.gamma, tables.serving, np.full(cfg.n_ap, 0.2))
     eta_ul = np.full(cfg.n_users, 0.1)
     rng = np.random.default_rng(9)
-    lb_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.sigma_z2), prelog_dl)
-    lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), prelog_ul)
-    ub_dl, ub_ul = se_ub_mc(ls, est, book, assoc.serving, eta_dl, eta_ul, cfg.sigma_z2,
-                            prelog_dl, prelog_ul, 30_000, rng)
+    lb_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.sigma_z2), prelog)
+    lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), prelog)
+    ub_dl, ub_ul = se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, cfg.sigma_z2,
+                            prelog, prelog, 30_000, rng)
     assert (lb_dl <= ub_dl.se + 3.0 * ub_dl.se_stderr).all()
     assert (lb_ul <= ub_ul.se + 3.0 * ub_ul.se_stderr).all()
 
@@ -377,20 +376,19 @@ def test_closed_form_matches_mc_in_user_centric_mode():
     st = make_state(seed=77, n_ap=4, n_ap_antennas=2, n_gue=2, n_uav=2, tau_p=2,
                     assignment=[0, 1, 0, 1], association_mode="uc",
                     uc_cluster_size=2)
-    tables, cfg, ls, est, book, assoc = (
-        st["tables"], st["cfg"], st["ls"], st["est"], st["book"], st["assoc"]
+    tables, cfg, ls, est, book, serving = (
+        st["tables"], st["cfg"], st["ls"], st["est"], st["book"], st["serving"]
     )
     budgets = np.full(cfg.n_ap, 0.2)
     eta_dl = ppa_dl(tables.gamma, tables.serving, budgets)
     eta_ul = fpc_ul(est.tr_G, tables.serving, np.full(4, 0.1),
                     cfg.power.fpc.p0_watts, 0.5)
-    pre_d = cfg.frame.tau_d / cfg.frame.tau_c
-    pre_u = cfg.frame.tau_u / cfg.frame.tau_c
-    lb_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.sigma_z2), pre_d)
-    lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), pre_u)
-    mc_dl = uatf_dl_mc(ls, est, book, assoc.serving, eta_dl, cfg.sigma_z2, pre_d,
+    prelog = cfg.frame.prelog
+    lb_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.sigma_z2), prelog)
+    lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), prelog)
+    mc_dl = uatf_dl_mc(ls, est, book, serving, eta_dl, cfg.sigma_z2, prelog,
                        50_000, np.random.default_rng(1))
-    mc_ul = uatf_ul_mc(ls, est, book, assoc.serving, eta_ul, pre_u,
+    mc_ul = uatf_ul_mc(ls, est, book, serving, eta_ul, prelog,
                        50_000, np.random.default_rng(2))
     assert (np.abs(lb_dl - mc_dl.se) <= 3.0 * mc_dl.se_stderr).all()
     assert (np.abs(lb_ul - mc_ul.se) <= 3.0 * mc_ul.se_stderr).all()
@@ -398,15 +396,15 @@ def test_closed_form_matches_mc_in_user_centric_mode():
 
 def test_uatf_interference_zero_for_silent_user(gate_fixture):
     state = gate_fixture
-    ls, est, book, assoc, cfg, tables = (
-        state["ls"], state["est"], state["book"], state["assoc"], state["cfg"],
+    ls, est, book, serving, cfg, tables = (
+        state["ls"], state["est"], state["book"], state["serving"], state["cfg"],
         state["tables"],
     )
     from cfsim.mc import uatf_dl_mc
 
     eta_dl = ppa_dl(tables.gamma, tables.serving, np.full(cfg.n_ap, 0.2))
     eta_dl[1, :] = 0.0  # user 1 transmitless
-    res = uatf_dl_mc(ls, est, book, assoc.serving, eta_dl, cfg.sigma_z2, 0.42,
+    res = uatf_dl_mc(ls, est, book, serving, eta_dl, cfg.sigma_z2, 0.42,
                      2000, np.random.default_rng(11))
     np.testing.assert_array_equal(res.interference[:, 1], 0.0)
 
@@ -419,14 +417,13 @@ def literal_ub():
 
     state = make_state(seed=8, n_ap=2, n_gue=2, n_uav=0, tau_p=2, assignment=[0, 1])
     ls, est, book, cfg = state["ls"], state["est"], state["book"], state["cfg"]
-    serving = state["assoc"].serving
+    serving = state["serving"]
     tables = state["tables"]
     eta_dl = ppa_dl(tables.gamma, tables.serving, np.full(cfg.n_ap, 0.2))
     eta_ul = np.full(ls.n_users, 0.1)
-    prelog_dl = cfg.frame.tau_d / cfg.frame.tau_c
-    prelog_ul = cfg.frame.tau_u / cfg.frame.tau_c
-    fast = se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, cfg.sigma_z2, prelog_dl,
-                    prelog_ul, 40_000, np.random.default_rng(12))
+    prelog = cfg.frame.prelog
+    fast = se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, cfg.sigma_z2, prelog,
+                    prelog, 40_000, np.random.default_rng(12))
 
     rng = np.random.default_rng(13)
     n = 40_000
@@ -449,7 +446,7 @@ def literal_ub():
         pw = eta_ul[None, :] * np.abs(cross) ** 2
         num = np.diag(pw)
         acc_ul += np.log2(1.0 + num / (pw.sum(axis=1) - num + noise))
-    return fast, (prelog_dl * acc_dl / n, prelog_ul * acc_ul / n)
+    return fast, (prelog * acc_dl / n, prelog * acc_ul / n)
 
 
 def test_ub_matches_independent_literal_path_oracle(literal_ub):

@@ -1,6 +1,5 @@
 """The process's thread budget: the SE tables over AP halves and the sampler's
-workers give every output byte of the one-thread run, and estimation, which runs
-on the calling thread, gives the same state at either budget."""
+workers give every output byte of the one-thread run."""
 
 import importlib.util
 import os
@@ -17,12 +16,11 @@ from cfsim import threads
 from cfsim.channel import build_large_scale
 from cfsim.cli import main
 from cfsim.config import load_config, preset_desk, preset_mmimo, preset_paper
-from cfsim.errors import NumericsError
 from cfsim.estimation import build_estimation
 from cfsim.harness import run_drop
+from cfsim.se import build_se_tables
 
 from conftest import drop_state, low_uav_desk
-from per_pair import covariances
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 OUTPUTS = ("se_lb_dl", "se_lb_ul", "se_ub_dl", "se_ub_ul", "se_ub_dl_stderr", "se_ub_ul_stderr")
@@ -76,8 +74,7 @@ def test_budget_starts_at_the_one_job_rule(monkeypatch, cpus, budget):
 
 
 @pytest.mark.parametrize("name", ["paper", "desk", "mmimo", "desk-low-uav", "collided_uc"])
-def test_scalar_users_are_those_whose_d_is_d_times_identity(monkeypatch, split_all,
-                                                            collided_uc, name):
+def test_scalar_users_are_those_whose_d_is_d_times_identity(collided_uc, name):
     # estimation keeps D whole on the users whose pilot carries a LOS user at some
     # AP (dense_users); every other user's D is the real d I, which the sampler
     # applies as a multiply. A dense row is exactly d I at the APs where its pilot
@@ -94,15 +91,13 @@ def test_scalar_users_are_those_whose_d_is_d_times_identity(monkeypatch, split_a
     los_term = same @ (ls.rice_k > 0)  # (K, A): the pilot has a LOS term at the AP
     normal = same @ (ls.rice_k >= np.finfo(float).tiny)
     assert (los_term & ~normal).any() == (name == "desk-low-uav")
-    for budget in (1, 2):
-        monkeypatch.setattr(threads, "BUDGET", budget)
-        est = build_estimation(ls, book, cfg.train_energy_w, cfg.sigma_w2)
-        rows = est.dense_users
-        assert rows.tolist() == np.flatnonzero(los_term.any(axis=1)).tolist()
-        d_eye = est.d[rows, :, None, None] * np.eye(est.n_ap_antennas)
-        diagonal = (est.D_dense == d_eye).all(axis=(2, 3))
-        assert diagonal[~los_term[rows]].all()
-        assert not diagonal[(same @ (ls.rice_k > 1e-3))[rows]].any()
+    est = build_estimation(ls, book, cfg.train_energy_w, cfg.sigma_w2)
+    rows = est.dense_users
+    assert rows.tolist() == np.flatnonzero(los_term.any(axis=1)).tolist()
+    d_eye = est.d[rows, :, None, None] * np.eye(est.n_ap_antennas)
+    diagonal = (est.D_dense == d_eye).all(axis=(2, 3))
+    assert diagonal[~los_term[rows]].all()
+    assert not diagonal[(same @ (ls.rice_k > 1e-3))[rows]].any()
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -124,24 +119,25 @@ def test_low_uav_halves_see_different_los_users(monkeypatch, split_all):
     assert (los.any(axis=1) & ~los.all(axis=1)).any()
 
 
-def test_estimation_at_budget_2_under_frequent_thread_switches(monkeypatch, split_all,
-                                                              gate_fixture):
-    # estimation runs on the calling thread at any budget; at budget 2, with thread
-    # switches as often as the interpreter allows, it must leave every byte of the
-    # one-thread state
-    ls, book, est = gate_fixture["ls"], gate_fixture["book"], gate_fixture["est"]
+def test_se_tables_at_budget_2_under_frequent_thread_switches(monkeypatch, split_all,
+                                                             gate_fixture):
+    # the SE tables split into AP halves at budget 2; with thread switches as often
+    # as the interpreter allows, the halves must write every byte of the one-thread C
+    # and pair terms
+    ls, book, est, serving = (gate_fixture[k] for k in ("ls", "book", "est", "serving"))
     monkeypatch.setattr(threads, "BUDGET", 1)
-    serial = build_estimation(ls, book, est.eta_train, est.sigma_w2)
+    serial = build_se_tables(ls, est, book, serving)
     monkeypatch.setattr(threads, "BUDGET", 2)
+    assert len(threads.ap_slices(est.n_ap, 0)) == 2
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        states = [build_estimation(ls, book, est.eta_train, est.sigma_w2) for _ in range(20)]
+        tables = [build_se_tables(ls, est, book, serving) for _ in range(20)]
     finally:
         sys.setswitchinterval(interval)
-    for state in states:
-        for field in ("d", "dense_users", "D_dense", "gamma", "tr_G", "tr_B"):
-            assert getattr(state, field).tobytes() == getattr(serial, field).tobytes(), field
+    for t in tables:
+        for field in ("C", "pair_t"):
+            assert getattr(t, field).tobytes() == getattr(serial, field).tobytes(), field
 
 
 def test_over_aps_raises_the_workers_exception():
@@ -185,26 +181,6 @@ def test_worker_half_failure_gives_the_serial_message_and_exit_3(monkeypatch, sp
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert "training covariance is not finite" in errors[1]
-
-
-@pytest.mark.parametrize("worst", [1, 0])
-def test_condition_raise_reads_the_whole_drop(monkeypatch, split_all, gate_fixture, worst):
-    # the limit sits just below the worst cond(B) of the AP half given by `worst`:
-    # at budget 2 the raise and its cond.max() message are those of budget 1
-    ls, book, est = gate_fixture["ls"], gate_fixture["book"], gate_fixture["est"]
-    monkeypatch.setattr(threads, "BUDGET", 2)
-    aps = threads.ap_slices(est.n_ap, 0)[worst]
-    N = est.n_ap_antennas
-    _, B = covariances(ls, book, est.eta_train, est.sigma_w2)
-    limit = np.linalg.cond(B[:, aps].reshape(-1, N, N)).max() * (1 - 1e-6)
-    monkeypatch.setattr("cfsim.estimation.CONDITION_LIMIT", limit)
-    messages = []
-    for budget in (1, 2):
-        monkeypatch.setattr(threads, "BUDGET", budget)
-        with pytest.raises(NumericsError, match="ill-conditioned") as exc:
-            build_estimation(ls, book, est.eta_train, est.sigma_w2)
-        messages.append(str(exc.value))
-    assert messages[0] == messages[1]
 
 
 def test_serial_campaign_calls_run_drop_through_the_module_global(monkeypatch):
