@@ -29,8 +29,6 @@ class LargeScaleState:
     beta: np.ndarray  # (K, A) linear power gain
     rice_k: np.ndarray  # (K, A)
     steering: np.ndarray  # (K, A, N) complex, unit modulus; 0 on users without a LOS link
-    shadow_db: np.ndarray  # (K, A)
-    los_state: np.ndarray  # (K, A) bool, Bernoulli(p_LOS) draw used by UAV path loss
     roles: np.ndarray  # (K,)
 
     @property
@@ -198,8 +196,6 @@ def build_large_scale(config, geometry: NetworkGeometry, rng) -> LargeScaleState
         beta=beta,
         rice_k=rice,
         steering=np.zeros((*d3.shape, geometry.n_ap_antennas), dtype=complex),
-        shadow_db=shadow_db,
-        los_state=los_state,
         roles=roles.copy(),
     )
     # steer towards the periodic user image nearest to each AP so wrap-around

@@ -243,13 +243,8 @@ class SimConfig:
         return self.carrier_freq_hz / 1e9
 
     @property
-    def sigma_w2(self):
-        """AP-side noise variance in Watts."""
-        return self.noise.variance_watts(self.bandwidth_hz)
-
-    @property
-    def sigma_z2(self):
-        """User-side noise variance in Watts."""
+    def noise_w(self):
+        """Noise variance in Watts, the same at the APs (sigma_w^2) and the users (sigma_z^2)."""
         return self.noise.variance_watts(self.bandwidth_hz)
 
     @property
@@ -297,7 +292,7 @@ class SimConfig:
         for name, value in _floats(self):
             if not math.isfinite(value):
                 raise ConfigError(f"must be finite, got {value}", field=name)
-        for name, power in (("noise", lambda: self.sigma_w2),
+        for name, power in (("noise", lambda: self.noise_w),
                             ("power.fpc.p0_dbm", lambda: self.power.fpc.p0_watts)):
             try:
                 watts = power()
@@ -363,6 +358,11 @@ class SimConfig:
             raise ConfigError("must be >= 2 for a standard error", field="mc.batch_count")
         if 0 < self.mc.ub_samples < self.mc.batch_count:
             raise ConfigError("must be 0 or >= mc.batch_count", field="mc.ub_samples")
+        samples, batches = self.mc.ub_samples, self.mc.batch_count
+        largest = samples // batches + samples % batches
+        if 16 * largest * (self.n_users + self.frame.tau_p) * self.n_ap * self.n_ap_antennas > ram:
+            raise ConfigError(f"one batch of {largest} UB samples: its raw draws exceed physical "
+                              "memory", field="mc.batch_count")
         return self
 
 
@@ -489,9 +489,9 @@ def config_to_dict(cfg):
 def load_config(path, base=None):
     """Load and validate a YAML config file; layers over `base` when given."""
     try:
-        with open(path, "r") as fh:
+        with open(path, "rb") as fh:  # PyYAML reports bad bytes as a YAMLError
             data = yaml.safe_load(fh)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise ConfigError(str(exc), field="config") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}", field="config") from exc

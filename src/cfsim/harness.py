@@ -73,7 +73,7 @@ def allocate_dl(config: SimConfig, tables, roles):
     if p.dl == "wfpa":
         return (
             wfpa_dl(
-                tables.gamma, tables.serving, budgets, config.sigma_z2,
+                tables.gamma, tables.serving, budgets, config.noise_w,
                 roles=roles, kappa=p.kappa,
             ),
             {},
@@ -85,7 +85,7 @@ def allocate_dl(config: SimConfig, tables, roles):
     return maxmin_dl(
         tables,
         budgets,
-        config.sigma_z2,
+        config.noise_w,
         prelog=config.frame.prelog,
         roles=roles,
         kappa=p.kappa,
@@ -101,7 +101,7 @@ def allocate_ul(config: SimConfig, tables, est):
     if p.ul == "fpc":
         return fpc_ul(est.tr_G, tables.serving, p_max, p.fpc.p0_watts, p.fpc.alpha), {}
     return maxmin_ul(
-        tables, config.sigma_w2, prelog=config.frame.prelog, p_max=p_max
+        tables, config.noise_w, prelog=config.frame.prelog, p_max=p_max
     )
 
 
@@ -122,21 +122,21 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
         ls = build_large_scale(config, geometry, rng_state)
         book = assign_pilots(config.n_users, config.frame.tau_p, rng_state)
         serving = build_association(config, ls.beta)
-        est = build_estimation(ls, book, eta_train=config.train_energy_w, sigma_w2=config.sigma_w2)
+        est = build_estimation(ls, book, eta_train=config.train_energy_w, sigma_w2=config.noise_w)
         tables = build_se_tables(ls, est, book, serving)
 
         eta_dl, dl_info = allocate_dl(config, tables, ls.roles)
         eta_ul, ul_info = allocate_ul(config, tables, est)
 
         prelog = config.frame.prelog
-        se_lb_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, config.sigma_z2), prelog)
-        se_lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, config.sigma_w2), prelog)
+        se_lb_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, config.noise_w), prelog)
+        se_lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, config.noise_w), prelog)
 
         outputs = {"se_lb_dl": se_lb_dl, "se_lb_ul": se_lb_ul}
         if config.mc.ub_samples > 0:
             ub_dl, ub_ul = se_ub_mc(
-                ls, est, book, serving, eta_dl, eta_ul, config.sigma_z2,
-                prelog, prelog, config.mc.ub_samples, rng_mc,
+                ls, est, book, serving, eta_dl, eta_ul, config.noise_w,
+                prelog, config.mc.ub_samples, rng_mc,
                 batch_count=config.mc.batch_count,
             )
             outputs.update(se_ub_dl=ub_dl.se, se_ub_ul=ub_ul.se,

@@ -6,13 +6,12 @@ the closed-form lower bound and (ii) the sampled upper bounds. This module is
 the independent side of the dual-route check: it never touches the
 closed-form tables in cfsim.se.
 
-The copilot mix is a sum per pilot. All three estimators run one sampler
-(`_batch_sums`) and one cross kernel (`_cross`), and differ only in the
-per-block reducer they hand the sampler. A reducer consumes its block's g_hat:
-the kernel conjugates and scales it in place and multiplies it into g^T (a
-batched BLAS matmul over (S, K, A*N) reshapes) once per link asked for. The
-upper bounds of both links share one reducer, so each sample is drawn and
-estimated once.
+The copilot mix is a sum per pilot. Both estimators, the UatF mirror and the
+upper bounds, run one sampler (`_batch_sums`) and one cross kernel (`_cross`)
+and differ only in the per-block reducer they hand the sampler. The kernel
+consumes its block's g_hat: it conjugates and scales it in place and
+multiplies it into g^T (a batched BLAS matmul over (S, K, A*N) reshapes) once
+per link, so each sample is drawn and estimated once for both links.
 
 The sampler is a two-stage pipeline. The calling thread makes every random
 draw, in one fixed order; threads.BUDGET worker threads run each block's
@@ -42,12 +41,12 @@ def _power(z):
     return z.real**2 + z.imag**2
 
 
-def _cross(g, g_hat, mask=None, root_eta_dl=None):
-    """Cross terms of the links asked for, as (ul, norms, dl); g_hat is consumed.
+def _cross(g, g_hat, mask, root_eta_dl):
+    """Cross terms of both links, as (ul, norms, dl); g_hat is consumed.
 
-    With mask (K, A) of 0/1: ul[s, k, j] = sum_{a in A_k} ghat_{k,a}^H g_{j,a} and
-    norms[s, k] = sum_{a in A_k} ||ghat_{k,a}||^2. With root_eta_dl (K, A), zero
-    off the serving mask: dl[s, k, j] = sum_a sqrt(eta_dl[j,a]) g_{k,a}^H ghat_{j,a},
+    mask (K, A) of 0/1: ul[s, k, j] = sum_{a in A_k} ghat_{k,a}^H g_{j,a} and
+    norms[s, k] = sum_{a in A_k} ||ghat_{k,a}||^2. root_eta_dl (K, A), zero off
+    the serving mask: dl[s, k, j] = sum_a sqrt(eta_dl[j,a]) g_{k,a}^H ghat_{j,a},
     the conjugate transpose of (conj(ghat) sqrt(eta_dl)) @ g^T. g_hat is
     conjugated and scaled in place, and both products share the right operand g^T.
     """
@@ -55,18 +54,21 @@ def _cross(g, g_hat, mask=None, root_eta_dl=None):
     right = g.reshape(S, K, -1).transpose(0, 2, 1)
     left = g_hat.reshape(S, K, -1)
     flat = left.view(float)  # real and imaginary parts side by side
-    conj = np.tile([1.0, -1.0], A * N)  # folded into the first scaling
-    ul = norms = dl = None
-    if mask is not None:
-        flat *= np.repeat(mask, 2 * N, axis=1) * conj
-        conj = 1.0
-        norms = np.einsum("skx,skx->sk", flat, flat)
-        ul = left @ right
-    if root_eta_dl is not None:
-        flat *= np.repeat(root_eta_dl, 2 * N, axis=1) * conj
-        dl = left @ right
-        dl = np.conjugate(dl, out=dl).transpose(0, 2, 1)
-    return ul, norms, dl
+    flat *= np.repeat(mask, 2 * N, axis=1) * np.tile([1.0, -1.0], A * N)
+    norms = np.einsum("skx,skx->sk", flat, flat)
+    ul = left @ right
+    flat *= np.repeat(root_eta_dl, 2 * N, axis=1)
+    dl = left @ right
+    return ul, norms, np.conjugate(dl, out=dl).transpose(0, 2, 1)
+
+
+def _link_sums(ls, est, book, serving, eta_dl, n_samples, rng, batch_count, reduce):
+    """_batch_sums of reduce(ul, norms, dl), the _cross terms of each block under
+    the 0/1 serving mask and sqrt(eta_dl) zeroed off it."""
+    mask = np.asarray(serving, dtype=float)
+    root = np.sqrt(np.where(serving, np.asarray(eta_dl, dtype=float), 0.0))
+    return _batch_sums(ls, est, book, rng, n_samples, batch_count,
+                       lambda g, g_hat: reduce(*_cross(g, g_hat, mask, root)))
 
 
 def _batched(n_samples, batch_count):
@@ -189,86 +191,38 @@ class UatfResult:
     noise_term: np.ndarray  # (K,)        sigma^2 (DL) or E|N_k|^2 (UL)
 
 
-def _uatf_result(total, batches, n_samples, prelog, terms):
-    """Assemble a UatfResult from moment sums; terms(*means) returns
-    (desired, gain_var, interference, noise_term)."""
-
-    def parts(sums, size):
-        desired, gain_var, interference, noise = terms(*(x / size for x in sums))
-        sinr = np.abs(desired) ** 2 / (gain_var + interference.sum(axis=1) + noise)
-        return desired, gain_var, interference, noise, sinr
-
-    desired, gain_var, interference, noise, sinr = parts(total, n_samples)
-    batch_se = [prelog * np.log2(1.0 + parts(sums, size)[4]) for size, sums in batches]
-    return UatfResult(
-        se=prelog * np.log2(1.0 + sinr),
-        se_stderr=_stderr(batch_se),
-        sinr=sinr,
-        desired=desired,
-        gain_var=gain_var,
-        interference=interference,
-        noise_term=noise,
-    )
-
-
-def uatf_dl_mc(
-    ls: LargeScaleState,
-    est: EstimationState,
-    book: PilotBook,
-    serving,
-    eta_dl,
-    sigma_z2,
-    prelog,
-    n_samples,
-    rng,
-    batch_count=20,
-):
-    """Sampled use-and-then-forget terms for the downlink bound."""
-    root = np.sqrt(np.where(serving, np.asarray(eta_dl, dtype=float), 0.0))
-
-    def reduce(g, g_hat):
-        cross = _cross(g, g_hat, root_eta_dl=root)[2]
-        return cross.sum(axis=0), _power(cross).sum(axis=0)
-
-    def terms(mean_c, mean_c2):
-        desired = np.diag(mean_c).copy()
-        interference = mean_c2.copy()
-        np.fill_diagonal(interference, 0.0)
-        gain_var = np.diag(mean_c2) - np.abs(desired) ** 2
-        return desired, gain_var, interference, np.full(len(desired), sigma_z2)
-
-    total, batches = _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce)
-    return _uatf_result(total, batches, n_samples, prelog, terms)
-
-
-def uatf_ul_mc(
-    ls: LargeScaleState,
-    est: EstimationState,
-    book: PilotBook,
-    serving,
-    eta_ul,
-    prelog,
-    n_samples,
-    rng,
-    batch_count=20,
-):
-    """Sampled use-and-then-forget terms for the uplink bound."""
+def uatf_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, prelog, n_samples, rng,
+            batch_count=20):
+    """Sampled use-and-then-forget term groups of both links' bounds, from one
+    (g, g_hat) stream. Returns (dl, ul) UatfResults."""
     eta = np.asarray(eta_ul, dtype=float)
-    mask = np.asarray(serving, dtype=float)
 
-    def reduce(g, g_hat):
-        cross, norms, _ = _cross(g, g_hat, mask)
-        return cross.sum(axis=0), _power(cross).sum(axis=0), norms.sum(axis=0)
+    def reduce(ul, norms, dl):
+        return [x.sum(axis=0) for x in (dl, _power(dl), ul, _power(ul), norms)]
 
-    def terms(mean_c, mean_c2, mean_n):
-        desired = np.sqrt(eta) * np.diag(mean_c)
-        gain_var = eta * (np.diag(mean_c2) - np.abs(np.diag(mean_c)) ** 2)
-        interference = eta[None, :] * mean_c2
-        np.fill_diagonal(interference, 0.0)
-        return desired, gain_var, interference, est.sigma_w2 * mean_n
+    def links(sums, size):
+        """Each link's (desired, gain_var, interference, noise_term, sinr) from the
+        moment sums over size samples; the UL weighs user j's terms by eta_ul[j]."""
+        dl_c, dl_c2, ul_c, ul_c2, ul_n = (x / size for x in sums)
+        for c, c2, w, noise in ((dl_c, dl_c2, np.ones_like(eta), np.full(len(eta), sigma_z2)),
+                                (ul_c, ul_c2, eta, est.sigma_w2 * ul_n)):
+            desired = np.sqrt(w) * np.diag(c)
+            gain_var = w * (np.diag(c2) - np.abs(np.diag(c)) ** 2)
+            interference = w[None, :] * c2
+            np.fill_diagonal(interference, 0.0)
+            sinr = np.abs(desired) ** 2 / (gain_var + interference.sum(axis=1) + noise)
+            yield desired, gain_var, interference, noise, sinr
 
-    total, batches = _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce)
-    return _uatf_result(total, batches, n_samples, prelog, terms)
+    total, batches = _link_sums(ls, est, book, serving, eta_dl, n_samples, rng, batch_count,
+                                reduce)
+    batch_se = [[prelog * np.log2(1.0 + link[4]) for link in links(sums, size)]
+                for size, sums in batches]
+    return tuple(
+        UatfResult(se=prelog * np.log2(1.0 + sinr), se_stderr=_stderr([b[i] for b in batch_se]),
+                   sinr=sinr, desired=desired, gain_var=gain_var, interference=interference,
+                   noise_term=noise)
+        for i, (desired, gain_var, interference, noise, sinr) in enumerate(links(total, n_samples))
+    )
 
 
 @dataclass(frozen=True)
@@ -277,40 +231,25 @@ class UbResult:
     se_stderr: np.ndarray  # (K,)
 
 
-def se_ub_mc(
-    ls,
-    est,
-    book,
-    serving,
-    eta_dl,
-    eta_ul,
-    sigma_z2,
-    prelog_dl,
-    prelog_ul,
-    n_samples,
-    rng,
-    batch_count=20,
-):
+def se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, prelog, n_samples, rng,
+             batch_count=20):
     """Sampled upper bounds prelog * E[log2(1 + instantaneous SINR)] of both
-    links, from one (g, g_hat) stream: each block's g_hat is consumed by one
-    _cross call for both links. Returns (dl, ul) UbResults."""
-    root = np.sqrt(np.where(serving, np.asarray(eta_dl, dtype=float), 0.0))
+    links, from one (g, g_hat) stream. Returns (dl, ul) UbResults."""
     eta = np.asarray(eta_ul, dtype=float)
-    mask = np.asarray(serving, dtype=float)
 
     def log_sum(pw, noise):
         num = np.diagonal(pw, axis1=1, axis2=2)
         return np.log2(1.0 + num / (pw.sum(axis=2) - num + noise)).sum(axis=0)
 
-    def reduce(g, g_hat):
-        ul, norms, dl = _cross(g, g_hat, mask, root)
+    def reduce(ul, norms, dl):
         return log_sum(_power(dl), sigma_z2), log_sum(eta * _power(ul), est.sigma_w2 * norms)
 
-    total, batches = _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce)
+    total, batches = _link_sums(ls, est, book, serving, eta_dl, n_samples, rng, batch_count,
+                                reduce)
     return tuple(
         UbResult(
             se=prelog * total[i] / n_samples,
             se_stderr=_stderr([prelog * sums[i] / size for size, sums in batches]),
         )
-        for i, prelog in enumerate((prelog_dl, prelog_ul))
+        for i in range(2)
     )

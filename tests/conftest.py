@@ -47,7 +47,7 @@ def make_state(
     else:
         book = assign_pilots(cfg.n_users, tau_p, rng)
     serving = build_association(cfg, ls.beta)
-    est = build_estimation(ls, book, cfg.train_energy_w, cfg.sigma_w2)
+    est = build_estimation(ls, book, cfg.train_energy_w, cfg.noise_w)
     tables = build_se_tables(ls, est, book, serving)
     return {
         "cfg": cfg,

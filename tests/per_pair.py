@@ -207,7 +207,6 @@ def fourth_moment_check(beta, rice_k, steering, D, n_samples, rng, batch_count=2
     )
     ls = LargeScaleState(  # one (user, AP) pair
         beta=np.array([[beta]]), rice_k=np.array([[rice_k]]), steering=steering[None, None],
-        shadow_db=np.zeros((1, 1)), los_state=np.zeros((1, 1), dtype=bool),
         roles=np.zeros(1, dtype=int),
     )
     vals = []

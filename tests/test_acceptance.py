@@ -17,7 +17,7 @@ import pytest
 from cfsim.config import preset_desk, preset_desk_mmimo
 from cfsim.geometry import ROLE_GUE, ROLE_UAV
 from cfsim.harness import run_campaign, write_rates_csv
-from cfsim.mc import uatf_dl_mc, uatf_ul_mc
+from cfsim.mc import uatf_mc
 from cfsim.power import (
     fpc_ul,
     maxmin_dl,
@@ -54,13 +54,11 @@ def test_criterion_1_closed_form_matches_mc_uatf(gate_fixture):
     eta_ul = fpc_ul(est.tr_G, tables.serving, np.full(cfg.n_users, 0.1),
                     cfg.power.fpc.p0_watts, cfg.power.fpc.alpha)
     prelog = cfg.frame.prelog
-    lb_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.sigma_z2), prelog)
-    lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), prelog)
+    lb_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.noise_w), prelog)
+    lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.noise_w), prelog)
     n = 100_000
-    mc_dl = uatf_dl_mc(ls, est, book, serving, eta_dl, cfg.sigma_z2, prelog,
-                       n, np.random.default_rng(1))
-    mc_ul = uatf_ul_mc(ls, est, book, serving, eta_ul, prelog,
-                       n, np.random.default_rng(2))
+    mc_dl, mc_ul = uatf_mc(ls, est, book, serving, eta_dl, eta_ul, cfg.noise_w, prelog,
+                           n, np.random.default_rng(1))
     dev_dl = np.abs(lb_dl - mc_dl.se) / mc_dl.se_stderr
     dev_ul = np.abs(lb_ul - mc_ul.se) / mc_ul.se_stderr
     worst = max(dev_dl.max(), dev_ul.max())
@@ -163,18 +161,18 @@ def test_criterion_5_maxmin_dominance_and_monotonicity():
         prelog = cfg.frame.prelog
 
         eta_ppa = ppa_dl(tables.gamma, tables.serving, budgets)
-        min_ppa = se_from_sinr(dl_sinr_lb(tables, eta_ppa, cfg.sigma_z2), prelog).min()
-        eta_dl, info_dl = maxmin_dl(tables, budgets, cfg.sigma_z2, prelog, max_outer_iters=15)
-        min_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.sigma_z2), prelog).min()
+        min_ppa = se_from_sinr(dl_sinr_lb(tables, eta_ppa, cfg.noise_w), prelog).min()
+        eta_dl, info_dl = maxmin_dl(tables, budgets, cfg.noise_w, prelog, max_outer_iters=15)
+        min_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.noise_w), prelog).min()
         worst_dl = min(worst_dl, min_dl / min_ppa - 1.0)
         tr = info_dl["min_rate_trace"]
         monotone &= all(tr[i + 1] >= tr[i] * (1 - tol) for i in range(len(tr) - 1))
 
         p_max = np.full(cfg.n_users, cfg.power.ul_max_w)
         eta_fpc = fpc_ul(est.tr_G, tables.serving, p_max, cfg.power.fpc.p0_watts, 0.5)
-        min_fpc = se_from_sinr(ul_sinr_lb(tables, eta_fpc, cfg.sigma_w2), prelog).min()
-        eta_ul, info_ul = maxmin_ul(tables, cfg.sigma_w2, prelog, p_max)
-        min_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), prelog).min()
+        min_fpc = se_from_sinr(ul_sinr_lb(tables, eta_fpc, cfg.noise_w), prelog).min()
+        eta_ul, info_ul = maxmin_ul(tables, cfg.noise_w, prelog, p_max)
+        min_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.noise_w), prelog).min()
         worst_ul = min(worst_ul, min_ul / min_fpc - 1.0)
         tru = info_ul["min_rate_trace"]
         monotone &= all(tru[i + 1] >= tru[i] * (1 - tol) for i in range(len(tru) - 1))
@@ -207,7 +205,7 @@ def test_criterion_6_kappa_accounting():
                                  roles=ls.roles, kappa=kappa)
                 else:
                     eta = wfpa_dl(tables.gamma, tables.serving, budgets,
-                                  cfg.sigma_z2, roles=ls.roles, kappa=kappa)
+                                  cfg.noise_w, roles=ls.roles, kappa=kappa)
                 uav_power = (eta * tables.gamma)[uav_rows].sum(axis=0)
                 worst = max(worst, float(np.abs(uav_power / (kappa * budgets) - 1.0).max()))
     elapsed = time.time() - t0
@@ -271,7 +269,7 @@ def _gue_ul_lb_rates_uavs_muted(cfg, n_uav):
         eta_ul = fpc_ul(est.tr_G, tables.serving, p_max, cfg.power.fpc.p0_watts,
                         cfg.power.fpc.alpha)
         eta_ul[roles == ROLE_UAV] = 0.0
-        se = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), prelog)
+        se = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.noise_w), prelog)
         rates.append(se[roles == ROLE_GUE] * cfg.bandwidth_hz)
     return np.concatenate(rates)
 

@@ -218,18 +218,18 @@ def _drop_outputs(st, ls):
     """What a drop computes from ls: the estimation state, the SE tables, both LB
     columns and a 40-sample UB with its stderr."""
     cfg, book, serving = st["cfg"], st["book"], st["serving"]
-    est = build_estimation(ls, book, cfg.train_energy_w, cfg.sigma_w2)
+    est = build_estimation(ls, book, cfg.train_energy_w, cfg.noise_w)
     tables = build_se_tables(ls, est, book, serving)
     eta_dl, _ = allocate_dl(cfg, tables, ls.roles)
     eta_ul, _ = allocate_ul(cfg, tables, est)
     prelog = cfg.frame.prelog
-    ub_dl, ub_ul = se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, cfg.sigma_z2,
-                            prelog, prelog, 40, np.random.default_rng(0), batch_count=2)
+    ub_dl, ub_ul = se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, cfg.noise_w,
+                            prelog, 40, np.random.default_rng(0), batch_count=2)
     return dict(
         d=est.d, D=est.D_dense, gamma=est.gamma, tr_G=est.tr_G, tr_B=est.tr_B, C=tables.C,
         pair_t=tables.pair_t,
-        lb_dl=se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.sigma_z2), prelog),
-        lb_ul=se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), prelog),
+        lb_dl=se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.noise_w), prelog),
+        lb_ul=se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.noise_w), prelog),
         ub_dl=ub_dl.se, ub_ul=ub_ul.se, err_dl=ub_dl.se_stderr, err_ul=ub_ul.se_stderr,
     )
 
@@ -313,8 +313,6 @@ def _single_pair_state(beta, rice, n_ant=4, seed=0):
         beta=np.array([[beta]]),
         rice_k=np.array([[rice]]),
         steering=steer[None, None, :],
-        shadow_db=np.zeros((1, 1)),
-        los_state=np.zeros((1, 1), dtype=bool),
         roles=np.array([0]),
     )
 
@@ -400,8 +398,7 @@ def _per_link_large_scale(config, geometry, rng):
                 steering[k, a] = steering_vector(geometry.ap_antennas[a], image,
                                                  config.wavelength_m)
     rng.uniform(0.0, 2.0 * np.pi, size=(K, A))  # the per-drop LOS phases nothing reads
-    return dict(beta=beta, rice_k=rice, shadow_db=shadow_db, los_state=los_state,
-                steering=steering)
+    return dict(beta=beta, rice_k=rice, steering=steering)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -420,9 +417,8 @@ def test_build_large_scale_matches_per_link_loop(cfg, seed):
     rng_ref, rng = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
     ref = _per_link_large_scale(cfg, geom, rng_ref)
     ls = build_large_scale(cfg, geom, rng)
-    for name in ("los_state", "steering"):
-        np.testing.assert_array_equal(getattr(ls, name), ref[name], err_msg=name)
+    np.testing.assert_array_equal(ls.steering, ref["steering"])
     assert rng.random() == rng_ref.random()
-    for name in ("beta", "rice_k", "shadow_db"):
+    for name in ("beta", "rice_k"):  # beta carries the LOS states and the shadowing
         np.testing.assert_allclose(getattr(ls, name), ref[name], rtol=1e-13, atol=0,
                                    err_msg=name)

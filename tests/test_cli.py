@@ -60,6 +60,31 @@ def test_validate_missing_file_exit_2(tmp_path):
     assert main(["validate", "--config", str(tmp_path / "nope.yaml")]) == 2
 
 
+def _config_path(tmp_path, kind):
+    """A config path that cfsim must refuse with exit 2, and what the message names."""
+    if kind == "directory":
+        return tmp_path, str(tmp_path)
+    path = tmp_path / "cfg.yaml"
+    if kind == "bad-bytes":
+        path.write_bytes(b"n_ap: 9\nn_gue: \xff\n")
+        return path, str(path)
+    # one UB batch of 5e10 samples: its raw draws exceed any RAM, so it must not be allocated
+    path.write_text("mc:\n  ub_samples: 1000000000000\n")
+    return path, "mc.batch_count"
+
+
+@pytest.mark.parametrize("kind", ["directory", "bad-bytes", "ub-batch-beyond-memory"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_unusable_config_exit_2(tmp_path, capsys, kind, command):
+    path, named = _config_path(tmp_path, kind)
+    args = [command, "--config", str(path)]
+    if command == "run":
+        args += ["--preset", "desk", "--drops", "1", "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_tiny_campaign(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.yaml"
     yaml.safe_dump(

@@ -41,8 +41,7 @@ def test_noise_variance_formula():
     cfg = preset_paper()
     expected_dbm = -174.0 + 10.0 * math.log10(20e6) + 9.0
     expected_w = 10.0 ** ((expected_dbm - 30.0) / 10.0)
-    assert cfg.sigma_w2 == pytest.approx(expected_w, rel=1e-12)
-    assert cfg.sigma_z2 == pytest.approx(expected_w, rel=1e-12)
+    assert cfg.noise_w == pytest.approx(expected_w, rel=1e-12)
 
 
 def test_mmimo_preset_conserves_power_and_antennas():

@@ -297,7 +297,7 @@ def _worst_conditioned():
         users = np.flatnonzero(book.assignment == book.assignment[k])
         B = sum(cfg.train_energy_w * covariance_G(ls.beta[i, a], ls.rice_k[i, a],
                                                   ls.steering[i, a]) for i in users)
-        return np.linalg.cond(B + cfg.sigma_w2 * np.eye(cfg.n_ap_antennas))
+        return np.linalg.cond(B + cfg.noise_w * np.eye(cfg.n_ap_antennas))
 
     pairs = [(k, a) for k, a in zip(*np.nonzero(ls.rice_k > 1e5))]
     return ls, book, cfg, sorted(pairs, key=lambda p: -cond(*p))[:4]
@@ -349,7 +349,7 @@ def test_estimator_matches_exact_rational_oracle(case):
     # D = sqrt(eta) G B^{-1} and gamma against the same pair computed in exact
     # rationals from the float inputs: within 1e-13 of the pair's largest entry
     ls, book, cfg, pairs = case()
-    est = build_estimation(ls, book, cfg.train_energy_w, cfg.sigma_w2)
+    est = build_estimation(ls, book, cfg.train_energy_w, cfg.noise_w)
     D = dense_D(est)
     assert pairs
     for k, a in pairs:

@@ -135,7 +135,7 @@ def test_debug_estimation_csv_matches_per_pair_references(tmp_path):
     geom = generate_topology(cfg, rng)
     ls = build_large_scale(cfg, geom, rng)
     book = assign_pilots(cfg.n_users, cfg.frame.tau_p, rng)
-    est = build_estimation(ls, book, cfg.train_energy_w, cfg.sigma_w2)
+    est = build_estimation(ls, book, cfg.train_energy_w, cfg.noise_w)
     G, B = covariances(ls, book, est.eta_train, est.sigma_w2)
     for name, M in (("tr_G", G), ("tr_B", B)):
         np.testing.assert_allclose(getattr(est, name), np.trace(M, axis1=2, axis2=3).real,
@@ -323,11 +323,11 @@ def test_pipeline_equals_module_composition():
     ls = build_large_scale(cfg, geom, rng_state)
     book = assign_pilots(cfg.n_users, cfg.frame.tau_p, rng_state)
     serving = build_association(cfg, ls.beta)
-    est = build_estimation(ls, book, cfg.train_energy_w, cfg.sigma_w2)
+    est = build_estimation(ls, book, cfg.train_energy_w, cfg.noise_w)
     tables = build_se_tables(ls, est, book, serving)
     eta_dl = ppa_dl(tables.gamma, tables.serving, np.full(cfg.n_ap, 0.2))
     prelog = cfg.frame.prelog
-    se = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.sigma_z2), prelog)
+    se = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.noise_w), prelog)
     np.testing.assert_array_equal(rep.se_lb_dl, se)
 
 

@@ -21,8 +21,7 @@ from cfsim.mc import (
     _batched,
     _cross,
     se_ub_mc,
-    uatf_dl_mc,
-    uatf_ul_mc,
+    uatf_mc,
 )
 from cfsim.power import ppa_dl
 
@@ -144,20 +143,11 @@ def test_cross_kernels_match_einsum_oracles(state):
     serving = state["serving"]
     root = np.sqrt(np.where(serving, rng.uniform(0.01, 0.2, serving.shape), 0.0))
     mask = serving.astype(float)
-    dl_ref = _dl_cross_oracle(g, g_hat, root)
     ul_ref, norms_ref = _ul_cross_oracle(g, g_hat, mask)
-    # both links from one g_hat, then each link alone; the kernel consumes g_hat
-    for kw in (dict(mask=mask, root_eta_dl=root), dict(mask=mask), dict(root_eta_dl=root)):
-        ul, norms, dl = _cross(g, g_hat.copy(), **kw)
-        if "mask" in kw:
-            np.testing.assert_allclose(ul, ul_ref, rtol=1e-12)
-            np.testing.assert_allclose(norms, norms_ref, rtol=1e-12)
-        else:
-            assert ul is None and norms is None
-        if "root_eta_dl" in kw:
-            np.testing.assert_allclose(dl, dl_ref, rtol=1e-12)
-        else:
-            assert dl is None
+    ul, norms, dl = _cross(g, g_hat.copy(), mask, root)  # the kernel consumes g_hat
+    np.testing.assert_allclose(ul, ul_ref, rtol=1e-12)
+    np.testing.assert_allclose(norms, norms_ref, rtol=1e-12)
+    np.testing.assert_allclose(dl, _dl_cross_oracle(g, g_hat, root), rtol=1e-12)
     np.testing.assert_array_equal(g, g_before)
 
 
@@ -180,11 +170,11 @@ def test_sampler_keeps_the_channel_stream(gate_fixture):
 
 def test_se_ub_mc_links_match_per_link_reduction(state):
     # both links read one stream; each must equal its own link's reduction of
-    # the same sampler draws, with its own eta, noise and prelog
+    # the same sampler draws, with its own eta and noise
     ls, est, book = state["ls"], state["est"], state["book"]
     serving, eta_dl, eta_ul = _ub_inputs(state)
-    sigma_z2, prelog_dl, prelog_ul = 3.0 * est.sigma_w2, 0.3, 0.45
-    dl, ul = se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, prelog_dl, prelog_ul,
+    sigma_z2, prelog = 3.0 * est.sigma_w2, 0.3
+    dl, ul = se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, prelog,
                       60, np.random.default_rng(3), batch_count=3)
 
     def sinr(pw, noise):
@@ -195,10 +185,10 @@ def test_se_ub_mc_links_match_per_link_reduction(state):
     g_all, g_hat_all = _drawn(ls, est, book, np.random.default_rng(3), 60, 3)
     for g, g_hat in zip(np.split(g_all, 3), np.split(g_hat_all, 3)):
         pw = np.abs(_dl_cross_oracle(g, g_hat, np.sqrt(eta_dl))) ** 2
-        batch_dl.append(prelog_dl * np.log2(1.0 + sinr(pw, sigma_z2)).mean(axis=0))
+        batch_dl.append(prelog * np.log2(1.0 + sinr(pw, sigma_z2)).mean(axis=0))
         cross, norms = _ul_cross_oracle(g, g_hat, serving.astype(float))
         pw = eta_ul[None, None, :] * np.abs(cross) ** 2
-        batch_ul.append(prelog_ul * np.log2(1.0 + sinr(pw, est.sigma_w2 * norms)).mean(axis=0))
+        batch_ul.append(prelog * np.log2(1.0 + sinr(pw, est.sigma_w2 * norms)).mean(axis=0))
     for res, batch in ((dl, batch_dl), (ul, batch_ul)):
         np.testing.assert_allclose(res.se, np.mean(batch, axis=0), rtol=1e-12)
         np.testing.assert_allclose(
@@ -206,16 +196,44 @@ def test_se_ub_mc_links_match_per_link_reduction(state):
         )
 
 
+def test_uatf_mc_assembles_the_term_groups_from_oracle_moments(state):
+    # each link's term groups, as the UatF bound defines them, from the einsum
+    # oracles' moments over the same sampler draws
+    ls, est, book = state["ls"], state["est"], state["book"]
+    serving, eta_dl, eta_ul = _ub_inputs(state)
+    sigma_z2, prelog = 3.0 * est.sigma_w2, 0.3
+    dl, ul = uatf_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, prelog,
+                     60, np.random.default_rng(3), batch_count=3)
+    g, g_hat = _drawn(ls, est, book, np.random.default_rng(3), 60, 3)
+    dl_c = _dl_cross_oracle(g, g_hat, np.sqrt(eta_dl))
+    ul_c, norms = _ul_cross_oracle(g, g_hat, serving.astype(float))
+    ul_c = np.sqrt(eta_ul)[None, None, :] * ul_c  # user j's UL term carries sqrt(eta_ul[j])
+    noises = (np.full(ls.n_users, sigma_z2), est.sigma_w2 * norms.mean(axis=0))
+    for res, cross, noise in ((dl, dl_c, noises[0]), (ul, ul_c, noises[1])):
+        own = np.diagonal(cross, axis1=1, axis2=2)  # (S, K)
+        desired, second = own.mean(axis=0), (np.abs(own) ** 2).mean(axis=0)
+        gain_var = second - np.abs(desired) ** 2
+        interference = (np.abs(cross) ** 2).mean(axis=0)
+        np.fill_diagonal(interference, 0.0)
+        se = prelog * np.log2(1.0 + np.abs(desired) ** 2
+                              / (gain_var + interference.sum(axis=1) + noise))
+        for name, want in (("desired", desired), ("interference", interference),
+                           ("noise_term", noise), ("se", se)):
+            np.testing.assert_allclose(getattr(res, name), want, rtol=1e-12, err_msg=name)
+        # a variance is a difference of moments: it carries their rounding, 1e-12
+        # of E|D_k|^2, which can exceed 1e-12 of the variance itself
+        assert np.all(np.abs(res.gain_var - gain_var) <= 1e-12 * second)
+
+
 def _all_estimators(state):
-    """g, g_hat, and the se / se_stderr of se_ub_mc, uatf_dl_mc and uatf_ul_mc, in 2 batches."""
+    """g, g_hat, and the se / se_stderr of se_ub_mc and uatf_mc, in 2 batches."""
     ls, est, book = state["ls"], state["est"], state["book"]
     serving, eta_dl, eta_ul = _ub_inputs(state)
     kw = dict(batch_count=2)
     rng, sigma_z2 = np.random.default_rng, 3.0 * est.sigma_w2
     results = (
-        *se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, 0.3, 0.45, 100, rng(1), **kw),
-        uatf_dl_mc(ls, est, book, serving, eta_dl, sigma_z2, 0.3, 100, rng(2), **kw),
-        uatf_ul_mc(ls, est, book, serving, eta_ul, 0.45, 100, rng(3), **kw),
+        *se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, 0.3, 100, rng(1), **kw),
+        *uatf_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, 0.3, 100, rng(2), **kw),
     )
     return _drawn(ls, est, book, rng(7), 100, 2), [(r.se, r.se_stderr) for r in results]
 
@@ -251,7 +269,7 @@ def test_sampler_memory_is_one_chunk_of_raw_draws(desk_cfg):
     raw_bytes = batch * (K + book.tau_p) * A * N * 16
     tracemalloc.start()
     try:
-        se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, 3.0 * est.sigma_w2, 0.3, 0.45, 2 * batch,
+        se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, 3.0 * est.sigma_w2, 0.3, 2 * batch,
                  np.random.default_rng(0), batch_count=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -264,14 +282,8 @@ def _estimate(state, name, rng, n_samples=80):
     ls, est, book = state["ls"], state["est"], state["book"]
     serving, eta_dl, eta_ul = _ub_inputs(state)
     sigma_z2, kw = 3.0 * est.sigma_w2, dict(batch_count=2)
-    results = {
-        "se_ub_mc": lambda: se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, 0.3, 0.45,
-                                     n_samples, rng, **kw),
-        "uatf_dl_mc": lambda: [uatf_dl_mc(ls, est, book, serving, eta_dl, sigma_z2, 0.3,
-                                          n_samples, rng, **kw)],
-        "uatf_ul_mc": lambda: [uatf_ul_mc(ls, est, book, serving, eta_ul, 0.45, n_samples, rng,
-                                          **kw)],
-    }[name]()
+    results = getattr(cfsim.mc, name)(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, 0.3,
+                                      n_samples, rng, **kw)
     return [(r.se, r.se_stderr) for r in results]
 
 
@@ -314,7 +326,7 @@ def test_collided_uc_has_scalar_and_dense_estimators(collided_uc):
     assert 0 < len(dense) < collided_uc["cfg"].n_users
 
 
-@pytest.mark.parametrize("name", ["se_ub_mc", "uatf_dl_mc", "uatf_ul_mc"])
+@pytest.mark.parametrize("name", ["se_ub_mc", "uatf_mc"])
 def test_threaded_sampler_matches_serial_reference(state, monkeypatch, pools, name):
     # 40 one-sample blocks per batch, thread switches as often as the interpreter
     # allows, and reducer calls of scattered length, so blocks finish out of
@@ -384,13 +396,10 @@ def test_mc_rejects_too_few_samples_or_batches(gate_fixture, n_samples, batch_co
     eta_dl = np.where(serving, 0.1, 0.0)
     eta_ul = np.full(ls.n_users, 0.1)
     rng = np.random.default_rng(0)
+    args = (ls, est, book, serving, eta_dl, eta_ul, 1e-3, 0.4, n_samples, rng)
     calls = [
-        lambda: se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, 1e-3, 0.4, 0.4, n_samples,
-                         rng, batch_count=batch_count),
-        lambda: uatf_dl_mc(ls, est, book, serving, eta_dl, 1e-3, 0.4, n_samples, rng,
-                           batch_count=batch_count),
-        lambda: uatf_ul_mc(ls, est, book, serving, eta_ul, 0.4, n_samples, rng,
-                           batch_count=batch_count),
+        lambda: se_ub_mc(*args, batch_count=batch_count),
+        lambda: uatf_mc(*args, batch_count=batch_count),
         lambda: fourth_moment_check(1.0, 2.0, np.ones(2), np.eye(2), n_samples, rng,
                                     batch_count=batch_count),
     ]

@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cfsim.channel import build_large_scale
+from cfsim.channel import build_large_scale, path_gain_uav, rice_factor
 from cfsim.config import preset_desk, preset_desk_mmimo
-from cfsim.geometry import ROLE_UAV, generate_topology
+from cfsim.geometry import ROLE_UAV, generate_topology, user_ap_distances
 from cfsim.harness import run_drop
 from cfsim.power import maxmin_dl
 from cfsim.se import dl_sinr_lb, se_from_sinr
@@ -42,11 +42,11 @@ def test_uc_maxmin_respects_partial_serving():
     tables, cfg = st["tables"], st["cfg"]
     budgets = np.full(tables.n_ap, 0.2)
     prelog = cfg.frame.prelog
-    eta, info = maxmin_dl(tables, budgets, cfg.sigma_z2, prelog, max_outer_iters=6)
+    eta, info = maxmin_dl(tables, budgets, cfg.noise_w, prelog, max_outer_iters=6)
     assert (eta[~tables.serving] == 0.0).all()  # nothing outside A_k
     used = (eta * tables.gamma).sum(axis=0)
     assert (used <= budgets * (1 + 1e-9)).all()
-    rates = se_from_sinr(dl_sinr_lb(tables, eta, cfg.sigma_z2), prelog)
+    rates = se_from_sinr(dl_sinr_lb(tables, eta, cfg.noise_w), prelog)
     assert rates.min() >= info["min_rate_trace"][0] * (1 - 1e-9)
 
 
@@ -72,15 +72,19 @@ def test_uav_los_shadow_flag():
                   uav_height_range_m=(150.0, 300.0))  # always-LOS heights
     unshadowed = replace(cfg, channel=replace(cfg.channel, uav=replace(cfg.channel.uav,
                                                                        shadow_los_scale_db=0.0)))
-    shadow = []
+    betas = []
     for c in (cfg, unshadowed):
         rng = np.random.default_rng(5)
-        ls = build_large_scale(c, generate_topology(c, rng), rng)
+        geometry = generate_topology(c, rng)
+        ls = build_large_scale(c, geometry, rng)
         uav = ls.roles == ROLE_UAV
-        assert ls.los_state[uav].all()  # heights above the always-LOS threshold
-        shadow.append(ls.shadow_db[uav])
-    assert np.abs(shadow[0]).min() > 0.0
-    assert np.all(shadow[1] == 0.0)
+        # heights above the always-LOS threshold: p_LOS = 1, so K sits at its clamp
+        assert np.all(ls.rice_k[uav] == rice_factor(1.0))
+        betas.append(ls.beta[uav])
+    los_gain = path_gain_uav(user_ap_distances(geometry)[0][uav], True, cfg.channel.uav,
+                             cfg.carrier_freq_ghz, geometry.user_positions[uav, 2, None], 0.0)
+    assert np.all(betas[0] != betas[1])  # every LOS link shadowed
+    np.testing.assert_allclose(betas[1], los_gain, rtol=1e-14, atol=0)  # none shadowed
 
 
 def test_fixed_ula_azimuth_key_rejected(tmp_path, capsys):

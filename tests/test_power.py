@@ -142,10 +142,10 @@ def test_wfpa_analytic_three_user_case():
 def test_wfpa_kkt_and_budget(gate_fixture):
     tables, cfg = gate_fixture["tables"], gate_fixture["cfg"]
     budgets = np.full(tables.n_ap, 0.2)
-    eta = wfpa_dl(tables.gamma, tables.serving, budgets, cfg.sigma_z2)
+    eta = wfpa_dl(tables.gamma, tables.serving, budgets, cfg.noise_w)
     power = eta * tables.gamma
     np.testing.assert_allclose(power.sum(axis=0), budgets, rtol=1e-9)
-    levels = cfg.sigma_z2 / tables.gamma
+    levels = cfg.noise_w / tables.gamma
     for a in range(tables.n_ap):
         active = power[:, a] > 0
         nu = levels[active, a] + power[active, a]
@@ -157,7 +157,7 @@ def test_wfpa_kappa_budget_split(gate_fixture):
     tables, cfg, ls = gate_fixture["tables"], gate_fixture["cfg"], gate_fixture["ls"]
     budgets = np.full(tables.n_ap, 0.2)
     for kappa in (0.0, 0.1, 0.2, 1.0):  # 0 and 1 leave one class without power
-        eta = wfpa_dl(tables.gamma, tables.serving, budgets, cfg.sigma_z2,
+        eta = wfpa_dl(tables.gamma, tables.serving, budgets, cfg.noise_w,
                       roles=ls.roles, kappa=kappa)
         power = eta * tables.gamma
         uav_power = power[ls.roles == ROLE_UAV].sum(axis=0)
@@ -207,10 +207,10 @@ def test_maxmin_dl_single_user_takes_full_budget():
     tables, cfg = state["tables"], state["cfg"]
     budgets = np.full(tables.n_ap, 0.2)
     prelog = cfg.frame.prelog
-    eta, info = maxmin_dl(tables, budgets, cfg.sigma_z2, prelog)
+    eta, info = maxmin_dl(tables, budgets, cfg.noise_w, prelog)
     used = (eta * tables.gamma).sum(axis=0)
     np.testing.assert_allclose(used, budgets, rtol=1e-6)
-    rate = se_from_sinr(dl_sinr_lb(tables, eta, cfg.sigma_z2), prelog)
+    rate = se_from_sinr(dl_sinr_lb(tables, eta, cfg.noise_w), prelog)
     assert info["min_rate_trace"][-1] == pytest.approx(rate.min(), rel=1e-9)
 
 
@@ -221,12 +221,9 @@ def _symmetric_two_user_state():
     beta = np.tile(ls.beta[0], (2, 1))
     rice = np.tile(ls.rice_k[0], (2, 1))
     steer = np.tile(ls.steering[0][None], (2, 1, 1))
-    shadow = np.tile(ls.shadow_db[0], (2, 1))
-    ls_sym = dataclasses.replace(
-        ls, beta=beta, rice_k=rice, steering=steer, shadow_db=shadow
-    )
+    ls_sym = dataclasses.replace(ls, beta=beta, rice_k=rice, steering=steer)
     est = build_estimation(ls_sym, state["book"], state["est"].eta_train,
-                           state["cfg"].sigma_w2)
+                           state["cfg"].noise_w)
     tables = build_se_tables(ls_sym, est, state["book"], state["serving"])
     return state["cfg"], tables
 
@@ -235,8 +232,8 @@ def test_maxmin_dl_symmetric_users_equal_rates():
     cfg, tables = _symmetric_two_user_state()
     budgets = np.full(tables.n_ap, 0.2)
     prelog = cfg.frame.prelog
-    eta, _ = maxmin_dl(tables, budgets, cfg.sigma_z2, prelog)
-    rates = se_from_sinr(dl_sinr_lb(tables, eta, cfg.sigma_z2), prelog)
+    eta, _ = maxmin_dl(tables, budgets, cfg.noise_w, prelog)
+    rates = se_from_sinr(dl_sinr_lb(tables, eta, cfg.noise_w), prelog)
     assert abs(rates[0] - rates[1]) <= 0.01 * rates.max()
 
 
@@ -247,9 +244,9 @@ def test_maxmin_dl_dominates_ppa(seed):
     budgets = np.full(tables.n_ap, 0.2)
     prelog = cfg.frame.prelog
     eta_ppa = ppa_dl(tables.gamma, tables.serving, budgets)
-    min_ppa = se_from_sinr(dl_sinr_lb(tables, eta_ppa, cfg.sigma_z2), prelog).min()
-    eta, info = maxmin_dl(tables, budgets, cfg.sigma_z2, prelog, max_outer_iters=10)
-    min_mm = se_from_sinr(dl_sinr_lb(tables, eta, cfg.sigma_z2), prelog).min()
+    min_ppa = se_from_sinr(dl_sinr_lb(tables, eta_ppa, cfg.noise_w), prelog).min()
+    eta, info = maxmin_dl(tables, budgets, cfg.noise_w, prelog, max_outer_iters=10)
+    min_mm = se_from_sinr(dl_sinr_lb(tables, eta, cfg.noise_w), prelog).min()
     assert min_mm >= min_ppa * (1 - 1e-9)
     trace = info["min_rate_trace"]
     assert all(trace[i + 1] >= trace[i] - 1e-12 for i in range(len(trace) - 1))
@@ -263,7 +260,7 @@ def test_maxmin_dl_kappa_class_budgets(gate_fixture):
     budgets = np.full(tables.n_ap, 0.2)
     prelog = cfg.frame.prelog
     kappa = 0.2
-    eta, _ = maxmin_dl(tables, budgets, cfg.sigma_z2, prelog, roles=ls.roles,
+    eta, _ = maxmin_dl(tables, budgets, cfg.noise_w, prelog, roles=ls.roles,
                        kappa=kappa, max_outer_iters=6)
     power = eta * tables.gamma
     uav = power[ls.roles == ROLE_UAV].sum(axis=0)
@@ -284,7 +281,7 @@ def test_dl_smoothed_min_gradient_matches_finite_differences(gate_fixture):
     assert [len(st["tables"].pair_k) for st in states] == [4, 0, 12]
     for state in states:
         tables, cfg = state["tables"], state["cfg"]
-        obj = _DlObjective(tables, tables.serving, cfg.sigma_z2)
+        obj = _DlObjective(tables, tables.serving, cfg.noise_w)
         rng = np.random.default_rng(3)
         y = np.where(tables.serving, rng.uniform(0.05, 0.3, tables.gamma.shape), 0.0)
         for mu in (5.0, 80.0):
@@ -303,9 +300,9 @@ def test_maxmin_dl_converges_without_shared_pilots():
     state = make_state(**NO_SHARED_PILOT)
     tables, cfg = state["tables"], state["cfg"]
     prelog = cfg.frame.prelog
-    eta, info = maxmin_dl(tables, np.full(tables.n_ap, 0.2), cfg.sigma_z2, prelog)
+    eta, info = maxmin_dl(tables, np.full(tables.n_ap, 0.2), cfg.noise_w, prelog)
     assert info["converged"]
-    min_se = se_from_sinr(dl_sinr_lb(tables, eta, cfg.sigma_z2), prelog).min()
+    min_se = se_from_sinr(dl_sinr_lb(tables, eta, cfg.noise_w), prelog).min()
     assert min_se == pytest.approx(info["min_rate_trace"][-1], rel=1e-9)
     assert min_se >= info["min_rate_trace"][0]  # at least the PPA start
 
@@ -314,7 +311,7 @@ def test_maxmin_dl_zero_budgets_raise_naming_ap(gate_fixture):
     tables, cfg = gate_fixture["tables"], gate_fixture["cfg"]
     prelog = cfg.frame.prelog
     with pytest.raises(DegenerateInputError, match="AP 0"):
-        maxmin_dl(tables, np.zeros(tables.n_ap), cfg.sigma_z2, prelog)
+        maxmin_dl(tables, np.zeros(tables.n_ap), cfg.noise_w, prelog)
 
 
 def test_maxmin_dl_user_without_gamma_raises_naming_user(gate_fixture):
@@ -324,7 +321,7 @@ def test_maxmin_dl_user_without_gamma_raises_naming_user(gate_fixture):
     tables = dataclasses.replace(tables, gamma=gamma)
     prelog = cfg.frame.prelog
     with pytest.raises(DegenerateInputError, match="user 2"):
-        maxmin_dl(tables, np.full(tables.n_ap, 0.2), cfg.sigma_z2, prelog)
+        maxmin_dl(tables, np.full(tables.n_ap, 0.2), cfg.noise_w, prelog)
 
 
 def test_maxmin_dl_nan_objective_raises_single_user():
@@ -341,9 +338,9 @@ def _maxmin_min_se(state, max_outer_iters=50, kappa=None, **kw):
     tables, cfg = state["tables"], state["cfg"]
     prelog = cfg.frame.prelog
     roles = state["ls"].roles if kappa is not None else None
-    eta, info = maxmin_dl(tables, np.full(tables.n_ap, 0.2), cfg.sigma_z2, prelog, roles=roles,
+    eta, info = maxmin_dl(tables, np.full(tables.n_ap, 0.2), cfg.noise_w, prelog, roles=roles,
                           kappa=kappa, max_outer_iters=max_outer_iters, **kw)
-    return se_from_sinr(dl_sinr_lb(tables, eta, cfg.sigma_z2), prelog).min(), info
+    return se_from_sinr(dl_sinr_lb(tables, eta, cfg.noise_w), prelog).min(), info
 
 
 # Min SE that the per-AP block-SLSQP solver this one replaced reached on each
@@ -423,7 +420,7 @@ def test_maxmin_dl_stall_stop_only_ends_a_stage(monkeypatch):
     # steps without the stall test ends, bit for bit
     state = _instance("dominates-ppa-23")
     tables, cfg = state["tables"], state["cfg"]
-    args = (tables, np.full(tables.n_ap, 0.2), cfg.sigma_z2, cfg.frame.prelog)
+    args = (tables, np.full(tables.n_ap, 0.2), cfg.noise_w, cfg.frame.prelog)
     eta, info = maxmin_dl(*args, max_outer_iters=1)
     (n,) = info["steps"]
     assert n < 100
@@ -447,7 +444,7 @@ def test_maxmin_dl_matches_grid_oracle():
 
     def min_se(r, phi):
         eta = (r * np.array([np.cos(phi), np.sin(phi)])) ** 2 / gamma
-        return se_from_sinr(dl_sinr_lb(tables, eta[:, None], cfg.sigma_z2), prelog).min()
+        return se_from_sinr(dl_sinr_lb(tables, eta[:, None], cfg.noise_w), prelog).min()
 
     r_hi, dphi, dr = math.sqrt(budget), math.pi / 2 / 200, math.sqrt(budget) / 20
     best = max((min_se(r, p), r, p) for r in np.linspace(dr, r_hi, 20)
@@ -456,8 +453,8 @@ def test_maxmin_dl_matches_grid_oracle():
     best = max((min_se(r, p), r, p)
                for r in np.linspace(max(r0 - dr, dr / 10), min(r0 + dr, r_hi), 21)
                for p in np.linspace(max(p0 - dphi, 0.0), min(p0 + dphi, math.pi / 2), 201))
-    eta, info = maxmin_dl(tables, np.array([budget]), cfg.sigma_z2, prelog)
-    got = se_from_sinr(dl_sinr_lb(tables, eta, cfg.sigma_z2), prelog).min()
+    eta, info = maxmin_dl(tables, np.array([budget]), cfg.noise_w, prelog)
+    got = se_from_sinr(dl_sinr_lb(tables, eta, cfg.noise_w), prelog).min()
     assert got == pytest.approx(best[0], rel=1e-3)
     assert info["converged"]
 
@@ -488,15 +485,15 @@ def test_maxmin_ul_single_user_maxes_out():
     state = make_state(seed=25, n_ap=2, n_gue=1, n_uav=0, tau_p=2)
     tables, cfg = state["tables"], state["cfg"]
     prelog = cfg.frame.prelog
-    eta, _ = maxmin_ul(tables, cfg.sigma_w2, prelog, p_max=np.array([0.1]))
+    eta, _ = maxmin_ul(tables, cfg.noise_w, prelog, p_max=np.array([0.1]))
     assert eta[0] == pytest.approx(0.1, rel=1e-6)
 
 
 def test_maxmin_ul_symmetric_users_equal_rates():
     cfg, tables = _symmetric_two_user_state()
     prelog = cfg.frame.prelog
-    eta, _ = maxmin_ul(tables, cfg.sigma_w2, prelog, p_max=np.full(2, 0.1))
-    rates = se_from_sinr(ul_sinr_lb(tables, eta, cfg.sigma_w2), prelog)
+    eta, _ = maxmin_ul(tables, cfg.noise_w, prelog, p_max=np.full(2, 0.1))
+    rates = se_from_sinr(ul_sinr_lb(tables, eta, cfg.noise_w), prelog)
     assert abs(rates[0] - rates[1]) <= 0.01 * rates.max()
 
 
@@ -509,7 +506,7 @@ def test_maxmin_ul_negative_interference_raises(gate_fixture):
     C[0, 1, 0] = -10.0 * np.abs(C).max()
     tables = dataclasses.replace(tables, C=C)
     with pytest.raises(NumericsError, match="negative interference"):
-        maxmin_ul(tables, cfg.sigma_w2, 0.42, np.full(tables.n_users, 0.1))
+        maxmin_ul(tables, cfg.noise_w, 0.42, np.full(tables.n_users, 0.1))
 
 
 @pytest.mark.parametrize("seed", [31, 32, 26, 34, 40, 48])
@@ -519,9 +516,9 @@ def test_maxmin_ul_dominates_fpc(seed):
     p_max = np.full(tables.n_users, 0.1)
     fpc = fpc_ul(est.tr_G, tables.serving, p_max, cfg.power.fpc.p0_watts, 0.5)
     prelog = cfg.frame.prelog
-    min_fpc = se_from_sinr(ul_sinr_lb(tables, fpc, cfg.sigma_w2), prelog).min()
-    eta, info = maxmin_ul(tables, cfg.sigma_w2, prelog, p_max)
-    sinr = ul_sinr_lb(tables, eta, cfg.sigma_w2)
+    min_fpc = se_from_sinr(ul_sinr_lb(tables, fpc, cfg.noise_w), prelog).min()
+    eta, info = maxmin_ul(tables, cfg.noise_w, prelog, p_max)
+    sinr = ul_sinr_lb(tables, eta, cfg.noise_w)
     min_mm = se_from_sinr(sinr, prelog).min()
     assert min_mm >= min_fpc * (1 - 1e-9)
     assert (eta >= -1e-15).all() and (eta <= p_max * (1 + 1e-9)).all()

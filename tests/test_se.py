@@ -64,7 +64,6 @@ def test_delta_identity_estimator_hand_value():
     # cross-check against the raw moment E||g||^4 - tr(G^2)
     ls = LargeScaleState(
         beta=np.array([[beta]]), rice_k=np.array([[rice]]), steering=a[None, None],
-        shadow_db=np.zeros((1, 1)), los_state=np.zeros((1, 1), dtype=bool),
         roles=np.zeros(1, dtype=int),
     )
     g = draw_channels(ls, np.random.default_rng(2), 400_000)[:, 0, 0]
@@ -108,7 +107,7 @@ def test_fourth_moment_random_fixture():
 
 def test_dl_sinr_zero_powers(gate_fixture):
     tables, cfg = gate_fixture["tables"], gate_fixture["cfg"]
-    sinr = dl_sinr_lb(tables, np.zeros_like(tables.gamma), cfg.sigma_z2)
+    sinr = dl_sinr_lb(tables, np.zeros_like(tables.gamma), cfg.noise_w)
     np.testing.assert_array_equal(sinr, 0.0)
 
 
@@ -116,7 +115,7 @@ def test_ul_sinr_zero_power_for_one_user(gate_fixture):
     tables, cfg = gate_fixture["tables"], gate_fixture["cfg"]
     eta = np.full(tables.n_users, 0.1)
     eta[2] = 0.0
-    sinr = ul_sinr_lb(tables, eta, cfg.sigma_w2)
+    sinr = ul_sinr_lb(tables, eta, cfg.noise_w)
     assert sinr[2] == 0.0
     assert (sinr[[0, 1, 3]] > 0).all()
 
@@ -127,12 +126,12 @@ def test_sinr_nan_power_raises(gate_fixture):
     eta_ul = np.full(tables.n_users, 0.1)
     eta_ul[1] = np.nan
     with pytest.raises(NumericsError):
-        ul_sinr_lb(tables, eta_ul, cfg.sigma_w2)
+        ul_sinr_lb(tables, eta_ul, cfg.noise_w)
     eta_dl = np.where(tables.serving, 0.01, 0.0)
     k, a = np.argwhere(tables.serving)[0]
     eta_dl[k, a] = np.nan
     with pytest.raises(NumericsError):
-        dl_sinr_lb(tables, eta_dl, cfg.sigma_z2)
+        dl_sinr_lb(tables, eta_dl, cfg.noise_w)
 
 
 def test_trace_imaginary_guard_decisions(gate_fixture):
@@ -149,7 +148,7 @@ def test_trace_imaginary_guard_decisions(gate_fixture):
     tables = build_se_tables(ls, dataclasses.replace(est, D_dense=D), book, serving)
     eta_dl = np.where(tables.serving, 0.01, 0.0)
     with pytest.raises(NumericsError, match="denominator"):
-        dl_sinr_lb(tables, eta_dl, gate_fixture["cfg"].sigma_z2)
+        dl_sinr_lb(tables, eta_dl, gate_fixture["cfg"].noise_w)
 
 
 _DESK = preset_desk()
@@ -230,8 +229,8 @@ def test_dl_quadratic_form_matches_term_by_term_assembly(name):
     st, terms = _state_and_pair_terms(name)
     tables, cfg = st["tables"], st["cfg"]
     eta = ppa_dl(tables.gamma, tables.serving, np.full(tables.n_ap, 0.2))
-    _, den = dl_sinr_parts(tables, eta, cfg.sigma_z2)
-    np.testing.assert_allclose(den, _dl_den_term_by_term(st, terms, eta, cfg.sigma_z2),
+    _, den = dl_sinr_parts(tables, eta, cfg.noise_w)
+    np.testing.assert_allclose(den, _dl_den_term_by_term(st, terms, eta, cfg.noise_w),
                                rtol=1e-13)
     C, W = tables.C, tables.pair_w
     assert C.min() >= -1e-12 * np.abs(C).max()  # every entry is a variance
@@ -243,10 +242,10 @@ def test_ul_affine_form_matches_term_by_term_assembly(name):
     st, terms = _state_and_pair_terms(name)
     tables, cfg = st["tables"], st["cfg"]
     eta = np.linspace(0.02, 0.1, tables.n_users)
-    _, den = ul_sinr_parts(tables, eta, cfg.sigma_w2)
-    np.testing.assert_allclose(den, _ul_den_term_by_term(st, terms, eta, cfg.sigma_w2),
+    _, den = ul_sinr_parts(tables, eta, cfg.noise_w)
+    np.testing.assert_allclose(den, _ul_den_term_by_term(st, terms, eta, cfg.noise_w),
                                rtol=1e-13)
-    _, den_mat, _ = ul_sinr_affine(tables, cfg.sigma_w2)
+    _, den_mat, _ = ul_sinr_affine(tables, cfg.noise_w)
     assert den_mat.min() >= 0.0  # maxmin_ul's premise
 
 
@@ -262,9 +261,9 @@ def test_dl_sinr_scalar_assembly_oracle():
     delta = delta_term(ls.beta[0, 0], ls.rice_k[0, 0], ls.steering[0, 0], D)
     num = eta_dl[0, 0] * gamma**2
     mid = np.sqrt(eta_tr) * eta_dl[0, 0] * np.trace(G @ D.conj().T @ G).real
-    den = eta_dl[0, 0] * (eta_tr * delta - gamma**2) + mid + cfg.sigma_z2
+    den = eta_dl[0, 0] * (eta_tr * delta - gamma**2) + mid + cfg.noise_w
     expected = num / den
-    assert dl_sinr_lb(tables, eta_dl, cfg.sigma_z2)[0] == pytest.approx(expected, rel=1e-12)
+    assert dl_sinr_lb(tables, eta_dl, cfg.noise_w)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_ul_sinr_scalar_assembly_oracle():
@@ -279,9 +278,9 @@ def test_ul_sinr_scalar_assembly_oracle():
     den = (
         eta_ul[0] * (eta_tr * delta - gamma**2)
         + eta_ul[0] * np.sqrt(eta_tr) * np.trace(G @ D.conj().T @ G).real
-        + cfg.sigma_w2 * gamma
+        + cfg.noise_w * gamma
     )
-    assert ul_sinr_lb(tables, eta_ul, cfg.sigma_w2)[0] == pytest.approx(num / den, rel=1e-12)
+    assert ul_sinr_lb(tables, eta_ul, cfg.noise_w)[0] == pytest.approx(num / den, rel=1e-12)
 
 
 def test_sinr_invariant_under_per_ap_unitary_rotation(gate_fixture):
@@ -289,8 +288,8 @@ def test_sinr_invariant_under_per_ap_unitary_rotation(gate_fixture):
     ls, book, serving, cfg = state["ls"], state["book"], state["serving"], state["cfg"]
     tables = state["tables"]
     eta_dl = ppa_dl(tables.gamma, tables.serving, np.full(cfg.n_ap, 0.2))
-    base_dl = dl_sinr_lb(tables, eta_dl, cfg.sigma_z2)
-    base_ul = ul_sinr_lb(tables, np.full(cfg.n_users, 0.1), cfg.sigma_w2)
+    base_dl = dl_sinr_lb(tables, eta_dl, cfg.noise_w)
+    base_ul = ul_sinr_lb(tables, np.full(cfg.n_users, 0.1), cfg.noise_w)
 
     rng = np.random.default_rng(7)
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -298,31 +297,31 @@ def test_sinr_invariant_under_per_ap_unitary_rotation(gate_fixture):
     steer2 = ls.steering.copy()
     steer2[:, 1, :] = steer2[:, 1, :] @ U.T
     ls2 = dataclasses.replace(ls, steering=steer2)
-    est2 = build_estimation(ls2, book, state["est"].eta_train, cfg.sigma_w2)
+    est2 = build_estimation(ls2, book, state["est"].eta_train, cfg.noise_w)
     tables2 = build_se_tables(ls2, est2, book, serving)
     np.testing.assert_allclose(
-        dl_sinr_lb(tables2, eta_dl, cfg.sigma_z2), base_dl, rtol=1e-9
+        dl_sinr_lb(tables2, eta_dl, cfg.noise_w), base_dl, rtol=1e-9
     )
     np.testing.assert_allclose(
-        ul_sinr_lb(tables2, np.full(cfg.n_users, 0.1), cfg.sigma_w2), base_ul, rtol=1e-9
+        ul_sinr_lb(tables2, np.full(cfg.n_users, 0.1), cfg.noise_w), base_ul, rtol=1e-9
     )
 
 
 def test_silencing_interferers_never_hurts(gate_fixture):
     tables, cfg = gate_fixture["tables"], gate_fixture["cfg"]
     eta_dl = ppa_dl(tables.gamma, tables.serving, np.full(cfg.n_ap, 0.2))
-    base = dl_sinr_lb(tables, eta_dl, cfg.sigma_z2)
+    base = dl_sinr_lb(tables, eta_dl, cfg.noise_w)
     k = 0
     muted = eta_dl.copy()
     muted[[j for j in range(tables.n_users) if j != k], :] = 0.0
-    alone = dl_sinr_lb(tables, muted, cfg.sigma_z2)
+    alone = dl_sinr_lb(tables, muted, cfg.noise_w)
     assert alone[k] >= base[k]
 
     eta_ul = np.full(tables.n_users, 0.1)
-    base_ul = ul_sinr_lb(tables, eta_ul, cfg.sigma_w2)
+    base_ul = ul_sinr_lb(tables, eta_ul, cfg.noise_w)
     muted_ul = np.zeros_like(eta_ul)
     muted_ul[k] = eta_ul[k]
-    assert ul_sinr_lb(tables, muted_ul, cfg.sigma_w2)[k] >= base_ul[k]
+    assert ul_sinr_lb(tables, muted_ul, cfg.noise_w)[k] >= base_ul[k]
 
 
 def test_prelog_factors(gate_fixture):
@@ -344,7 +343,7 @@ def test_ub_zero_power_is_zero(gate_fixture):
     )
     res, _ = se_ub_mc(
         ls, est, book, serving, np.zeros_like(est.gamma), np.full(cfg.n_users, 0.1),
-        cfg.sigma_z2, 0.42, 0.42, 2000, np.random.default_rng(8),
+        cfg.noise_w, 0.42, 2000, np.random.default_rng(8),
     )
     np.testing.assert_array_equal(res.se, 0.0)
 
@@ -359,10 +358,10 @@ def test_ub_dominates_lb(gate_fixture):
     eta_dl = ppa_dl(tables.gamma, tables.serving, np.full(cfg.n_ap, 0.2))
     eta_ul = np.full(cfg.n_users, 0.1)
     rng = np.random.default_rng(9)
-    lb_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.sigma_z2), prelog)
-    lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), prelog)
-    ub_dl, ub_ul = se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, cfg.sigma_z2,
-                            prelog, prelog, 30_000, rng)
+    lb_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.noise_w), prelog)
+    lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.noise_w), prelog)
+    ub_dl, ub_ul = se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, cfg.noise_w,
+                            prelog, 30_000, rng)
     assert (lb_dl <= ub_dl.se + 3.0 * ub_dl.se_stderr).all()
     assert (lb_ul <= ub_ul.se + 3.0 * ub_ul.se_stderr).all()
 
@@ -370,7 +369,7 @@ def test_ub_dominates_lb(gate_fixture):
 def test_closed_form_matches_mc_in_user_centric_mode():
     # the serving-set masking must agree between the closed form and the MC
     # sampler when A_k is a strict subset of the APs
-    from cfsim.mc import uatf_dl_mc, uatf_ul_mc
+    from cfsim.mc import uatf_mc
     from cfsim.power import fpc_ul
 
     st = make_state(seed=77, n_ap=4, n_ap_antennas=2, n_gue=2, n_uav=2, tau_p=2,
@@ -384,12 +383,10 @@ def test_closed_form_matches_mc_in_user_centric_mode():
     eta_ul = fpc_ul(est.tr_G, tables.serving, np.full(4, 0.1),
                     cfg.power.fpc.p0_watts, 0.5)
     prelog = cfg.frame.prelog
-    lb_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.sigma_z2), prelog)
-    lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.sigma_w2), prelog)
-    mc_dl = uatf_dl_mc(ls, est, book, serving, eta_dl, cfg.sigma_z2, prelog,
-                       50_000, np.random.default_rng(1))
-    mc_ul = uatf_ul_mc(ls, est, book, serving, eta_ul, prelog,
-                       50_000, np.random.default_rng(2))
+    lb_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.noise_w), prelog)
+    lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.noise_w), prelog)
+    mc_dl, mc_ul = uatf_mc(ls, est, book, serving, eta_dl, eta_ul, cfg.noise_w, prelog,
+                           50_000, np.random.default_rng(1))
     assert (np.abs(lb_dl - mc_dl.se) <= 3.0 * mc_dl.se_stderr).all()
     assert (np.abs(lb_ul - mc_ul.se) <= 3.0 * mc_ul.se_stderr).all()
 
@@ -400,12 +397,12 @@ def test_uatf_interference_zero_for_silent_user(gate_fixture):
         state["ls"], state["est"], state["book"], state["serving"], state["cfg"],
         state["tables"],
     )
-    from cfsim.mc import uatf_dl_mc
+    from cfsim.mc import uatf_mc
 
     eta_dl = ppa_dl(tables.gamma, tables.serving, np.full(cfg.n_ap, 0.2))
     eta_dl[1, :] = 0.0  # user 1 transmitless
-    res = uatf_dl_mc(ls, est, book, serving, eta_dl, cfg.sigma_z2, 0.42,
-                     2000, np.random.default_rng(11))
+    res, _ = uatf_mc(ls, est, book, serving, eta_dl, np.full(cfg.n_users, 0.1), cfg.noise_w,
+                     0.42, 2000, np.random.default_rng(11))
     np.testing.assert_array_equal(res.interference[:, 1], 0.0)
 
 
@@ -422,8 +419,8 @@ def literal_ub():
     eta_dl = ppa_dl(tables.gamma, tables.serving, np.full(cfg.n_ap, 0.2))
     eta_ul = np.full(ls.n_users, 0.1)
     prelog = cfg.frame.prelog
-    fast = se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, cfg.sigma_z2, prelog,
-                    prelog, 40_000, np.random.default_rng(12))
+    fast = se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, cfg.noise_w, prelog,
+                    40_000, np.random.default_rng(12))
 
     rng = np.random.default_rng(13)
     n = 40_000
@@ -439,7 +436,7 @@ def literal_ub():
         cross = np.einsum("kan,ja,jan->kj", np.conj(g), root, g_hat)
         num = np.abs(np.diag(cross)) ** 2
         tot = (np.abs(cross) ** 2).sum(axis=1)
-        acc_dl += np.log2(1.0 + num / (tot - num + cfg.sigma_z2))
+        acc_dl += np.log2(1.0 + num / (tot - num + cfg.noise_w))
         # UL: MR combining over A_k, sum_{a in A_k} ghat_{k,a}^H g_{j,a}
         cross = np.einsum("ka,kan,jan->kj", mask, np.conj(g_hat), g)
         noise = est.sigma_w2 * np.einsum("ka,kan->k", mask, np.abs(g_hat) ** 2)

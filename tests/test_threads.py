@@ -91,7 +91,7 @@ def test_scalar_users_are_those_whose_d_is_d_times_identity(collided_uc, name):
     los_term = same @ (ls.rice_k > 0)  # (K, A): the pilot has a LOS term at the AP
     normal = same @ (ls.rice_k >= np.finfo(float).tiny)
     assert (los_term & ~normal).any() == (name == "desk-low-uav")
-    est = build_estimation(ls, book, cfg.train_energy_w, cfg.sigma_w2)
+    est = build_estimation(ls, book, cfg.train_energy_w, cfg.noise_w)
     rows = est.dense_users
     assert rows.tolist() == np.flatnonzero(los_term.any(axis=1)).tolist()
     d_eye = est.d[rows, :, None, None] * np.eye(est.n_ap_antennas)
