@@ -2,6 +2,7 @@
 
     cfsim run --config cfg.yaml [--drops N] [--seed S]
               [--preset paper|desk|mmimo|desk-mmimo] [--out DIR] [--jobs J]
+              [--dump-debug]
     cfsim validate --config cfg.yaml
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
@@ -55,6 +56,10 @@ def cmd_run(args):
                 f"99%-likely {pct[1] / 1e6:.3f}, median {pct[50] / 1e6:.3f}, "
                 f"95th {pct[95] / 1e6:.3f}"
             )
+    if cfg.mc.ub_samples > 0:
+        worst = max(result.reports, key=lambda rep: rep.mirror_z)
+        print(f"UB mirror vs closed-form LB: max |z| {worst.mirror_z:.2f} at drop "
+              f"{worst.drop_id}, mc.batch_count {cfg.mc.batch_count}")
     print(f"wrote {len(written)} files to {args.out}")
     return 0
 

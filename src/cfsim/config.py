@@ -171,7 +171,7 @@ class AssociationConfig:
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    ub_samples: int = 10_000  # per drop; 0 disables the UB evaluation
+    ub_samples: int = 10_000  # per drop; 0 disables the UB evaluation and the mirror check
     batch_count: int = 20  # batches for stderr estimation; each batch's draws are made at once
 
 

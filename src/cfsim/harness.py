@@ -53,6 +53,9 @@ class RateReport:
     se_ub_dl_stderr: np.ndarray
     se_ub_ul_stderr: np.ndarray
     bandwidth_hz: float
+    # max over users and links of |mirror SE - closed-form LB| / mirror stderr;
+    # NaN when the UB evaluation is disabled
+    mirror_z: float
     power_info: dict = field(default_factory=dict)
 
     def rates(self, kind):
@@ -133,14 +136,20 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
         se_lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, config.noise_w), prelog)
 
         outputs = {"se_lb_dl": se_lb_dl, "se_lb_ul": se_lb_ul}
+        mirror_z = np.nan
         if config.mc.ub_samples > 0:
-            ub_dl, ub_ul = se_ub_mc(
+            mc_dl, mc_ul = se_ub_mc(
                 ls, est, book, serving, eta_dl, eta_ul, config.noise_w,
                 prelog, config.mc.ub_samples, rng_mc,
                 batch_count=config.mc.batch_count,
             )
-            outputs.update(se_ub_dl=ub_dl.se, se_ub_ul=ub_ul.se,
-                           se_ub_dl_stderr=ub_dl.se_stderr, se_ub_ul_stderr=ub_ul.se_stderr)
+            outputs.update(se_ub_dl=mc_dl.ub, se_ub_ul=mc_ul.ub,
+                           se_ub_dl_stderr=mc_dl.ub_stderr, se_ub_ul_stderr=mc_ul.ub_stderr)
+            # reported, never raised; a zero stderr counts z = 0 where the two agree
+            diff = np.abs(np.concatenate([mc_dl.lb - se_lb_dl, mc_ul.lb - se_lb_ul]))
+            err = np.concatenate([mc_dl.lb_stderr, mc_ul.lb_stderr])
+            mirror_z = float(np.divide(diff, err, out=np.where(diff > 0, np.inf, 0.0),
+                                       where=err > 0).max())
         for name, values in outputs.items():
             if not np.isfinite(values).all():
                 raise NumericsError(f"{name} is not finite")
@@ -159,6 +168,7 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
         **(dict.fromkeys(("se_ub_dl", "se_ub_ul", "se_ub_dl_stderr", "se_ub_ul_stderr"), nan)
            | outputs),
         bandwidth_hz=config.bandwidth_hz,
+        mirror_z=mirror_z,
         power_info={"dl": dl_info, "ul": ul_info},
     )
 

@@ -1,17 +1,18 @@
 """Monte-Carlo evaluation of the spectral-efficiency bounds.
 
 Samples raw channels and the training observation jointly, applies the LMMSE
-estimators, and assembles (i) the use-and-then-forget term groups that mirror
-the closed-form lower bound and (ii) the sampled upper bounds. This module is
-the independent side of the dual-route check: it never touches the
-closed-form tables in cfsim.se.
+estimators, and assembles, from one pass, (i) the sampled upper bounds and
+(ii) the use-and-then-forget term groups that mirror the closed-form lower
+bound. This module is the independent side of the dual-route check: it never
+touches the closed-form tables in cfsim.se.
 
-The copilot mix is a sum per pilot. Both estimators, the UatF mirror and the
-upper bounds, run one sampler (`_batch_sums`) and one cross kernel (`_cross`)
-and differ only in the per-block reducer they hand the sampler. The kernel
-consumes its block's g_hat: it conjugates and scales it in place and
-multiplies it into g^T (a batched BLAS matmul over (S, K, A*N) reshapes) once
-per link, so each sample is drawn and estimated once for both links.
+The copilot mix is a sum per pilot. One sampler (`_batch_sums`), one cross
+kernel (`_cross`) and one reducer serve both bounds: the reducer takes each
+cross's power once and sums it into the upper bounds' log terms and the
+mirror's moments. The kernel consumes its block's g_hat: it conjugates and
+scales it in place and multiplies it into g^T (a batched BLAS matmul over
+(S, K, A*N) reshapes) once per link, so each sample is drawn and estimated
+once for both links.
 
 The sampler is a two-stage pipeline. The calling thread makes every random
 draw, in one fixed order; threads.BUDGET worker threads run each block's
@@ -60,15 +61,6 @@ def _cross(g, g_hat, mask, root_eta_dl):
     flat *= np.repeat(root_eta_dl, 2 * N, axis=1)
     dl = left @ right
     return ul, norms, np.conjugate(dl, out=dl).transpose(0, 2, 1)
-
-
-def _link_sums(ls, est, book, serving, eta_dl, n_samples, rng, batch_count, reduce):
-    """_batch_sums of reduce(ul, norms, dl), the _cross terms of each block under
-    the 0/1 serving mask and sqrt(eta_dl) zeroed off it."""
-    mask = np.asarray(serving, dtype=float)
-    root = np.sqrt(np.where(serving, np.asarray(eta_dl, dtype=float), 0.0))
-    return _batch_sums(ls, est, book, rng, n_samples, batch_count,
-                       lambda g, g_hat: reduce(*_cross(g, g_hat, mask, root)))
 
 
 def _batched(n_samples, batch_count):
@@ -179,31 +171,44 @@ def _stderr(batch_values):
 
 
 @dataclass(frozen=True)
-class UatfResult:
-    """MC estimates of the UatF term groups and the assembled SE bound."""
+class McResult:
+    """One link's sampled upper bound and its UatF mirror: the lower bound's
+    term groups and the SE assembled from them."""
 
-    se: np.ndarray  # (K,)
-    se_stderr: np.ndarray  # (K,)
-    sinr: np.ndarray  # (K,)
+    ub: np.ndarray  # (K,)        prelog E[log2(1 + instantaneous SINR)]
+    ub_stderr: np.ndarray  # (K,)
+    lb: np.ndarray  # (K,)        the mirror's SE
+    lb_stderr: np.ndarray  # (K,)
     desired: np.ndarray  # (K,) complex  E[D_k]
     gain_var: np.ndarray  # (K,)          E|B_k|^2
     interference: np.ndarray  # (K, K)    E|I_{k,j}|^2 (diagonal zero)
     noise_term: np.ndarray  # (K,)        sigma^2 (DL) or E|N_k|^2 (UL)
 
 
-def uatf_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, prelog, n_samples, rng,
-            batch_count=20):
-    """Sampled use-and-then-forget term groups of both links' bounds, from one
-    (g, g_hat) stream. Returns (dl, ul) UatfResults."""
+def se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, prelog, n_samples, rng,
+             batch_count=20):
+    """Sampled upper bounds prelog * E[log2(1 + instantaneous SINR)] and
+    use-and-then-forget term groups of both links, from one (g, g_hat) stream.
+    Returns (dl, ul) McResults."""
     eta = np.asarray(eta_ul, dtype=float)
+    mask = np.asarray(serving, dtype=float)
+    root = np.sqrt(np.where(serving, np.asarray(eta_dl, dtype=float), 0.0))
 
-    def reduce(ul, norms, dl):
-        return [x.sum(axis=0) for x in (dl, _power(dl), ul, _power(ul), norms)]
+    def log_sum(pw, noise):
+        num = np.diagonal(pw, axis1=1, axis2=2)
+        return np.log2(1.0 + num / (pw.sum(axis=2) - num + noise)).sum(axis=0)
+
+    def reduce(g, g_hat):
+        """Both links' UB log sums, then the mirror's moment sums of the crosses."""
+        ul, norms, dl = _cross(g, g_hat, mask, root)
+        dl_pw, ul_pw = _power(dl), _power(ul)
+        return [log_sum(dl_pw, sigma_z2), log_sum(eta * ul_pw, est.sigma_w2 * norms),
+                *(x.sum(axis=0) for x in (dl, dl_pw, ul, ul_pw, norms))]
 
     def links(sums, size):
-        """Each link's (desired, gain_var, interference, noise_term, sinr) from the
+        """Each link's (desired, gain_var, interference, noise_term, se) from the
         moment sums over size samples; the UL weighs user j's terms by eta_ul[j]."""
-        dl_c, dl_c2, ul_c, ul_c2, ul_n = (x / size for x in sums)
+        dl_c, dl_c2, ul_c, ul_c2, ul_n = (x / size for x in sums[2:])
         for c, c2, w, noise in ((dl_c, dl_c2, np.ones_like(eta), np.full(len(eta), sigma_z2)),
                                 (ul_c, ul_c2, eta, est.sigma_w2 * ul_n)):
             desired = np.sqrt(w) * np.diag(c)
@@ -211,45 +216,14 @@ def uatf_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, prelog, n_samples,
             interference = w[None, :] * c2
             np.fill_diagonal(interference, 0.0)
             sinr = np.abs(desired) ** 2 / (gain_var + interference.sum(axis=1) + noise)
-            yield desired, gain_var, interference, noise, sinr
+            yield desired, gain_var, interference, noise, prelog * np.log2(1.0 + sinr)
 
-    total, batches = _link_sums(ls, est, book, serving, eta_dl, n_samples, rng, batch_count,
-                                reduce)
-    batch_se = [[prelog * np.log2(1.0 + link[4]) for link in links(sums, size)]
-                for size, sums in batches]
+    total, batches = _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce)
+    batch_lb = [[link[4] for link in links(sums, size)] for size, sums in batches]
     return tuple(
-        UatfResult(se=prelog * np.log2(1.0 + sinr), se_stderr=_stderr([b[i] for b in batch_se]),
-                   sinr=sinr, desired=desired, gain_var=gain_var, interference=interference,
-                   noise_term=noise)
-        for i, (desired, gain_var, interference, noise, sinr) in enumerate(links(total, n_samples))
-    )
-
-
-@dataclass(frozen=True)
-class UbResult:
-    se: np.ndarray  # (K,)
-    se_stderr: np.ndarray  # (K,)
-
-
-def se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, prelog, n_samples, rng,
-             batch_count=20):
-    """Sampled upper bounds prelog * E[log2(1 + instantaneous SINR)] of both
-    links, from one (g, g_hat) stream. Returns (dl, ul) UbResults."""
-    eta = np.asarray(eta_ul, dtype=float)
-
-    def log_sum(pw, noise):
-        num = np.diagonal(pw, axis1=1, axis2=2)
-        return np.log2(1.0 + num / (pw.sum(axis=2) - num + noise)).sum(axis=0)
-
-    def reduce(ul, norms, dl):
-        return log_sum(_power(dl), sigma_z2), log_sum(eta * _power(ul), est.sigma_w2 * norms)
-
-    total, batches = _link_sums(ls, est, book, serving, eta_dl, n_samples, rng, batch_count,
-                                reduce)
-    return tuple(
-        UbResult(
-            se=prelog * total[i] / n_samples,
-            se_stderr=_stderr([prelog * sums[i] / size for size, sums in batches]),
-        )
-        for i in range(2)
+        McResult(ub=prelog * total[i] / n_samples,
+                 ub_stderr=_stderr([prelog * sums[i] / size for size, sums in batches]),
+                 lb=se, lb_stderr=_stderr([b[i] for b in batch_lb]), desired=desired,
+                 gain_var=gain_var, interference=interference, noise_term=noise)
+        for i, (desired, gain_var, interference, noise, se) in enumerate(links(total, n_samples))
     )

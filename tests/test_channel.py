@@ -230,7 +230,7 @@ def _drop_outputs(st, ls):
         pair_t=tables.pair_t,
         lb_dl=se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.noise_w), prelog),
         lb_ul=se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.noise_w), prelog),
-        ub_dl=ub_dl.se, ub_ul=ub_ul.se, err_dl=ub_dl.se_stderr, err_ul=ub_ul.se_stderr,
+        ub_dl=ub_dl.ub, ub_ul=ub_ul.ub, err_dl=ub_dl.ub_stderr, err_ul=ub_ul.ub_stderr,
     )
 
 

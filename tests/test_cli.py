@@ -117,6 +117,22 @@ def test_run_with_preset_override(tmp_path):
     assert code == 0
 
 
+def test_run_prints_the_mirror_check_only_with_ub(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    for ub_samples in (40, 0):
+        cfg_path.write_text(f"mc:\n  ub_samples: {ub_samples}\n  batch_count: 2\n")
+        code = main(["run", "--preset", "desk", "--config", str(cfg_path), "--drops", "2",
+                     "--out", str(tmp_path / f"out{ub_samples}")])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        lines = [line for line in out if line.startswith("UB mirror")]
+        if ub_samples:
+            assert len(lines) == 1 and "at drop" in lines[0]
+            assert lines[0].endswith("mc.batch_count 2")
+        else:
+            assert lines == []
+
+
 def test_run_unknown_preset_exit_2():
     # argparse's choices reject the preset before any config is built
     with pytest.raises(SystemExit) as exc:

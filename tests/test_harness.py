@@ -410,3 +410,44 @@ def test_non_finite_output_raises_numerics_error(monkeypatch, tmp_path, capsys):
     assert main(args) == 3
     assert "se_lb_dl is not finite" in capsys.readouterr().err
     assert not (out / "rates.csv").exists()
+
+
+def test_mirror_z_flags_a_broken_closed_form(monkeypatch):
+    # the UB pass mirrors each drop's closed-form LB without the SE tables: one
+    # user's row of C scaled by 1.1 (its DL denominator, and by duality the UL
+    # interference it sees from the others) moves the LB off the mirror. At the
+    # default 10,000 samples in 20 batches every broken drop reads max |z| > 6
+    # and no unbroken one does
+    cfg = preset_desk()
+    unbroken = [run_drop(cfg, d).mirror_z for d in range(3)]
+
+    def broken_tables(*args):
+        tables = build_se_tables(*args)
+        tables.C[0] *= 1.1
+        return tables
+
+    monkeypatch.setattr(cfsim.harness, "build_se_tables", broken_tables)
+    broken = [run_drop(cfg, d).mirror_z for d in range(3)]
+    assert max(unbroken) <= 6.0 < min(broken), (unbroken, broken)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mirror_z_of_a_zero_stderr(monkeypatch):
+    # kappa 0 leaves the UAVs no DL power: their DL LB and mirror SE are both
+    # exactly 0, with a 0 stderr, which counts z = 0 and warns of nothing; a
+    # closed form off the mirror there counts z = inf
+    cfg = preset_desk()
+    cfg = replace(cfg, power=replace(cfg.power, kappa=0.0), mc=replace(cfg.mc, ub_samples=400))
+    rep = run_drop(cfg, 0)
+    uav = rep.roles == 1
+    assert uav[-1] and (rep.se_lb_dl[uav] == 0).all() and (rep.se_ub_dl[uav] == 0).all()
+    assert np.isfinite(rep.mirror_z)
+
+    def off_mirror(tables, eta, sigma2):
+        sinr = dl_sinr_lb(tables, eta, sigma2)
+        sinr[-1] += 1e-3
+        return sinr
+
+    monkeypatch.setattr(cfsim.harness, "dl_sinr_lb", off_mirror)
+    assert run_drop(cfg, 0).mirror_z == np.inf
+    assert np.isnan(run_drop(replace(cfg, mc=replace(cfg.mc, ub_samples=0)), 0).mirror_z)

@@ -21,7 +21,6 @@ from cfsim.mc import (
     _batched,
     _cross,
     se_ub_mc,
-    uatf_mc,
 )
 from cfsim.power import ppa_dl
 
@@ -190,20 +189,20 @@ def test_se_ub_mc_links_match_per_link_reduction(state):
         pw = eta_ul[None, None, :] * np.abs(cross) ** 2
         batch_ul.append(prelog * np.log2(1.0 + sinr(pw, est.sigma_w2 * norms)).mean(axis=0))
     for res, batch in ((dl, batch_dl), (ul, batch_ul)):
-        np.testing.assert_allclose(res.se, np.mean(batch, axis=0), rtol=1e-12)
+        np.testing.assert_allclose(res.ub, np.mean(batch, axis=0), rtol=1e-12)
         np.testing.assert_allclose(
-            res.se_stderr, np.std(batch, axis=0, ddof=1) / np.sqrt(3), rtol=1e-12
+            res.ub_stderr, np.std(batch, axis=0, ddof=1) / np.sqrt(3), rtol=1e-12
         )
 
 
 def test_uatf_mc_assembles_the_term_groups_from_oracle_moments(state):
-    # each link's term groups, as the UatF bound defines them, from the einsum
-    # oracles' moments over the same sampler draws
+    # each link's UatF mirror, the term groups as the bound defines them, from
+    # the einsum oracles' moments over the same sampler draws
     ls, est, book = state["ls"], state["est"], state["book"]
     serving, eta_dl, eta_ul = _ub_inputs(state)
     sigma_z2, prelog = 3.0 * est.sigma_w2, 0.3
-    dl, ul = uatf_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, prelog,
-                     60, np.random.default_rng(3), batch_count=3)
+    dl, ul = se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, prelog,
+                      60, np.random.default_rng(3), batch_count=3)
     g, g_hat = _drawn(ls, est, book, np.random.default_rng(3), 60, 3)
     dl_c = _dl_cross_oracle(g, g_hat, np.sqrt(eta_dl))
     ul_c, norms = _ul_cross_oracle(g, g_hat, serving.astype(float))
@@ -218,24 +217,29 @@ def test_uatf_mc_assembles_the_term_groups_from_oracle_moments(state):
         se = prelog * np.log2(1.0 + np.abs(desired) ** 2
                               / (gain_var + interference.sum(axis=1) + noise))
         for name, want in (("desired", desired), ("interference", interference),
-                           ("noise_term", noise), ("se", se)):
+                           ("noise_term", noise), ("lb", se)):
             np.testing.assert_allclose(getattr(res, name), want, rtol=1e-12, err_msg=name)
         # a variance is a difference of moments: it carries their rounding, 1e-12
         # of E|D_k|^2, which can exceed 1e-12 of the variance itself
         assert np.all(np.abs(res.gain_var - gain_var) <= 1e-12 * second)
 
 
+def _bounds(results):
+    """(SE, stderr) of the UB and of the mirror of each McResult."""
+    return [pair for r in results for pair in ((r.ub, r.ub_stderr), (r.lb, r.lb_stderr))]
+
+
 def _all_estimators(state):
-    """g, g_hat, and the se / se_stderr of se_ub_mc and uatf_mc, in 2 batches."""
+    """g, g_hat, and the bounds of se_ub_mc on two streams, in 2 batches."""
     ls, est, book = state["ls"], state["est"], state["book"]
     serving, eta_dl, eta_ul = _ub_inputs(state)
     kw = dict(batch_count=2)
     rng, sigma_z2 = np.random.default_rng, 3.0 * est.sigma_w2
     results = (
         *se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, 0.3, 100, rng(1), **kw),
-        *uatf_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, 0.3, 100, rng(2), **kw),
+        *se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, 0.3, 100, rng(2), **kw),
     )
-    return _drawn(ls, est, book, rng(7), 100, 2), [(r.se, r.se_stderr) for r in results]
+    return _drawn(ls, est, book, rng(7), 100, 2), _bounds(results)
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, 10**6])
@@ -277,14 +281,13 @@ def test_sampler_memory_is_one_chunk_of_raw_draws(desk_cfg):
     assert peak <= 1.2 * raw_bytes
 
 
-def _estimate(state, name, rng, n_samples=80):
-    """se and se_stderr of one MC estimator on state, n_samples in 2 batches."""
+def _estimate(state, rng, n_samples=80):
+    """The bounds of se_ub_mc on state, n_samples in 2 batches."""
     ls, est, book = state["ls"], state["est"], state["book"]
     serving, eta_dl, eta_ul = _ub_inputs(state)
     sigma_z2, kw = 3.0 * est.sigma_w2, dict(batch_count=2)
-    results = getattr(cfsim.mc, name)(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, 0.3,
-                                      n_samples, rng, **kw)
-    return [(r.se, r.se_stderr) for r in results]
+    return _bounds(cfsim.mc.se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, sigma_z2, 0.3,
+                                     n_samples, rng, **kw))
 
 
 class _RecordingPool(ThreadPoolExecutor):
@@ -326,8 +329,7 @@ def test_collided_uc_has_scalar_and_dense_estimators(collided_uc):
     assert 0 < len(dense) < collided_uc["cfg"].n_users
 
 
-@pytest.mark.parametrize("name", ["se_ub_mc", "uatf_mc"])
-def test_threaded_sampler_matches_serial_reference(state, monkeypatch, pools, name):
+def test_threaded_sampler_matches_serial_reference(state, monkeypatch, pools):
     # 40 one-sample blocks per batch, thread switches as often as the interpreter
     # allows, and reducer calls of scattered length, so blocks finish out of
     # order: the block sums must still be added in block order
@@ -348,9 +350,9 @@ def test_threaded_sampler_matches_serial_reference(state, monkeypatch, pools, na
     sys.setswitchinterval(1e-6)
     try:
         monkeypatch.setattr(cfsim.mc, "_batch_sums", scattered)
-        threaded = _estimate(state, name, np.random.default_rng(11))
+        threaded = _estimate(state, np.random.default_rng(11))
         monkeypatch.setattr(cfsim.mc, "_batch_sums", _serial_batch_sums)
-        serial = _estimate(state, name, np.random.default_rng(11))
+        serial = _estimate(state, np.random.default_rng(11))
     finally:
         sys.setswitchinterval(interval)
     for (se, err), (se_ref, err_ref) in zip(threaded, serial):
@@ -384,7 +386,7 @@ def test_reducer_error_cancels_pending_blocks(gate_fixture, monkeypatch, pools):
 
     monkeypatch.setattr(cfsim.mc, "_batch_sums", failing)
     with pytest.raises(ThirdBlock):
-        _estimate(gate_fixture, "se_ub_mc", np.random.default_rng(12))
+        _estimate(gate_fixture, np.random.default_rng(12))
     assert len(calls) < 40  # blocks per batch: the rest never ran
     assert [pool.shutdowns for pool in pools] == [[(True, True)]]
 
@@ -399,7 +401,6 @@ def test_mc_rejects_too_few_samples_or_batches(gate_fixture, n_samples, batch_co
     args = (ls, est, book, serving, eta_dl, eta_ul, 1e-3, 0.4, n_samples, rng)
     calls = [
         lambda: se_ub_mc(*args, batch_count=batch_count),
-        lambda: uatf_mc(*args, batch_count=batch_count),
         lambda: fourth_moment_check(1.0, 2.0, np.ones(2), np.eye(2), n_samples, rng,
                                     batch_count=batch_count),
     ]

@@ -345,7 +345,7 @@ def test_ub_zero_power_is_zero(gate_fixture):
         ls, est, book, serving, np.zeros_like(est.gamma), np.full(cfg.n_users, 0.1),
         cfg.noise_w, 0.42, 2000, np.random.default_rng(8),
     )
-    np.testing.assert_array_equal(res.se, 0.0)
+    np.testing.assert_array_equal(res.ub, 0.0)
 
 
 def test_ub_dominates_lb(gate_fixture):
@@ -362,14 +362,13 @@ def test_ub_dominates_lb(gate_fixture):
     lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.noise_w), prelog)
     ub_dl, ub_ul = se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, cfg.noise_w,
                             prelog, 30_000, rng)
-    assert (lb_dl <= ub_dl.se + 3.0 * ub_dl.se_stderr).all()
-    assert (lb_ul <= ub_ul.se + 3.0 * ub_ul.se_stderr).all()
+    assert (lb_dl <= ub_dl.ub + 3.0 * ub_dl.ub_stderr).all()
+    assert (lb_ul <= ub_ul.ub + 3.0 * ub_ul.ub_stderr).all()
 
 
 def test_closed_form_matches_mc_in_user_centric_mode():
     # the serving-set masking must agree between the closed form and the MC
     # sampler when A_k is a strict subset of the APs
-    from cfsim.mc import uatf_mc
     from cfsim.power import fpc_ul
 
     st = make_state(seed=77, n_ap=4, n_ap_antennas=2, n_gue=2, n_uav=2, tau_p=2,
@@ -385,10 +384,10 @@ def test_closed_form_matches_mc_in_user_centric_mode():
     prelog = cfg.frame.prelog
     lb_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.noise_w), prelog)
     lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.noise_w), prelog)
-    mc_dl, mc_ul = uatf_mc(ls, est, book, serving, eta_dl, eta_ul, cfg.noise_w, prelog,
-                           50_000, np.random.default_rng(1))
-    assert (np.abs(lb_dl - mc_dl.se) <= 3.0 * mc_dl.se_stderr).all()
-    assert (np.abs(lb_ul - mc_ul.se) <= 3.0 * mc_ul.se_stderr).all()
+    mc_dl, mc_ul = se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, cfg.noise_w, prelog,
+                            50_000, np.random.default_rng(1))
+    assert (np.abs(lb_dl - mc_dl.lb) <= 3.0 * mc_dl.lb_stderr).all()
+    assert (np.abs(lb_ul - mc_ul.lb) <= 3.0 * mc_ul.lb_stderr).all()
 
 
 def test_uatf_interference_zero_for_silent_user(gate_fixture):
@@ -397,12 +396,10 @@ def test_uatf_interference_zero_for_silent_user(gate_fixture):
         state["ls"], state["est"], state["book"], state["serving"], state["cfg"],
         state["tables"],
     )
-    from cfsim.mc import uatf_mc
-
     eta_dl = ppa_dl(tables.gamma, tables.serving, np.full(cfg.n_ap, 0.2))
     eta_dl[1, :] = 0.0  # user 1 transmitless
-    res, _ = uatf_mc(ls, est, book, serving, eta_dl, np.full(cfg.n_users, 0.1), cfg.noise_w,
-                     0.42, 2000, np.random.default_rng(11))
+    res, _ = se_ub_mc(ls, est, book, serving, eta_dl, np.full(cfg.n_users, 0.1), cfg.noise_w,
+                      0.42, 2000, np.random.default_rng(11))
     np.testing.assert_array_equal(res.interference[:, 1], 0.0)
 
 
@@ -450,9 +447,9 @@ def test_ub_matches_independent_literal_path_oracle(literal_ub):
     # the DL UB recomputed through the literal training op must agree
     # statistically with the fast path
     (fast, _), (literal, _) = literal_ub
-    np.testing.assert_allclose(literal, fast.se, atol=4.0 * np.sqrt(2) * fast.se_stderr.max())
+    np.testing.assert_allclose(literal, fast.ub, atol=4.0 * np.sqrt(2) * fast.ub_stderr.max())
 
 
 def test_ub_ul_matches_independent_literal_path_oracle(literal_ub):
     (_, fast), (_, literal) = literal_ub
-    np.testing.assert_allclose(literal, fast.se, atol=4.0 * np.sqrt(2) * fast.se_stderr.max())
+    np.testing.assert_allclose(literal, fast.ub, atol=4.0 * np.sqrt(2) * fast.ub_stderr.max())

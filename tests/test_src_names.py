@@ -9,14 +9,10 @@ import pathlib
 
 import cfsim
 
-# The Monte-Carlo mirror of the closed-form bounds: the acceptance tests compare
-# the closed forms against it, so it stays in the package beside the sampler
-ALLOWED = {"uatf_mc"}
-
-# Fields read outside src/cfsim: the mirror's term groups (its tests), and the
-# solver reports that perfbench and library callers read
+# Fields read outside src/cfsim: the UatF mirror's term groups (its tests), and
+# the solver reports that perfbench and library callers read
 ALLOWED_FIELDS = {"RateReport.power_info"} | {
-    f"UatfResult.{name}" for name in ("sinr", "desired", "gain_var", "interference", "noise_term")
+    f"McResult.{name}" for name in ("desired", "gain_var", "interference", "noise_term")
 }
 
 
@@ -58,8 +54,7 @@ def test_every_public_src_name_is_referenced_in_src():
     trees = _trees()
     defined = {name for tree in trees for name in _public_definitions(tree)}
     referenced = {name for tree in trees for name in _referenced_names(tree)}
-    assert sorted(defined - referenced - ALLOWED) == []
-    assert ALLOWED <= defined  # the allow-list names nothing that is gone
+    assert sorted(defined - referenced) == []
 
 
 def test_every_dataclass_field_is_read_in_src():
