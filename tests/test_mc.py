@@ -329,7 +329,10 @@ def test_collided_uc_has_scalar_and_dense_estimators(collided_uc):
     assert 0 < len(dense) < collided_uc["cfg"].n_users
 
 
-def test_threaded_sampler_matches_serial_reference(state, monkeypatch, pools):
+# _bounds lists each link's UB pair and then its UatF mirror's pair: the se_ub_mc
+# case compares the UB's bytes, the uatf_mc case the mirror's, of the same pass
+@pytest.mark.parametrize("part", [pytest.param(0, id="se_ub_mc"), pytest.param(1, id="uatf_mc")])
+def test_threaded_sampler_matches_serial_reference(state, monkeypatch, pools, part):
     # 40 one-sample blocks per batch, thread switches as often as the interpreter
     # allows, and reducer calls of scattered length, so blocks finish out of
     # order: the block sums must still be added in block order
@@ -355,7 +358,7 @@ def test_threaded_sampler_matches_serial_reference(state, monkeypatch, pools):
         serial = _estimate(state, np.random.default_rng(11))
     finally:
         sys.setswitchinterval(interval)
-    for (se, err), (se_ref, err_ref) in zip(threaded, serial):
+    for (se, err), (se_ref, err_ref) in zip(threaded[part::2], serial[part::2]):
         assert se.tobytes() == se_ref.tobytes()
         assert err.tobytes() == err_ref.tobytes()
     assert len(pools) == 1 and pools[0].shutdowns  # no pool is left running
