@@ -32,14 +32,6 @@ class LargeScaleState:
     roles: np.ndarray  # (K,)
 
     @property
-    def n_users(self):
-        return self.beta.shape[0]
-
-    @property
-    def n_ap(self):
-        return self.beta.shape[1]
-
-    @property
     def n_ap_antennas(self):
         return self.steering.shape[2]
 

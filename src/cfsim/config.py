@@ -434,6 +434,8 @@ def _coerce_scalar(value, ftype, path):
         raise ConfigError("must not be null", field=path)
     base = ftype.replace("Optional[", "").rstrip("]")
     try:
+        if base == "str" and not isinstance(value, str):
+            raise TypeError(f"expected a string, got {type(value).__name__}")
         if base == "float":
             return float(value)
         if base == "int":

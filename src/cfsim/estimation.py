@@ -58,14 +58,6 @@ class EstimationState:
     sigma_w2: float
 
     @property
-    def n_users(self):
-        return self.d.shape[0]
-
-    @property
-    def n_ap(self):
-        return self.d.shape[1]
-
-    @property
     def n_ap_antennas(self):
         return self.D_dense.shape[2]
 

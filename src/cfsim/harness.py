@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 import yaml
@@ -27,14 +28,7 @@ from .errors import CfsimError, NumericsError
 from .estimation import assign_pilots, build_estimation
 from .geometry import generate_topology
 from .mc import se_ub_mc
-from .power import (
-    fpc_ul,
-    maxmin_dl,
-    maxmin_ul,
-    ppa_dl,
-    uniform_dl,
-    wfpa_dl,
-)
+from .power import fpc_ul, maxmin_dl, maxmin_ul, ppa_dl, uniform_dl, wfpa_dl
 from .se import build_se_tables, dl_sinr_lb, se_from_sinr, ul_sinr_lb
 
 ROLE_NAMES = {0: "gue", 1: "uav"}
@@ -70,42 +64,20 @@ def drop_seed_sequence(master_seed, drop_index):
 
 def allocate_dl(config: SimConfig, tables, roles):
     p = config.power
-    budgets = np.full(config.n_ap, p.dl_budget_per_ap_w)
-    if p.dl == "ppa":
-        return ppa_dl(tables.gamma, tables.serving, budgets, roles=roles, kappa=p.kappa), {}
-    if p.dl == "wfpa":
-        return (
-            wfpa_dl(
-                tables.gamma, tables.serving, budgets, config.noise_w,
-                roles=roles, kappa=p.kappa,
-            ),
-            {},
-        )
-    if p.dl == "uniform":
-        return uniform_dl(tables.gamma, tables.serving, budgets, roles=roles, kappa=p.kappa), {}
-    # maxmin
-    mm = p.maxmin
-    return maxmin_dl(
-        tables,
-        budgets,
-        config.noise_w,
-        prelog=config.frame.prelog,
-        roles=roles,
-        kappa=p.kappa,
-        outer_tol=mm.outer_tol,
-        max_outer_iters=mm.max_outer_iters,
-        max_inner_iters=mm.max_inner_iters,
-    )
+    if p.dl == "maxmin":
+        return maxmin_dl(tables, p.dl_budget_per_ap_w, config.noise_w, config.frame.prelog,
+                         roles=roles, kappa=p.kappa, **asdict(p.maxmin))
+    # built per call, so a wrapper put in a module global's place is the one called
+    split = {"ppa": ppa_dl, "uniform": uniform_dl,
+             "wfpa": partial(wfpa_dl, sigma_z2=config.noise_w)}[p.dl]
+    return split(tables.gamma, tables.serving, p.dl_budget_per_ap_w, roles=roles, kappa=p.kappa), {}
 
 
 def allocate_ul(config: SimConfig, tables, est):
     p = config.power
-    p_max = np.full(config.n_users, p.ul_max_w)
     if p.ul == "fpc":
-        return fpc_ul(est.tr_G, tables.serving, p_max, p.fpc.p0_watts, p.fpc.alpha), {}
-    return maxmin_ul(
-        tables, config.noise_w, prelog=config.frame.prelog, p_max=p_max
-    )
+        return fpc_ul(est.tr_G, tables.serving, p.ul_max_w, p.fpc.p0_watts, p.fpc.alpha), {}
+    return maxmin_ul(tables, config.noise_w, config.frame.prelog, p.ul_max_w)
 
 
 def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) -> RateReport:

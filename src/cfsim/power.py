@@ -4,9 +4,9 @@ Downlink: proportional (PPA), waterfilling (WFPA), uniform per served user,
 and min-rate maximization over all (AP, user) powers at once. Uplink:
 fractional power control (FPC) and exact min-rate maximization. Every
 strategy returns the *coefficients* eta (transmitted power is eta * gamma in
-DL), with per-AP budgets sum_k eta[k,a] gamma[k,a] <= budget_a and per-user
-UL boxes 0 <= eta_k <= P_max. Both max-min solvers return (eta, info) with the
-min-rate trace, a converged flag and the iteration count.
+DL), with one budget per AP, sum_k eta[k,a] gamma[k,a] <= budget at each AP,
+and one UL box 0 <= eta_k <= P_max. Both max-min solvers return (eta, info)
+with the min-rate trace, a converged flag and the iteration count.
 
 DL max-min runs accelerated projected gradient on a smoothed min of log SINR
 over the DL quadratic form (se.SETables); see maxmin_dl (Farooq, Ngo
@@ -28,17 +28,18 @@ from .geometry import ROLE_UAV
 from .se import SETables, se_from_sinr, ul_sinr_affine
 
 
-def _budget_groups(n_users, roles, kappa, budgets):
-    """(group, caps, onehot): user k draws on the DL budget share caps[group[k], a]
-    of AP a, and onehot @ x sums the (K, A) array x over each group's users.
+def _budget_groups(n_users, roles, kappa, budget):
+    """(group, caps, onehot): user k draws on the DL budget share caps[group[k]]
+    of each AP, and onehot @ x sums the (K, A) array x over each group's users.
     Without kappa all users share the whole budget; with it GUEs share
-    1 - kappa and UAVs kappa of each AP budget."""
-    budgets = np.asarray(budgets, dtype=float)
+    1 - kappa and UAVs kappa of it."""
+    if not budget >= 0:
+        raise DegenerateInputError(f"DL budget {budget} W is not >= 0")
     if kappa is None:
-        group, caps = np.zeros(n_users, dtype=int), budgets[None, :]
+        group, caps = np.zeros(n_users, dtype=int), np.array([float(budget)])
     else:
         group = (np.asarray(roles) == ROLE_UAV).astype(int)
-        caps = np.array([1.0 - kappa, kappa])[:, None] * budgets[None, :]
+        caps = np.array([1.0 - kappa, kappa]) * budget
     return group, caps, (group[None, :] == np.arange(len(caps))[:, None]).astype(float)
 
 
@@ -46,69 +47,65 @@ def _budget_groups(n_users, roles, kappa, budgets):
 # Heuristic DL strategies
 # ---------------------------------------------------------------------------
 
-def ppa_dl(gamma, serving, budgets, roles=None, kappa=None):
-    """Proportional power allocation: P[k,a] = share_a * gamma / sum(gamma)
-    over the users of k's budget group (see _budget_groups) served by AP a."""
-    gamma = np.asarray(gamma, dtype=float)
-    group, caps, onehot = _budget_groups(gamma.shape[0], roles, kappa, budgets)
-    total = onehot @ np.where(serving, gamma, 0.0)  # (group, AP)
-    bad = np.flatnonzero(((onehot @ serving > 0) & (total <= 0)).any(axis=0))
-    if bad.size:
-        raise DegenerateInputError(f"AP {bad[0]}: all served users have zero gamma; PPA undefined")
-    # P = cap*gamma/total, so eta = P/gamma is uniform in the group
-    share = np.divide(caps, total, out=np.zeros_like(total), where=total > 0)
-    return np.where(serving, share[group], 0.0)
-
-
-def uniform_dl(gamma, serving, budgets, roles=None, kappa=None):
-    """Equal transmitted power per served user: P[k,a] = share_a / |K_a| over
-    the users of k's budget group (see _budget_groups) served by AP a."""
+def _split_dl(gamma, serving, budget, weight, roles, kappa):
+    """Each AP splits each group's budget share cap (see _budget_groups) over the
+    group's served users in proportion to weight: P[k,a] = share_a * weight[k,a]
+    with share_a = cap / sum(weight), so eta = P / gamma = share_a / (gamma / weight)."""
     gamma = np.asarray(gamma, dtype=float)
     serving = np.asarray(serving, dtype=bool)
-    group, caps, onehot = _budget_groups(gamma.shape[0], roles, kappa, budgets)
-    bad = np.flatnonzero((serving & (gamma <= 0)).any(axis=0))
+    group, caps, onehot = _budget_groups(gamma.shape[0], roles, kappa, budget)
+    total = onehot @ np.where(serving, weight, 0.0)  # (group, AP)
+    per_weight = np.divide(gamma, weight, out=np.ones_like(gamma), where=weight > 0)
+    bad = np.flatnonzero(((onehot @ serving > 0) & (total <= 0)).any(axis=0)
+                         | (serving & (per_weight <= 0)).any(axis=0))
     if bad.size:
         raise DegenerateInputError(f"AP {bad[0]}: zero gamma among served users")
-    count = onehot @ serving  # (group, AP)
-    power = np.divide(caps, count, out=np.zeros_like(caps), where=count > 0)[group]
-    return np.divide(power, gamma, out=np.zeros_like(gamma), where=serving)
+    share = np.divide(caps[:, None], total, out=np.zeros_like(total), where=total > 0)
+    return np.divide(share[group], per_weight, out=np.zeros_like(gamma), where=serving)
 
 
-def solve_water_level(noise_levels, budget):
-    """Water level nu with sum_k (nu - L_k)^+ = budget, by sort-and-scan."""
-    levels = np.sort(np.asarray(noise_levels, dtype=float))
-    if levels.size == 0:
-        raise DegenerateInputError("no noise levels given")
-    if budget <= 0:
-        raise DegenerateInputError("budget must be > 0")
-    csum = np.cumsum(levels)
-    for m in range(1, levels.size + 1):
-        nu = (budget + csum[m - 1]) / m
-        if nu >= levels[m - 1] and (m == levels.size or nu <= levels[m]):
-            return float(nu)
-    # numerically unreachable: the last candidate always satisfies the scan
-    return float((budget + csum[-1]) / levels.size)
+def ppa_dl(gamma, serving, budget, roles=None, kappa=None):
+    """Proportional power allocation: P[k,a] = share * gamma / sum(gamma), so
+    eta is the same for all served users of a group at an AP. Undefined (raises)
+    where all of them have zero gamma."""
+    gamma = np.asarray(gamma, dtype=float)
+    return _split_dl(gamma, serving, budget, gamma, roles, kappa)
 
 
-def wfpa_dl(gamma, serving, budgets, sigma_z2, roles=None, kappa=None):
+def uniform_dl(gamma, serving, budget, roles=None, kappa=None):
+    """Equal transmitted power per served user: P[k,a] = share / |K_a|. Raises
+    where a served user has zero gamma."""
+    return _split_dl(gamma, serving, budget, 1.0, roles, kappa)
+
+
+def wfpa_dl(gamma, serving, budget, sigma_z2, roles=None, kappa=None):
     """Waterfilling on the noise levels L = sigma_z^2 / gamma, per AP(-class);
-    a class without budget share (kappa 0 or 1) gets no power."""
+    a class without budget share (kappa 0 or 1) gets no power.
+
+    All (class, AP) water levels nu, with sum_k (nu - L_k)^+ = cap, come from
+    one sort-and-scan (Palomar & Fonollosa, IEEE TSP 2005) along the user axis:
+    with the n levels sorted, nu = (cap + L_1 + ... + L_m) / m for the first m
+    with L_m <= nu <= L_{m+1} (L_{n+1} = inf), else for m = n."""
     gamma = np.asarray(gamma, dtype=float)
     K, A = gamma.shape
-    group, caps, _ = _budget_groups(K, roles, kappa, budgets)
-    eta = np.zeros((K, A))
-    for a in range(A):
-        for g in range(len(caps)):
-            users = np.flatnonzero(serving[:, a] & (group == g))
-            if users.size == 0 or caps[g, a] == 0:
-                continue
-            if np.any(gamma[users, a] <= 0):
-                raise DegenerateInputError(f"AP {a}: zero gamma among served users")
-            levels = sigma_z2 / gamma[users, a]
-            nu = solve_water_level(levels, caps[g, a])
-            power = np.maximum(nu - levels, 0.0)
-            eta[users, a] = power / gamma[users, a]
-    return eta
+    group, caps, onehot = _budget_groups(K, roles, kappa, budget)
+    fill = serving & (caps[group] > 0)[:, None]
+    bad = np.flatnonzero((fill & (gamma <= 0)).any(axis=0))
+    if bad.size:
+        raise DegenerateInputError(f"AP {bad[0]}: zero gamma among served users")
+    L = np.where(fill, sigma_z2 / np.where(fill, gamma, 1.0), np.inf)
+    # (group, K + 1, AP): each group's levels sorted, padded with inf
+    levels = np.full((len(caps), K + 1, A), np.inf)
+    levels[:, :K] = np.sort(np.where(onehot[:, :, None] > 0, L, np.inf), axis=1)
+    nu = (caps[:, None, None] + np.cumsum(levels, axis=1)) / np.arange(1.0, K + 2.0)[:, None]
+    fits = nu >= levels
+    fits[:, :K] &= nu[:, :K] <= levels[:, 1:]
+    n = (levels < np.inf).sum(axis=1)
+    # past the n levels every candidate fits, and the scan keeps m = n
+    first = np.minimum(fits.argmax(axis=1), n - 1)
+    water = np.take_along_axis(nu, first[:, None], axis=1)[:, 0][group]  # (K, A)
+    power = np.subtract(water, L, out=np.zeros_like(L), where=fill)
+    return np.divide(np.maximum(power, 0.0), gamma, out=np.zeros_like(L), where=fill)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +192,7 @@ DL_STALL_RTOL = 0.03
 @np.errstate(divide="ignore")  # a starved user's log SINR is -inf
 def maxmin_dl(
     tables: SETables,
-    budgets,
+    budget,
     sigma_z2,
     prelog,
     roles=None,
@@ -217,20 +214,19 @@ def maxmin_dl(
     budget or a user who can get no power (min rate 0 under any allocation)
     raises DegenerateInputError."""
     serving, gamma = tables.serving, tables.gamma
-    budgets = np.asarray(budgets, dtype=float)
-    bad = np.flatnonzero(serving.any(axis=0) & ~(budgets > 0))
-    if bad.size:
-        raise DegenerateInputError(f"AP {bad[0]}: budget {budgets[bad[0]]} W; its users get no power")
+    if serving.any() and not budget > 0:
+        raise DegenerateInputError(f"AP {serving.any(axis=0).argmax()}: budget {budget} W; "
+                                   "its users get no power")
     # in y = sqrt(gamma * eta) each AP(-class) budget is a ball:
-    # sum_{k in group} y[k, a]^2 <= caps[group, a]
-    group, caps, onehot = _budget_groups(tables.n_users, roles, kappa, budgets)
-    usable = serving & (gamma > 0) & (caps[group] > 0)
+    # sum_{k in group} y[k, a]^2 <= caps[group]
+    group, caps, onehot = _budget_groups(tables.n_users, roles, kappa, budget)
+    usable = serving & (gamma > 0) & (caps[group] > 0)[:, None]
     stranded = np.flatnonzero(~usable.any(axis=1))
     if stranded.size:
         raise DegenerateInputError(f"user {stranded[0]}: zero gamma or budget on all serving APs")
 
     mask = usable.astype(float)
-    room = np.where(caps > 0, caps, 1.0)  # a zero cap only meets unusable (zero) rows
+    room = np.where(caps > 0, caps, 1.0)[:, None]  # a zero cap only meets unusable (zero) rows
 
     def project(y):
         """Projection onto the budget balls, in place: callers pass temporaries."""
@@ -241,12 +237,12 @@ def maxmin_dl(
         return y
 
     obj = _DlObjective(tables, usable, sigma_z2)
-    best = project(np.sqrt(gamma * ppa_dl(gamma, serving, budgets, roles=roles, kappa=kappa)))
+    best = project(np.sqrt(gamma * ppa_dl(gamma, serving, budget, roles=roles, kappa=kappa)))
     best_low = obj.smooth_min(best, 1.0)[1]
     trace = [float(se_from_sinr(np.exp(best_low), prelog))]
     mu_end = max(math.log(tables.n_users), 1.0) / outer_tol if outer_tol > 0 else np.inf
     mu = min(5.0, mu_end)
-    diameter = 2.0 * math.sqrt(caps.sum())  # no useful step is longer
+    diameter = 2.0 * math.sqrt(caps.repeat(tables.gamma.shape[1]).sum())  # no useful step is longer
     converged = False
     stage, steps = 0, []
     for stage in range(1, max_outer_iters + 1):

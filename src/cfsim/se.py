@@ -67,10 +67,6 @@ class SETables:
     def n_users(self):
         return self.gamma.shape[0]
 
-    @property
-    def n_ap(self):
-        return self.gamma.shape[1]
-
 
 def _interference(steering, rice, is_los, c2, est, aps, eta, k, j, C):
     """Fill C[k, j, a] = sqrt(eta_j) Re tr(G_j D_j^H G_k), the average interference

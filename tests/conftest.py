@@ -11,7 +11,18 @@ from cfsim.config import config_from_dict, preset_desk, preset_paper
 from cfsim.estimation import PilotBook, assign_pilots, build_estimation
 from cfsim.geometry import generate_topology
 from cfsim.harness import drop_seed_sequence
+from cfsim.power import wfpa_dl
 from cfsim.se import build_se_tables
+
+
+def one_ap_waterfill(levels, budget):
+    """(levels, powers) that wfpa_dl gives one AP whose users have the noise
+    levels `levels` (sigma_z^2 = 1, gamma = 1 / level). The levels returned are
+    the ones it fills, 1 / gamma, which may differ from the given ones in the
+    last bit."""
+    gamma = 1.0 / np.asarray(levels, dtype=float)[:, None]
+    eta = wfpa_dl(gamma, np.ones(gamma.shape, dtype=bool), budget, 1.0)
+    return 1.0 / gamma[:, 0], (eta * gamma)[:, 0]
 
 
 def make_state(

@@ -15,6 +15,9 @@
   (channel stats, estimator) pair and fourth_moment_check, its sampled check.
 - Pilot and DL budget helpers: pilot_set, copilot_gram2, pilot_sequences and
   dl_budget_violation.
+- The scalar sort-and-scan of one waterfilling level (water_level), the
+  reference that cfsim.power.wfpa_dl's all-levels-at-once scan is checked
+  against.
 """
 
 from fractions import Fraction
@@ -45,10 +48,21 @@ def pilot_sequences(book: PilotBook):
     return pilot_set(book.tau_p)[book.assignment]
 
 
-def dl_budget_violation(eta_dl, gamma, budgets):
+def dl_budget_violation(eta_dl, gamma, budget):
     """Max relative budget excess over APs (negative when strictly inside)."""
     used = (eta_dl * gamma).sum(axis=0)
-    return float(((used - budgets) / budgets).max())
+    return float(((used - budget) / budget).max())
+
+
+def water_level(noise_levels, budget):
+    """Water level nu with sum_k (nu - L_k)^+ = budget, by sort-and-scan."""
+    levels = np.sort(np.asarray(noise_levels, dtype=float))
+    csum = np.cumsum(levels)
+    for m in range(1, levels.size + 1):
+        nu = (budget + csum[m - 1]) / m
+        if nu >= levels[m - 1] and (m == levels.size or nu <= levels[m]):
+            return nu
+    return (budget + csum[-1]) / levels.size
 
 
 def covariance_G(beta, rice_k, steering):
@@ -108,7 +122,7 @@ def exact_estimator(ls: LargeScaleState, book: PilotBook, eta_train, sigma_w2, k
     """(D / sqrt(eta_k), gamma) of pair (k, a), D = sqrt(eta_k) G_k B^{-1}, computed in
     exact rationals from the float beta, K, steering, eta and sigma_w^2 and rounded
     once: G_k B^{-1} as an (N, N) complex array, gamma = eta_k tr(G_k B^{-1} G_k)."""
-    eta = np.broadcast_to(np.asarray(eta_train, dtype=float), (ls.n_users,))
+    eta = np.broadcast_to(np.asarray(eta_train, dtype=float), (ls.beta.shape[0],))
     N = ls.n_ap_antennas
 
     def mul(x, y):

@@ -18,17 +18,10 @@ from cfsim.config import preset_desk, preset_desk_mmimo
 from cfsim.geometry import ROLE_GUE, ROLE_UAV
 from cfsim.harness import run_campaign, write_rates_csv
 from cfsim.mc import se_ub_mc
-from cfsim.power import (
-    fpc_ul,
-    maxmin_dl,
-    maxmin_ul,
-    ppa_dl,
-    solve_water_level,
-    wfpa_dl,
-)
+from cfsim.power import fpc_ul, maxmin_dl, maxmin_ul, ppa_dl, wfpa_dl
 from cfsim.se import dl_sinr_lb, se_from_sinr, ul_sinr_lb
 
-from conftest import make_state
+from conftest import make_state, one_ap_waterfill
 from per_pair import fourth_moment_check
 
 
@@ -49,9 +42,8 @@ def test_criterion_1_closed_form_matches_mc_uatf(gate_fixture):
     tables, cfg, ls, est, book, serving = (
         st["tables"], st["cfg"], st["ls"], st["est"], st["book"], st["serving"]
     )
-    budgets = np.full(cfg.n_ap, cfg.power.dl_budget_per_ap_w)
-    eta_dl = ppa_dl(tables.gamma, tables.serving, budgets)
-    eta_ul = fpc_ul(est.tr_G, tables.serving, np.full(cfg.n_users, 0.1),
+    eta_dl = ppa_dl(tables.gamma, tables.serving, cfg.power.dl_budget_per_ap_w)
+    eta_ul = fpc_ul(est.tr_G, tables.serving, 0.1,
                     cfg.power.fpc.p0_watts, cfg.power.fpc.alpha)
     prelog = cfg.frame.prelog
     lb_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.noise_w), prelog)
@@ -122,21 +114,19 @@ def test_criterion_3_lb_below_ub_on_desk_preset():
 
 def test_criterion_4_wfpa_correctness():
     t0 = time.time()
-    nu = solve_water_level([1.0, 2.0, 10.0], 3.0)
-    powers = np.maximum(nu - np.array([1.0, 2.0, 10.0]), 0.0)
-    exact = nu == pytest.approx(3.0) and np.allclose(powers, [2.0, 1.0, 0.0])
+    _, powers = one_ap_waterfill([1.0, 2.0, 10.0], 3.0)
+    exact = np.allclose(powers, [2.0, 1.0, 0.0], rtol=0.0, atol=1e-12)  # water level 3
 
     rng = np.random.default_rng(40)
     worst_budget = 0.0
     kkt_ok = True
     for _ in range(100):
         n = int(rng.integers(1, 15))
-        levels = rng.uniform(1e-3, 50.0, n)
         budget = rng.uniform(0.05, 30.0)
-        nu = solve_water_level(levels, budget)
-        p = np.maximum(nu - levels, 0.0)
+        levels, p = one_ap_waterfill(rng.uniform(1e-3, 50.0, n), budget)
         worst_budget = max(worst_budget, abs(p.sum() - budget) / budget)
         active = p > 0
+        nu = (levels[active] + p[active]).max()
         kkt_ok &= bool((levels[~active] >= nu - 1e-12).all())
         kkt_ok &= bool(np.allclose(levels[active] + p[active], nu, rtol=1e-12))
     elapsed = time.time() - t0
@@ -162,18 +152,18 @@ def test_criterion_5_maxmin_dominance_and_monotonicity():
         st = make_state(seed=5000 + drop, n_ap=cfg.n_ap, n_ap_antennas=4,
                         n_gue=cfg.n_gue, n_uav=cfg.n_uav, tau_p=cfg.frame.tau_p)
         tables, est = st["tables"], st["est"]
-        budgets = np.full(cfg.n_ap, cfg.power.dl_budget_per_ap_w)
+        budget = cfg.power.dl_budget_per_ap_w
         prelog = cfg.frame.prelog
 
-        eta_ppa = ppa_dl(tables.gamma, tables.serving, budgets)
+        eta_ppa = ppa_dl(tables.gamma, tables.serving, budget)
         min_ppa = se_from_sinr(dl_sinr_lb(tables, eta_ppa, cfg.noise_w), prelog).min()
-        eta_dl, info_dl = maxmin_dl(tables, budgets, cfg.noise_w, prelog, max_outer_iters=15)
+        eta_dl, info_dl = maxmin_dl(tables, budget, cfg.noise_w, prelog, max_outer_iters=15)
         min_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.noise_w), prelog).min()
         worst_dl = min(worst_dl, min_dl / min_ppa - 1.0)
         tr = info_dl["min_rate_trace"]
         monotone &= all(tr[i + 1] >= tr[i] * (1 - tol) for i in range(len(tr) - 1))
 
-        p_max = np.full(cfg.n_users, cfg.power.ul_max_w)
+        p_max = cfg.power.ul_max_w
         eta_fpc = fpc_ul(est.tr_G, tables.serving, p_max, cfg.power.fpc.p0_watts, 0.5)
         min_fpc = se_from_sinr(ul_sinr_lb(tables, eta_fpc, cfg.noise_w), prelog).min()
         eta_ul, info_ul = maxmin_ul(tables, cfg.noise_w, prelog, p_max)
@@ -201,18 +191,18 @@ def test_criterion_6_kappa_accounting():
         st = make_state(seed=6000 + drop, n_ap=6, n_ap_antennas=4, n_gue=5,
                         n_uav=3, tau_p=8)
         tables, ls, cfg = st["tables"], st["ls"], st["cfg"]
-        budgets = np.full(tables.n_ap, cfg.power.dl_budget_per_ap_w)
+        budget = cfg.power.dl_budget_per_ap_w
         uav_rows = ls.roles == ROLE_UAV
         for kappa in (0.1, 0.2):
             for strat in ("ppa", "wfpa"):
                 if strat == "ppa":
-                    eta = ppa_dl(tables.gamma, tables.serving, budgets,
+                    eta = ppa_dl(tables.gamma, tables.serving, budget,
                                  roles=ls.roles, kappa=kappa)
                 else:
-                    eta = wfpa_dl(tables.gamma, tables.serving, budgets,
+                    eta = wfpa_dl(tables.gamma, tables.serving, budget,
                                   cfg.noise_w, roles=ls.roles, kappa=kappa)
                 uav_power = (eta * tables.gamma)[uav_rows].sum(axis=0)
-                worst = max(worst, float(np.abs(uav_power / (kappa * budgets) - 1.0).max()))
+                worst = max(worst, float(np.abs(uav_power / (kappa * budget) - 1.0).max()))
     elapsed = time.time() - t0
     ok = worst <= 1e-9 and elapsed < 5.0
     _report(6, ok,

@@ -32,6 +32,11 @@ def test_validate_bad_config_exit_2(tmp_path, capsys):
     # links always carry their shadowing
     ("antenna_spacing_m: 0.05\n", "antenna_spacing_m: unknown key"),
     ("channel:\n  uav:\n    shadow_in_los: false\n", "channel.uav.shadow_in_los: unknown key"),
+    # a list or a mapping where a strategy or mode name belongs
+    ("ap_placement: [uniform]\n", "ap_placement: expected a string, got list"),
+    ("power:\n  dl: {x: 1}\n", "power.dl: expected a string, got dict"),
+    ("power:\n  ul: [fpc]\n", "power.ul: expected a string, got list"),
+    ("association:\n  mode: {cf: 1}\n", "association.mode: expected a string, got dict"),
 ])
 def test_validate_rejected_config_exit_2(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "cfg.yaml"

@@ -39,7 +39,8 @@ def _ints(lo, hi):
 
 
 def _choice(*values):
-    return st.one_of(st.sampled_from(values), st.sampled_from(["bogus", None, 1]))
+    return st.one_of(st.sampled_from(values),
+                     st.sampled_from(["bogus", None, 1, [values[0]], {values[0]: 1}]))
 
 
 FIELDS = {

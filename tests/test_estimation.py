@@ -188,7 +188,7 @@ def test_training_observable_second_moment_matches_trB(gate_fixture):
     ls, book, est = gate_fixture["ls"], gate_fixture["book"], gate_fixture["est"]
     rng = np.random.default_rng(12)
     n = 100_000
-    acc = np.zeros((ls.n_users, ls.n_ap))
+    acc = np.zeros((ls.beta.shape[0], ls.beta.shape[1]))
     for _ in range(20):
         g = draw_channels(ls, rng, n // 20)
         for s in range(g.shape[0]):
@@ -262,8 +262,8 @@ def _assert_build_matches_per_pair_operations(ls, book, est0):
         np.testing.assert_allclose(getattr(est, name), np.trace(M, axis1=2, axis2=3).real,
                                    rtol=1e-12, atol=1e-300, err_msg=name)
     est_D = dense_D(est)
-    for k in range(est.n_users):
-        for a in range(est.n_ap):
+    for k in range(est.d.shape[0]):
+        for a in range(est.d.shape[1]):
             D = estimator_D(G[k, a], B[k, a], eta[k])
             g = gamma_coefficient(G[k, a], D, eta[k])
             np.testing.assert_allclose(est_D[k, a], D, rtol=1e-10, atol=1e-300)
@@ -410,8 +410,8 @@ def test_estimation_state_invariants(gate_fixture):
     G, B = covariances(gate_fixture["ls"], gate_fixture["book"], est.eta_train, est.sigma_w2)
     D = dense_D(est)
     # B Hermitian PD, gamma real >= 0
-    for k in range(est.n_users):
-        for a in range(est.n_ap):
+    for k in range(est.d.shape[0]):
+        for a in range(est.d.shape[1]):
             np.testing.assert_allclose(B[k, a], B[k, a].conj().T, atol=1e-12)
             assert np.linalg.eigvalsh(B[k, a]).min() > 0
             assert est.gamma[k, a] >= 0

@@ -325,7 +325,7 @@ def test_pipeline_equals_module_composition():
     serving = build_association(cfg, ls.beta)
     est = build_estimation(ls, book, cfg.train_energy_w, cfg.noise_w)
     tables = build_se_tables(ls, est, book, serving)
-    eta_dl = ppa_dl(tables.gamma, tables.serving, np.full(cfg.n_ap, 0.2))
+    eta_dl = ppa_dl(tables.gamma, tables.serving, 0.2)
     prelog = cfg.frame.prelog
     se = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.noise_w), prelog)
     np.testing.assert_array_equal(rep.se_lb_dl, se)

@@ -111,9 +111,9 @@ def _ub_inputs(state):
     # far from linear
     serving, cfg = state["serving"], state["cfg"]
     pick = np.random.default_rng(4)
-    ppa = ppa_dl(state["est"].gamma, serving, np.full(cfg.n_ap, cfg.power.dl_budget_per_ap_w))
+    ppa = ppa_dl(state["est"].gamma, serving, cfg.power.dl_budget_per_ap_w)
     eta_dl = ppa * pick.uniform(0.5, 1.5, serving.shape)
-    eta_ul = pick.uniform(0.02, 0.3, state["ls"].n_users)
+    eta_ul = pick.uniform(0.02, 0.3, state["ls"].beta.shape[0])
     return serving, eta_dl, eta_ul
 
 
@@ -207,7 +207,7 @@ def test_uatf_mc_assembles_the_term_groups_from_oracle_moments(state):
     dl_c = _dl_cross_oracle(g, g_hat, np.sqrt(eta_dl))
     ul_c, norms = _ul_cross_oracle(g, g_hat, serving.astype(float))
     ul_c = np.sqrt(eta_ul)[None, None, :] * ul_c  # user j's UL term carries sqrt(eta_ul[j])
-    noises = (np.full(ls.n_users, sigma_z2), est.sigma_w2 * norms.mean(axis=0))
+    noises = (np.full(ls.beta.shape[0], sigma_z2), est.sigma_w2 * norms.mean(axis=0))
     for res, cross, noise in ((dl, dl_c, noises[0]), (ul, ul_c, noises[1])):
         own = np.diagonal(cross, axis1=1, axis2=2)  # (S, K)
         desired, second = own.mean(axis=0), (np.abs(own) ** 2).mean(axis=0)
@@ -399,7 +399,7 @@ def test_mc_rejects_too_few_samples_or_batches(gate_fixture, n_samples, batch_co
     ls, est, book = gate_fixture["ls"], gate_fixture["est"], gate_fixture["book"]
     serving = gate_fixture["serving"]
     eta_dl = np.where(serving, 0.1, 0.0)
-    eta_ul = np.full(ls.n_users, 0.1)
+    eta_ul = np.full(ls.beta.shape[0], 0.1)
     rng = np.random.default_rng(0)
     args = (ls, est, book, serving, eta_dl, eta_ul, 1e-3, 0.4, n_samples, rng)
     calls = [

@@ -40,12 +40,12 @@ def test_uc_maxmin_respects_partial_serving():
     st = make_state(seed=3, n_ap=6, n_gue=4, n_uav=1, tau_p=4,
                     association_mode="uc", uc_cluster_size=2)
     tables, cfg = st["tables"], st["cfg"]
-    budgets = np.full(tables.n_ap, 0.2)
+    budget = 0.2
     prelog = cfg.frame.prelog
-    eta, info = maxmin_dl(tables, budgets, cfg.noise_w, prelog, max_outer_iters=6)
+    eta, info = maxmin_dl(tables, budget, cfg.noise_w, prelog, max_outer_iters=6)
     assert (eta[~tables.serving] == 0.0).all()  # nothing outside A_k
     used = (eta * tables.gamma).sum(axis=0)
-    assert (used <= budgets * (1 + 1e-9)).all()
+    assert (used <= budget * (1 + 1e-9)).all()
     rates = se_from_sinr(dl_sinr_lb(tables, eta, cfg.noise_w), prelog)
     assert rates.min() >= info["min_rate_trace"][0] * (1 - 1e-9)
 

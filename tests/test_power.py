@@ -16,14 +16,13 @@ from cfsim.power import (
     maxmin_dl,
     maxmin_ul,
     ppa_dl,
-    solve_water_level,
     uniform_dl,
     wfpa_dl,
 )
 from cfsim.se import build_se_tables, dl_sinr_lb, se_from_sinr, ul_sinr_lb
 
-from conftest import make_state
-from per_pair import dl_budget_violation
+from conftest import make_state, one_ap_waterfill
+from per_pair import dl_budget_violation, water_level
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +32,7 @@ from per_pair import dl_budget_violation
 def test_ppa_equal_gamma_splits_evenly():
     gamma = np.array([[2.0], [2.0]])
     serving = np.ones((2, 1), dtype=bool)
-    eta = ppa_dl(gamma, serving, np.array([0.4]))
+    eta = ppa_dl(gamma, serving, 0.4)
     power = eta * gamma
     np.testing.assert_allclose(power[:, 0], [0.2, 0.2])
 
@@ -42,7 +41,7 @@ def test_ppa_kappa_single_member_classes():
     gamma = np.array([[1.0], [3.0]])
     serving = np.ones((2, 1), dtype=bool)
     roles = np.array([ROLE_GUE, ROLE_UAV])
-    eta = ppa_dl(gamma, serving, np.array([1.0]), roles=roles, kappa=0.2)
+    eta = ppa_dl(gamma, serving, 1.0, roles=roles, kappa=0.2)
     power = eta * gamma
     assert power[1, 0] == pytest.approx(0.2)  # the lone UAV gets exactly kappa
     assert power[0, 0] == pytest.approx(0.8)
@@ -50,23 +49,23 @@ def test_ppa_kappa_single_member_classes():
 
 def test_ppa_budget_exact_random(gate_fixture):
     tables = gate_fixture["tables"]
-    budgets = np.full(tables.n_ap, 0.2)
-    eta = ppa_dl(tables.gamma, tables.serving, budgets)
+    budget = 0.2
+    eta = ppa_dl(tables.gamma, tables.serving, budget)
     used = (eta * tables.gamma).sum(axis=0)
-    np.testing.assert_allclose(used, budgets, rtol=1e-12)
+    np.testing.assert_allclose(used, budget, rtol=1e-12)
 
 
 def test_ppa_degenerate_zero_gamma():
     gamma = np.zeros((2, 1))
     serving = np.ones((2, 1), dtype=bool)
     with pytest.raises(DegenerateInputError):
-        ppa_dl(gamma, serving, np.array([0.2]))
+        ppa_dl(gamma, serving, 0.2)
 
 
 def test_uniform_dl_equal_transmit_power():
     gamma = np.array([[1.0], [4.0], [0.5]])
     serving = np.ones((3, 1), dtype=bool)
-    eta = uniform_dl(gamma, serving, np.array([0.9]))
+    eta = uniform_dl(gamma, serving, 0.9)
     power = eta * gamma
     np.testing.assert_allclose(power[:, 0], 0.3)
 
@@ -91,41 +90,69 @@ def test_uniform_dl_kappa_splits_each_ap_budget(gate_fixture):
 # ---------------------------------------------------------------------------
 
 def test_water_level_analytic_case():
-    nu = solve_water_level([1.0, 2.0, 10.0], 3.0)
-    assert nu == pytest.approx(3.0)
+    # levels (1, 2, 10) with budget 3: water level 3, powers (2, 1, 0)
+    levels, powers = one_ap_waterfill([1.0, 2.0, 10.0], 3.0)
+    assert levels[0] + powers[0] == pytest.approx(3.0)
+    np.testing.assert_allclose(powers, [2.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_water_level_single_and_equal_levels():
-    assert solve_water_level([7.0], 2.0) == pytest.approx(9.0)
-    assert solve_water_level([3.0, 3.0, 3.0], 6.0) == pytest.approx(3.0 + 2.0)
+    assert one_ap_waterfill([7.0], 2.0)[1] == pytest.approx([2.0])
+    levels, powers = one_ap_waterfill([3.0, 3.0, 3.0], 6.0)
+    np.testing.assert_allclose(levels + powers, 3.0 + 2.0)
 
 
 def test_water_level_errors():
-    with pytest.raises(DegenerateInputError):
-        solve_water_level([], 1.0)
-    with pytest.raises(DegenerateInputError):
-        solve_water_level([1.0], 0.0)
+    serving = np.ones((2, 1), dtype=bool)
+    with pytest.raises(DegenerateInputError, match="AP 0: zero gamma"):
+        wfpa_dl(np.array([[1.0], [0.0]]), serving, 1.0, 1.0)
+    with pytest.raises(DegenerateInputError, match="budget"):
+        wfpa_dl(np.ones((2, 1)), serving, -1.0, 1.0)
 
 
 def test_water_level_kkt_random_instances():
     rng = np.random.default_rng(0)
     for _ in range(100):
         n = rng.integers(1, 12)
-        levels = rng.uniform(0.01, 10.0, n)
         budget = rng.uniform(0.1, 20.0)
-        nu = solve_water_level(levels, budget)
-        powers = np.maximum(nu - levels, 0.0)
+        levels, powers = one_ap_waterfill(rng.uniform(0.01, 10.0, n), budget)
         assert powers.sum() == pytest.approx(budget, rel=1e-9)  # budget exact
         active = powers > 0
         assert active.any()
+        nu = levels[active] + powers[active]
+        np.testing.assert_allclose(nu, nu[0], rtol=1e-12)  # one water level
         # all zero-power users sit at or above the water level
-        assert (levels[~active] >= nu - 1e-12).all()
+        assert (levels[~active] >= nu.max() - 1e-12).all()
+
+
+@pytest.mark.parametrize("mode", ["cf", "uc"])
+@pytest.mark.parametrize("kappa", [None, 0.0, 0.2, 1.0])
+def test_wfpa_matches_per_pair_water_level(mode, kappa):
+    # every (class, AP) water level, bit for bit against the scalar sort-and-scan
+    for seed in range(3):
+        state = make_state(seed=seed, n_ap=7, n_gue=6, n_uav=3, tau_p=4, association_mode=mode,
+                           uc_cluster_size=3 if mode == "uc" else None)
+        gamma, serving, roles = state["tables"].gamma, state["tables"].serving, state["ls"].roles
+        sigma_z2, budget = state["cfg"].noise_w, 0.2
+        eta = wfpa_dl(gamma, serving, budget, sigma_z2, roles=roles, kappa=kappa)
+        expected = np.zeros_like(gamma)
+        classes = [(roles >= 0, budget)] if kappa is None else [
+            (roles == ROLE_GUE, (1.0 - kappa) * budget), (roles == ROLE_UAV, kappa * budget)]
+        for members, cap in classes:
+            for a in range(gamma.shape[1]):
+                users = np.flatnonzero(serving[:, a] & members)
+                if users.size and cap > 0:
+                    levels = sigma_z2 / gamma[users, a]
+                    power = np.maximum(water_level(levels, cap) - levels, 0.0)
+                    expected[users, a] = power / gamma[users, a]
+        np.testing.assert_array_equal(eta, expected)
+        assert (eta[serving] > 0).any() and (eta[serving] == 0).any()  # users above the level
 
 
 def test_wfpa_single_user_gets_budget():
     gamma = np.array([[0.3]])
     serving = np.ones((1, 1), dtype=bool)
-    eta = wfpa_dl(gamma, serving, np.array([0.7]), sigma_z2=1e-9)
+    eta = wfpa_dl(gamma, serving, 0.7, sigma_z2=1e-9)
     power = eta * gamma
     assert power[0, 0] == pytest.approx(0.7)
 
@@ -134,19 +161,19 @@ def test_wfpa_analytic_three_user_case():
     # L = sigma_z^2/gamma = (1, 2, 10) with sigma_z^2 = 1, budget 3 -> (2, 1, 0)
     gamma = np.array([[1.0], [0.5], [0.1]])
     serving = np.ones((3, 1), dtype=bool)
-    eta = wfpa_dl(gamma, serving, np.array([3.0]), sigma_z2=1.0)
+    eta = wfpa_dl(gamma, serving, 3.0, sigma_z2=1.0)
     power = eta * gamma
     np.testing.assert_allclose(power[:, 0], [2.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_wfpa_kkt_and_budget(gate_fixture):
     tables, cfg = gate_fixture["tables"], gate_fixture["cfg"]
-    budgets = np.full(tables.n_ap, 0.2)
-    eta = wfpa_dl(tables.gamma, tables.serving, budgets, cfg.noise_w)
+    budget = 0.2
+    eta = wfpa_dl(tables.gamma, tables.serving, budget, cfg.noise_w)
     power = eta * tables.gamma
-    np.testing.assert_allclose(power.sum(axis=0), budgets, rtol=1e-9)
+    np.testing.assert_allclose(power.sum(axis=0), budget, rtol=1e-9)
     levels = cfg.noise_w / tables.gamma
-    for a in range(tables.n_ap):
+    for a in range(tables.gamma.shape[1]):
         active = power[:, a] > 0
         nu = levels[active, a] + power[active, a]
         np.testing.assert_allclose(nu, nu[0], rtol=1e-9)  # one shared water level
@@ -155,15 +182,15 @@ def test_wfpa_kkt_and_budget(gate_fixture):
 
 def test_wfpa_kappa_budget_split(gate_fixture):
     tables, cfg, ls = gate_fixture["tables"], gate_fixture["cfg"], gate_fixture["ls"]
-    budgets = np.full(tables.n_ap, 0.2)
+    budget = 0.2
     for kappa in (0.0, 0.1, 0.2, 1.0):  # 0 and 1 leave one class without power
-        eta = wfpa_dl(tables.gamma, tables.serving, budgets, cfg.noise_w,
+        eta = wfpa_dl(tables.gamma, tables.serving, budget, cfg.noise_w,
                       roles=ls.roles, kappa=kappa)
         power = eta * tables.gamma
         uav_power = power[ls.roles == ROLE_UAV].sum(axis=0)
-        np.testing.assert_allclose(uav_power, kappa * budgets, rtol=1e-9)
+        np.testing.assert_allclose(uav_power, kappa * budget, rtol=1e-9)
         gue_power = power[ls.roles == ROLE_GUE].sum(axis=0)
-        np.testing.assert_allclose(gue_power, (1.0 - kappa) * budgets, rtol=1e-9)
+        np.testing.assert_allclose(gue_power, (1.0 - kappa) * budget, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +232,11 @@ def test_fpc_alpha_zero_no_compensation():
 def test_maxmin_dl_single_user_takes_full_budget():
     state = make_state(seed=15, n_ap=2, n_gue=1, n_uav=0, tau_p=2)
     tables, cfg = state["tables"], state["cfg"]
-    budgets = np.full(tables.n_ap, 0.2)
+    budget = 0.2
     prelog = cfg.frame.prelog
-    eta, info = maxmin_dl(tables, budgets, cfg.noise_w, prelog)
+    eta, info = maxmin_dl(tables, budget, cfg.noise_w, prelog)
     used = (eta * tables.gamma).sum(axis=0)
-    np.testing.assert_allclose(used, budgets, rtol=1e-6)
+    np.testing.assert_allclose(used, budget, rtol=1e-6)
     rate = se_from_sinr(dl_sinr_lb(tables, eta, cfg.noise_w), prelog)
     assert info["min_rate_trace"][-1] == pytest.approx(rate.min(), rel=1e-9)
 
@@ -230,9 +257,9 @@ def _symmetric_two_user_state():
 
 def test_maxmin_dl_symmetric_users_equal_rates():
     cfg, tables = _symmetric_two_user_state()
-    budgets = np.full(tables.n_ap, 0.2)
+    budget = 0.2
     prelog = cfg.frame.prelog
-    eta, _ = maxmin_dl(tables, budgets, cfg.noise_w, prelog)
+    eta, _ = maxmin_dl(tables, budget, cfg.noise_w, prelog)
     rates = se_from_sinr(dl_sinr_lb(tables, eta, cfg.noise_w), prelog)
     assert abs(rates[0] - rates[1]) <= 0.01 * rates.max()
 
@@ -241,32 +268,32 @@ def test_maxmin_dl_symmetric_users_equal_rates():
 def test_maxmin_dl_dominates_ppa(seed):
     state = make_state(seed=seed, n_ap=4, n_gue=3, n_uav=1, tau_p=2)
     tables, cfg, ls = state["tables"], state["cfg"], state["ls"]
-    budgets = np.full(tables.n_ap, 0.2)
+    budget = 0.2
     prelog = cfg.frame.prelog
-    eta_ppa = ppa_dl(tables.gamma, tables.serving, budgets)
+    eta_ppa = ppa_dl(tables.gamma, tables.serving, budget)
     min_ppa = se_from_sinr(dl_sinr_lb(tables, eta_ppa, cfg.noise_w), prelog).min()
-    eta, info = maxmin_dl(tables, budgets, cfg.noise_w, prelog, max_outer_iters=10)
+    eta, info = maxmin_dl(tables, budget, cfg.noise_w, prelog, max_outer_iters=10)
     min_mm = se_from_sinr(dl_sinr_lb(tables, eta, cfg.noise_w), prelog).min()
     assert min_mm >= min_ppa * (1 - 1e-9)
     trace = info["min_rate_trace"]
     assert all(trace[i + 1] >= trace[i] - 1e-12 for i in range(len(trace) - 1))
-    assert dl_budget_violation(eta, tables.gamma, budgets) <= 1e-9
+    assert dl_budget_violation(eta, tables.gamma, budget) <= 1e-9
 
 
 def test_maxmin_dl_kappa_class_budgets(gate_fixture):
     tables, cfg, ls = (
         gate_fixture["tables"], gate_fixture["cfg"], gate_fixture["ls"]
     )
-    budgets = np.full(tables.n_ap, 0.2)
+    budget = 0.2
     prelog = cfg.frame.prelog
     kappa = 0.2
-    eta, _ = maxmin_dl(tables, budgets, cfg.noise_w, prelog, roles=ls.roles,
+    eta, _ = maxmin_dl(tables, budget, cfg.noise_w, prelog, roles=ls.roles,
                        kappa=kappa, max_outer_iters=6)
     power = eta * tables.gamma
     uav = power[ls.roles == ROLE_UAV].sum(axis=0)
     gue = power[ls.roles == ROLE_GUE].sum(axis=0)
-    assert (uav <= kappa * budgets * (1 + 1e-9)).all()
-    assert (gue <= (1 - kappa) * budgets * (1 + 1e-9)).all()
+    assert (uav <= kappa * budget * (1 + 1e-9)).all()
+    assert (gue <= (1 - kappa) * budget * (1 + 1e-9)).all()
 
 
 # the objective's copilot terms at their edges: no user shares a pilot (P = 0,
@@ -300,7 +327,7 @@ def test_maxmin_dl_converges_without_shared_pilots():
     state = make_state(**NO_SHARED_PILOT)
     tables, cfg = state["tables"], state["cfg"]
     prelog = cfg.frame.prelog
-    eta, info = maxmin_dl(tables, np.full(tables.n_ap, 0.2), cfg.noise_w, prelog)
+    eta, info = maxmin_dl(tables, 0.2, cfg.noise_w, prelog)
     assert info["converged"]
     min_se = se_from_sinr(dl_sinr_lb(tables, eta, cfg.noise_w), prelog).min()
     assert min_se == pytest.approx(info["min_rate_trace"][-1], rel=1e-9)
@@ -311,7 +338,7 @@ def test_maxmin_dl_zero_budgets_raise_naming_ap(gate_fixture):
     tables, cfg = gate_fixture["tables"], gate_fixture["cfg"]
     prelog = cfg.frame.prelog
     with pytest.raises(DegenerateInputError, match="AP 0"):
-        maxmin_dl(tables, np.zeros(tables.n_ap), cfg.noise_w, prelog)
+        maxmin_dl(tables, 0.0, cfg.noise_w, prelog)
 
 
 def test_maxmin_dl_user_without_gamma_raises_naming_user(gate_fixture):
@@ -321,7 +348,7 @@ def test_maxmin_dl_user_without_gamma_raises_naming_user(gate_fixture):
     tables = dataclasses.replace(tables, gamma=gamma)
     prelog = cfg.frame.prelog
     with pytest.raises(DegenerateInputError, match="user 2"):
-        maxmin_dl(tables, np.full(tables.n_ap, 0.2), cfg.noise_w, prelog)
+        maxmin_dl(tables, 0.2, cfg.noise_w, prelog)
 
 
 def test_maxmin_dl_nan_objective_raises_single_user():
@@ -331,14 +358,14 @@ def test_maxmin_dl_nan_objective_raises_single_user():
     tables, cfg = state["tables"], state["cfg"]
     prelog = cfg.frame.prelog
     with pytest.raises(SolverError, match="nan"):
-        maxmin_dl(tables, np.full(tables.n_ap, 0.2), float("nan"), prelog)
+        maxmin_dl(tables, 0.2, float("nan"), prelog)
 
 
 def _maxmin_min_se(state, max_outer_iters=50, kappa=None, **kw):
     tables, cfg = state["tables"], state["cfg"]
     prelog = cfg.frame.prelog
     roles = state["ls"].roles if kappa is not None else None
-    eta, info = maxmin_dl(tables, np.full(tables.n_ap, 0.2), cfg.noise_w, prelog, roles=roles,
+    eta, info = maxmin_dl(tables, 0.2, cfg.noise_w, prelog, roles=roles,
                           kappa=kappa, max_outer_iters=max_outer_iters, **kw)
     return se_from_sinr(dl_sinr_lb(tables, eta, cfg.noise_w), prelog).min(), info
 
@@ -420,7 +447,7 @@ def test_maxmin_dl_stall_stop_only_ends_a_stage(monkeypatch):
     # steps without the stall test ends, bit for bit
     state = _instance("dominates-ppa-23")
     tables, cfg = state["tables"], state["cfg"]
-    args = (tables, np.full(tables.n_ap, 0.2), cfg.noise_w, cfg.frame.prelog)
+    args = (tables, 0.2, cfg.noise_w, cfg.frame.prelog)
     eta, info = maxmin_dl(*args, max_outer_iters=1)
     (n,) = info["steps"]
     assert n < 100
@@ -453,7 +480,7 @@ def test_maxmin_dl_matches_grid_oracle():
     best = max((min_se(r, p), r, p)
                for r in np.linspace(max(r0 - dr, dr / 10), min(r0 + dr, r_hi), 21)
                for p in np.linspace(max(p0 - dphi, 0.0), min(p0 + dphi, math.pi / 2), 201))
-    eta, info = maxmin_dl(tables, np.array([budget]), cfg.noise_w, prelog)
+    eta, info = maxmin_dl(tables, budget, cfg.noise_w, prelog)
     got = se_from_sinr(dl_sinr_lb(tables, eta, cfg.noise_w), prelog).min()
     assert got == pytest.approx(best[0], rel=1e-3)
     assert info["converged"]
@@ -485,14 +512,14 @@ def test_maxmin_ul_single_user_maxes_out():
     state = make_state(seed=25, n_ap=2, n_gue=1, n_uav=0, tau_p=2)
     tables, cfg = state["tables"], state["cfg"]
     prelog = cfg.frame.prelog
-    eta, _ = maxmin_ul(tables, cfg.noise_w, prelog, p_max=np.array([0.1]))
+    eta, _ = maxmin_ul(tables, cfg.noise_w, prelog, p_max=0.1)
     assert eta[0] == pytest.approx(0.1, rel=1e-6)
 
 
 def test_maxmin_ul_symmetric_users_equal_rates():
     cfg, tables = _symmetric_two_user_state()
     prelog = cfg.frame.prelog
-    eta, _ = maxmin_ul(tables, cfg.noise_w, prelog, p_max=np.full(2, 0.1))
+    eta, _ = maxmin_ul(tables, cfg.noise_w, prelog, p_max=0.1)
     rates = se_from_sinr(ul_sinr_lb(tables, eta, cfg.noise_w), prelog)
     assert abs(rates[0] - rates[1]) <= 0.01 * rates.max()
 
@@ -506,14 +533,14 @@ def test_maxmin_ul_negative_interference_raises(gate_fixture):
     C[0, 1, 0] = -10.0 * np.abs(C).max()
     tables = dataclasses.replace(tables, C=C)
     with pytest.raises(NumericsError, match="negative interference"):
-        maxmin_ul(tables, cfg.noise_w, 0.42, np.full(tables.n_users, 0.1))
+        maxmin_ul(tables, cfg.noise_w, 0.42, 0.1)
 
 
 @pytest.mark.parametrize("seed", [31, 32, 26, 34, 40, 48])
 def test_maxmin_ul_dominates_fpc(seed):
     state = make_state(seed=seed, n_ap=4, n_gue=3, n_uav=1, tau_p=2)
     tables, cfg, est = state["tables"], state["cfg"], state["est"]
-    p_max = np.full(tables.n_users, 0.1)
+    p_max = 0.1
     fpc = fpc_ul(est.tr_G, tables.serving, p_max, cfg.power.fpc.p0_watts, 0.5)
     prelog = cfg.frame.prelog
     min_fpc = se_from_sinr(ul_sinr_lb(tables, fpc, cfg.noise_w), prelog).min()

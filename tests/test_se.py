@@ -228,7 +228,7 @@ def _ul_den_term_by_term(st, terms, eta, sigma_w2):
 def test_dl_quadratic_form_matches_term_by_term_assembly(name):
     st, terms = _state_and_pair_terms(name)
     tables, cfg = st["tables"], st["cfg"]
-    eta = ppa_dl(tables.gamma, tables.serving, np.full(tables.n_ap, 0.2))
+    eta = ppa_dl(tables.gamma, tables.serving, 0.2)
     _, den = dl_sinr_parts(tables, eta, cfg.noise_w)
     np.testing.assert_allclose(den, _dl_den_term_by_term(st, terms, eta, cfg.noise_w),
                                rtol=1e-13)
@@ -287,7 +287,7 @@ def test_sinr_invariant_under_per_ap_unitary_rotation(gate_fixture):
     state = gate_fixture
     ls, book, serving, cfg = state["ls"], state["book"], state["serving"], state["cfg"]
     tables = state["tables"]
-    eta_dl = ppa_dl(tables.gamma, tables.serving, np.full(cfg.n_ap, 0.2))
+    eta_dl = ppa_dl(tables.gamma, tables.serving, 0.2)
     base_dl = dl_sinr_lb(tables, eta_dl, cfg.noise_w)
     base_ul = ul_sinr_lb(tables, np.full(cfg.n_users, 0.1), cfg.noise_w)
 
@@ -309,7 +309,7 @@ def test_sinr_invariant_under_per_ap_unitary_rotation(gate_fixture):
 
 def test_silencing_interferers_never_hurts(gate_fixture):
     tables, cfg = gate_fixture["tables"], gate_fixture["cfg"]
-    eta_dl = ppa_dl(tables.gamma, tables.serving, np.full(cfg.n_ap, 0.2))
+    eta_dl = ppa_dl(tables.gamma, tables.serving, 0.2)
     base = dl_sinr_lb(tables, eta_dl, cfg.noise_w)
     k = 0
     muted = eta_dl.copy()
@@ -355,7 +355,7 @@ def test_ub_dominates_lb(gate_fixture):
         state["tables"],
     )
     prelog = cfg.frame.prelog
-    eta_dl = ppa_dl(tables.gamma, tables.serving, np.full(cfg.n_ap, 0.2))
+    eta_dl = ppa_dl(tables.gamma, tables.serving, 0.2)
     eta_ul = np.full(cfg.n_users, 0.1)
     rng = np.random.default_rng(9)
     lb_dl = se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.noise_w), prelog)
@@ -377,8 +377,7 @@ def test_closed_form_matches_mc_in_user_centric_mode():
     tables, cfg, ls, est, book, serving = (
         st["tables"], st["cfg"], st["ls"], st["est"], st["book"], st["serving"]
     )
-    budgets = np.full(cfg.n_ap, 0.2)
-    eta_dl = ppa_dl(tables.gamma, tables.serving, budgets)
+    eta_dl = ppa_dl(tables.gamma, tables.serving, 0.2)
     eta_ul = fpc_ul(est.tr_G, tables.serving, np.full(4, 0.1),
                     cfg.power.fpc.p0_watts, 0.5)
     prelog = cfg.frame.prelog
@@ -396,7 +395,7 @@ def test_uatf_interference_zero_for_silent_user(gate_fixture):
         state["ls"], state["est"], state["book"], state["serving"], state["cfg"],
         state["tables"],
     )
-    eta_dl = ppa_dl(tables.gamma, tables.serving, np.full(cfg.n_ap, 0.2))
+    eta_dl = ppa_dl(tables.gamma, tables.serving, 0.2)
     eta_dl[1, :] = 0.0  # user 1 transmitless
     res, _ = se_ub_mc(ls, est, book, serving, eta_dl, np.full(cfg.n_users, 0.1), cfg.noise_w,
                       0.42, 2000, np.random.default_rng(11))
@@ -413,8 +412,8 @@ def literal_ub():
     ls, est, book, cfg = state["ls"], state["est"], state["book"], state["cfg"]
     serving = state["serving"]
     tables = state["tables"]
-    eta_dl = ppa_dl(tables.gamma, tables.serving, np.full(cfg.n_ap, 0.2))
-    eta_ul = np.full(ls.n_users, 0.1)
+    eta_dl = ppa_dl(tables.gamma, tables.serving, 0.2)
+    eta_ul = np.full(ls.beta.shape[0], 0.1)
     prelog = cfg.frame.prelog
     fast = se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, cfg.noise_w, prelog,
                     40_000, np.random.default_rng(12))
@@ -424,8 +423,8 @@ def literal_ub():
     D = dense_D(est)
     root = np.sqrt(np.where(serving, eta_dl, 0.0))
     mask = serving.astype(float)
-    acc_dl = np.zeros(ls.n_users)
-    acc_ul = np.zeros(ls.n_users)
+    acc_dl = np.zeros(ls.beta.shape[0])
+    acc_ul = np.zeros(ls.beta.shape[0])
     for _ in range(n):
         g = draw_channels(ls, rng, 1)[0]
         _, y_hat = training_observable(g, book, est.eta_train, est.sigma_w2, rng)

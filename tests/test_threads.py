@@ -128,7 +128,7 @@ def test_se_tables_at_budget_2_under_frequent_thread_switches(monkeypatch, split
     monkeypatch.setattr(threads, "BUDGET", 1)
     serial = build_se_tables(ls, est, book, serving)
     monkeypatch.setattr(threads, "BUDGET", 2)
-    assert len(threads.ap_slices(est.n_ap, 0)) == 2
+    assert len(threads.ap_slices(est.d.shape[1], 0)) == 2
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
