@@ -11,11 +11,6 @@ import numpy as np
 from .errors import AssociationError, ConfigError
 
 
-def associate_cf(n_ap, n_users):
-    """Cell-free: every AP serves every user."""
-    return np.ones((n_users, n_ap), dtype=bool)
-
-
 def associate_uc(beta, cluster_size):
     """User-centric: each user keeps its `cluster_size` largest-beta APs.
 
@@ -40,7 +35,7 @@ def build_association(config, beta):
     user's uc_cluster_size strongest APs (user-centric). Raises AssociationError
     if a user has no serving AP."""
     if config.association.mode == "cf":
-        serving = associate_cf(config.n_ap, beta.shape[0])
+        serving = np.ones(beta.shape, dtype=bool)
     else:
         serving = associate_uc(beta, config.association.uc_cluster_size)
     if not serving.any(axis=1).all():

@@ -63,13 +63,15 @@ RICE_CLAMP_EPS = 1e-6
 
 
 def rice_factor(p_los):
-    """K = p/(1-p) per link, with p clamped to 1 - RICE_CLAMP_EPS so K stays finite."""
+    """K = p/(1-p) per link, with p clamped to 1 - RICE_CLAMP_EPS so K stays finite,
+    and 0 where K is subnormal: a LOS term that small is no LOS term."""
     p = np.asarray(p_los, dtype=float)
     outside = ~((p >= 0.0) & (p <= 1.0))
     if outside.any():
         raise DomainError(f"p_los={p[outside].flat[0]} outside [0, 1]")
     p = np.minimum(p, 1.0 - RICE_CLAMP_EPS)
-    return p / (1.0 - p)
+    k = p / (1.0 - p)
+    return np.where(k < np.finfo(float).tiny, 0.0, k)
 
 
 def path_gain_gue(dist_m, f_ghz, shadow_db, model):
@@ -109,23 +111,17 @@ def correlation_sqrt(corr, tol=1e-10):
     return vecs * np.sqrt(vals)[None, :]
 
 
-def shadow_field(geometry: NetworkGeometry, sigma_db, d0, rng):
-    """Correlated shadowing draws, one value per (user, AP).
+def shadow_field(geometry: NetworkGeometry, d0, rng):
+    """Unit-variance correlated shadowing draws, one value per (user, AP), which
+    build_large_scale scales by each link's sigma in dB.
 
-    Covariance: independent across APs; sigma_k*sigma_j*2^(-rho_{k,j}/d0)
-    across users at the same AP. `sigma_db` is a scalar or per-(user, AP)
-    array of shadowing standard deviations in dB.
+    Covariance: independent across APs; 2^(-rho_{k,j}/d0) across users at the
+    same AP.
     """
     if d0 <= 0:
         raise DomainError("d0 must be > 0")
-    sigma = np.broadcast_to(
-        np.asarray(sigma_db, dtype=float), (geometry.n_users, geometry.n_ap)
-    )
-    if np.any(sigma < 0):
-        raise DomainError("shadowing sigma must be >= 0")
     root = correlation_sqrt(shadow_correlation(geometry, d0))
-    white = rng.standard_normal((geometry.n_users, geometry.n_ap))
-    return sigma * (root @ white)
+    return root @ rng.standard_normal((geometry.n_users, geometry.n_ap))
 
 
 def steering_vector(ap_antennas, user_pos, wavelength):
@@ -169,8 +165,8 @@ def build_large_scale(config, geometry: NetworkGeometry, rng) -> LargeScaleState
     p_los = los_probability(roles[:, None], d2, heights, ch.uav.los_prob)
     rice = rice_factor(p_los)
 
-    # draw the field first with unit sigma so LOS-state draws don't perturb it
-    unit_field = shadow_field(geometry, 1.0, ch.shadow_corr_dist_m, rng)
+    # draw the unit field first so LOS-state draws don't perturb it
+    unit_field = shadow_field(geometry, ch.shadow_corr_dist_m, rng)
     los_state = np.zeros(d3.shape, dtype=bool)
     los_state[uav] = rng.random((int(uav.sum()), geometry.n_ap)) < p_los[uav]
     sigma = np.where(

@@ -11,10 +11,13 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import replace
 
 from .config import PRESETS, SimConfig, load_config
 from .errors import CfsimError, ConfigError, NumericsError
+from .harness import emit_cdf, run_campaign
 
 
 def _resolve_config(args):
@@ -27,18 +30,12 @@ def _resolve_config(args):
     if args.seed is not None:
         overrides["seed"] = args.seed
     if overrides:
-        from dataclasses import replace
-
         cfg = replace(cfg, **overrides)
     cfg.validate()
     return cfg
 
 
 def cmd_run(args):
-    import os
-
-    from .harness import emit_cdf, run_campaign
-
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _resolve_config(args)

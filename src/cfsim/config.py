@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from operator import attrgetter
 from typing import Optional
 
@@ -375,16 +375,9 @@ def preset_paper():
     return SimConfig()
 
 
-def preset_desk(drops=50):
+def preset_desk():
     """Small deployment for desk-scale runs: 25 APs, 12 GUEs + 3 UAVs."""
-    return replace(
-        preset_paper(),
-        n_ap=25,
-        n_gue=12,
-        n_uav=3,
-        drops=drops,
-        association=AssociationConfig(mode="cf"),
-    )
+    return replace(preset_paper(), n_ap=25, n_gue=12, n_uav=3, drops=50)
 
 
 def _mmimo(cf):
@@ -407,9 +400,9 @@ def preset_mmimo():
     return _mmimo(preset_paper())
 
 
-def preset_desk_mmimo(drops=50):
+def preset_desk_mmimo():
     """mMIMO baseline of the desk deployment: 4 BSs x 25 antennas, 1.25 W each."""
-    return _mmimo(preset_desk(drops=drops))
+    return _mmimo(preset_desk())
 
 
 PRESETS = {
@@ -436,10 +429,12 @@ def _coerce_scalar(value, ftype, path):
     try:
         if base == "str" and not isinstance(value, str):
             raise TypeError(f"expected a string, got {type(value).__name__}")
+        if base in ("float", "int") and isinstance(value, bool):  # YAML yes/no/true/false
+            raise TypeError(f"expected a number, got {value!r}")
         if base == "float":
             return float(value)
         if base == "int":
-            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            if isinstance(value, float) and not value.is_integer():
                 raise ValueError(f"expected an integer, got {value!r}")
             return int(value)
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
@@ -476,16 +471,8 @@ def config_from_dict(data, base=None):
 
 
 def config_to_dict(cfg):
-    """Dataclass tree -> plain nested dict (YAML friendly)."""
-
-    def conv(obj):
-        if is_dataclass(obj):
-            return {f.name: conv(getattr(obj, f.name)) for f in fields(obj)}
-        if isinstance(obj, tuple):
-            return [conv(x) for x in obj]
-        return obj
-
-    return conv(cfg)
+    """Dataclass tree -> plain nested dict (YAML friendly: the one tuple as a list)."""
+    return asdict(cfg) | {"uav_height_range_m": list(cfg.uav_height_range_m)}
 
 
 def load_config(path, base=None):

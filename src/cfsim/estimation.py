@@ -54,7 +54,7 @@ class EstimationState:
     gamma: np.ndarray  # (K, A)
     tr_G: np.ndarray  # (K, A) real
     tr_B: np.ndarray  # (K, A) real
-    eta_train: np.ndarray  # (K,)
+    eta_train: float
     sigma_w2: float
 
     @property
@@ -73,11 +73,12 @@ def build_estimation(
     no N x N solve.
 
     G_k = c_k (I + K_k a_k a_k^H), so B = b I + sum_i w_i a_i a_i^H, with b =
-    sigma_w^2 + sum_i eta_i c_i over the users on the pilot and w_i = eta_i c_i K_i
-    over its LOS users. Per (LOS pilot, AP), Q is an orthonormal basis of those
-    users' steering vectors: the QR factor of V, the vectors side by side and zero
-    columns padding every pilot to the widest, so Q spans them however many or
-    collinear they are. B_S = Q^H B Q = b I + R diag(w) R^H (V = Q R) is r x r, and
+    sigma_w^2 + sum_i eta c_i over the users on the pilot and w_i = eta c_i K_i over
+    its LOS users, eta = eta_train being the training energy of every user. Per
+    (LOS pilot, AP), Q is an orthonormal basis of those users' steering vectors:
+    the QR factor of V, the vectors side by side and zero columns padding every
+    pilot to the widest, so Q spans them however many or collinear they are.
+    B_S = Q^H B Q = b I + R diag(w) R^H (V = Q R) is r x r, and
         B^{-1} = (I - Q Q^H) / b + Q B_S^{-1} Q^H,   D = sqrt(eta) G B^{-1},
     which is d I, d = sqrt(eta) c / b, where the pilot has no LOS term at the AP.
     A pilot whose cond(B) = lam_max(B_S) / lam_min(B) exceeds CONDITION_LIMIT
@@ -85,18 +86,16 @@ def build_estimation(
     clears most pilots before eigvalsh. Matches the per-pair references and the
     exact-rational oracle in tests/per_pair.py.
     """
-    K, A = ls.beta.shape
+    A = ls.beta.shape[1]
     N = ls.n_ap_antennas
-    eta_train = np.broadcast_to(np.asarray(eta_train, dtype=float), (K,))
-    root_eta = np.sqrt(eta_train)
     pilot = book.assignment
     on_pilot = pilot == np.arange(book.tau_p)[:, None]  # (tau_p, K)
     c = ls.beta / (ls.rice_k + 1.0)
     los = np.flatnonzero(ls.los_users)
     rice, steering = ls.rice_k[los], ls.steering[los]
-    w = eta_train[los, None] * c[los] * rice  # (L, A): the LOS terms' weights in B
+    w = eta_train * c[los] * rice  # (L, A): the LOS terms' weights in B
     norm2 = (steering.real**2 + steering.imag**2).sum(axis=2)
-    b = sigma_w2 + on_pilot @ (eta_train[:, None] * c)  # (tau_p, A)
+    b = sigma_w2 + on_pilot @ (eta_train * c)  # (tau_p, A)
     tr_B = N * b + on_pilot[:, los] @ (w * norm2)
     if not np.isfinite(tr_B).all():  # eigvalsh would raise a bare LinAlgError
         raise NumericsError("training covariance is not finite")
@@ -147,7 +146,7 @@ def build_estimation(
     H[diag] -= shift[..., None]
     B_inv = (Q @ H) @ np.conj(Q).swapaxes(-1, -2)
     B_inv.reshape(len(lp), A, N * N)[..., :: N + 1] += shift[..., None]
-    s = root_eta[:, None] * c
+    s = np.sqrt(eta_train) * c
     d = s * inv_b[pilot]
     D = B_inv[rank[dense]]
     D *= s[dense, :, None, None]
@@ -162,5 +161,5 @@ def build_estimation(
     gamma *= s * s
     return EstimationState(
         d=d, dense_users=dense, D_dense=D, gamma=gamma, tr_G=tr_G, tr_B=tr_B[pilot],
-        eta_train=np.array(eta_train), sigma_w2=sigma_w2,
+        eta_train=float(eta_train), sigma_w2=sigma_w2,
     )

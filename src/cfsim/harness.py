@@ -52,10 +52,6 @@ class RateReport:
     mirror_z: float
     power_info: dict = field(default_factory=dict)
 
-    def rates(self, kind):
-        se = getattr(self, f"se_{kind}")
-        return se * self.bandwidth_hz
-
 
 def drop_seed_sequence(master_seed, drop_index):
     """Stable splittable per-drop seed."""
@@ -191,27 +187,22 @@ class CampaignResult:
     master_seed: int
 
     def rate_samples(self, role_name, link, bound):
-        """Pooled per-user rates (bit/s) across drops for one (role, link, bound)."""
+        """Pooled per-user rates (bit/s) across drops for one (role, link, bound),
+        without the NaN UB of a run that evaluates none."""
         role_id = {v: k for k, v in ROLE_NAMES.items()}[role_name]
-        chunks = []
-        for rep in self.reports:
-            vals = rep.rates(f"{bound}_{link}")
-            chunks.append(vals[rep.roles == role_id])
-        return np.concatenate(chunks) if chunks else np.array([])
+        chunks = [getattr(rep, f"se_{bound}_{link}")[rep.roles == role_id] * rep.bandwidth_hz
+                  for rep in self.reports]
+        samples = np.concatenate(chunks) if chunks else np.array([])
+        return samples[~np.isnan(samples)]
 
     def cdf_table(self, role_name, link, bound):
         """Sorted rates with empirical CDF values (i+1)/n."""
-        samples = self.rate_samples(role_name, link, bound)
-        samples = samples[~np.isnan(samples)]
-        x = np.sort(samples)
-        if x.size == 0:
-            return x, x
-        return x, np.arange(1, x.size + 1) / x.size
+        x = np.sort(self.rate_samples(role_name, link, bound))
+        return x, np.arange(1, x.size + 1) / max(x.size, 1)
 
     def percentiles(self, role_name, link, bound):
         """{1: 99%-likely rate, 5, 50, 95} percentiles in bit/s."""
         samples = self.rate_samples(role_name, link, bound)
-        samples = samples[~np.isnan(samples)]
         if samples.size == 0:
             return {}
         return {p: float(np.percentile(samples, p)) for p in (1, 5, 50, 95)}

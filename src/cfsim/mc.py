@@ -97,7 +97,7 @@ def _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
     """
     K, A, N = ls.steering.shape
     pidx = book.assignment
-    root_eta = np.sqrt(np.asarray(est.eta_train, dtype=float))
+    root_eta = np.sqrt(est.eta_train)
     users, scale = channel_scaler(ls)
     sizes = _batched(n_samples, batch_count)
     row_bytes = 16 * (K + book.tau_p) * A * N
@@ -114,7 +114,7 @@ def _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
         scaled.result()
         y *= np.sqrt(est.sigma_w2 / 2.0)
         for k in range(K):
-            y[:, pidx[k]] += root_eta[k] * g[:, k]
+            y[:, pidx[k]] += root_eta * g[:, k]
         buf = free.get_nowait()  # at most `workers` blocks are estimated at once
         try:
             g_hat = buf[: len(g)]

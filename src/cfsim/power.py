@@ -144,7 +144,7 @@ class _DlObjective:
         self.amp = np.where(usable, np.sqrt(gamma), 0.0)
         self.C = np.where(usable, tables.C / gamma, 0.0).reshape(self.K, -1)
         pj, pk = tables.pair_j, tables.pair_k
-        scale = np.sqrt(tables.pair_w)[:, None] / np.sqrt(gamma[pj])
+        scale = np.sqrt(tables.pair_w) / np.sqrt(gamma[pj])
         t = np.where(usable[pj], tables.pair_t * scale, 0.0)
         self.stacked = np.concatenate([self.amp, t.real, t.imag])  # row i meets y[self.rows[i]]
         self.R = self.stacked[self.K :]

@@ -4,15 +4,16 @@ matched filtering with LMMSE estimation.
 The per-user downlink SINR is assembled as
 
     num = (sum_{a in A_k} sqrt(eta_dl[k,a]) gamma[k,a])^2
-    den = sum_{a in A_k} eta_dl[k,a] (eta_k delta[k,k,a] - gamma[k,a]^2)      (gain uncertainty)
-        + sum_j sqrt(eta_j) sum_{a in A_j} eta_dl[j,a] tr(G_j D_j^H G_k)     (average interference)
+    den = sum_{a in A_k} eta_dl[k,a] (eta delta[k,k,a] - gamma[k,a]^2)        (gain uncertainty)
+        + sqrt(eta) sum_j sum_{a in A_j} eta_dl[j,a] tr(G_j D_j^H G_k)       (average interference)
         + sigma_z^2
-        + sum_{j!=k} eta_k |phi_k^H phi_j|^2 [ sum_a eta_dl[j,a] delta[k,j,a]
+        + sum_{j!=k} eta |phi_k^H phi_j|^2 [ sum_a eta_dl[j,a] delta[k,j,a]
               + |sum_a sqrt(eta_dl[j,a]) tr(D_j G_k)|^2
               - sum_a eta_dl[j,a] |tr(D_j G_k)|^2 ]                          (pilot contamination)
 
-where delta[k, j, a] is the fourth-moment constant of user k's channel
-quadratic form under user j's estimator,
+where eta is the training energy of every user and delta[k, j, a] is the
+fourth-moment constant of user k's channel quadratic form under user j's
+estimator,
 
     delta = c^4 |tr D|^2 + 2 K c^4 Re{(a^H D a) conj(tr D)},  c^2 = beta/(K+1),
 
@@ -46,20 +47,21 @@ class SETables:
     theta = sqrt(eta_dl),
 
         den_k = sum_{j,a} C[k,j,a] theta_ja^2
-              + sum_{p: pair_k[p] = k} pair_w[p] |sum_a theta_{pair_j[p],a} pair_t[p,a]|^2
+              + sum_{p: pair_k[p] = k} pair_w |sum_a theta_{pair_j[p],a} pair_t[p,a]|^2
               + sigma_z^2,
 
     over the P ordered copilot pairs p = (k, j), j != k, that share a pilot:
-    pair_t[p, a] = tr(D_j G_k) and pair_w[p] = eta_k (|phi_k^H phi_j|^2 = 1).
+    pair_t[p, a] = tr(D_j G_k) and pair_w = eta, the one training energy of every
+    user (|phi_k^H phi_j|^2 = 1).
     C holds the gain uncertainty (j = k), the average interference and the
-    pilot-contamination variances, so C >= 0 and pair_w >= 0 entrywise.
+    pilot-contamination variances, so C >= 0 entrywise and pair_w >= 0.
     """
 
     gamma: np.ndarray  # (K, A)
     C: np.ndarray  # (K, K, A)
     pair_k: np.ndarray  # (P,) int, the user whose channel the pair's term is on
     pair_j: np.ndarray  # (P,) int, the copilot whose estimator (and power) it is
-    pair_w: np.ndarray  # (P,)
+    pair_w: float
     pair_t: np.ndarray  # (P, A) complex
     serving: np.ndarray  # (K, A) bool
 
@@ -68,8 +70,8 @@ class SETables:
         return self.gamma.shape[0]
 
 
-def _interference(steering, rice, is_los, c2, est, aps, eta, k, j, C):
-    """Fill C[k, j, a] = sqrt(eta_j) Re tr(G_j D_j^H G_k), the average interference
+def _interference(steering, rice, is_los, c2, est, aps, k, j, C):
+    """Fill C[k, j, a] = sqrt(eta) Re tr(G_j D_j^H G_k), the average interference
     of every (k, j, a), and return (q, tr_d, guard): q = a_k^H D_j a_k (0 where
     K_k = 0) and tr D_j on the pairs (k[p], j[p]), and the largest imaginary part
     and modulus of tr(G_j D_j^H G_k). Every array but is_los (the users with a LOS
@@ -120,11 +122,11 @@ def _interference(steering, rice, is_los, c2, est, aps, eta, k, j, C):
     guard = [np.max([np.maximum(p.imag.max(initial=0.0), -p.imag.min(initial=0.0))
                      for p in parts]),
              np.max([np.abs(p).max(initial=0.0) for p in parts])]
-    root_eta = np.sqrt(eta)[:, None]
+    root_eta = np.sqrt(est.eta_train)
     nlos_c = root_eta * tr_gd.real
     tr_los.real *= root_eta
-    # C row by row, each run of like rows in one ufunc call: c_k^2 sqrt(eta_j)
-    # Re tr(G_j D_j^H) off the LOS rows, sqrt(eta_j) Re tr_los on them
+    # C row by row, each run of like rows in one ufunc call: c_k^2 sqrt(eta)
+    # Re tr(G_j D_j^H) off the LOS rows, sqrt(eta) Re tr_los on them
     edges = [0, *(np.flatnonzero(np.diff(is_los)) + 1).tolist(), K]
     for lo, hi in zip(edges[:-1], edges[1:]):
         if is_los[lo]:
@@ -150,7 +152,6 @@ def build_se_tables(
     pair_k, pair_j = np.nonzero(copilot)
     own = np.arange(K)
     k, j = np.concatenate([own, pair_k]), np.concatenate([own, pair_j])
-    pair_w = eta[pair_k]
     is_los = ls.los_users
     C = np.empty((K, K, A))
     pair_t = np.empty((len(pair_k), A), dtype=complex)
@@ -160,18 +161,18 @@ def build_se_tables(
         c2 = ls.beta[:, aps] / (rice + 1.0)  # (K, A), channel user k
         Ca = C[:, :, aps]
         q, tr_d, guard = _interference(ls.steering[:, aps], rice, is_los, c2, est, aps,
-                                       eta, k, j, Ca)  # a_k^H D_j a_k, tr D_j on the pairs
+                                       k, j, Ca)  # a_k^H D_j a_k, tr D_j on the pairs
         delta = c2[k] ** 2 * (np.abs(tr_d) ** 2 + 2.0 * rice[k] * np.real(q * np.conj(tr_d)))
         t = c2[k] * (rice[k] * q + tr_d)  # tr(D_j G_k)
         pair_t[:, aps] = t[K:]
-        Ca[own, own] += eta[:, None] * delta[:K] - est.gamma[:, aps] ** 2
-        Ca[pair_k, pair_j] += pair_w[:, None] * (delta[K:] - np.abs(t[K:]) ** 2)
+        Ca[own, own] += eta * delta[:K] - est.gamma[:, aps] ** 2
+        Ca[pair_k, pair_j] += eta * (delta[K:] - np.abs(t[K:]) ** 2)
         return guard
 
     imag, size = np.max(over_aps(ap_slices(A, K * A * est.n_ap_antennas**2), build), axis=0)
     if imag > 1e-6 * max(size, 1e-300):
         raise NumericsError("tr(G D^H G) acquired a non-negligible imaginary part")
-    return SETables(gamma=est.gamma, C=C, pair_k=pair_k, pair_j=pair_j, pair_w=pair_w,
+    return SETables(gamma=est.gamma, C=C, pair_k=pair_k, pair_j=pair_j, pair_w=eta,
                     pair_t=pair_t, serving=serving)
 
 
@@ -180,8 +181,8 @@ def _pair_sums(tables: SETables, x):
     return np.einsum("pa,pa->p", tables.pair_t, x[tables.pair_j])
 
 
-def dl_sinr_parts(tables: SETables, eta_dl, sigma_z2):
-    """(numerator, denominator) of the downlink bound, per user."""
+def dl_sinr_lb(tables: SETables, eta_dl, sigma_z2):
+    """Vector of deterministic downlink SINR lower bounds, one per user."""
     t = tables
     eta = np.asarray(eta_dl, dtype=float)
     if eta.shape != t.serving.shape:
@@ -194,12 +195,6 @@ def dl_sinr_parts(tables: SETables, eta_dl, sigma_z2):
     den = t.C.reshape(t.n_users, -1) @ eta.ravel() + contamination + sigma_z2
     if not np.all(den > 0):
         raise NumericsError("downlink SINR denominator not positive; upstream state corrupt")
-    return num, den
-
-
-def dl_sinr_lb(tables: SETables, eta_dl, sigma_z2):
-    """Vector of deterministic downlink SINR lower bounds, one per user."""
-    num, den = dl_sinr_parts(tables, eta_dl, sigma_z2)
     return num / den
 
 
@@ -212,7 +207,7 @@ def ul_sinr_affine(tables: SETables, sigma_w2):
     form with the two users swapped, summed over a in A_k:
 
         den_mat[k, j] = sum_{a in A_k} C[j,k,a]
-                      + pair_w[p] |sum_{a in A_k} pair_t[p,a]|^2 for the pair p = (j, k),
+                      + pair_w |sum_{a in A_k} pair_t[p,a]|^2 for the pair p = (j, k),
 
     so den_mat is entrywise non-negative because C and pair_w are.
     """
@@ -224,24 +219,17 @@ def ul_sinr_affine(tables: SETables, sigma_w2):
     return gsum**2, den_mat, sigma_w2 * gsum
 
 
-def ul_sinr_parts(tables: SETables, eta_ul, sigma_w2):
-    """(numerator, denominator) of the uplink bound, per user."""
+def ul_sinr_lb(tables: SETables, eta_ul, sigma_w2):
+    """Vector of deterministic uplink SINR lower bounds, one per user."""
     eta = np.asarray(eta_ul, dtype=float)
     K = tables.n_users
     if eta.shape != (K,):
         raise ValueError(f"eta_ul shape {eta.shape} != ({K},)")
     num_coef, den_mat, den_const = ul_sinr_affine(tables, sigma_w2)
-    num = num_coef * eta
     den = den_mat @ eta + den_const
     if not np.all(den > 0):
         raise NumericsError("uplink SINR denominator not positive; upstream state corrupt")
-    return num, den
-
-
-def ul_sinr_lb(tables: SETables, eta_ul, sigma_w2):
-    """Vector of deterministic uplink SINR lower bounds, one per user."""
-    num, den = ul_sinr_parts(tables, eta_ul, sigma_w2)
-    return num / den
+    return num_coef * eta / den
 
 
 def se_from_sinr(sinr, prelog):

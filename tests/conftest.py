@@ -82,7 +82,8 @@ def drop_state(cfg, drop):
 def low_uav_desk():
     """Desk with UAVs at 15-25 m whose LOS probability exp(-d / 0.2 m) underflows
     to 0 beyond about 150 m: a UAV has a LOS term at some APs only, and one of
-    drop 0 (user 14) has a subnormal Ricean factor at AP 18."""
+    drop 0 (user 14) has a subnormal LOS probability at AP 18, which gives it no
+    LOS term there."""
     los_prob = {"d1_log_coef": 0.0, "d1_offset": 0.0, "d1_floor_m": 0.0,
                 "p1_log_coef": 0.0, "p1_offset": 0.2}
     cfg = config_from_dict({"uav_height_range_m": [15.0, 25.0],

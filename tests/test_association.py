@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cfsim.association import associate_cf, associate_uc
+from cfsim.association import associate_uc, build_association
+from cfsim.config import SimConfig
 from cfsim.errors import ConfigError
 
 
@@ -9,8 +10,13 @@ def _aps_of(serving, k):
     return np.flatnonzero(serving[k]).tolist()
 
 
+def _cf(n_ap, n_users):
+    """The cell-free serving mask of n_users users and n_ap APs."""
+    return build_association(SimConfig(), np.ones((n_users, n_ap)))
+
+
 def test_cf_full_map():
-    serving = associate_cf(2, 3)
+    serving = _cf(2, 3)
     assert serving.shape == (3, 2) and serving.dtype == bool
     assert serving.sum(axis=0).tolist() == [3, 3]
     assert serving.sum(axis=1).tolist() == [2, 2, 2]
@@ -24,13 +30,13 @@ def _consistent(serving):
 
 
 def test_cf_bidirectional_consistency():
-    _consistent(associate_cf(4, 5))
+    _consistent(_cf(4, 5))
 
 
 def test_uc_degenerates_to_cf():
     beta = np.random.default_rng(0).uniform(0.1, 1.0, (5, 4))
     uc = associate_uc(beta, 4)
-    cf = associate_cf(4, 5)
+    cf = _cf(4, 5)
     np.testing.assert_array_equal(uc, cf)
 
 

@@ -72,6 +72,9 @@ def test_los_probability_uav_matches_hand_evaluation():
 def test_rice_factor_values():
     assert rice_factor(0.0) == 0.0
     assert rice_factor(0.5) == pytest.approx(1.0)
+    # a subnormal K is no LOS term: a pilot with it would take the dense path
+    tiny = np.finfo(float).tiny
+    assert rice_factor(4.0e-318) == 0.0 and rice_factor(tiny) == tiny
     clamped = rice_factor(1.0)
     assert clamped == pytest.approx((1.0 - 1e-6) / 1e-6, rel=1e-9)
     with pytest.raises(DomainError):
@@ -157,14 +160,24 @@ def _flat_geometry(user_xy, n_ap=2, side=1000.0):
 
 
 def test_shadow_field_zero_sigma():
-    geom = _flat_geometry([(0, 0), (10, 10)])
-    z = shadow_field(geom, 0.0, 9.0, np.random.default_rng(0))
-    assert np.all(z == 0.0)
+    # build_large_scale scales the unit field per link: zero sigmas leave every
+    # link its bare path gain, LOS or NLOS for a UAV
+    ch = preset_desk().channel
+    ch = replace(ch, gue_shadow_sigma_db=0.0,
+                 uav=replace(ch.uav, shadow_nlos_db=0.0, shadow_los_scale_db=0.0))
+    cfg = replace(preset_desk(), channel=ch)
+    geom = generate_topology(cfg, np.random.default_rng(0))
+    ls = build_large_scale(cfg, geom, np.random.default_rng(1))
+    d3, f, h = user_ap_distances(geom)[0], cfg.carrier_freq_ghz, geom.user_positions[:, 2, None]
+    gue = geom.roles == ROLE_GUE
+    assert (ls.beta[gue] == path_gain_gue(d3[gue], f, 0.0, ch.gue_gain)).all()
+    bare = [path_gain_uav(d3[~gue], los, ch.uav, f, h[~gue], 0.0) for los in (True, False)]
+    assert ((ls.beta[~gue] == bare[0]) | (ls.beta[~gue] == bare[1])).all()
 
 
 def test_shadow_field_colocated_users_identical():
     geom = _flat_geometry([(5, 5), (5, 5)])
-    z = shadow_field(geom, 4.0, 9.0, np.random.default_rng(1))
+    z = shadow_field(geom, 9.0, np.random.default_rng(1))
     np.testing.assert_allclose(z[0], z[1], atol=1e-10)
 
 
@@ -177,7 +190,7 @@ def test_shadow_field_covariance_oracle():
     n = 100_000
     draws = np.empty((n, 3, 2))
     for i in range(n):
-        draws[i] = shadow_field(geom, sigma, d0, rng)
+        draws[i] = sigma * shadow_field(geom, d0, rng)
     rho = np.abs(np.subtract.outer([0.0, 4.5, 20.0], [0.0, 4.5, 20.0]))
     expected = sigma**2 * 2.0 ** (-rho / d0)
     for a in range(2):
@@ -373,7 +386,7 @@ def _per_link_large_scale(config, geometry, rng):
     los_state = np.zeros((K, A), dtype=bool)
     uav_rows = roles == ROLE_UAV
     sigma = np.full((K, A), ch.gue_shadow_sigma_db)
-    unit_field = shadow_field(geometry, 1.0, ch.shadow_corr_dist_m, rng)
+    unit_field = shadow_field(geometry, ch.shadow_corr_dist_m, rng)
     if uav_rows.any():
         los_state[uav_rows] = rng.random((int(uav_rows.sum()), A)) < p_los[uav_rows]
         for k in np.flatnonzero(uav_rows):

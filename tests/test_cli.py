@@ -37,6 +37,11 @@ def test_validate_bad_config_exit_2(tmp_path, capsys):
     ("power:\n  dl: {x: 1}\n", "power.dl: expected a string, got dict"),
     ("power:\n  ul: [fpc]\n", "power.ul: expected a string, got list"),
     ("association:\n  mode: {cf: 1}\n", "association.mode: expected a string, got dict"),
+    # a YAML bool where a number belongs: once read as 1.0, so every DL watt went
+    # to the UAVs, or as a 1 m area
+    ("power:\n  kappa: yes\n", "power.kappa: expected a number, got True"),
+    ("area_side_m: true\n", "area_side_m: expected a number, got True"),
+    ("uav_height_range_m: [22.5, false]\n", "uav_height_range_m: expected a number, got False"),
 ])
 def test_validate_rejected_config_exit_2(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "cfg.yaml"

@@ -26,10 +26,10 @@ _EXTREMES = [1e300, -1e300, 1e-300]
 
 
 def _floats(lo, hi, extremes=False):
-    """Values in [lo, hi], the edge values and a few wrong types."""
+    """Values in [lo, hi], the edge values and a few wrong types, YAML bools among them."""
     edges = _EDGE_FLOATS + (_EXTREMES if extremes else [])
     return st.one_of(st.floats(lo, hi), st.sampled_from(edges),
-                     st.sampled_from([None, True, "x", [1.0]]))
+                     st.sampled_from([None, True, False, "x", [1.0]]))
 
 
 def _ints(lo, hi):
@@ -104,6 +104,9 @@ def test_config_perturbation_runs_finite_or_raises_config_error(flat):
         cfg = config_from_dict(_nested(flat), base=TINY).validate()
     except ConfigError:
         return
+    # a bool is never a number, not even in a list (yes/no read as 1.0/0.0 before)
+    values = [x for v in flat.values() for x in (v if isinstance(v, list) else [v])]
+    assert not any(isinstance(x, bool) for x in values), flat
     report = run_drop(cfg, 0)
     assert np.isfinite(report.se_lb_dl).all() and np.isfinite(report.se_lb_ul).all()
     if cfg.mc.ub_samples > 0:

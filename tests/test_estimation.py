@@ -264,8 +264,8 @@ def _assert_build_matches_per_pair_operations(ls, book, est0):
     est_D = dense_D(est)
     for k in range(est.d.shape[0]):
         for a in range(est.d.shape[1]):
-            D = estimator_D(G[k, a], B[k, a], eta[k])
-            g = gamma_coefficient(G[k, a], D, eta[k])
+            D = estimator_D(G[k, a], B[k, a], eta)
+            g = gamma_coefficient(G[k, a], D, eta)
             np.testing.assert_allclose(est_D[k, a], D, rtol=1e-10, atol=1e-300)
             assert est.gamma[k, a] == pytest.approx(g, rel=1e-10)
 
@@ -332,13 +332,17 @@ def _square_basis():
 
 
 def _subnormal_k():
-    """The low-UAV desk user whose only LOS term has a subnormal Ricean factor, and
-    its copilots, at that AP."""
+    """User 14 of the low-UAV desk drop 0 with, set by hand as its only LOS term, the
+    subnormal Ricean factor its LOS probability gives at AP 18 (rice_factor makes
+    it 0), and its copilots, at that AP."""
     cfg = low_uav_desk()
     ls, book = drop_state(cfg, 0)
-    assert 0.0 < ls.rice_k[14, 18] < np.finfo(float).tiny
+    assert not ls.los_users[14]
+    rice, steering = ls.rice_k.copy(), ls.steering.copy()
+    rice[14, 18] = 4.0e-318
+    steering[14, 18] = np.exp(-1j * np.pi * np.sin(0.3) * np.arange(cfg.n_ap_antennas))
     users = np.flatnonzero(book.assignment == book.assignment[14])
-    return ls, book, cfg, [(k, 18) for k in users]
+    return replace(ls, rice_k=rice, steering=steering), book, cfg, [(k, 18) for k in users]
 
 
 @pytest.mark.parametrize("case", [_worst_conditioned, _two_los_uavs, _collinear, _square_basis,
@@ -354,7 +358,7 @@ def test_estimator_matches_exact_rational_oracle(case):
     assert pairs
     for k, a in pairs:
         exact, gamma = exact_estimator(ls, book, est.eta_train, est.sigma_w2, k, a)
-        exact *= np.sqrt(est.eta_train[k])
+        exact *= np.sqrt(est.eta_train)
         assert np.abs(D[k, a] - exact).max() <= 1e-13 * np.abs(exact).max(), (k, a)
         assert est.gamma[k, a] == pytest.approx(gamma, rel=1e-13), (k, a)
 
@@ -415,5 +419,5 @@ def test_estimation_state_invariants(gate_fixture):
             np.testing.assert_allclose(B[k, a], B[k, a].conj().T, atol=1e-12)
             assert np.linalg.eigvalsh(B[k, a]).min() > 0
             assert est.gamma[k, a] >= 0
-            tr = np.sqrt(est.eta_train[k]) * np.trace(G[k, a] @ D[k, a])
+            tr = np.sqrt(est.eta_train) * np.trace(G[k, a] @ D[k, a])
             assert abs(tr.imag) <= 1e-9 * max(abs(tr.real), 1e-300)

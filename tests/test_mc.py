@@ -39,7 +39,7 @@ def _joint_oracle(ls, est, book, rng, s):
     """One batch through the dense K x K copilot weights, drawn in the sampler's order."""
     A, N = ls.steering.shape[1:]
     same = book.assignment[:, None] == book.assignment[None, :]
-    M = same * np.sqrt(np.asarray(est.eta_train, dtype=float))[None, :]
+    M = same * np.sqrt(est.eta_train)
     g = draw_channels(ls, rng, s)
     noise = np.sqrt(est.sigma_w2 / 2.0) * (
         rng.standard_normal((s, book.tau_p, A, N))
@@ -92,7 +92,7 @@ def _serial_batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
         y.imag = rng.standard_normal(y.shape)
         y *= np.sqrt(est.sigma_w2 / 2.0)
         for k in range(K):
-            y[:, pidx[k]] += root_eta[k] * g[:, k]
+            y[:, pidx[k]] += root_eta * g[:, k]
         sums = None
         for b in sample_blocks(size, 16 * (K + book.tau_p) * A * N):
             g_hat = np.empty_like(g[b])

@@ -63,6 +63,17 @@ def test_every_public_src_name_is_referenced_in_src():
     assert sorted(defined - referenced) == []
 
 
+def test_no_import_inside_a_function():
+    # `import cfsim` loads every module through the package __init__, so an
+    # import in a function body defers nothing and hides a module's dependencies
+    nested = [f"{path.name}:{node.lineno}"
+              for path in sorted(pathlib.Path(cfsim.__file__).parent.glob("*.py"))
+              for func in ast.walk(ast.parse(path.read_text()))
+              if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []
+
+
 def _classes_read_whole(trees):
     """Dataclasses whose instances src passes to asdict, which reads every field:
     the annotated type of each field that an asdict(<...>.field) call names."""
