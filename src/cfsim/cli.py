@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from .config import PRESETS, SimConfig, load_config
 from .errors import CfsimError, ConfigError, NumericsError
-from .harness import emit_cdf, run_campaign
+from .harness import emit_cdf, mirror_threshold, run_campaign
 
 
 def _resolve_config(args):
@@ -56,7 +56,9 @@ def cmd_run(args):
     if cfg.mc.ub_samples > 0:
         worst = max(result.reports, key=lambda rep: rep.mirror_z)
         print(f"UB mirror vs closed-form LB: max |z| {worst.mirror_z:.2f} at drop "
-              f"{worst.drop_id}, mc.batch_count {cfg.mc.batch_count}")
+              f"{worst.drop_id}; {sum(rep.mirror_over for rep in result.reports)} user-links "
+              f"above {mirror_threshold(cfg):.2f}, the 0.1% family-wise t threshold at "
+              f"mc.batch_count {cfg.mc.batch_count}")
     print(f"wrote {len(written)} files to {args.out}")
     return 0
 

@@ -12,6 +12,7 @@ spawn_key=(i,)), so results are independent of the parallelism degree.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -47,10 +48,28 @@ class RateReport:
     se_ub_dl_stderr: np.ndarray
     se_ub_ul_stderr: np.ndarray
     bandwidth_hz: float
-    # max over users and links of |mirror SE - closed-form LB| / mirror stderr;
-    # NaN when the UB evaluation is disabled
+    # max over users and links of |mirror SE - closed-form LB| / mirror stderr
+    # (NaN without UB), and the user-links above mirror_threshold (0 without UB)
     mirror_z: float
+    mirror_over: int
     power_info: dict = field(default_factory=dict)
+
+
+def mirror_threshold(config):
+    """The |z| that a user-link's mirror exceeds with probability 1e-3 / 2K, 0.1% over
+    a drop's 2K user-links: Student's t quantile for batch_count - 1 dof, by bisection
+    on theta = atan(t / sqrt(dof)) of A(t | dof) (Abramowitz & Stegun 26.7.3-4)."""
+    dof, lo, hi = config.mc.batch_count - 1, 0.0, math.pi / 2
+    for _ in range(64):
+        theta = (lo + hi) / 2
+        cos, total, term = math.cos(theta), 1.0, 1.0
+        for m in range(1 + dof % 2, dof - 1, 2):  # term ratios 1/2, 3/4, ... or 2/3, 4/5, ...
+            term *= m / (m + 1) * cos * cos
+            total += term
+        inside = (2 / math.pi * (theta + (dof > 1) * math.sin(theta) * cos * total) if dof % 2
+                  else math.sin(theta) * total)  # A = P(|T| <= sqrt(dof) tan theta)
+        lo, hi = (theta, hi) if inside < 1 - 1e-3 / (2 * config.n_users) else (lo, theta)
+    return math.sqrt(dof) * math.tan(lo)
 
 
 def drop_seed_sequence(master_seed, drop_index):
@@ -104,7 +123,7 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
         se_lb_ul = se_from_sinr(ul_sinr_lb(tables, eta_ul, config.noise_w), prelog)
 
         outputs = {"se_lb_dl": se_lb_dl, "se_lb_ul": se_lb_ul}
-        mirror_z = np.nan
+        mirror_z, mirror_over = np.nan, 0
         if config.mc.ub_samples > 0:
             mc_dl, mc_ul = se_ub_mc(
                 ls, est, book, serving, eta_dl, eta_ul, config.noise_w,
@@ -116,8 +135,8 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
             # reported, never raised; a zero stderr counts z = 0 where the two agree
             diff = np.abs(np.concatenate([mc_dl.lb - se_lb_dl, mc_ul.lb - se_lb_ul]))
             err = np.concatenate([mc_dl.lb_stderr, mc_ul.lb_stderr])
-            mirror_z = float(np.divide(diff, err, out=np.where(diff > 0, np.inf, 0.0),
-                                       where=err > 0).max())
+            z = np.divide(diff, err, out=np.where(diff > 0, np.inf, 0.0), where=err > 0)
+            mirror_z, mirror_over = float(z.max()), int((z > mirror_threshold(config)).sum())
         for name, values in outputs.items():
             if not np.isfinite(values).all():
                 raise NumericsError(f"{name} is not finite")
@@ -137,6 +156,7 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
            | outputs),
         bandwidth_hz=config.bandwidth_hz,
         mirror_z=mirror_z,
+        mirror_over=mirror_over,
         power_info={"dl": dl_info, "ul": ul_info},
     )
 

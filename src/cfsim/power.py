@@ -142,7 +142,11 @@ class _DlObjective:
         gamma = np.where(usable, tables.gamma, 1.0)
         self.K, self.A = gamma.shape
         self.amp = np.where(usable, np.sqrt(gamma), 0.0)
-        self.C = np.where(usable, tables.C / gamma, 0.0).reshape(self.K, -1)
+        C = tables.scale[:, None] * tables.col  # the (K, K, A) C, made whole from its factors
+        C[tables.los] = tables.los_rows
+        np.einsum("kka->ka", C)[:] += tables.own  # a view: the diagonal j = k
+        C[tables.pair_k, tables.pair_j] += tables.pair_var
+        self.C = np.where(usable, np.divide(C, gamma, out=C), 0.0).reshape(self.K, -1)
         pj, pk = tables.pair_j, tables.pair_k
         scale = np.sqrt(tables.pair_w) / np.sqrt(gamma[pj])
         t = np.where(usable[pj], tables.pair_t * scale, 0.0)

@@ -18,15 +18,16 @@ estimator,
     delta = c^4 |tr D|^2 + 2 K c^4 Re{(a^H D a) conj(tr D)},  c^2 = beta/(K+1),
 
 the remainder of E|g^H D g|^2 being tr(D G D^H G). SETables holds this
-denominator as a dense variance table C plus the pilot-contamination cross
-terms of the copilot pairs only: |phi_k^H phi_j|^2 is 1 for users on the same
-pilot (rows of one unitary DFT matrix) and 0 otherwise, so delta and tr(D_j G_k)
-are computed on the ordered copilot pairs (k, j) and the own pairs (k, k)
-alone. The uplink bound reads the same form by UL-DL duality: user j's power
-reaches user k's combiner D_k through the DL terms with the two users swapped,
-summed over the serving mask A_k. Everything here is a deterministic function
-of the estimation state; the Monte-Carlo mirror used to validate these
-expressions lives in cfsim.mc and never calls this module.
+denominator as the factors of a variance table C (rank one per AP off the LOS
+users' rows) plus the pilot-contamination cross terms of the copilot pairs
+only: |phi_k^H phi_j|^2 is 1 for users on the same pilot (rows of one unitary
+DFT matrix) and 0 otherwise, so delta and tr(D_j G_k) are computed on the
+ordered copilot pairs (k, j) and the own pairs (k, k) alone. The uplink bound
+reads the same form by UL-DL duality: user j's power reaches user k's combiner
+D_k through the DL terms with the two users swapped, summed over the serving
+mask A_k. Everything here is a deterministic function of the estimation state;
+the Monte-Carlo mirror used to validate these expressions lives in cfsim.mc
+and never calls this module.
 """
 
 from __future__ import annotations
@@ -52,17 +53,24 @@ class SETables:
 
     over the P ordered copilot pairs p = (k, j), j != k, that share a pilot:
     pair_t[p, a] = tr(D_j G_k) and pair_w = eta, the one training energy of every
-    user (|phi_k^H phi_j|^2 = 1).
-    C holds the gain uncertainty (j = k), the average interference and the
-    pilot-contamination variances, so C >= 0 entrywise and pair_w >= 0.
+    user (|phi_k^H phi_j|^2 = 1). C is held as its factors: the average interference
+    C[k,j,a] = scale[k,a] col[j,a], or los_rows[l,j,a] on a LOS row k = los[l], plus
+    the gain uncertainty own[k,a] at j = k and the copilot variance pair_var[p,a] at
+    (k, j) = (pair_k, pair_j)[p], with col = sqrt(eta) Re tr(G_j D_j^H) and scale =
+    c_k^2 (0 on the LOS rows). So C >= 0 entrywise and pair_w >= 0.
     """
 
     gamma: np.ndarray  # (K, A)
-    C: np.ndarray  # (K, K, A)
+    scale: np.ndarray  # (K, A), 0 on the LOS rows
+    col: np.ndarray  # (K, A)
+    los: np.ndarray  # (L,) int, the users with a LOS link at some AP
+    los_rows: np.ndarray  # (L, K, A)
+    own: np.ndarray  # (K, A)
     pair_k: np.ndarray  # (P,) int, the user whose channel the pair's term is on
     pair_j: np.ndarray  # (P,) int, the copilot whose estimator (and power) it is
     pair_w: float
     pair_t: np.ndarray  # (P, A) complex
+    pair_var: np.ndarray  # (P, A)
     serving: np.ndarray  # (K, A) bool
 
     @property
@@ -70,12 +78,12 @@ class SETables:
         return self.gamma.shape[0]
 
 
-def _interference(steering, rice, is_los, c2, est, aps, k, j, C):
-    """Fill C[k, j, a] = sqrt(eta) Re tr(G_j D_j^H G_k), the average interference
-    of every (k, j, a), and return (q, tr_d, guard): q = a_k^H D_j a_k (0 where
-    K_k = 0) and tr D_j on the pairs (k[p], j[p]), and the largest imaginary part
-    and modulus of tr(G_j D_j^H G_k). Every array but is_los (the users with a LOS
-    link at any AP of the drop) and est holds the APs aps of the drop; C is a view.
+def _interference(steering, rice, is_los, c2, est, aps, k, j, col, los_rows):
+    """Write the average interference sqrt(eta) Re tr(G_j D_j^H G_k) as col (K, A)
+    and los_rows (L, K, A), views (see SETables), and return (q, tr_d, guard): q =
+    a_k^H D_j a_k (0 where K_k = 0) and tr D_j on the pairs (k[p], j[p]), and the
+    largest imaginary part and modulus of tr(G_j D_j^H G_k). Every array but is_los
+    (the users with a LOS link at any AP of the drop) and est holds the APs aps.
 
     A trace against the Ricean covariance G_k = c_k^2 (K_k a_k a_k^H + I) is
     c_k^2 (K_k a_k^H M a_k + tr M), so on the rows with no LOS link (every GUE)
@@ -123,62 +131,59 @@ def _interference(steering, rice, is_los, c2, est, aps, k, j, C):
                      for p in parts]),
              np.max([np.abs(p).max(initial=0.0) for p in parts])]
     root_eta = np.sqrt(est.eta_train)
-    nlos_c = root_eta * tr_gd.real
-    tr_los.real *= root_eta
-    # C row by row, each run of like rows in one ufunc call: c_k^2 sqrt(eta)
-    # Re tr(G_j D_j^H) off the LOS rows, sqrt(eta) Re tr_los on them
-    edges = [0, *(np.flatnonzero(np.diff(is_los)) + 1).tolist(), K]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if is_los[lo]:
-            C[lo:hi] = tr_los.real[row[lo]:row[lo] + hi - lo]
-        else:
-            np.multiply(c2[lo:hi, None, :], nlos_c, out=C[lo:hi])
+    np.multiply(tr_gd.real, root_eta, out=col)
+    np.multiply(tr_los.real, root_eta, out=los_rows)
     return q_pair, tr_d[j], guard
 
 
 def build_se_tables(
     ls: LargeScaleState, est: EstimationState, book: PilotBook, serving
 ) -> SETables:
-    """C and the copilot pair terms of one drop: the average interference table plus
-    the gain uncertainty (j = k) and the copilots' variances, from delta and
-    tr(D_j G_k) on the own and copilot pairs only; serving is the (K, A) bool
-    serving mask the tables carry for the bounds. Built per AP slice
-    (threads.over_aps), each slice writing its APs of C and pair_t; the guard on
-    the imaginary part of tr(G_j D_j^H G_k) reads the whole drop."""
+    """The factors of C and the copilot pair terms of one drop: the average
+    interference plus the gain uncertainty (j = k) and the copilots' variances,
+    from delta and tr(D_j G_k) on the own and copilot pairs only; serving is the
+    (K, A) bool serving mask the tables carry for the bounds. Built per AP slice
+    (threads.over_aps), each slice writing its APs of every (., A) table; the guard
+    on the imaginary part of tr(G_j D_j^H G_k) reads the whole drop."""
     K, A = ls.beta.shape
     eta = est.eta_train
     copilot = book.assignment[:, None] == book.assignment[None, :]
     np.fill_diagonal(copilot, False)
     pair_k, pair_j = np.nonzero(copilot)
-    own = np.arange(K)
-    k, j = np.concatenate([own, pair_k]), np.concatenate([own, pair_j])
+    users = np.arange(K)
+    k, j = np.concatenate([users, pair_k]), np.concatenate([users, pair_j])
     is_los = ls.los_users
-    C = np.empty((K, K, A))
+    c2 = ls.beta / (ls.rice_k + 1.0)  # (K, A), channel user k
+    col, own = np.empty((K, A)), np.empty((K, A))
+    los_rows = np.empty((np.count_nonzero(is_los), K, A))
     pair_t = np.empty((len(pair_k), A), dtype=complex)
+    pair_var = np.empty((len(pair_k), A))
 
     def build(aps):
-        rice = ls.rice_k[:, aps]
-        c2 = ls.beta[:, aps] / (rice + 1.0)  # (K, A), channel user k
-        Ca = C[:, :, aps]
-        q, tr_d, guard = _interference(ls.steering[:, aps], rice, is_los, c2, est, aps,
-                                       k, j, Ca)  # a_k^H D_j a_k, tr D_j on the pairs
-        delta = c2[k] ** 2 * (np.abs(tr_d) ** 2 + 2.0 * rice[k] * np.real(q * np.conj(tr_d)))
-        t = c2[k] * (rice[k] * q + tr_d)  # tr(D_j G_k)
+        rice, c2a = ls.rice_k[:, aps], c2[:, aps]
+        q, tr_d, guard = _interference(ls.steering[:, aps], rice, is_los, c2a, est, aps, k, j,
+                                       col[:, aps], los_rows[..., aps])  # q, tr D_j on the pairs
+        delta = c2a[k] ** 2 * (np.abs(tr_d) ** 2 + 2.0 * rice[k] * np.real(q * np.conj(tr_d)))
+        t = c2a[k] * (rice[k] * q + tr_d)  # tr(D_j G_k)
         pair_t[:, aps] = t[K:]
-        Ca[own, own] += eta * delta[:K] - est.gamma[:, aps] ** 2
-        Ca[pair_k, pair_j] += eta * (delta[K:] - np.abs(t[K:]) ** 2)
+        own[:, aps] = eta * delta[:K] - est.gamma[:, aps] ** 2
+        pair_var[:, aps] = eta * (delta[K:] - np.abs(t[K:]) ** 2)
         return guard
 
     imag, size = np.max(over_aps(ap_slices(A, K * A * est.n_ap_antennas**2), build), axis=0)
     if imag > 1e-6 * max(size, 1e-300):
         raise NumericsError("tr(G D^H G) acquired a non-negligible imaginary part")
-    return SETables(gamma=est.gamma, C=C, pair_k=pair_k, pair_j=pair_j, pair_w=eta,
-                    pair_t=pair_t, serving=serving)
+    return SETables(gamma=est.gamma, scale=np.where(is_los[:, None], 0.0, c2), col=col,
+                    los=np.flatnonzero(is_los), los_rows=los_rows, own=own, pair_k=pair_k,
+                    pair_j=pair_j, pair_w=eta, pair_t=pair_t, pair_var=pair_var,
+                    serving=serving)
 
 
-def _pair_sums(tables: SETables, x):
-    """sum_a pair_t[p, a] x[pair_j[p], a] for each copilot pair p."""
-    return np.einsum("pa,pa->p", tables.pair_t, x[tables.pair_j])
+def _pair_terms(t: SETables, root, eta):
+    """Each copilot pair p's term in the denominator of pair_k[p], at amplitudes root
+    and powers eta (K, A): pair_w |sum_a pair_t root[j]|^2 + sum_a pair_var eta[j]."""
+    return (t.pair_w * np.abs(np.einsum("pa,pa->p", t.pair_t, root[t.pair_j])) ** 2
+            + np.einsum("pa,pa->p", t.pair_var, eta[t.pair_j]))
 
 
 def dl_sinr_lb(tables: SETables, eta_dl, sigma_z2):
@@ -190,9 +195,9 @@ def dl_sinr_lb(tables: SETables, eta_dl, sigma_z2):
     eta = np.where(t.serving, eta, 0.0)
     root = np.sqrt(eta)
     num = (root * t.gamma).sum(axis=1) ** 2
-    contamination = np.bincount(t.pair_k, t.pair_w * np.abs(_pair_sums(t, root)) ** 2,
-                                minlength=t.n_users)
-    den = t.C.reshape(t.n_users, -1) @ eta.ravel() + contamination + sigma_z2
+    den = (t.scale @ (t.col * eta).sum(axis=0) + (t.own * eta).sum(axis=1) + sigma_z2
+           + np.bincount(t.pair_k, _pair_terms(t, root, eta), minlength=t.n_users))
+    den[t.los] += t.los_rows.reshape(-1, eta.size) @ eta.ravel()
     if not np.all(den > 0):
         raise NumericsError("downlink SINR denominator not positive; upstream state corrupt")
     return num / den
@@ -214,8 +219,10 @@ def ul_sinr_affine(tables: SETables, sigma_w2):
     t = tables
     mask = t.serving.astype(float)
     gsum = (mask * t.gamma).sum(axis=1)
-    den_mat = np.einsum("jka,ka->kj", t.C, mask)
-    den_mat[t.pair_j, t.pair_k] += t.pair_w * np.abs(_pair_sums(t, mask)) ** 2
+    den_mat = (mask * t.col) @ t.scale.T
+    den_mat[:, t.los] += np.einsum("lka,ka->kl", t.los_rows, mask)
+    np.einsum("kk->k", den_mat)[:] += (mask * t.own).sum(axis=1)  # a view: the diagonal
+    den_mat[t.pair_j, t.pair_k] += _pair_terms(t, mask, mask)
     return gsum**2, den_mat, sigma_w2 * gsum
 
 

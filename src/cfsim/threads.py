@@ -31,7 +31,7 @@ BUDGET = sampler_workers(1)
 # SE tables over fewer entries K A N^2 than this stay on one thread: two halves
 # of small numpy calls pass the interpreter lock back and forth for longer than
 # they save (desk, 6,000 entries: 0.66 -> 1.97 ms; desk-mmimo, 37,500: 0.59 ->
-# 1.84 ms). On paper, 96,000, they took the paper-lb benchmark 0.0735 -> 0.0651 s
+# 1.84 ms), and on paper, 96,000, too: the paper-lb benchmark 0.0570 -> 0.0595 s
 SPLIT_MIN_ENTRIES = 65_536
 
 

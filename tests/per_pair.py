@@ -18,6 +18,8 @@
 - The scalar sort-and-scan of one waterfilling level (water_level), the
   reference that cfsim.power.wfpa_dl's all-levels-at-once scan is checked
   against.
+- The SE tables' variance table C made whole from its factors (dense_C), and
+  the names of the tables' per-drop arrays (TABLES).
 """
 
 from fractions import Fraction
@@ -28,6 +30,10 @@ from cfsim.channel import LargeScaleState, channel_scaler, fill_normal, sample_b
 from cfsim.errors import NumericsError
 from cfsim.estimation import EstimationState, PilotBook
 from cfsim.mc import _batched, _stderr
+from cfsim.se import SETables
+
+# the factors of C and the pair terms: every array of SETables but gamma and serving
+TABLES = ("scale", "col", "los", "los_rows", "own", "pair_t", "pair_var")
 
 
 def copilot_gram2(book: PilotBook):
@@ -70,6 +76,18 @@ def covariance_G(beta, rice_k, steering):
     a = np.asarray(steering)
     outer = a[..., :, None] * a.conj()[..., None, :]
     return beta / (rice_k + 1.0) * (rice_k * outer + np.eye(a.shape[-1]))
+
+
+def dense_C(tables: SETables):
+    """(K, K, A): the variance table C of the DL denominator, entry by entry as the
+    SETables docstring writes it."""
+    K, A = tables.gamma.shape
+    C = np.einsum("ka,ja->kja", tables.scale, tables.col)
+    C[tables.los] = tables.los_rows
+    C[np.arange(K), np.arange(K)] += tables.own
+    for k, j, var in zip(tables.pair_k, tables.pair_j, tables.pair_var):
+        C[k, j] += var
+    return C
 
 
 def dense_D(est: EstimationState):

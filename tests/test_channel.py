@@ -38,7 +38,7 @@ from cfsim.mc import se_ub_mc
 from cfsim.se import build_se_tables, dl_sinr_lb, se_from_sinr, ul_sinr_lb
 
 from conftest import make_state
-from per_pair import covariance_G, draw_channels
+from per_pair import TABLES, covariance_G, draw_channels
 
 GUE_MODEL = LogDistanceModel(offset_db=-22.7, dist_coef=-36.7, freq_coef=-26.0)
 
@@ -239,8 +239,8 @@ def _drop_outputs(st, ls):
     ub_dl, ub_ul = se_ub_mc(ls, est, book, serving, eta_dl, eta_ul, cfg.noise_w,
                             prelog, 40, np.random.default_rng(0), batch_count=2)
     return dict(
-        d=est.d, D=est.D_dense, gamma=est.gamma, tr_G=est.tr_G, tr_B=est.tr_B, C=tables.C,
-        pair_t=tables.pair_t,
+        d=est.d, D=est.D_dense, gamma=est.gamma, tr_G=est.tr_G, tr_B=est.tr_B,
+        **{name: getattr(tables, name) for name in TABLES},
         lb_dl=se_from_sinr(dl_sinr_lb(tables, eta_dl, cfg.noise_w), prelog),
         lb_ul=se_from_sinr(ul_sinr_lb(tables, eta_ul, cfg.noise_w), prelog),
         ub_dl=ub_dl.ub, ub_ul=ub_ul.ub, err_dl=ub_dl.ub_stderr, err_ul=ub_ul.ub_stderr,

@@ -138,6 +138,7 @@ def test_run_prints_the_mirror_check_only_with_ub(tmp_path, capsys):
         lines = [line for line in out if line.startswith("UB mirror")]
         if ub_samples:
             assert len(lines) == 1 and "at drop" in lines[0]
+            assert "user-links above 19098.59, the 0.1% family-wise t threshold" in lines[0]
             assert lines[0].endswith("mc.batch_count 2")
         else:
             assert lines == []

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import cfsim.harness
 from cfsim.association import build_association
@@ -23,6 +24,7 @@ from cfsim.harness import (
     _write_pair_csv,
     drop_seed_sequence,
     emit_cdf,
+    mirror_threshold,
     run_campaign,
     run_drop,
     write_rates_csv,
@@ -415,7 +417,8 @@ def test_non_finite_output_raises_numerics_error(monkeypatch, tmp_path, capsys):
 def test_mirror_z_flags_a_broken_closed_form(monkeypatch):
     # the UB pass mirrors each drop's closed-form LB without the SE tables: one
     # user's row of C scaled by 1.1 (its DL denominator, and by duality the UL
-    # interference it sees from the others) moves the LB off the mirror. At the
+    # interference it sees from the others: its row scale or LOS row, its own term
+    # and its pair corrections) moves the LB off the mirror. At the
     # default 10,000 samples in 20 batches every broken drop reads max |z| > 6
     # and no unbroken one does
     cfg = preset_desk()
@@ -423,12 +426,24 @@ def test_mirror_z_flags_a_broken_closed_form(monkeypatch):
 
     def broken_tables(*args):
         tables = build_se_tables(*args)
-        tables.C[0] *= 1.1
+        for rows in (tables.scale[0], tables.own[0]):
+            rows *= 1.1
+        tables.los_rows[tables.los == 0] *= 1.1
+        tables.pair_var[tables.pair_k == 0] *= 1.1
         return tables
 
     monkeypatch.setattr(cfsim.harness, "build_se_tables", broken_tables)
     broken = [run_drop(cfg, d).mirror_z for d in range(3)]
     assert max(unbroken) <= 6.0 < min(broken), (unbroken, broken)
+
+
+@pytest.mark.parametrize("batch_count", [2, 4, 20])
+def test_mirror_threshold_is_the_family_wise_t_quantile(batch_count):
+    # P(|T| > threshold) = 1e-3 / 2K with batch_count - 1 degrees of freedom
+    cfg = preset_paper()
+    cfg = replace(cfg, mc=replace(cfg.mc, batch_count=batch_count))
+    want = stats.t.ppf(1.0 - 1e-3 / (4 * cfg.n_users), batch_count - 1)
+    assert mirror_threshold(cfg) == pytest.approx(want, rel=1e-6)
 
 
 @pytest.mark.filterwarnings("error")

@@ -22,7 +22,7 @@ from cfsim.power import (
 from cfsim.se import build_se_tables, dl_sinr_lb, se_from_sinr, ul_sinr_lb
 
 from conftest import make_state, one_ap_waterfill
-from per_pair import dl_budget_violation, water_level
+from per_pair import dense_C, dl_budget_violation, water_level
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +529,9 @@ def test_maxmin_ul_negative_interference_raises(gate_fixture):
     # of its parts on high-K UAV links); the bisection premise den_mat >= 0
     # then fails, and without the check it would loop forever
     tables, cfg = gate_fixture["tables"], gate_fixture["cfg"]
-    C = tables.C.copy()
-    C[0, 1, 0] = -10.0 * np.abs(C).max()
-    tables = dataclasses.replace(tables, C=C)
+    own = tables.own.copy()
+    own[0, tables.serving[0].argmax()] = -10.0 * np.abs(dense_C(tables)).max()
+    tables = dataclasses.replace(tables, own=own)
     with pytest.raises(NumericsError, match="negative interference"):
         maxmin_ul(tables, cfg.noise_w, 0.42, 0.1)
 

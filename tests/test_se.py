@@ -1,11 +1,14 @@
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cfsim import threads
+from cfsim.association import build_association
 from cfsim.channel import LargeScaleState
-from cfsim.config import preset_desk
+from cfsim.config import preset_desk, preset_paper
 from cfsim.errors import NumericsError
 from cfsim.estimation import build_estimation
 from cfsim.mc import se_ub_mc
@@ -18,12 +21,13 @@ from cfsim.se import (
     ul_sinr_lb,
 )
 
-from conftest import make_state
+from conftest import drop_state, make_state
 from per_pair import (
     copilot_gram2,
     covariance_G,
     covariances,
     delta_term,
+    dense_C,
     dense_D,
     draw_channels,
     fourth_moment_check,
@@ -230,7 +234,7 @@ def test_dl_quadratic_form_matches_term_by_term_assembly(name):
     num = (np.sqrt(eta) * tables.gamma).sum(axis=1) ** 2
     np.testing.assert_allclose(dl_sinr_lb(tables, eta, cfg.noise_w),
                                num / _dl_den_term_by_term(st, terms, eta, cfg.noise_w), rtol=1e-13)
-    C, W = tables.C, tables.pair_w
+    C, W = dense_C(tables), tables.pair_w
     assert C.min() >= -1e-12 * np.abs(C).max()  # every entry is a variance
     assert W >= 0.0
 
@@ -245,6 +249,32 @@ def test_ul_affine_form_matches_term_by_term_assembly(name):
                                num / _ul_den_term_by_term(st, terms, eta, cfg.noise_w), rtol=1e-13)
     _, den_mat, _ = ul_sinr_affine(tables, cfg.noise_w)
     assert den_mat.min() >= 0.0  # maxmin_ul's premise
+
+
+# build_se_tables peaked at 4.47-4.61 MB on paper drops 0-3 at budget 1 and at
+# 2.80-4.18 MB at budget 2 (tracemalloc; 6.59-6.70 and 4.92-6.17 MB with a dense
+# (K, K, A) C in the tables): the bound is the highest with 15% headroom
+SE_TABLES_PEAK_BYTES = 5.3e6
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+def test_se_tables_hold_no_k_k_a_array(monkeypatch, budget):
+    cfg = preset_paper()
+    monkeypatch.setattr(threads, "BUDGET", budget)
+    for drop in range(4):
+        ls, book = drop_state(cfg, drop)
+        est = build_estimation(ls, book, cfg.train_energy_w, cfg.noise_w)
+        serving = build_association(cfg, ls.beta)
+        tracemalloc.start()
+        try:
+            tables = build_se_tables(ls, est, book, serving)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        K, A = tables.gamma.shape
+        sizes = {f.name: np.size(getattr(tables, f.name)) for f in dataclasses.fields(tables)}
+        assert max(sizes.values()) < K * K * A, sizes
+        assert peak < SE_TABLES_PEAK_BYTES, (drop, peak)
 
 
 def test_dl_sinr_scalar_assembly_oracle():

@@ -21,6 +21,7 @@ from cfsim.harness import run_drop
 from cfsim.se import build_se_tables
 
 from conftest import drop_state, low_uav_desk
+from per_pair import TABLES
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 OUTPUTS = ("se_lb_dl", "se_lb_ul", "se_ub_dl", "se_ub_ul", "se_ub_dl_stderr", "se_ub_ul_stderr")
@@ -123,8 +124,8 @@ def test_low_uav_halves_see_different_los_users(monkeypatch, split_all):
 def test_se_tables_at_budget_2_under_frequent_thread_switches(monkeypatch, split_all,
                                                              gate_fixture):
     # the SE tables split into AP halves at budget 2; with thread switches as often
-    # as the interpreter allows, the halves must write every byte of the one-thread C
-    # and pair terms
+    # as the interpreter allows, the halves must write every byte of the one-thread
+    # factors of C and pair terms
     ls, book, est, serving = (gate_fixture[k] for k in ("ls", "book", "est", "serving"))
     monkeypatch.setattr(threads, "BUDGET", 1)
     serial = build_se_tables(ls, est, book, serving)
@@ -137,7 +138,7 @@ def test_se_tables_at_budget_2_under_frequent_thread_switches(monkeypatch, split
     finally:
         sys.setswitchinterval(interval)
     for t in tables:
-        for field in ("C", "pair_t"):
+        for field in TABLES:
             assert getattr(t, field).tobytes() == getattr(serial, field).tobytes(), field
 
 
