@@ -40,6 +40,10 @@ def cmd_run(args):
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _resolve_config(args)
     debug_dir = os.path.join(args.out, "debug") if args.dump_debug else None
+    try:  # before any drop runs, not after the whole campaign
+        os.makedirs(debug_dir or args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot make directory {exc.filename}: {exc.strerror}") from exc
     result = run_campaign(
         cfg, n_drops=cfg.drops, master_seed=cfg.seed, jobs=args.jobs,
         debug_dir=debug_dir,

@@ -57,10 +57,6 @@ class EstimationState:
     eta_train: float
     sigma_w2: float
 
-    @property
-    def n_ap_antennas(self):
-        return self.D_dense.shape[2]
-
 
 def build_estimation(
     ls: LargeScaleState,

@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 import yaml
 
-from . import __version__, threads
+from . import __version__, mc
 from .association import build_association
 from .channel import build_large_scale
 from .config import SimConfig, config_to_dict
@@ -235,7 +235,7 @@ def run_campaign(
 
     Each drop is reached through the module global run_drop, so a wrapper put in
     its place sees every drop of a serial campaign. With jobs > 1 each process
-    runs with the thread budget threads.sampler_workers(jobs); a serial campaign
+    runs with the thread budget mc.sampler_workers(jobs); a serial campaign
     keeps the process's own budget."""
     config.validate()
     if n_drops is None:
@@ -252,8 +252,8 @@ def run_campaign(
         reports = [_drop_task(t) for t in tasks]
     else:
         # each process's threads share the CPUs with the other processes
-        with ProcessPoolExecutor(max_workers=jobs, initializer=threads.set_budget,
-                                 initargs=(threads.sampler_workers(jobs),)) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=mc.set_budget,
+                                 initargs=(mc.sampler_workers(jobs),)) as pool:
             reports = list(pool.map(_drop_task, tasks))
     reports.sort(key=lambda r: r.drop_id)
     return CampaignResult(reports=reports, config=config, master_seed=master_seed)

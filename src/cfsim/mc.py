@@ -15,17 +15,23 @@ scales it in place and multiplies it into g^T (a batched BLAS matmul over
 once for both links.
 
 The sampler is a two-stage pipeline. The calling thread makes every random
-draw, in one fixed order; threads.BUDGET worker threads run each block's
-kernels (channel scale, pilot mix, LMMSE step, reducer) as soon as the block's
-draws are made.
+draw, in one fixed order; BUDGET worker threads run each block's kernels
+(channel scale, pilot mix, LMMSE step, reducer) as soon as the block's draws
+are made.
 numpy releases the GIL in the draws, the matmuls and large elementwise ops, so
 the two stages run at once. The calling thread adds the block sums in block
 order, so every output is the same however the threads are timed. Memory is
 about one batch of raw draws plus the blocks in flight.
+
+BUDGET is the process's thread budget, the CPUs left to it (sampler_workers):
+a serial run starts at sampler_workers(1), and a campaign's process pool sets
+sampler_workers(jobs) in each process (set_budget). No output depends on it.
+The sampler is the one stage that runs threads.
 """
 
 from __future__ import annotations
 
+import os
 import queue
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -33,9 +39,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import threads
 from .channel import LargeScaleState, channel_scaler, fill_normal, sample_blocks
 from .estimation import EstimationState, PilotBook
+
+
+def sampler_workers(jobs):
+    """The thread budget of each of jobs processes: the CPUs left to each, at
+    least 1 and at most 2."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(2, (cpus or 1) // jobs))
+
+
+def set_budget(n):
+    global BUDGET
+    BUDGET = n
+
+
+# Threads one process keeps busy: 1 or 2
+BUDGET = sampler_workers(1)
 
 
 def _power(z):
@@ -83,7 +104,7 @@ def _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
     call, in the stream's order: all real parts of g, all its imaginary parts,
     the (S, K, A) LOS phases, then the training noise's real parts and, each
     just before its block is handed on, its imaginary parts. Meanwhile
-    threads.BUDGET workers scale each block's channels once its phases are
+    BUDGET workers scale each block's channels once its phases are
     drawn, and mix its pilots, estimate it and reduce it once its noise is. The
     calling thread adds the block sums in block order, so the sums do not
     depend on thread timing. A batch is finished before the next is drawn.
@@ -103,7 +124,7 @@ def _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
     row_bytes = 16 * (K + book.tau_p) * A * N
     row = np.full(K, -1)
     row[est.dense_users] = np.arange(len(est.dense_users))  # -1: D = d I at every AP
-    workers = threads.BUDGET
+    workers = BUDGET
     # one g_hat buffer per worker, made here: what a worker allocates stays in
     # its thread's malloc arena, which no other thread reuses
     free = queue.SimpleQueue()

@@ -39,7 +39,6 @@ import numpy as np
 from .channel import LargeScaleState
 from .errors import NumericsError
 from .estimation import EstimationState, PilotBook
-from .threads import ap_slices, over_aps
 
 
 @dataclass(frozen=True)
@@ -78,12 +77,11 @@ class SETables:
         return self.gamma.shape[0]
 
 
-def _interference(steering, rice, is_los, c2, est, aps, k, j, col, los_rows):
-    """Write the average interference sqrt(eta) Re tr(G_j D_j^H G_k) as col (K, A)
-    and los_rows (L, K, A), views (see SETables), and return (q, tr_d, guard): q =
-    a_k^H D_j a_k (0 where K_k = 0) and tr D_j on the pairs (k[p], j[p]), and the
-    largest imaginary part and modulus of tr(G_j D_j^H G_k). Every array but is_los
-    (the users with a LOS link at any AP of the drop) and est holds the APs aps.
+def _interference(steering, rice, is_los, c2, est, k, j):
+    """The average interference sqrt(eta) Re tr(G_j D_j^H G_k) as col (K, A) and
+    los_rows (L, K, A) (see SETables), and q = a_k^H D_j a_k (0 where K_k = 0) and
+    tr D_j on the pairs (k[p], j[p]): returns (col, los_rows, q, tr_d). Raises
+    NumericsError when tr(G_j D_j^H G_k) has a non-negligible imaginary part.
 
     A trace against the Ricean covariance G_k = c_k^2 (K_k a_k a_k^H + I) is
     c_k^2 (K_k a_k^H M a_k + tr M), so on the rows with no LOS link (every GUE)
@@ -98,7 +96,7 @@ def _interference(steering, rice, is_los, c2, est, aps, k, j, col, los_rows):
     los = np.flatnonzero(is_los)
     row = np.where(is_los, np.cumsum(is_los) - 1, -1)  # LOS row of user k; -1: the zero row
     a, ca = steering[los], (c2 * rice)[los]
-    d, D, dense = est.d[:, aps], est.D_dense[:, aps], est.dense_users
+    d, D, dense = est.d, est.D_dense, est.dense_users
     outer = (np.conj(a)[..., :, None] * a[..., None, :]).reshape(len(los), A, N * N)
     # q[l, j] = a_l^H D_j a_l: (A, R, N^2) @ (A, N^2, L) on the dense rows, above a zero row
     q = np.zeros((len(los) + 1, K, A), dtype=complex)
@@ -127,13 +125,12 @@ def _interference(steering, rice, is_los, c2, est, aps, k, j, col, los_rows):
     # maximum. np.max of the two parts' maxima keeps a NaN, as one max over both
     # would; max |x| is max(max x, -min x), without an |x| temporary
     parts = (tr_los, c2[~is_los].max(axis=0, initial=0.0) * tr_gd)
-    guard = [np.max([np.maximum(p.imag.max(initial=0.0), -p.imag.min(initial=0.0))
-                     for p in parts]),
-             np.max([np.abs(p).max(initial=0.0) for p in parts])]
+    imag = np.max([np.maximum(p.imag.max(initial=0.0), -p.imag.min(initial=0.0))
+                   for p in parts])
+    if imag > 1e-6 * max(np.max([np.abs(p).max(initial=0.0) for p in parts]), 1e-300):
+        raise NumericsError("tr(G D^H G) acquired a non-negligible imaginary part")
     root_eta = np.sqrt(est.eta_train)
-    np.multiply(tr_gd.real, root_eta, out=col)
-    np.multiply(tr_los.real, root_eta, out=los_rows)
-    return q_pair, tr_d[j], guard
+    return tr_gd.real * root_eta, tr_los.real * root_eta, q_pair, tr_d[j]
 
 
 def build_se_tables(
@@ -142,40 +139,23 @@ def build_se_tables(
     """The factors of C and the copilot pair terms of one drop: the average
     interference plus the gain uncertainty (j = k) and the copilots' variances,
     from delta and tr(D_j G_k) on the own and copilot pairs only; serving is the
-    (K, A) bool serving mask the tables carry for the bounds. Built per AP slice
-    (threads.over_aps), each slice writing its APs of every (., A) table; the guard
-    on the imaginary part of tr(G_j D_j^H G_k) reads the whole drop."""
-    K, A = ls.beta.shape
+    (K, A) bool serving mask the tables carry for the bounds."""
+    K = ls.beta.shape[0]
     eta = est.eta_train
     copilot = book.assignment[:, None] == book.assignment[None, :]
     np.fill_diagonal(copilot, False)
     pair_k, pair_j = np.nonzero(copilot)
     users = np.arange(K)
     k, j = np.concatenate([users, pair_k]), np.concatenate([users, pair_j])
-    is_los = ls.los_users
-    c2 = ls.beta / (ls.rice_k + 1.0)  # (K, A), channel user k
-    col, own = np.empty((K, A)), np.empty((K, A))
-    los_rows = np.empty((np.count_nonzero(is_los), K, A))
-    pair_t = np.empty((len(pair_k), A), dtype=complex)
-    pair_var = np.empty((len(pair_k), A))
-
-    def build(aps):
-        rice, c2a = ls.rice_k[:, aps], c2[:, aps]
-        q, tr_d, guard = _interference(ls.steering[:, aps], rice, is_los, c2a, est, aps, k, j,
-                                       col[:, aps], los_rows[..., aps])  # q, tr D_j on the pairs
-        delta = c2a[k] ** 2 * (np.abs(tr_d) ** 2 + 2.0 * rice[k] * np.real(q * np.conj(tr_d)))
-        t = c2a[k] * (rice[k] * q + tr_d)  # tr(D_j G_k)
-        pair_t[:, aps] = t[K:]
-        own[:, aps] = eta * delta[:K] - est.gamma[:, aps] ** 2
-        pair_var[:, aps] = eta * (delta[K:] - np.abs(t[K:]) ** 2)
-        return guard
-
-    imag, size = np.max(over_aps(ap_slices(A, K * A * est.n_ap_antennas**2), build), axis=0)
-    if imag > 1e-6 * max(size, 1e-300):
-        raise NumericsError("tr(G D^H G) acquired a non-negligible imaginary part")
+    is_los, rice = ls.los_users, ls.rice_k
+    c2 = ls.beta / (rice + 1.0)  # (K, A), channel user k
+    col, los_rows, q, tr_d = _interference(ls.steering, rice, is_los, c2, est, k, j)
+    delta = c2[k] ** 2 * (np.abs(tr_d) ** 2 + 2.0 * rice[k] * np.real(q * np.conj(tr_d)))
+    t = c2[k] * (rice[k] * q + tr_d)  # tr(D_j G_k)
     return SETables(gamma=est.gamma, scale=np.where(is_los[:, None], 0.0, c2), col=col,
-                    los=np.flatnonzero(is_los), los_rows=los_rows, own=own, pair_k=pair_k,
-                    pair_j=pair_j, pair_w=eta, pair_t=pair_t, pair_var=pair_var,
+                    los=np.flatnonzero(is_los), los_rows=los_rows,
+                    own=eta * delta[:K] - est.gamma**2, pair_k=pair_k, pair_j=pair_j,
+                    pair_w=eta, pair_t=t[K:], pair_var=eta * (delta[K:] - np.abs(t[K:]) ** 2),
                     serving=serving)
 
 

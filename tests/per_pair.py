@@ -92,7 +92,7 @@ def dense_C(tables: SETables):
 
 def dense_D(est: EstimationState):
     """(K, A, N, N): every pair's D, d I off the dense users' rows."""
-    D = est.d[..., None, None] * np.eye(est.n_ap_antennas, dtype=complex)
+    D = est.d[..., None, None] * np.eye(est.D_dense.shape[2], dtype=complex)
     D[est.dense_users] = est.D_dense
     return D
 

@@ -95,6 +95,27 @@ def test_unusable_config_exit_2(tmp_path, capsys, kind, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["file", "under-a-file", "debug-file"])
+def test_unusable_out_exit_2_before_any_drop(tmp_path, capsys, monkeypatch, kind):
+    # each once ended in a traceback (FileExistsError, NotADirectoryError), exit 1,
+    # after every drop had run
+    import cfsim.harness
+
+    def no_drop(*args, **kwargs):
+        raise AssertionError("a drop ran")
+
+    monkeypatch.setattr(cfsim.harness, "run_drop", no_drop)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "debug").write_text("")
+    out, named, args = {"file": ("file", "file", []),
+                        "under-a-file": ("file/sub", "file/sub", []),
+                        "debug-file": ("out", "out/debug", ["--dump-debug"])}[kind]
+    code = main(["run", "--preset", "desk", "--drops", "1", "--out", str(tmp_path / out), *args])
+    assert code == 2
+    assert f"--out: cannot make directory {tmp_path / named}" in capsys.readouterr().err
+
+
 def test_run_tiny_campaign(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.yaml"
     yaml.safe_dump(

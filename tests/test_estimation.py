@@ -282,7 +282,7 @@ def test_batched_build_matches_per_pair_with_diagonal_and_dense_B():
     st = make_state(seed=12, n_gue=3, n_uav=1, tau_p=2, assignment=[0, 0, 1, 1])
     est = st["est"]
     _, B = covariances(st["ls"], st["book"], est.eta_train, est.sigma_w2)
-    off = B * (1.0 - np.eye(est.n_ap_antennas))
+    off = B * (1.0 - np.eye(est.D_dense.shape[2]))
     diagonal = (off == 0).all(axis=(2, 3))
     assert diagonal[:2].all() and not diagonal[2:].any()
     _assert_build_matches_per_pair_operations(st["ls"], st["book"], est)
@@ -380,7 +380,7 @@ def test_batched_condition_limit_brackets_max_cond(gate_fixture, monkeypatch):
     # the batched check must raise exactly when some B exceeds the limit,
     # judged against the SVD condition number of every B in the drop
     ls, book, est = gate_fixture["ls"], gate_fixture["book"], gate_fixture["est"]
-    N = est.n_ap_antennas
+    N = est.D_dense.shape[2]
     _, B = covariances(ls, book, est.eta_train, est.sigma_w2)
     worst = np.linalg.cond(B.reshape(-1, N, N)).max()
     args = (ls, book, est.eta_train, est.sigma_w2)
@@ -396,7 +396,7 @@ def test_condition_limit_below_trace_bound_falls_back_to_eigvalsh(gate_fixture, 
     # between the worst true cond and the largest bound sends some pairs
     # through it, and none of them exceeds the limit
     ls, book, est = gate_fixture["ls"], gate_fixture["book"], gate_fixture["est"]
-    N = est.n_ap_antennas
+    N = est.D_dense.shape[2]
     _, B = covariances(ls, book, est.eta_train, est.sigma_w2)
     worst = np.linalg.cond(B.reshape(-1, N, N)).max()
     bound = (est.tr_B / est.sigma_w2).max()

@@ -167,18 +167,18 @@ def test_debug_maxmin_traces_hold_the_solver_steps(tmp_path):
     (2, 1, 2), (2, 2, 1), (2, 3, 1), (1, 1, 1), (8, 2, 2), (8, 4, 2), (8, 5, 1), (8, 8, 1),
 ])
 def test_sampler_workers_share_the_cpus(monkeypatch, cpus, jobs, workers):
-    import cfsim.threads as threads
+    import cfsim.mc as mc
 
-    monkeypatch.setattr(threads.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
-    assert threads.sampler_workers(jobs) == workers
+    assert mc.sampler_workers(jobs) == workers
 
 
 def test_campaign_pool_sets_sampler_workers(monkeypatch):
     # a campaign of 2 processes on 2 CPUs gives each a thread budget of 1; a
     # serial fake pool runs its initializer here, as a worker process would
     import cfsim.harness as harness
-    import cfsim.threads as threads
+    import cfsim.mc as mc
 
     class SerialPool:
         def __init__(self, max_workers, initializer, initargs):
@@ -195,12 +195,12 @@ def test_campaign_pool_sets_sampler_workers(monkeypatch):
 
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(threads, "BUDGET", 2)
+    monkeypatch.setattr(mc, "BUDGET", 2)
     cfg = tiny_cfg(mc=replace(preset_desk().mc, ub_samples=0))
     run_campaign(cfg, n_drops=2, master_seed=4, jobs=1)
-    assert threads.BUDGET == 2  # a serial campaign keeps the default
+    assert mc.BUDGET == 2  # a serial campaign keeps the default
     run_campaign(cfg, n_drops=2, master_seed=4, jobs=2)
-    assert threads.BUDGET == 1
+    assert mc.BUDGET == 1
 
 
 # names perfbench/worker.py still wraps that the UB folding into se_ub_mc removed

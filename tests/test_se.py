@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfsim import threads
 from cfsim.association import build_association
 from cfsim.channel import LargeScaleState
 from cfsim.config import preset_desk, preset_paper
@@ -251,16 +250,13 @@ def test_ul_affine_form_matches_term_by_term_assembly(name):
     assert den_mat.min() >= 0.0  # maxmin_ul's premise
 
 
-# build_se_tables peaked at 4.47-4.61 MB on paper drops 0-3 at budget 1 and at
-# 2.80-4.18 MB at budget 2 (tracemalloc; 6.59-6.70 and 4.92-6.17 MB with a dense
-# (K, K, A) C in the tables): the bound is the highest with 15% headroom
+# build_se_tables peaked at 4.47-4.61 MB on paper drops 0-3 (tracemalloc; 6.59-6.70
+# MB with a dense (K, K, A) C in the tables): the bound is the highest with 15% headroom
 SE_TABLES_PEAK_BYTES = 5.3e6
 
 
-@pytest.mark.parametrize("budget", [1, 2])
-def test_se_tables_hold_no_k_k_a_array(monkeypatch, budget):
+def test_se_tables_hold_no_k_k_a_array():
     cfg = preset_paper()
-    monkeypatch.setattr(threads, "BUDGET", budget)
     for drop in range(4):
         ls, book = drop_state(cfg, drop)
         est = build_estimation(ls, book, cfg.train_energy_w, cfg.noise_w)

@@ -12,7 +12,7 @@ import threading
 import types
 
 import cfsim
-from cfsim import threads
+from cfsim import mc
 from cfsim.cli import main
 
 # Fields read outside src/cfsim: the UatF mirror's term groups (its tests), and
@@ -74,6 +74,16 @@ def test_no_import_inside_a_function():
     assert nested == []
 
 
+def test_only_the_sampler_runs_threads():
+    # the UB sampler is the one stage on threads (mc.BUDGET workers); every other
+    # stage runs on the calling thread, so no other module names a thread pool
+    # or imports threading
+    threaded = [path.name for path in sorted(pathlib.Path(cfsim.__file__).parent.glob("*.py"))
+                if {"ThreadPoolExecutor", "threading"}
+                & set(_referenced_names(ast.parse(path.read_text())))]
+    assert threaded == ["mc.py"]
+
+
 def _classes_read_whole(trees):
     """Dataclasses whose instances src passes to asdict, which reads every field:
     the annotated type of each field that an asdict(<...>.field) call names."""
@@ -99,7 +109,7 @@ def test_every_dataclass_field_is_read_in_src():
 
 # functions no in-process run enters: the process pool's initializer runs in
 # its worker processes only
-NOT_IN_PROCESS = {"threads.py:set_budget"}
+NOT_IN_PROCESS = {"mc.py:set_budget"}
 
 # tiny runs of every strategy, association mode and output path (desk preset
 # unless a run names another)
@@ -135,8 +145,7 @@ def _src_functions():
 
 
 def test_every_src_function_runs_on_the_product_path(tmp_path, monkeypatch):
-    monkeypatch.setattr(threads, "BUDGET", 2)  # the sampler's workers
-    monkeypatch.setattr(threads, "SPLIT_MIN_ENTRIES", 0)  # the SE tables' AP halves
+    monkeypatch.setattr(mc, "BUDGET", 2)  # the sampler's workers
     entered = set()
 
     def profile(frame, event, arg):

@@ -1,27 +1,23 @@
-"""The process's thread budget: the SE tables over AP halves and the sampler's
-workers give every output byte of the one-thread run."""
+"""The process's thread budget: the sampler's workers give every output byte of
+the one-thread run."""
 
 import importlib.util
 import os
 import pathlib
-import sys
-import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import cfsim.harness
-from cfsim import threads
+from cfsim import mc
 from cfsim.channel import build_large_scale
 from cfsim.cli import main
 from cfsim.config import load_config, preset_desk, preset_mmimo, preset_paper
 from cfsim.estimation import build_estimation
 from cfsim.harness import run_drop
-from cfsim.se import build_se_tables
 
 from conftest import drop_state, low_uav_desk
-from per_pair import TABLES
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 OUTPUTS = ("se_lb_dl", "se_lb_ul", "se_ub_dl", "se_ub_ul", "se_ub_dl_stderr", "se_ub_ul_stderr")
@@ -46,30 +42,16 @@ CONFIGS = {
 
 
 def _run(monkeypatch, budget, *args, **kwargs):
-    monkeypatch.setattr(threads, "BUDGET", budget)
+    monkeypatch.setattr(mc, "BUDGET", budget)
     return run_drop(*args, **kwargs)
-
-
-@pytest.fixture
-def split_all(monkeypatch):
-    """Every drop's per-AP stages split at budget 2, however small the drop."""
-    monkeypatch.setattr(threads, "SPLIT_MIN_ENTRIES", 0)
-
-
-def test_only_large_drops_split(monkeypatch):
-    monkeypatch.setattr(threads, "BUDGET", 2)
-    assert threads.ap_slices(25, 25 * 15 * 4**2) == [slice(0, 25)]  # desk
-    assert threads.ap_slices(100, 100 * 60 * 4**2) == [slice(0, 50), slice(50, 100)]  # paper
-    monkeypatch.setattr(threads, "BUDGET", 1)
-    assert threads.ap_slices(100, 100 * 60 * 4**2) == [slice(0, 100)]
 
 
 @pytest.mark.parametrize("cpus, budget", [(1, 1), (2, 2), (8, 2)])
 def test_budget_starts_at_the_one_job_rule(monkeypatch, cpus, budget):
     # a serial run keeps min(2, CPUs) threads busy, so one thread on one CPU
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    spec = importlib.util.find_spec("cfsim.threads")
-    fresh = importlib.util.module_from_spec(spec)  # an import of its own, beside cfsim.threads
+    spec = importlib.util.find_spec("cfsim.mc")
+    fresh = importlib.util.module_from_spec(spec)  # an import of its own, beside cfsim.mc
     spec.loader.exec_module(fresh)
     assert fresh.BUDGET == budget
 
@@ -96,14 +78,14 @@ def test_scalar_users_are_those_whose_d_is_d_times_identity(collided_uc, name):
     est = build_estimation(ls, book, cfg.train_energy_w, cfg.noise_w)
     rows = est.dense_users
     assert rows.tolist() == np.flatnonzero(los_term.any(axis=1)).tolist()
-    d_eye = est.d[rows, :, None, None] * np.eye(est.n_ap_antennas)
+    d_eye = est.d[rows, :, None, None] * np.eye(est.D_dense.shape[2])
     diagonal = (est.D_dense == d_eye).all(axis=(2, 3))
     assert diagonal[~los_term[rows]].all()
     assert not diagonal[(same @ (ls.rice_k > 1e-3))[rows]].any()
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_outputs_do_not_depend_on_thread_budget(monkeypatch, split_all, name):
+def test_outputs_do_not_depend_on_thread_budget(monkeypatch, name):
     cfg = CONFIGS[name]()
     one, two = (_run(monkeypatch, budget, cfg, 0) for budget in (1, 2))
     for field in OUTPUTS:
@@ -111,73 +93,23 @@ def test_outputs_do_not_depend_on_thread_budget(monkeypatch, split_all, name):
     assert repr(two.power_info) == repr(one.power_info)
 
 
-def test_low_uav_halves_see_different_los_users(monkeypatch, split_all):
-    # the halves must take the LOS users of the whole drop, not of their own APs
-    monkeypatch.setattr(threads, "BUDGET", 2)
-    cfg = low_uav_desk()
-    los = drop_state(cfg, 0)[0].rice_k > 0
-    first, second = (los[:, aps].any(axis=1) for aps in threads.ap_slices(cfg.n_ap, 0))
-    assert (first != second).any()
-    assert (los.any(axis=1) & ~los.all(axis=1)).any()
-
-
-def test_se_tables_at_budget_2_under_frequent_thread_switches(monkeypatch, split_all,
-                                                             gate_fixture):
-    # the SE tables split into AP halves at budget 2; with thread switches as often
-    # as the interpreter allows, the halves must write every byte of the one-thread
-    # factors of C and pair terms
-    ls, book, est, serving = (gate_fixture[k] for k in ("ls", "book", "est", "serving"))
-    monkeypatch.setattr(threads, "BUDGET", 1)
-    serial = build_se_tables(ls, est, book, serving)
-    monkeypatch.setattr(threads, "BUDGET", 2)
-    assert len(threads.ap_slices(est.d.shape[1], 0)) == 2
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        tables = [build_se_tables(ls, est, book, serving) for _ in range(20)]
-    finally:
-        sys.setswitchinterval(interval)
-    for t in tables:
-        for field in TABLES:
-            assert getattr(t, field).tobytes() == getattr(serial, field).tobytes(), field
-
-
-def test_over_aps_raises_the_workers_exception():
-    class SecondHalf(Exception):
-        pass
-
-    def work(aps):
-        if aps.start > 0:
-            raise SecondHalf
-        return aps
-
-    entry = threading.active_count()
-    with pytest.raises(SecondHalf):
-        threads.over_aps(threads.ap_slices(4, threads.SPLIT_MIN_ENTRIES), work)
-    assert threading.active_count() == entry  # no worker outlives the call
-
-
-def _nan_steering_at(aps):
-    """build_large_scale whose steering is NaN on the APs aps of the LOS users."""
-    def build(*args):
-        ls = build_large_scale(*args)
-        steering = ls.steering.copy()
-        steering[(ls.rice_k > 0).any(axis=1), aps] = np.nan
-        return replace(ls, steering=steering)
-    return build
+def _nan_los_steering(*args):
+    """build_large_scale whose steering is NaN on the LOS links."""
+    ls = build_large_scale(*args)
+    steering = ls.steering.copy()
+    steering[ls.rice_k > 0] = np.nan
+    return replace(ls, steering=steering)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_worker_half_failure_gives_the_serial_message_and_exit_3(monkeypatch, split_all,
-                                                                   tmp_path, capsys):
-    # NaN steering on the LOS links of the second AP half only; the drop fails at
-    # budget 2 as it does at budget 1: the same message, exit 3 from `cfsim run`
-    monkeypatch.setattr(threads, "BUDGET", 2)
-    worker_aps = threads.ap_slices(preset_desk().n_ap, 0)[1]
-    monkeypatch.setattr(cfsim.harness, "build_large_scale", _nan_steering_at(worker_aps))
+def test_nan_steering_gives_one_message_and_exit_3_at_either_budget(monkeypatch, tmp_path,
+                                                                     capsys):
+    # NaN steering on the LOS links: the drop fails at budget 2 as it does at
+    # budget 1, with the same message and exit 3 from `cfsim run`
+    monkeypatch.setattr(cfsim.harness, "build_large_scale", _nan_los_steering)
     errors = []
     for budget in (1, 2):
-        monkeypatch.setattr(threads, "BUDGET", budget)
+        monkeypatch.setattr(mc, "BUDGET", budget)
         code = main(["run", "--preset", "desk", "--drops", "1", "--out", str(tmp_path / "out")])
         assert code == 3
         errors.append(capsys.readouterr().err)
