@@ -1,5 +1,6 @@
 """Metamorphic relations of a drop's closed forms: after the large-scale stage,
-permuting the APs leaves every LB unchanged; permuting the users (their rows of
+permuting the APs leaves every LB unchanged, at thread budget 1 and 2 alike
+(no LB stage reads the budget); permuting the users (their rows of
 the large-scale state, roles, pilot assignment and serving mask) permutes the
 LBs; and relabelling the pilots leaves every LB unchanged. Each permutation
 moves every user and AP index the stages use (the LOS row map, the dense users,
@@ -13,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cfsim import mc
 from cfsim.association import build_association
 from cfsim.config import config_from_dict, load_config, preset_desk, preset_mmimo, preset_paper
 from cfsim.estimation import PilotBook, build_estimation
@@ -65,11 +67,24 @@ def drop(request):
     return cfg, ls, book, serving, _lbs(cfg, ls, book, serving), drop
 
 
-def test_ap_order_leaves_every_lb(drop):
-    cfg, ls, book, serving, base, seed = drop
+def _ap_moved_lbs(drop, seed):
+    """The drop's LBs with its APs in a random order drawn from seed."""
+    cfg, ls, book, serving = drop[:4]
     ap = np.random.default_rng(seed).permutation(cfg.n_ap)
     moved = replace(ls, beta=ls.beta[:, ap], rice_k=ls.rice_k[:, ap], steering=ls.steering[:, ap])
-    _assert_same(cfg, _lbs(cfg, moved, book, serving[:, ap]), base)
+    return _lbs(cfg, moved, book, serving[:, ap])
+
+
+def test_ap_order_leaves_every_lb(drop):
+    cfg, base, seed = drop[0], drop[4], drop[5]
+    _assert_same(cfg, _ap_moved_lbs(drop, seed), base)
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+def test_ap_order_leaves_every_lb_at_either_thread_budget(monkeypatch, drop, budget):
+    cfg, base, seed = drop[0], drop[4], drop[5]
+    monkeypatch.setattr(mc, "BUDGET", budget)
+    _assert_same(cfg, _ap_moved_lbs(drop, 10 + seed), base)
 
 
 def test_user_order_permutes_the_lbs(drop):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cfsim import mc
 from cfsim.association import build_association
 from cfsim.channel import LargeScaleState
 from cfsim.config import preset_desk, preset_paper
@@ -251,11 +252,14 @@ def test_ul_affine_form_matches_term_by_term_assembly(name):
 
 
 # build_se_tables peaked at 4.47-4.61 MB on paper drops 0-3 (tracemalloc; 6.59-6.70
-# MB with a dense (K, K, A) C in the tables): the bound is the highest with 15% headroom
+# MB with a dense (K, K, A) C in the tables): the bound is the highest with 15% headroom.
+# The tables run on the calling thread, so the bound holds at either thread budget
 SE_TABLES_PEAK_BYTES = 5.3e6
 
 
-def test_se_tables_hold_no_k_k_a_array():
+@pytest.mark.parametrize("budget", [1, 2])
+def test_se_tables_hold_no_k_k_a_array(monkeypatch, budget):
+    monkeypatch.setattr(mc, "BUDGET", budget)
     cfg = preset_paper()
     for drop in range(4):
         ls, book = drop_state(cfg, drop)
