@@ -63,6 +63,14 @@ def cmd_run(args):
               f"{worst.drop_id}; {sum(rep.mirror_over for rep in result.reports)} user-links "
               f"above {mirror_threshold(cfg):.2f}, the 0.1% family-wise t threshold at "
               f"mc.batch_count {cfg.mc.batch_count}")
+    mm = cfg.power.maxmin
+    for link, bound in (("dl", f" (power.maxmin.max_outer_iters {mm.max_outer_iters}, "
+                               f"max_inner_iters {mm.max_inner_iters})"), ("ul", "")):
+        stopped = [rep.drop_id for rep in result.reports
+                   if not rep.power_info[link].get("converged", True)]
+        if stopped:
+            print(f"{link.upper()} max-min did not converge on {len(stopped)} of "
+                  f"{len(result.reports)} drops, first drop {stopped[0]}{bound}")
     print(f"wrote {len(written)} files to {args.out}")
     return 0
 

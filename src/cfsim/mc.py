@@ -14,14 +14,14 @@ scales it in place and multiplies it into g^T (a batched BLAS matmul over
 (S, K, A*N) reshapes) once per link, so each sample is drawn and estimated
 once for both links.
 
-The sampler is a two-stage pipeline. The calling thread makes every random
-draw, in one fixed order; BUDGET worker threads run each block's kernels
-(channel scale, pilot mix, LMMSE step, reducer) as soon as the block's draws
-are made.
-numpy releases the GIL in the draws, the matmuls and large elementwise ops, so
-the two stages run at once. The calling thread adds the block sums in block
-order, so every output is the same however the threads are timed. Memory is
-about one batch of raw draws plus the blocks in flight.
+The calling thread makes every random draw, in one fixed order, and hands each
+block on as one task once its draws are made: BUDGET worker threads run the
+block's kernels (channel scale, pilot mix, LMMSE step, reducer) while the
+calling thread draws the next blocks' noise. numpy releases the GIL in the
+draws, the matmuls and large elementwise ops, so the two run at once. The
+calling thread adds the block sums in block order, so every output is the same
+however the threads are timed. Memory is about one batch of raw draws plus the
+blocks in flight.
 
 BUDGET is the process's thread budget, the CPUs left to it (sampler_workers):
 a serial run starts at sampler_workers(1), and a campaign's process pool sets
@@ -32,7 +32,6 @@ The sampler is the one stage that runs threads.
 from __future__ import annotations
 
 import os
-import queue
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -98,20 +97,20 @@ def _batched(n_samples, batch_count):
 
 def _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
     """Sum the arrays reduce(g, g_hat) returns over the blocks of each batch;
-    reduce may overwrite g_hat, a buffer that is reused once it returns.
+    reduce may overwrite g_hat.
 
     The calling thread makes every draw of a batch, one block of samples per
     call, in the stream's order: all real parts of g, all its imaginary parts,
     the (S, K, A) LOS phases, then the training noise's real parts and, each
-    just before its block is handed on, its imaginary parts. Meanwhile
-    BUDGET workers scale each block's channels once its phases are
-    drawn, and mix its pilots, estimate it and reduce it once its noise is. The
-    calling thread adds the block sums in block order, so the sums do not
-    depend on thread timing. A batch is finished before the next is drawn.
-    Held at once: g and the noise's real parts for one batch, and the
-    complex noise of at most BUDGET + 1 blocks. The training noise is drawn per
-    pilot sequence (users sharing a pilot see the same projected noise, as the
-    projection of one common W_a realization dictates).
+    just before its block is handed on, its imaginary parts. Each block is one
+    task for the BUDGET workers: scale its channels, mix its pilots, estimate
+    it and reduce it. The calling thread adds the block sums in block order, so
+    the sums do not depend on thread timing. A batch is finished before the
+    next is drawn. Held at once: g, the LOS phases and the noise's real parts
+    for one batch, and the complex noise and g_hat of at most BUDGET + 1 blocks.
+    The training noise is drawn per pilot sequence (users sharing a pilot see
+    the same projected noise, as the projection of one common W_a realization
+    dictates).
 
     Returns (total, batches): the sums over all samples, and one (batch size,
     sums) pair per batch.
@@ -120,35 +119,25 @@ def _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
     pidx = book.assignment
     root_eta = np.sqrt(est.eta_train)
     users, scale = channel_scaler(ls)
-    sizes = _batched(n_samples, batch_count)
     row_bytes = 16 * (K + book.tau_p) * A * N
     row = np.full(K, -1)
     row[est.dense_users] = np.arange(len(est.dense_users))  # -1: D = d I at every AP
     workers = BUDGET
-    # one g_hat buffer per worker, made here: what a worker allocates stays in
-    # its thread's malloc arena, which no other thread reuses
-    free = queue.SimpleQueue()
-    for _ in range(workers):
-        free.put(np.empty((sample_blocks(max(sizes), row_bytes)[0].stop, K, A, N), dtype=complex))
 
-    def estimate(g, y, scaled):
-        scaled.result()
+    def block(g, theta, y):
+        scale(g, theta)
         y *= np.sqrt(est.sigma_w2 / 2.0)
         for k in range(K):
             y[:, pidx[k]] += root_eta * g[:, k]
-        buf = free.get_nowait()  # at most `workers` blocks are estimated at once
-        try:
-            g_hat = buf[: len(g)]
-            for k in range(K):  # written through a view of g_hat
-                if row[k] < 0:  # ghat = d y; the float views give the matmul's bits
-                    np.multiply(y.view(float)[:, pidx[k]], est.d[k, :, None],
-                                out=g_hat.view(float)[:, k])
-                else:  # an A-batch of (N, N) @ (N, S)
-                    np.matmul(est.D_dense[row[k]], y[:, pidx[k]].transpose(1, 2, 0),
-                              out=g_hat[:, k].transpose(1, 2, 0))
-            return reduce(g, g_hat)
-        finally:
-            free.put(buf)
+        g_hat = np.empty(g.shape, dtype=complex)
+        for k in range(K):  # written through a view of g_hat
+            if row[k] < 0:  # ghat = d y; the float views give the matmul's bits
+                np.multiply(y.view(float)[:, pidx[k]], est.d[k, :, None],
+                            out=g_hat.view(float)[:, k])
+            else:  # an A-batch of (N, N) @ (N, S)
+                np.matmul(est.D_dense[row[k]], y[:, pidx[k]].transpose(1, 2, 0),
+                          out=g_hat[:, k].transpose(1, 2, 0))
+        return reduce(g, g_hat)
 
     def add(sums, part):
         return part if sums is None else [s + p for s, p in zip(sums, part)]
@@ -156,30 +145,29 @@ def _batch_sums(ls, est, book, rng, n_samples, batch_count, reduce):
     batches = []
     pool = ThreadPoolExecutor(workers)
     try:
-        for size in sizes:
+        for size in _batched(n_samples, batch_count):
             blocks = sample_blocks(size, row_bytes)
             g = np.empty((size, K, A, N), dtype=complex)
             fill_normal(rng, g.real, blocks)
             fill_normal(rng, g.imag, blocks)
-            scaled = []
-            for b in blocks:
-                theta = rng.uniform(0.0, 2.0 * np.pi, (b.stop - b.start, K, A))
-                scaled.append(pool.submit(scale, g[b], theta[:, users]))
-            # real parts one array per block, each let go once its block's noise is complex
-            noise = [rng.standard_normal((b.stop - b.start, book.tau_p, A, N)) for b in blocks]
+            # one array per block: the phases are let go once the block's task has
+            # run, the noise's real parts once its noise is complex
+            theta = deque(rng.uniform(0.0, 2.0 * np.pi, (b.stop - b.start, K, A))[:, users]
+                          for b in blocks)
+            noise = deque(rng.standard_normal((b.stop - b.start, book.tau_p, A, N))
+                          for b in blocks)
             sums, pending = None, deque()
-            for i, (b, done) in enumerate(zip(blocks, scaled)):
-                y = np.empty(noise[i].shape, dtype=complex)
-                y.real = noise[i]
-                noise[i] = None
+            for b in blocks:
+                y = np.empty(noise[0].shape, dtype=complex)
+                y.real = noise.popleft()
                 y.imag = rng.standard_normal(y.shape)
-                pending.append(pool.submit(estimate, g[b], y, done))
+                pending.append(pool.submit(block, g[b], theta.popleft(), y))
                 if len(pending) > workers:
                     sums = add(sums, pending.popleft().result())
             while pending:
                 sums = add(sums, pending.popleft().result())
             batches.append((size, sums))
-            del g, y, theta, scaled  # before the next batch is drawn
+            del g, y  # before the next batch is drawn
     finally:
         pool.shutdown(cancel_futures=True)
     total = [sum(parts) for parts in zip(*(sums for _, sums in batches))]

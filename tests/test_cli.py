@@ -165,6 +165,24 @@ def test_run_prints_the_mirror_check_only_with_ub(tmp_path, capsys):
             assert lines == []
 
 
+@pytest.mark.parametrize("power, expected", [
+    # two smoothing stages end DL max-min before a stage at mu_end stops gaining
+    pytest.param("{dl: maxmin, ul: maxmin, maxmin: {max_outer_iters: 2}}",
+                 ["DL max-min did not converge on 3 of 3 drops, first drop 0 "
+                  "(power.maxmin.max_outer_iters 2, max_inner_iters 100)"], id="capped"),
+    pytest.param("{dl: maxmin, ul: maxmin}", [], id="default"),
+    pytest.param("{}", [], id="no-maxmin"),
+])
+def test_run_names_the_links_whose_maxmin_stopped_short(tmp_path, capsys, power, expected):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(f"power: {power}\nmc: {{ub_samples: 0}}\n")
+    code = main(["run", "--preset", "desk", "--config", str(cfg_path), "--drops", "3",
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "did not converge" in line] == expected
+
+
 def test_run_unknown_preset_exit_2():
     # argparse's choices reject the preset before any config is built
     with pytest.raises(SystemExit) as exc:

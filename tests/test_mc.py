@@ -291,14 +291,20 @@ def _estimate(state, rng, n_samples=80):
 
 
 class _RecordingPool(ThreadPoolExecutor):
-    """A ThreadPoolExecutor that records every pool made and how it was shut down."""
+    """A ThreadPoolExecutor that records every pool made, the tasks submitted to it
+    and how it was shut down."""
 
     made = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self.submits = 0
         self.shutdowns = []
         self.made.append(self)
+
+    def submit(self, *args, **kwargs):
+        self.submits += 1
+        return super().submit(*args, **kwargs)
 
     def shutdown(self, wait=True, *, cancel_futures=False):
         self.shutdowns.append((wait, cancel_futures))
@@ -362,6 +368,7 @@ def test_threaded_sampler_matches_serial_reference(state, monkeypatch, pools, pa
         assert se.tobytes() == se_ref.tobytes()
         assert err.tobytes() == err_ref.tobytes()
     assert len(pools) == 1 and pools[0].shutdowns  # no pool is left running
+    assert pools[0].submits == 2 * 40  # one task per block, 40 blocks per batch
 
 
 def test_reducer_error_cancels_pending_blocks(gate_fixture, monkeypatch, pools):

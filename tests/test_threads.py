@@ -4,6 +4,7 @@ the one-thread run."""
 import importlib.util
 import os
 import pathlib
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,6 @@ import pytest
 
 import cfsim.harness
 from cfsim import mc
-from cfsim.channel import build_large_scale
 from cfsim.cli import main
 from cfsim.config import load_config, preset_desk, preset_mmimo, preset_paper
 from cfsim.estimation import build_estimation
@@ -93,28 +93,41 @@ def test_outputs_do_not_depend_on_thread_budget(monkeypatch, name):
     assert repr(two.power_info) == repr(one.power_info)
 
 
-def _nan_los_steering(*args):
-    """build_large_scale whose steering is NaN on the LOS links."""
-    ls = build_large_scale(*args)
-    steering = ls.steering.copy()
-    steering[ls.rice_k > 0] = np.nan
-    return replace(ls, steering=steering)
+def _nan_in_one_block(cross):
+    """mc._cross, but with NaN DL cross terms for the first 45-sample block: on
+    desk at 200 UB samples in 2 batches a batch is blocks of 55 and 45 samples,
+    so that is the first batch's second block at either budget."""
+    hit = []
+
+    def faulty(g, *args):
+        ul, norms, dl = cross(g, *args)
+        if len(g) == 45 and not hit:
+            hit.append(True)
+            dl[0, 0, 0] = np.nan
+        return ul, norms, dl
+
+    return faulty
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_nan_steering_gives_one_message_and_exit_3_at_either_budget(monkeypatch, tmp_path,
-                                                                     capsys):
-    # NaN steering on the LOS links: the drop fails at budget 2 as it does at
-    # budget 1, with the same message and exit 3 from `cfsim run`
-    monkeypatch.setattr(cfsim.harness, "build_large_scale", _nan_los_steering)
-    errors = []
+def test_nan_cross_terms_give_one_message_and_exit_3_at_either_budget(monkeypatch, tmp_path,
+                                                                       capsys):
+    # NaN in one block's cross terms, made on a worker thread: the drop fails at
+    # budget 2 as it does at budget 1, with the same message and exit 3 from
+    # `cfsim run`, and no worker outlives the run
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("mc:\n  ub_samples: 200\n  batch_count: 2\n")
+    entry, cross, errors = threading.active_count(), mc._cross, []
     for budget in (1, 2):
         monkeypatch.setattr(mc, "BUDGET", budget)
-        code = main(["run", "--preset", "desk", "--drops", "1", "--out", str(tmp_path / "out")])
+        monkeypatch.setattr(mc, "_cross", _nan_in_one_block(cross))
+        code = main(["run", "--preset", "desk", "--config", str(cfg_path), "--drops", "1",
+                     "--out", str(tmp_path / "out")])
         assert code == 3
+        assert threading.active_count() == entry
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
-    assert "training covariance is not finite" in errors[1]
+    assert "drop 0 (seed 1): se_ub_dl is not finite" in errors[1]
 
 
 def test_serial_campaign_calls_run_drop_through_the_module_global(monkeypatch):
