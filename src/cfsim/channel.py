@@ -12,14 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericsError
-from .geometry import (
-    ROLE_UAV,
-    NetworkGeometry,
-    nearest_image,
-    user_ap_distances,
-    user_user_distances,
-)
+from .errors import DomainError
+from .geometry import ROLE_UAV, NetworkGeometry, nearest_image, user_ap_distances, wrapped_delta
 
 
 @dataclass(frozen=True)
@@ -74,53 +68,22 @@ def rice_factor(p_los):
     return np.where(k < np.finfo(float).tiny, 0.0, k)
 
 
-def path_gain_gue(dist_m, f_ghz, shadow_db, model):
-    """Linear gain per link from the GUE log-distance gain formula plus shadowing."""
-    if np.any(np.asarray(dist_m) <= 0):
-        raise DomainError("distance must be > 0")
-    gain_db = model.evaluate(dist_m, f_ghz) + shadow_db
-    return 10.0 ** (gain_db / 10.0)
-
-
-def path_gain_uav(dist_m, los, model, f_ghz, user_height_m, shadow_db):
-    """Linear gain per UAV link: LOS or NLOS path loss (by `los`) plus shadowing."""
-    if np.any(np.asarray(dist_m) <= 0):
-        raise DomainError("distance must be > 0")
-    loss_db = np.where(
-        los,
-        model.pathloss_los.evaluate(dist_m, f_ghz, height_m=user_height_m),
-        model.pathloss_nlos.evaluate(dist_m, f_ghz, height_m=user_height_m),
-    )
-    return 10.0 ** ((-loss_db + shadow_db) / 10.0)
-
-
-def shadow_correlation(geometry: NetworkGeometry, d0):
-    """User-correlation matrix 2^(-rho_{k,j}/d0) of the shadowing field."""
-    rho = user_user_distances(geometry)
-    return np.power(2.0, -rho / d0)
-
-
-def correlation_sqrt(corr, tol=1e-10):
-    """Matrix square root via eigen-decomposition; small negative modes clipped at 0."""
-    vals, vecs = np.linalg.eigh(corr)
-    if vals.min() < -tol * max(vals.max(), 1.0):
-        raise NumericsError(
-            f"shadow correlation matrix not PSD (min eigenvalue {vals.min():.3e})"
-        )
-    vals = np.clip(vals, 0.0, None)
-    return vecs * np.sqrt(vals)[None, :]
-
-
 def shadow_field(geometry: NetworkGeometry, d0, rng):
     """Unit-variance correlated shadowing draws, one value per (user, AP), which
     build_large_scale scales by each link's sigma in dB.
 
-    Covariance: independent across APs; 2^(-rho_{k,j}/d0) across users at the
-    same AP.
+    Covariance: independent across APs; the kernel 2^(-rho_{k,j}/d0) of the
+    wrapped user-user distances rho across users at the same AP. Min-image
+    distances make that kernel indefinite on a small area, so its negative
+    eigenvalues are floored at 0, which gives the nearest PSD matrix (Higham,
+    IMA J. Numer. Anal. 22, 2002).
     """
     if d0 <= 0:
         raise DomainError("d0 must be > 0")
-    root = correlation_sqrt(shadow_correlation(geometry, d0))
+    users = geometry.user_positions
+    rho = np.linalg.norm(wrapped_delta(users[:, None], users[None], geometry.area_side), axis=-1)
+    vals, vecs = np.linalg.eigh(np.power(2.0, -rho / d0))
+    root = vecs * np.sqrt(np.clip(vals, 0.0, None))
     return root @ rng.standard_normal((geometry.n_users, geometry.n_ap))
 
 
@@ -131,20 +94,11 @@ def steering_vector(ap_antennas, user_pos, wavelength):
     """
     if wavelength <= 0:
         raise DomainError("wavelength must be > 0")
-    ants = np.asarray(ap_antennas, dtype=float)
     user = np.asarray(user_pos, dtype=float)
-    sq = ants - user[..., None, :]
-    sq *= sq
-    dists = sq[..., 0] + sq[..., 1]  # summed as np.linalg.norm sums, so the same bits
-    dists += sq[..., 2]
-    np.sqrt(dists, out=dists)
-    if np.any(dists == 0.0):
+    d = np.linalg.norm(np.asarray(ap_antennas, dtype=float) - user[..., None, :], axis=-1)
+    if np.any(d == 0.0):
         raise DomainError("user coincides with an antenna element")
-    # phase k (d - d_1) on a zero real part: the bits of exp(-1j k (d_1 - d))
-    out = np.zeros(dists.shape, dtype=complex)
-    np.subtract(dists, dists[..., :1], out=out.imag)
-    out.imag *= 2.0 * np.pi / wavelength
-    return np.exp(out, out=out)
+    return np.exp(-1j * (2.0 * np.pi / wavelength) * (d[..., :1] - d))
 
 
 def build_large_scale(config, geometry: NetworkGeometry, rng) -> LargeScaleState:
@@ -157,6 +111,8 @@ def build_large_scale(config, geometry: NetworkGeometry, rng) -> LargeScaleState
     """
     ch = config.channel
     d3, d2 = user_ap_distances(geometry)
+    if not np.all(d3 > 0):
+        raise DomainError("distance must be > 0")
     roles = geometry.roles
     uav = roles == ROLE_UAV
     heights = geometry.user_positions[:, 2, None]
@@ -174,14 +130,13 @@ def build_large_scale(config, geometry: NetworkGeometry, rng) -> LargeScaleState
     )
     shadow_db = sigma * unit_field
 
-    beta = np.empty(d3.shape)
-    beta[~uav] = path_gain_gue(d3[~uav], f, shadow_db[~uav], ch.gue_gain)
-    beta[uav] = path_gain_uav(
-        d3[uav], los_state[uav], ch.uav, f, heights[uav], shadow_db[uav]
-    )
-
+    # gain in dB: the GUE gain formula, or minus a UAV's LOS or NLOS path loss
+    gain_db = ch.gue_gain.evaluate(d3, f)
+    d, h = d3[uav], heights[uav]
+    gain_db[uav] = -np.where(los_state[uav], ch.uav.pathloss_los.evaluate(d, f, height_m=h),
+                             ch.uav.pathloss_nlos.evaluate(d, f, height_m=h))
     ls = LargeScaleState(
-        beta=beta,
+        beta=10.0 ** ((gain_db + shadow_db) / 10.0),
         rice_k=rice,
         steering=np.zeros((*d3.shape, geometry.n_ap_antennas), dtype=complex),
         roles=roles.copy(),

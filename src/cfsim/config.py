@@ -309,6 +309,12 @@ class SimConfig:
         if 16 * self.n_users * self.n_ap * self.n_ap_antennas**2 > ram:
             raise ConfigError("a drop's estimators D exceed physical memory",
                               field="n_ap_antennas")
+        # the SE tables' complex q (n_uav + 1, K, A) and los_rows (n_uav, K, A); DL
+        # max-min's dense C (K, K, A) and its copy divided by gamma
+        if (24 * self.n_uav + 16) * self.n_users * self.n_ap > ram:
+            raise ConfigError("the SE tables' LOS rows exceed physical memory", field="n_uav")
+        if self.power.dl == "maxmin" and 16 * self.n_users**2 * self.n_ap > ram:
+            raise ConfigError("DL max-min's dense C exceeds physical memory", field="power.dl")
         if not self.frame.tau_p < self.frame.tau_c:
             raise ConfigError(
                 f"tau_p must be < tau_c (got tau_p={self.frame.tau_p}, tau_c={self.frame.tau_c})",

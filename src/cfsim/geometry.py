@@ -115,9 +115,3 @@ def user_ap_distances(geometry: NetworkGeometry):
     d3 = np.sqrt(d2 + sq[..., 2])
     return d3, np.sqrt(d2, out=d2)
 
-
-def user_user_distances(geometry: NetworkGeometry):
-    """(K, K) wrapped 3D distances between users (shadowing correlation kernel)."""
-    users = geometry.user_positions
-    delta = wrapped_delta(users[:, None, :], users[None, :, :], geometry.area_side)
-    return np.linalg.norm(delta, axis=-1)

@@ -163,7 +163,8 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
 
 def dump_drop_debug(debug_dir, drop_id, ls, est, serving, power_info):
     """Diagnostic CSVs for one drop: channel state, estimator scalars, serving
-    map and min-rate solver traces (DL also with each stage's FISTA steps)."""
+    map and min-rate solver traces (DL also with each stage's FISTA steps), each
+    row with the solver's converged flag."""
     os.makedirs(debug_dir, exist_ok=True)
     K, A = ls.beta.shape
     _write_pair_csv(os.path.join(debug_dir, f"drop_{drop_id}_beta.csv"),
@@ -180,9 +181,10 @@ def dump_drop_debug(debug_dir, drop_id, ls, est, serving, power_info):
             steps = [f",{n}" for n in [0] + info["steps"]] if "steps" in info else [""] * len(trace)
             path = os.path.join(debug_dir, f"drop_{drop_id}_maxmin_{link}_trace.csv")
             with open(path, "w") as fh:
-                fh.write("outer_iter,min_rate" + (",steps" if "steps" in info else "") + "\n")
+                fh.write("outer_iter,min_rate" + (",steps" if "steps" in info else "")
+                         + ",converged\n")
                 for i, (v, n) in enumerate(zip(trace, steps)):
-                    fh.write(f"{i},{float(v)!r}{n}\n")
+                    fh.write(f"{i},{float(v)!r}{n},{info['converged']}\n")
 
 
 def _write_pair_csv(path, header, *columns):

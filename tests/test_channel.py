@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +9,6 @@ from cfsim.channel import (
     LargeScaleState,
     build_large_scale,
     los_probability,
-    path_gain_gue,
-    path_gain_uav,
     rice_factor,
     shadow_field,
     steering_vector,
@@ -86,51 +85,59 @@ def test_rice_factor_values():
 # ---------------------------------------------------------------------------
 
 def test_path_gain_gue_hand_values():
-    g = path_gain_gue(100.0, 1.9, 0.0, GUE_MODEL)
     expected_db = -36.7 * 2.0 - 22.7 - 26.0 * math.log10(1.9)
-    assert 10.0 * math.log10(g) == pytest.approx(expected_db, abs=0.01)
-    assert 10.0 * math.log10(path_gain_gue(1.0, 1.0, 0.0, GUE_MODEL)) == pytest.approx(-22.7)
+    assert GUE_MODEL.evaluate(100.0, 1.9) == pytest.approx(expected_db, abs=0.01)
+    assert GUE_MODEL.evaluate(1.0, 1.0) == pytest.approx(-22.7)
 
 
 def test_path_gain_gue_shadow_ratio():
-    g0 = path_gain_gue(200.0, 1.9, 0.0, GUE_MODEL)
-    g10 = path_gain_gue(200.0, 1.9, 10.0, GUE_MODEL)
-    assert g10 / g0 == pytest.approx(10.0, rel=1e-12)
-    with pytest.raises(DomainError):
-        path_gain_gue(0.0, 1.9, 0.0, GUE_MODEL)
+    # build_large_scale offsets each GUE link's gain by sigma times the unit field
+    # in dB, and refuses a zero user-AP distance
+    cfg = replace(preset_desk(), n_uav=0)
+    ch = cfg.channel
+    geom = generate_topology(cfg, np.random.default_rng(2))
+    bare, shadowed = (build_large_scale(replace(cfg, channel=replace(ch, gue_shadow_sigma_db=s)),
+                                        geom, np.random.default_rng(1)).beta for s in (0.0, 10.0))
+    field = shadow_field(geom, ch.shadow_corr_dist_m, np.random.default_rng(1))
+    np.testing.assert_allclose(10.0 * np.log10(shadowed / bare), 10.0 * field, rtol=0, atol=1e-9)
+    users = geom.user_positions.copy()
+    users[1] = geom.ap_reference[3]  # GUE 1 on AP 3's reference antenna
+    with pytest.raises(DomainError, match="distance must be > 0"):
+        build_large_scale(cfg, replace(geom, user_positions=users), np.random.default_rng(0))
 
 
 def test_path_gain_uav_degenerate_equal_branches():
+    # with one model for both LOS states a UAV link's gain is that model's, whatever
+    # its LOS state
     same = LogDistanceModel(offset_db=30.0, dist_coef=20.0, freq_coef=20.0)
-    model = UavChannelModel(pathloss_los=same, pathloss_nlos=same)
-    for d in (10.0, 123.0, 900.0):
-        los = path_gain_uav(d, True, model, 1.9, 80.0, 0.0)
-        nlos = path_gain_uav(d, False, model, 1.9, 80.0, 0.0)
-        assert los == pytest.approx(nlos, rel=1e-15)
+    cfg = replace(preset_desk(), n_gue=0)
+    cfg = replace(cfg, channel=replace(cfg.channel, uav=replace(
+        cfg.channel.uav, pathloss_los=same, pathloss_nlos=same, shadow_nlos_db=0.0,
+        shadow_los_scale_db=0.0)))
+    geom = generate_topology(cfg, np.random.default_rng(2))
+    beta = build_large_scale(cfg, geom, np.random.default_rng(1)).beta
+    d3 = user_ap_distances(geom)[0]
+    np.testing.assert_allclose(beta, 10.0 ** (-same.evaluate(d3, cfg.carrier_freq_ghz) / 10.0),
+                               rtol=1e-15)
 
 
 def test_path_gain_uav_log_law():
     pure = LogDistanceModel(offset_db=10.0, dist_coef=25.0, freq_coef=0.0)
-    model = UavChannelModel(pathloss_los=pure, pathloss_nlos=pure)
-    g1 = path_gain_uav(100.0, True, model, 1.9, 80.0, 0.0)
-    g2 = path_gain_uav(200.0, True, model, 1.9, 80.0, 0.0)
-    delta_db = 10.0 * math.log10(g1 / g2)
+    delta_db = pure.evaluate(200.0, 1.9, height_m=80.0) - pure.evaluate(100.0, 1.9, height_m=80.0)
     assert delta_db == pytest.approx(25.0 * math.log10(2.0), rel=1e-12)
 
 
 def test_path_gain_uav_uma_av_los_hand_value():
     model = UavChannelModel()
-    g = path_gain_uav(200.0, True, model, 1.9, 80.0, 0.0)
     pl = 28.0 + 22.0 * math.log10(200.0) + 20.0 * math.log10(1.9)
-    assert 10.0 * math.log10(g) == pytest.approx(-pl, abs=1e-9)
+    assert model.pathloss_los.evaluate(200.0, 1.9, height_m=80.0) == pytest.approx(pl, abs=1e-9)
     # NLOS branch, independent evaluation
-    g = path_gain_uav(200.0, False, model, 1.9, 80.0, 0.0)
     pl = (
         -17.5
         + (46.0 - 7.0 * math.log10(80.0)) * math.log10(200.0)
         + 20.0 * math.log10(40.0 * math.pi * 1.9 / 3.0)
     )
-    assert 10.0 * math.log10(g) == pytest.approx(-pl, abs=1e-9)
+    assert model.pathloss_nlos.evaluate(200.0, 1.9, height_m=80.0) == pytest.approx(pl, abs=1e-9)
 
 
 def test_uav_shadow_sigma_per_link_hand_values():
@@ -161,18 +168,45 @@ def _flat_geometry(user_xy, n_ap=2, side=1000.0):
 
 def test_shadow_field_zero_sigma():
     # build_large_scale scales the unit field per link: zero sigmas leave every
-    # link its bare path gain, LOS or NLOS for a UAV
+    # link its bare gain, a UAV's LOS or NLOS one as its LOS state (drawn right
+    # after the field) picks
     ch = preset_desk().channel
     ch = replace(ch, gue_shadow_sigma_db=0.0,
                  uav=replace(ch.uav, shadow_nlos_db=0.0, shadow_los_scale_db=0.0))
     cfg = replace(preset_desk(), channel=ch)
-    geom = generate_topology(cfg, np.random.default_rng(0))
+    geom = generate_topology(cfg, np.random.default_rng(2))  # UAVs at 289, 39 and 81 m
     ls = build_large_scale(cfg, geom, np.random.default_rng(1))
-    d3, f, h = user_ap_distances(geom)[0], cfg.carrier_freq_ghz, geom.user_positions[:, 2, None]
-    gue = geom.roles == ROLE_GUE
-    assert (ls.beta[gue] == path_gain_gue(d3[gue], f, 0.0, ch.gue_gain)).all()
-    bare = [path_gain_uav(d3[~gue], los, ch.uav, f, h[~gue], 0.0) for los in (True, False)]
-    assert ((ls.beta[~gue] == bare[0]) | (ls.beta[~gue] == bare[1])).all()
+    (d3, d2), f = user_ap_distances(geom), cfg.carrier_freq_ghz
+    gue, h = geom.roles == ROLE_GUE, geom.user_positions[:, 2, None]
+    assert (ls.beta[gue] == 10.0 ** (ch.gue_gain.evaluate(d3[gue], f) / 10.0)).all()
+    rng = np.random.default_rng(1)
+    shadow_field(geom, ch.shadow_corr_dist_m, rng)
+    los = rng.random(d3[~gue].shape) < los_probability(ROLE_UAV, d2[~gue], h[~gue],
+                                                        ch.uav.los_prob)
+    assert los.any() and not los.all()
+    loss = np.where(los, ch.uav.pathloss_los.evaluate(d3[~gue], f, height_m=h[~gue]),
+                    ch.uav.pathloss_nlos.evaluate(d3[~gue], f, height_m=h[~gue]))
+    assert (ls.beta[~gue] == 10.0 ** (-loss / 10.0)).all()
+
+
+def test_shadow_field_projects_an_indefinite_kernel_to_psd():
+    # on a 20 m side the min-image distances of the paper's 60 users make the
+    # kernel 2^(-rho/d0) indefinite; the field's root is that of the nearest PSD
+    # matrix, close to the kernel
+    cfg = replace(preset_paper(), area_side_m=20.0, n_ap=4)
+    geom = generate_topology(cfg, np.random.default_rng(1))
+    users, side, K = geom.user_positions, geom.area_side, geom.n_users
+    delta = users[:, None] - users[None]
+    delta[..., :2] = (delta[..., :2] + side / 2.0) % side - side / 2.0
+    kernel = 2.0 ** (-np.linalg.norm(delta, axis=-1) / cfg.channel.shadow_corr_dist_m)
+    assert np.linalg.eigvalsh(kernel).min() < -1e-2
+    # K APs and unit draws that are the identity: the field is the root itself
+    identity = SimpleNamespace(standard_normal=lambda shape: np.eye(*shape))
+    root = shadow_field(replace(geom, ap_antennas=np.zeros((K, 1, 3))),
+                        cfg.channel.shadow_corr_dist_m, identity)
+    cov = root @ root.T
+    assert np.linalg.eigvalsh(cov).min() > -1e-12
+    np.testing.assert_allclose(cov, kernel, rtol=0, atol=0.03)
 
 
 def test_shadow_field_colocated_users_identical():
@@ -399,11 +433,11 @@ def _per_link_large_scale(config, geometry, rng):
     for k in range(K):
         for a in range(A):
             if roles[k] == ROLE_UAV:
-                beta[k, a] = path_gain_uav(
-                    d3[k, a], los_state[k, a], ch.uav, f, heights[k], shadow_db[k, a]
-                )
+                model = ch.uav.pathloss_los if los_state[k, a] else ch.uav.pathloss_nlos
+                gain_db = -model.evaluate(d3[k, a], f, height_m=heights[k])
             else:
-                beta[k, a] = path_gain_gue(d3[k, a], f, shadow_db[k, a], ch.gue_gain)
+                gain_db = ch.gue_gain.evaluate(d3[k, a], f)
+            beta[k, a] = 10.0 ** ((gain_db + shadow_db[k, a]) / 10.0)
             if rice[k].any():  # only a LOS link has a steering vector
                 image = nearest_image(
                     geometry.user_positions[k], geometry.ap_reference[a], geometry.area_side

@@ -66,6 +66,40 @@ def test_validate_rejects_state_beyond_physical_memory(tmp_path, capsys):
     assert "physical memory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, field", [
+    # ten million UAVs at one single-antenna AP: the SE tables' LOS rows need about
+    # 2.4 PB, the estimators 160 MB
+    ("n_uav: 10000000\nn_gue: 0\n", "n_uav"),
+    # ten million GUEs under DL max-min: its dense C and copy need about 1.6 PB, the
+    # estimators and the LOS rows' zero row 160 MB each
+    ("n_gue: 10000000\nn_uav: 0\npower:\n  dl: maxmin\n", "power.dl"),
+])
+def test_validate_rejects_se_tables_beyond_physical_memory(tmp_path, capsys, text, field):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("n_ap: 1\nn_ap_antennas: 1\nmc:\n  ub_samples: 0\n" + text)
+    tracemalloc.start()
+    try:
+        assert main(["validate", "--config", str(cfg_path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert f"{field}: " in capsys.readouterr().err
+    out = tmp_path / "out"  # run refuses it before any drop
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "physical memory" in capsys.readouterr().err and not out.exists()
+
+
+def test_run_on_an_area_whose_shadow_kernel_is_indefinite(tmp_path):
+    # on a 20 m side the paper's 60 users give an indefinite 2^(-rho/d0) kernel
+    # (min eigenvalue -0.076 on drop 0); the shadow field takes its nearest PSD matrix
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text("area_side_m: 20.0\nn_ap: 4\nmc:\n  ub_samples: 0\n")
+    out = tmp_path / "out"
+    assert main(["run", "--drops", "5", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert (out / "rates.csv").exists()
+
+
 def test_validate_missing_file_exit_2(tmp_path):
     assert main(["validate", "--config", str(tmp_path / "nope.yaml")]) == 2
 

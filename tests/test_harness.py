@@ -149,18 +149,25 @@ def test_debug_estimation_csv_matches_per_pair_references(tmp_path):
 
 
 def test_debug_maxmin_traces_hold_the_solver_steps(tmp_path):
-    # the DL trace gains each stage's FISTA steps (0 on the PPA row); UL keeps two columns
-    cfg = config_from_dict({"power": {"dl": "maxmin", "ul": "maxmin"}, "mc": {"ub_samples": 0}},
-                           base=preset_desk())
-    info = run_drop(cfg, 0, 1, debug_dir=tmp_path).power_info
-    dl = (tmp_path / "drop_0_maxmin_dl_trace.csv").read_text().splitlines()
-    assert dl[0] == "outer_iter,min_rate,steps"
-    rows = [line.split(",") for line in dl[1:]]
-    assert [int(r[2]) for r in rows] == [0] + info["dl"]["steps"]
-    assert [float(r[1]) for r in rows] == info["dl"]["min_rate_trace"]
-    ul = (tmp_path / "drop_0_maxmin_ul_trace.csv").read_text().splitlines()
-    assert ul[0] == "outer_iter,min_rate"
-    assert [line.count(",") for line in ul[1:]] == [1] * len(info["ul"]["min_rate_trace"])
+    # the DL trace gains each stage's FISTA steps (0 on the PPA row); both traces
+    # carry the solver's converged flag on every row: False on a run capped at 2
+    # stages, True at the defaults
+    for maxmin, converged in (({"max_outer_iters": 2}, "False"), ({}, "True")):
+        out = tmp_path / converged
+        cfg = config_from_dict({"power": {"dl": "maxmin", "ul": "maxmin", "maxmin": maxmin},
+                                "mc": {"ub_samples": 0}}, base=preset_desk())
+        info = run_drop(cfg, 0, 1, debug_dir=out).power_info
+        assert str(info["dl"]["converged"]) == converged and info["ul"]["converged"]
+        dl = (out / "drop_0_maxmin_dl_trace.csv").read_text().splitlines()
+        assert dl[0] == "outer_iter,min_rate,steps,converged"
+        rows = [line.split(",") for line in dl[1:]]
+        assert [int(r[2]) for r in rows] == [0] + info["dl"]["steps"]
+        assert [float(r[1]) for r in rows] == info["dl"]["min_rate_trace"]
+        assert [r[3] for r in rows] == [converged] * len(rows)
+        ul = (out / "drop_0_maxmin_ul_trace.csv").read_text().splitlines()
+        assert ul[0] == "outer_iter,min_rate,converged"
+        assert [line.count(",") for line in ul[1:]] == [2] * len(info["ul"]["min_rate_trace"])
+        assert {line.rsplit(",", 1)[1] for line in ul[1:]} == {"True"}
 
 
 @pytest.mark.parametrize("cpus, jobs, workers", [

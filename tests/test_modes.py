@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cfsim.channel import build_large_scale, path_gain_uav, rice_factor
+from cfsim.channel import build_large_scale, rice_factor
 from cfsim.config import preset_desk, preset_desk_mmimo
 from cfsim.geometry import ROLE_UAV, generate_topology, user_ap_distances
 from cfsim.harness import run_drop
@@ -81,8 +81,9 @@ def test_uav_los_shadow_flag():
         # heights above the always-LOS threshold: p_LOS = 1, so K sits at its clamp
         assert np.all(ls.rice_k[uav] == rice_factor(1.0))
         betas.append(ls.beta[uav])
-    los_gain = path_gain_uav(user_ap_distances(geometry)[0][uav], True, cfg.channel.uav,
-                             cfg.carrier_freq_ghz, geometry.user_positions[uav, 2, None], 0.0)
+    los_gain = 10.0 ** (-cfg.channel.uav.pathloss_los.evaluate(
+        user_ap_distances(geometry)[0][uav], cfg.carrier_freq_ghz,
+        height_m=geometry.user_positions[uav, 2, None]) / 10.0)
     assert np.all(betas[0] != betas[1])  # every LOS link shadowed
     np.testing.assert_allclose(betas[1], los_gain, rtol=1e-14, atol=0)  # none shadowed
 
