@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AssociationError, ConfigError
+from .errors import CfsimError, ConfigError
 
 
 def associate_uc(beta, cluster_size):
@@ -32,7 +32,7 @@ def associate_uc(beta, cluster_size):
 
 def build_association(config, beta):
     """The serving mask of a drop: every AP serves every user (cell-free), or each
-    user's uc_cluster_size strongest APs (user-centric). Raises AssociationError
+    user's uc_cluster_size strongest APs (user-centric). Raises CfsimError
     if a user has no serving AP."""
     if config.association.mode == "cf":
         serving = np.ones(beta.shape, dtype=bool)
@@ -40,5 +40,5 @@ def build_association(config, beta):
         serving = associate_uc(beta, config.association.uc_cluster_size)
     if not serving.any(axis=1).all():
         orphans = np.flatnonzero(~serving.any(axis=1))
-        raise AssociationError(f"users without serving APs: {orphans.tolist()}")
+        raise CfsimError(f"users without serving APs: {orphans.tolist()}")
     return serving

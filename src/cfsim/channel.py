@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CfsimError
 from .geometry import ROLE_UAV, NetworkGeometry, nearest_image, user_ap_distances, wrapped_delta
 
 
@@ -42,7 +42,7 @@ def los_probability(role, horizontal_distance, user_height, model):
     """
     d = np.asarray(horizontal_distance, dtype=float)
     if np.any(d < 0):
-        raise DomainError("horizontal distance must be >= 0")
+        raise CfsimError("horizontal distance must be >= 0")
     # d = 0 gives inf/nan in the formula, overridden below by d <= d1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_h = np.log10(user_height)
@@ -62,7 +62,7 @@ def rice_factor(p_los):
     p = np.asarray(p_los, dtype=float)
     outside = ~((p >= 0.0) & (p <= 1.0))
     if outside.any():
-        raise DomainError(f"p_los={p[outside].flat[0]} outside [0, 1]")
+        raise CfsimError(f"p_los={p[outside].flat[0]} outside [0, 1]")
     p = np.minimum(p, 1.0 - RICE_CLAMP_EPS)
     k = p / (1.0 - p)
     return np.where(k < np.finfo(float).tiny, 0.0, k)
@@ -79,7 +79,7 @@ def shadow_field(geometry: NetworkGeometry, d0, rng):
     IMA J. Numer. Anal. 22, 2002).
     """
     if d0 <= 0:
-        raise DomainError("d0 must be > 0")
+        raise CfsimError("d0 must be > 0")
     users = geometry.user_positions
     rho = np.linalg.norm(wrapped_delta(users[:, None], users[None], geometry.area_side), axis=-1)
     vals, vecs = np.linalg.eigh(np.power(2.0, -rho / d0))
@@ -93,11 +93,11 @@ def steering_vector(ap_antennas, user_pos, wavelength):
     `ap_antennas` is (..., N, 3) and `user_pos` (..., 3); leading axes broadcast.
     """
     if wavelength <= 0:
-        raise DomainError("wavelength must be > 0")
+        raise CfsimError("wavelength must be > 0")
     user = np.asarray(user_pos, dtype=float)
     d = np.linalg.norm(np.asarray(ap_antennas, dtype=float) - user[..., None, :], axis=-1)
     if np.any(d == 0.0):
-        raise DomainError("user coincides with an antenna element")
+        raise CfsimError("user coincides with an antenna element")
     return np.exp(-1j * (2.0 * np.pi / wavelength) * (d[..., :1] - d))
 
 
@@ -112,7 +112,7 @@ def build_large_scale(config, geometry: NetworkGeometry, rng) -> LargeScaleState
     ch = config.channel
     d3, d2 = user_ap_distances(geometry)
     if not np.all(d3 > 0):
-        raise DomainError("distance must be > 0")
+        raise CfsimError("distance must be > 0")
     roles = geometry.roles
     uav = roles == ROLE_UAV
     heights = geometry.user_positions[:, 2, None]

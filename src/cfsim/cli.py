@@ -31,7 +31,6 @@ def _resolve_config(args):
         overrides["seed"] = args.seed
     if overrides:
         cfg = replace(cfg, **overrides)
-    cfg.validate()
     return cfg
 
 

@@ -252,39 +252,29 @@ class SimConfig:
         """Per-user pilot energy eta_k = tau_p * eta_bar."""
         return self.frame.tau_p * self.power.train_per_sample_w
 
-    def _far_gain_db(self):
-        """Lowest mean path gain in dB (no shadowing) over the user roles present, at the
-        longest user-AP distance of the wrapped area (UAVs at both ends of their range)."""
+    def __post_init__(self):
+        self.validate()
+
+    def _gains_db(self, reach):
+        """Mean path gains in dB (no shadowing) of the user roles present, at horizontal
+        user-AP distance `reach`, UAVs at both ends of their range on both LOS states.
+        A role whose distance can reach 0 (reach 0 and ap_height_m among its heights)
+        is skipped, as a distance of 0 puts no bound on its gain."""
         ch, f = self.channel, self.carrier_freq_ghz
-        reach = self.area_side_m / math.sqrt(2.0)  # horizontal, to the nearest image
+        lo, hi = self.uav_height_range_m
         gains = []
-        if self.n_gue > 0:
+        if self.n_gue > 0 and (reach > 0 or self.gue_height_m != self.ap_height_m):
             d = math.hypot(reach, self.gue_height_m - self.ap_height_m)
             gains.append(ch.gue_gain.evaluate(d, f))
-        for h in self.uav_height_range_m if self.n_uav > 0 else ():
-            d = math.hypot(reach, h - self.ap_height_m)
-            gains += [-m.evaluate(d, f, h) for m in (ch.uav.pathloss_los, ch.uav.pathloss_nlos)]
-        return min(gains)
-
-    def _near_gain_db(self):
-        """Highest mean path gain in dB (no shadowing) over the user roles present, at
-        the smallest user-AP height gap: a user right above or below an AP, UAVs at
-        both ends of their range. A gap of 0 puts no positive floor under the
-        distance, so the rule skips the role with it (UAVs, when ap_height_m lies
-        inside their range); None when it skips every role present."""
-        ch, f = self.channel, self.carrier_freq_ghz
-        gains = []
-        if self.n_gue > 0 and self.gue_height_m != self.ap_height_m:
-            gains.append(ch.gue_gain.evaluate(abs(self.gue_height_m - self.ap_height_m), f))
-        lo, hi = self.uav_height_range_m
-        if self.n_uav > 0 and not lo <= self.ap_height_m <= hi:
+        if self.n_uav > 0 and (reach > 0 or not lo <= self.ap_height_m <= hi):
             for h in (lo, hi):
-                d = abs(h - self.ap_height_m)
+                d = math.hypot(reach, h - self.ap_height_m)
                 gains += [-m.evaluate(d, f, h) for m in (ch.uav.pathloss_los, ch.uav.pathloss_nlos)]
-        return max(gains, default=None)
+        return gains
 
     def validate(self):
-        """Raise ConfigError naming the first violated field."""
+        """Raise ConfigError naming the first violated field. Construction runs it,
+        so every SimConfig passes it."""
         for name, low, closed in _LOWER_BOUNDS:
             value = attrgetter(name)(self)
             if not (value >= low if closed else value > low):  # also rejects NaN
@@ -328,13 +318,14 @@ class SimConfig:
             raise ConfigError(f"an AP array of {n} antennas spaced {spacing:g} m does not fit "
                               f"in area_side_m={self.area_side_m:g}", field="n_ap_antennas")
         # gamma = eta tr(G B^-1 G) is quadratic in the path gain, so a gain whose
-        # square underflows zeroes every estimate of the links it holds on
-        far_db = self._far_gain_db()
+        # square underflows zeroes every estimate of the links it holds on; the longest
+        # in-area distance is side/sqrt(2) horizontally, to the nearest image
+        far_db = min(self._gains_db(self.area_side_m / math.sqrt(2.0)))
         if not far_db >= 5.0 * math.log10(np.finfo(float).tiny):
             raise ConfigError(f"mean path gain {far_db:.4g} dB at the longest in-area distance: "
                               "its square underflows", field="carrier_freq_hz/area_side_m")
-        near_db = self._near_gain_db()
-        if near_db is not None and not near_db <= 5.0 * math.log10(np.finfo(float).max):
+        near_db = max(self._gains_db(0.0), default=-math.inf)  # a user right above or below an AP
+        if not near_db <= 5.0 * math.log10(np.finfo(float).max):
             raise ConfigError(f"mean path gain {near_db:.4g} dB at the smallest user-AP height "
                               "gap: its square overflows", field="carrier_freq_hz")
         if self.power.kappa is not None and not (0.0 <= self.power.kappa <= 1.0):
@@ -482,7 +473,7 @@ def config_to_dict(cfg):
 
 
 def load_config(path, base=None):
-    """Load and validate a YAML config file; layers over `base` when given."""
+    """Load a YAML config file (checked as it is built); layers over `base` when given."""
     try:
         with open(path, "rb") as fh:  # PyYAML reports bad bytes as a YAMLError
             data = yaml.safe_load(fh)
@@ -490,8 +481,4 @@ def load_config(path, base=None):
         raise ConfigError(str(exc), field="config") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}", field="config") from exc
-    if data is None:
-        data = {}
-    cfg = config_from_dict(data, base=base)
-    cfg.validate()
-    return cfg
+    return config_from_dict({} if data is None else data, base=base)

@@ -1,6 +1,8 @@
-"""Exception hierarchy shared by all cfsim modules.
+"""Exception hierarchy shared by all cfsim modules: one class per exit code.
 
-The CLI maps these onto exit codes: ConfigError -> 2, NumericsError -> 3.
+The CLI maps these onto exit codes: ConfigError -> 2, NumericsError -> 3, and any
+other CfsimError (input outside an operation's domain, a user left without
+serving APs, a power solver failure) -> 1.
 """
 
 
@@ -18,21 +20,5 @@ class ConfigError(CfsimError):
         super().__init__(message)
 
 
-class DomainError(CfsimError):
-    """An operation was called with input outside its mathematical domain."""
-
-
-class DegenerateInputError(CfsimError):
-    """Structurally valid input that leaves an operation undefined (e.g. all-zero gains)."""
-
-
-class AssociationError(CfsimError):
-    """A user ended up without serving APs, or the serving map is inconsistent."""
-
-
 class NumericsError(CfsimError):
     """Internal numerical failure (ill-conditioning, impossible negative denominator, ...)."""
-
-
-class SolverError(CfsimError):
-    """Power-control solver failed (infeasible anchor, inconsistent constraints)."""

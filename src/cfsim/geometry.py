@@ -107,11 +107,7 @@ def generate_topology(config, rng) -> NetworkGeometry:
 
 def user_ap_distances(geometry: NetworkGeometry):
     """(K, A) wrapped 3D and 2D distances from users to AP reference antennas."""
-    users = geometry.user_positions[:, None, :]
-    aps = geometry.ap_reference[None, :, :]
-    sq = wrapped_delta(users, aps, geometry.area_side)
-    sq *= sq
-    d2 = sq[..., 0] + sq[..., 1]  # summed left to right as np.linalg.norm sums: its bits
-    d3 = np.sqrt(d2 + sq[..., 2])
-    return d3, np.sqrt(d2, out=d2)
+    delta = wrapped_delta(geometry.user_positions[:, None, :], geometry.ap_reference[None, :, :],
+                          geometry.area_side)
+    return np.linalg.norm(delta, axis=-1), np.linalg.norm(delta[..., :2], axis=-1)
 

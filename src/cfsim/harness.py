@@ -101,7 +101,6 @@ def run_drop(config: SimConfig, drop_index, master_seed=None, debug_dir=None) ->
     debug_dir, when set, receives per-drop diagnostic CSVs (large-scale state,
     estimation scalars, serving sets, solver traces).
     """
-    config.validate()
     if master_seed is None:
         master_seed = config.seed
     ss = drop_seed_sequence(master_seed, drop_index)
@@ -239,7 +238,6 @@ def run_campaign(
     its place sees every drop of a serial campaign. With jobs > 1 each process
     runs with the thread budget mc.sampler_workers(jobs); a serial campaign
     keeps the process's own budget."""
-    config.validate()
     if n_drops is None:
         n_drops = config.drops
     if master_seed is None:

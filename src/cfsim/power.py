@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import AssociationError, DegenerateInputError, NumericsError, SolverError
+from .errors import CfsimError, NumericsError
 from .geometry import ROLE_UAV
 from .se import SETables, se_from_sinr, ul_sinr_affine
 
@@ -34,7 +34,7 @@ def _budget_groups(n_users, roles, kappa, budget):
     Without kappa all users share the whole budget; with it GUEs share
     1 - kappa and UAVs kappa of it."""
     if not budget >= 0:
-        raise DegenerateInputError(f"DL budget {budget} W is not >= 0")
+        raise CfsimError(f"DL budget {budget} W is not >= 0")
     if kappa is None:
         group, caps = np.zeros(n_users, dtype=int), np.array([float(budget)])
     else:
@@ -59,7 +59,7 @@ def _split_dl(gamma, serving, budget, weight, roles, kappa):
     bad = np.flatnonzero(((onehot @ serving > 0) & (total <= 0)).any(axis=0)
                          | (serving & (per_weight <= 0)).any(axis=0))
     if bad.size:
-        raise DegenerateInputError(f"AP {bad[0]}: zero gamma among served users")
+        raise CfsimError(f"AP {bad[0]}: zero gamma among served users")
     share = np.divide(caps[:, None], total, out=np.zeros_like(total), where=total > 0)
     return np.divide(share[group], per_weight, out=np.zeros_like(gamma), where=serving)
 
@@ -92,7 +92,7 @@ def wfpa_dl(gamma, serving, budget, sigma_z2, roles=None, kappa=None):
     fill = serving & (caps[group] > 0)[:, None]
     bad = np.flatnonzero((fill & (gamma <= 0)).any(axis=0))
     if bad.size:
-        raise DegenerateInputError(f"AP {bad[0]}: zero gamma among served users")
+        raise CfsimError(f"AP {bad[0]}: zero gamma among served users")
     L = np.where(fill, sigma_z2 / np.where(fill, gamma, 1.0), np.inf)
     # (group, K + 1, AP): each group's levels sorted, padded with inf
     levels = np.full((len(caps), K + 1, A), np.inf)
@@ -120,7 +120,7 @@ def fpc_ul(tr_G, serving, p_max, p0, alpha):
     """
     serving = np.asarray(serving, dtype=bool)
     if not serving.any(axis=1).all():
-        raise AssociationError("FPC needs a nonempty serving set per user")
+        raise CfsimError("FPC needs a nonempty serving set per user")
     zeta = np.sqrt((tr_G * serving).sum(axis=1))
     return np.minimum(p_max, p0 * zeta ** (-alpha))
 
@@ -216,18 +216,18 @@ def maxmin_dl(
     outer_tol (relative); the trace holds the best min SE after each stage,
     "steps" the steps of each stage. Starts from PPA. A serving AP without
     budget or a user who can get no power (min rate 0 under any allocation)
-    raises DegenerateInputError."""
+    raises CfsimError."""
     serving, gamma = tables.serving, tables.gamma
     if serving.any() and not budget > 0:
-        raise DegenerateInputError(f"AP {serving.any(axis=0).argmax()}: budget {budget} W; "
-                                   "its users get no power")
+        raise CfsimError(f"AP {serving.any(axis=0).argmax()}: budget {budget} W; "
+                         "its users get no power")
     # in y = sqrt(gamma * eta) each AP(-class) budget is a ball:
     # sum_{k in group} y[k, a]^2 <= caps[group]
     group, caps, onehot = _budget_groups(tables.n_users, roles, kappa, budget)
     usable = serving & (gamma > 0) & (caps[group] > 0)[:, None]
     stranded = np.flatnonzero(~usable.any(axis=1))
     if stranded.size:
-        raise DegenerateInputError(f"user {stranded[0]}: zero gamma or budget on all serving APs")
+        raise CfsimError(f"user {stranded[0]}: zero gamma or budget on all serving APs")
 
     mask = usable.astype(float)
     room = np.where(caps > 0, caps, 1.0)[:, None]  # a zero cap only meets unusable (zero) rows
@@ -253,7 +253,7 @@ def maxmin_dl(
         x = z = best
         fz, _, gz = obj.smooth_min(z, mu, grad=True)
         if gz is None:
-            raise SolverError(f"DL max-min objective is {fz} at the start of stage {stage}")
+            raise CfsimError(f"DL max-min objective is {fz} at the start of stage {stage}")
         # each stage, and each step, first tries a longer step (a stationary
         # point inflates step_inv, as rounding fails the ascent test there)
         t, step_inv = 1.0, 0.0
@@ -296,9 +296,10 @@ def maxmin_dl(
         mu = min(4.0 * mu, mu_end)
 
     se = se_from_sinr(np.exp(obj.log_sinr(best)[0]), prelog)
+    lo, hi = float(se.min()), float(se.max())  # SEs that round to 0: spread 0, or inf
     eta = np.where(usable, best * best / np.where(usable, gamma, 1.0), 0.0)
-    info = {"min_rate_trace": trace, "converged": converged, "iterations": stage,
-            "steps": steps, "se_spread": float(se.max() / se.min() - 1.0)}
+    info = {"min_rate_trace": trace, "converged": converged, "iterations": stage, "steps": steps,
+            "se_spread": hi / lo - 1.0 if lo != 0 else (math.inf if hi > 0 else 0.0)}
     return eta, info
 
 

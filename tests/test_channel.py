@@ -22,7 +22,7 @@ from cfsim.config import (
     preset_desk_mmimo,
     preset_paper,
 )
-from cfsim.errors import DomainError
+from cfsim.errors import CfsimError
 from cfsim.estimation import build_estimation
 from cfsim.geometry import (
     ROLE_GUE,
@@ -76,7 +76,7 @@ def test_rice_factor_values():
     assert rice_factor(4.0e-318) == 0.0 and rice_factor(tiny) == tiny
     clamped = rice_factor(1.0)
     assert clamped == pytest.approx((1.0 - 1e-6) / 1e-6, rel=1e-9)
-    with pytest.raises(DomainError):
+    with pytest.raises(CfsimError, match=r"p_los=1.5 outside \[0, 1\]"):
         rice_factor(1.5)
 
 
@@ -102,7 +102,7 @@ def test_path_gain_gue_shadow_ratio():
     np.testing.assert_allclose(10.0 * np.log10(shadowed / bare), 10.0 * field, rtol=0, atol=1e-9)
     users = geom.user_positions.copy()
     users[1] = geom.ap_reference[3]  # GUE 1 on AP 3's reference antenna
-    with pytest.raises(DomainError, match="distance must be > 0"):
+    with pytest.raises(CfsimError, match="distance must be > 0"):
         build_large_scale(cfg, replace(geom, user_positions=users), np.random.default_rng(0))
 
 
@@ -317,12 +317,12 @@ def test_steering_far_field_limit():
 
 def test_steering_coincident_point_rejected():
     ants = np.array([[0, 0, 0], [0.1, 0, 0]])
-    with pytest.raises(DomainError):
+    with pytest.raises(CfsimError, match="user coincides with an antenna element"):
         steering_vector(ants, np.array([0.0, 0.0, 0.0]), 0.15)
 
 
 def test_distances_and_steering_equal_their_literal_forms():
-    # both are built in place; the literal forms are np.linalg.norm and one exp
+    # both on nearest-image offsets, with users on the wrap boundary: np.linalg.norm and one exp
     geom = generate_topology(preset_paper(), np.random.default_rng(11))
     ants = geom.ap_antennas.copy()
     ants[0] += np.array([250.0, 0.0, 10.0]) - ants[0, 0]  # AP 0's reference at (250, 0, 10)

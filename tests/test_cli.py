@@ -1,3 +1,5 @@
+import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -237,6 +239,20 @@ def test_numerical_failure_exit_3(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "drop 0 (seed" in err
+
+
+def test_one_error_class_per_exit_code():
+    # cfsim.errors defines exactly the classes that cli.main catches by name,
+    # and each of them maps to an exit code of its own
+    from cfsim import cli, errors
+
+    defined = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    handlers = [node for node in ast.walk(ast.parse(inspect.getsource(cli.main)))
+                if isinstance(node, ast.ExceptHandler)]
+    codes = {ast.unparse(h.type): h.body[-1].value.value for h in handlers}
+    assert set(codes) == defined
+    assert sorted(codes.values()) == [1, 2, 3]
 
 
 @pytest.mark.parametrize(

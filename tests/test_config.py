@@ -86,7 +86,7 @@ def _maxmin(cfg, **changes):
 )
 def test_validation_names_violated_field(mutate, field):
     with pytest.raises(ConfigError) as err:
-        mutate(preset_paper()).validate()
+        mutate(preset_paper())
     assert field in str(err.value)
 
 
@@ -94,12 +94,12 @@ def test_validation_names_violated_field(mutate, field):
                                            (0.5, 2, True)])
 def test_maxmin_kappa_that_starves_a_class_rejected(kappa, n_uav, ok):
     base = preset_paper()
-    cfg = replace(base, n_uav=n_uav, power=replace(base.power, dl="maxmin", kappa=kappa))
+    power = replace(base.power, dl="maxmin", kappa=kappa)
     if ok:
-        cfg.validate()
+        replace(base, n_uav=n_uav, power=power)
     else:
         with pytest.raises(ConfigError, match="power.kappa"):
-            cfg.validate()
+            replace(base, n_uav=n_uav, power=power)
 
 
 def test_yaml_round_trip(tmp_path):

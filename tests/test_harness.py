@@ -391,13 +391,13 @@ def test_manifest_contents(tmp_path):
     assert "rates.csv" in manifest["outputs"]
 
 
-def test_drop_error_reports_seed():
-    from cfsim.errors import ConfigError
+def test_drop_error_reports_seed(monkeypatch):
+    def no_serving(config, beta):
+        raise CfsimError("users without serving APs: [0]")
 
-    cfg = tiny_cfg()
-    bad = replace(cfg, frame=replace(cfg.frame, tau_p=500))
-    with pytest.raises(ConfigError):
-        run_drop(bad, 0, 1)
+    monkeypatch.setattr(cfsim.harness, "build_association", no_serving)
+    with pytest.raises(CfsimError, match=r"^drop 3 \(seed 1\): users without serving APs: \[0\]$"):
+        run_drop(tiny_cfg(), 3, 1)
 
 
 def test_non_finite_output_raises_numerics_error(monkeypatch, tmp_path, capsys):

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from cfsim import power
-from cfsim.config import dbm_to_watts, preset_desk
-from cfsim.errors import DegenerateInputError, NumericsError, SolverError
+from cfsim.config import config_from_dict, dbm_to_watts, preset_desk
+from cfsim.errors import CfsimError, NumericsError
 from cfsim.estimation import build_estimation
 from cfsim.geometry import ROLE_GUE, ROLE_UAV
-from cfsim.harness import allocate_dl
+from cfsim.harness import allocate_dl, run_drop
 from cfsim.power import (
     _DlObjective,
     fpc_ul,
@@ -58,7 +58,7 @@ def test_ppa_budget_exact_random(gate_fixture):
 def test_ppa_degenerate_zero_gamma():
     gamma = np.zeros((2, 1))
     serving = np.ones((2, 1), dtype=bool)
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(CfsimError, match="AP 0: zero gamma among served users"):
         ppa_dl(gamma, serving, 0.2)
 
 
@@ -104,9 +104,9 @@ def test_water_level_single_and_equal_levels():
 
 def test_water_level_errors():
     serving = np.ones((2, 1), dtype=bool)
-    with pytest.raises(DegenerateInputError, match="AP 0: zero gamma"):
+    with pytest.raises(CfsimError, match="AP 0: zero gamma"):
         wfpa_dl(np.array([[1.0], [0.0]]), serving, 1.0, 1.0)
-    with pytest.raises(DegenerateInputError, match="budget"):
+    with pytest.raises(CfsimError, match="DL budget -1.0 W is not >= 0"):
         wfpa_dl(np.ones((2, 1)), serving, -1.0, 1.0)
 
 
@@ -337,7 +337,7 @@ def test_maxmin_dl_converges_without_shared_pilots():
 def test_maxmin_dl_zero_budgets_raise_naming_ap(gate_fixture):
     tables, cfg = gate_fixture["tables"], gate_fixture["cfg"]
     prelog = cfg.frame.prelog
-    with pytest.raises(DegenerateInputError, match="AP 0"):
+    with pytest.raises(CfsimError, match="AP 0: budget 0.0 W; its users get no power"):
         maxmin_dl(tables, 0.0, cfg.noise_w, prelog)
 
 
@@ -347,7 +347,7 @@ def test_maxmin_dl_user_without_gamma_raises_naming_user(gate_fixture):
     gamma[2] = 0.0
     tables = dataclasses.replace(tables, gamma=gamma)
     prelog = cfg.frame.prelog
-    with pytest.raises(DegenerateInputError, match="user 2"):
+    with pytest.raises(CfsimError, match="user 2: zero gamma or budget on all serving APs"):
         maxmin_dl(tables, 0.2, cfg.noise_w, prelog)
 
 
@@ -357,7 +357,7 @@ def test_maxmin_dl_nan_objective_raises_single_user():
     state = make_state(seed=15, n_ap=2, n_gue=1, n_uav=0, tau_p=2)
     tables, cfg = state["tables"], state["cfg"]
     prelog = cfg.frame.prelog
-    with pytest.raises(SolverError, match="nan"):
+    with pytest.raises(CfsimError, match="DL max-min objective is nan at the start of stage 1"):
         maxmin_dl(tables, 0.2, float("nan"), prelog)
 
 
@@ -502,6 +502,17 @@ def test_maxmin_dl_converged_is_truthful(name):
     assert info["se_spread"] <= 1e-3
     _, capped = _maxmin_min_se(state, max_outer_iters=1)
     assert not capped["converged"] and capped["iterations"] == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_maxmin_dl_spread_of_rates_that_round_to_0():
+    # at 1e-30 W per AP every DL SINR is near 1e-17, so log2(1 + SINR) is 0 for
+    # every user: equal SEs, spread 0 (not 0 / 0)
+    cfg = config_from_dict({"power": {"dl": "maxmin", "dl_budget_per_ap_w": 1e-30},
+                            "mc": {"ub_samples": 0}}, base=preset_desk())
+    report = run_drop(cfg, 0)
+    assert not report.se_lb_dl.any()
+    assert report.power_info["dl"]["se_spread"] == 0.0
 
 
 # ---------------------------------------------------------------------------
